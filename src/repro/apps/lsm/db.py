@@ -32,6 +32,11 @@ _db_ids = itertools.count(1)
 #: Background thread idle sleep when there is no compaction work.
 COMPACTION_IDLE_US = 500.0
 
+#: Read plans are ~250 bytes each and cleared on every structure bump;
+#: clear-on-full (as :data:`repro.apps.lsm.format._HASH_CACHE_MAX`)
+#: bounds them on a read-only trace over a huge keyspace too.
+_PLAN_CACHE_MAX = 1 << 18
+
 
 @dataclass
 class DbOptions(SnapshotFriendly):
@@ -104,10 +109,9 @@ class LsmDb(SnapshotFriendly):
         #: after each version bump; point reads and scans binary-search
         #: these instead of re-materializing the list per call.
         self._minkeys: dict[int, list] = {}
-        #: Replay-mode read plans: key -> (struct_version, ((file,
-        #: page), ...), value).  ``None`` (the default) disables
-        #: recording entirely; see :meth:`enable_plan_cache`.
-        self._plans: Optional[dict] = None
+        #: Point-read plans under the current table set: key ->
+        #: (((file, page), ...), value); see :meth:`get`.
+        self._plans: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # helpers
@@ -120,6 +124,7 @@ class LsmDb(SnapshotFriendly):
         structure-derived cache (min-key lists, read plans)."""
         self._struct_version += 1
         self._minkeys.clear()
+        self._plans.clear()
 
     def _level_minkeys(self, idx: int) -> list:
         mk = self._minkeys.get(idx)
@@ -129,43 +134,32 @@ class LsmDb(SnapshotFriendly):
         return mk
 
     def _level_table(self, idx: int, key: str) -> Optional[SSTable]:
-        """:meth:`_table_for_key` over the cached min-key list."""
-        level = self.levels[idx]
-        if not level:
-            return None
+        """The table of sorted, non-overlapping level ``idx`` whose key
+        range holds ``key`` (binary search over the cached min keys)."""
         pos = bisect.bisect_right(self._level_minkeys(idx), key) - 1
         if pos < 0:
             return None
-        table = level[pos]
+        table = self.levels[idx][pos]
         return table if key <= table.max_key else None
-
-    def enable_plan_cache(self) -> None:
-        """Turn on read-plan memoization (replay mode).
-
-        A point lookup's *virtual-time footprint* is exactly its
-        sequence of ``fs.read_page`` calls: bloom probes, index binary
-        searches and min-key scans are pure CPU that charges nothing.
-        Which pages a key's lookup touches depends only on the LSM
-        structure (guarded by ``_struct_version``) and the key — never
-        on cache state — so a recorded plan can re-issue the same
-        ``read_page`` calls and return the same value while skipping
-        all of the pure-CPU search work.  Disabled under fault
-        injection: error paths must re-run the real lookup.
-        """
-        if self._plans is None:
-            self._plans = {}
 
     def _get_tables(self, key: str, reads: Optional[list] = None):
         """The table-probing tail of :meth:`get` (memtable already
-        missed); returns the value and optionally records page reads."""
+        missed); returns the value and optionally records page reads.
+
+        This is the reference walk: :meth:`get` runs it once per key
+        per table set to record the key's read plan, and on every
+        lookup while faults are armed."""
         found = False
         value = None
-        for table in self.levels[0]:  # newest first
+        levels = self.levels
+        for table in levels[0]:  # newest first
             found, value = table.get(key, reads)
             if found:
                 break
         if not found:
-            for idx in range(1, len(self.levels)):
+            for idx in range(1, len(levels)):
+                if not levels[idx]:
+                    continue
                 table = self._level_table(idx, key)
                 if table is None:
                     continue
@@ -239,7 +233,19 @@ class LsmDb(SnapshotFriendly):
     # read path
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[object]:
-        """Point lookup; None for missing or tombstoned keys."""
+        """Point lookup; None for missing or tombstoned keys.
+
+        A lookup's *virtual-time footprint* is exactly its sequence of
+        ``fs.read_page`` calls: bloom probes, index binary searches and
+        min-key scans are pure CPU that charges nothing.  Which pages a
+        key's lookup touches depends only on the live table set and the
+        key — never on cache state — so the first lookup of a key
+        records its reads (:meth:`_get_tables`) and later ones re-issue
+        the same ``read_page`` calls and return the same value, skipping
+        the search work.  :meth:`_bump_version` drops every plan when
+        the table set changes.  Bypassed while faults are armed: error
+        paths must re-run the real lookup.
+        """
         self.n_gets += 1
         # Span opens at entry and closes at return, so ``dur_us``
         # equals the read latency the workload driver records around
@@ -255,22 +261,24 @@ class LsmDb(SnapshotFriendly):
                 found, value = self.mem.get(key)
                 if found:
                     return value
-                plans = self._plans
-                if plans is None or self.machine.fs._fault_mode:
+                fs = self.machine.fs
+                if fs._fault_mode:
                     return self._get_tables(key)
+                plans = self._plans
                 plan = plans.get(key)
-                if plan is not None \
-                        and plan[0] == self._struct_version:
+                if plan is not None:
                     # Replay the recorded page faults — identical
                     # virtual-time charges, cache transitions and trace
                     # events — and skip the search CPU around them.
-                    read_page = self.machine.fs.read_page
-                    for file, page in plan[1]:
+                    read_page = fs.read_page
+                    for file, page in plan[0]:
                         read_page(file, page)
-                    return plan[2]
+                    return plan[1]
                 reads: list = []
                 value = self._get_tables(key, reads)
-                plans[key] = (self._struct_version, tuple(reads), value)
+                if len(plans) >= _PLAN_CACHE_MAX:
+                    plans.clear()
+                plans[key] = (tuple(reads), value)
                 return value
             except (EIO, ETIMEDOUT):
                 # Exhausted-retry read failure: degrade to a miss
@@ -280,17 +288,6 @@ class LsmDb(SnapshotFriendly):
         finally:
             if span is not None:
                 self._spans.close(_thread, span)
-
-    @staticmethod
-    def _table_for_key(level: list[SSTable], key: str) -> Optional[SSTable]:
-        """Binary search over a sorted, non-overlapping level."""
-        if not level:
-            return None
-        pos = bisect.bisect_right([t.min_key for t in level], key) - 1
-        if pos < 0:
-            return None
-        table = level[pos]
-        return table if key <= table.max_key else None
 
     def scan_iter(self, start_key: str,
                   advice: Optional[str] = None):

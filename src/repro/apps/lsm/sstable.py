@@ -77,8 +77,8 @@ class SSTable(SnapshotFriendly):
         Touches at most one data page through the page cache (plus
         nothing if the bloom filter says no).  ``reads``, if given,
         collects the ``(file, page)`` pairs this lookup faults through
-        the cache — the raw material of the replay-mode read plans
-        (:meth:`repro.apps.lsm.db.LsmDb.enable_plan_cache`).
+        the cache — the raw material of the point-read plans
+        (:meth:`repro.apps.lsm.db.LsmDb.get`).
         """
         if not self.may_contain(key):
             return (False, None)

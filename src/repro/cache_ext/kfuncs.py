@@ -12,6 +12,7 @@ collisions; as in the paper's listings, we omit it for brevity.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from repro.cache_ext.lists import (EvictionList, attach_folio, detach_folio,
@@ -396,9 +397,9 @@ def _iterate_simple(policy, lst: EvictionList, callback, ctx: EvictionCtx,
 def _iterate_scoring(policy, lst: EvictionList, callback, ctx: EvictionCtx,
                      limit: int, want: int) -> int:
     hot = _iter_hot_state(policy, callback)
-    scored: list[tuple[int, int]] = []  # (score, position)
+    scores: list[int] = []  # by scan position, as nodes
     nodes: list = []
-    scored_append = scored.append
+    scores_append = scores.append
     nodes_append = nodes.append
     head = lst._head
     node = lst.head()
@@ -425,7 +426,7 @@ def _iterate_scoring(policy, lst: EvictionList, callback, ctx: EvictionCtx,
                 _iter_charge(thread, span, memcg_stats, cache_stats,
                              callback if is_prog else None, n, us)
                 return _fail(policy, EINVAL, "list_iterate")
-            scored_append((score, position))
+            scores_append(score)
             nodes_append(node)
             node = nxt
         _iter_charge(thread, span, memcg_stats, cache_stats,
@@ -441,24 +442,37 @@ def _iterate_scoring(policy, lst: EvictionList, callback, ctx: EvictionCtx,
             score = callback(position, node.item)
             if not isinstance(score, int):
                 return _fail(policy, EINVAL, "list_iterate")
-            scored_append((score, position))
+            scores_append(score)
             nodes_append(node)
             node = nxt
     if not nodes:
         return 0
-    # Lowest score wins eviction; ties broken towards the list head
-    # (older entries first), matching the kernel implementation.
-    scored.sort()
-    selected = {position for _score, position in scored[:want]}
+    if want < len(nodes):
+        # Lowest score wins eviction; ties broken towards the list head
+        # (older entries first), matching the kernel implementation:
+        # nsmallest is stable, and positions arrive in scan order.
+        chosen = [nodes[position] for position in sorted(heapq.nsmallest(
+            want, range(len(nodes)), key=scores.__getitem__))]
+        # Non-selected scanned folios rotate to the tail in scan order.
+        # The scanned nodes are the list's head run, so rather than
+        # moving ~nr_scan nodes one by one: lift the selected nodes
+        # out, splice what is left of the run to the tail in one step,
+        # and put the selected back at the head.
+        remove = lst.remove
+        for scanned in chosen:
+            remove(scanned)
+        lst.rotate_head_run(next(scanned for scanned in reversed(nodes)
+                                 if scanned.owner is lst))
+        add_head = lst.add_head
+        for scanned in reversed(chosen):
+            add_head(scanned)
+    else:
+        chosen = nodes
     added = 0
     add_candidate = ctx.add_candidate
-    move_to_tail = lst.move_to_tail
-    for position, scanned in enumerate(nodes):
-        if position in selected:
-            if add_candidate(scanned.item):
-                added += 1
-        else:
-            move_to_tail(scanned)
+    for scanned in chosen:
+        if add_candidate(scanned.item):
+            added += 1
     return added
 
 

@@ -153,8 +153,6 @@ def _preattach_env(kernel: str, cgroup_pages: int, nkeys: int,
     cgroup = machine.new_cgroup(cgroup_name, limit_pages=cgroup_pages)
     db = LsmDb(machine, cgroup, options=db_options)
     db.bulk_load(load_items(nkeys))
-    if mode == "replay":
-        db.enable_plan_cache()
     return machine, cgroup, db
 
 
@@ -233,8 +231,8 @@ def make_db_env(policy: str, cgroup_pages: int, nkeys: int,
     flush bursts no real deployment would see.
 
     ``mode="replay"`` builds the whole stack on the trace-replay fast
-    path: replay machine (:mod:`repro.replay`) plus the LSM read-plan
-    cache.  Counters are bit-identical to the full mode.
+    path (the :mod:`repro.replay` machine).  Counters are bit-identical
+    to the full mode.
 
     ``snapshot=True`` restores the post-load/pre-attach image from the
     process-wide snapshot cache (:mod:`repro.snapshot`) — capturing it
@@ -245,9 +243,8 @@ def make_db_env(policy: str, cgroup_pages: int, nkeys: int,
 
     ``mode="scan"`` builds the *same* environment as ``"replay"`` (the
     scan steppers in :mod:`repro.scan` drive a replay machine directly
-    and never run the engine), so the two modes share snapshot images
-    and the plan cache; it is normalized here so every image key and
-    cache line is hit by both.
+    and never run the engine), so the two modes share snapshot images;
+    it is normalized here so every image key is hit by both.
     """
     if db_options is None:
         db_options = DbOptions(memtable_entries=512)

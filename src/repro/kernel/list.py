@@ -160,6 +160,25 @@ class IntrusiveList(SnapshotFriendly):
             owner.remove(node)
         self.add_head(node)
 
+    def rotate_head_run(self, last: ListNode) -> None:
+        """Move the run of nodes from the head through ``last`` to the
+        tail in one splice, keeping the run's order; O(1) however long
+        the run is."""
+        if last.owner is not self:
+            raise RuntimeError("node is not on this list")
+        head = self._head
+        rest = last.next
+        if rest is head:               # the run is the whole list
+            return
+        first = head.next
+        tail = head.prev
+        head.next = rest
+        rest.prev = head
+        tail.next = first
+        first.prev = tail
+        last.next = head
+        head.prev = last
+
     def iter_from_head(self) -> Iterator[ListNode]:
         """Iterate head -> tail.
 

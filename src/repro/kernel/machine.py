@@ -91,7 +91,7 @@ class Machine(SnapshotFriendly):
         self.faults = None
         #: True once :func:`repro.replay.enable_replay` has switched
         #: this machine onto the trace-replay fast path (trimmed
-        #: scheduler loop, folio-carried registries, LSM read plans).
+        #: scheduler loop, folio-carried registries).
         #: Components built afterwards consult it to pick fast layouts.
         self.replay_mode = False
         #: Per-hook runtime budget for cache_ext policies, in CPU

@@ -10,21 +10,16 @@ family):
 
 * :class:`ReplayEngine` — the same smallest-clock-first scheduler with
   the same burst invariant and the same heap arithmetic, minus the
-  per-step tracepoint checks and deadline/step-budget branches;
+  per-step tracepoint checks and deadline/step-budget branches, with
+  the garbage collector suspended for the run;
 * :class:`~repro.cache_ext.registry.ReplayFolioRegistry` — the
   valid-folio registry with membership carried on the folio itself
-  (same answers, no hash buckets on the eviction hot loop);
-* the LSM read-plan cache
-  (:meth:`~repro.apps.lsm.db.LsmDb.enable_plan_cache`) — point lookups
-  whose structural context is unchanged replay their recorded
-  ``read_page`` calls instead of re-walking bloom filters and indexes.
-  The replayed calls are *the* virtual-time payload of a lookup, so
-  cache state, stats and timing evolve identically.
+  (same answers, no hash buckets on the eviction hot loop).
 
 What replay mode is **not**: it does not skip the device model or the
 scheduler.  Which thread steps next feeds back through disk queueing
 into cache state, so eliding either would change the counters.  Replay
-strips *instrumentation and recomputation*, never physics.
+strips *instrumentation and bookkeeping*, never physics.
 
 Replay is incompatible with fault injection and hook budgets: the
 watchdog-detach path mutates registry state in a way the folio-carried

@@ -1,0 +1,20 @@
+"""Hypothesis strategies shared by the property-based tests.
+
+Re-exports the commonly used names::
+
+    from tests.strategies import STANDARD_SETTINGS, lsm_op_sequences
+"""
+
+from tests.strategies.lsm import LsmOp, db_options, lsm_op_sequences
+from tests.strategies.scoring import ScoringCase, scoring_cases
+from tests.strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
+
+__all__ = [
+    "DETERMINISM_SETTINGS",
+    "STANDARD_SETTINGS",
+    "LsmOp",
+    "ScoringCase",
+    "db_options",
+    "lsm_op_sequences",
+    "scoring_cases",
+]

@@ -1,13 +1,17 @@
 """Eviction-list kfuncs: the Table 2 API and its safety properties."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache_ext import load_policy
-from repro.cache_ext.kfuncs import (EINVAL, ENOENT, EPERM, ITER_EVICT,
-                                    ITER_MOVE, ITER_ROTATE, ITER_SKIP,
-                                    ITER_STOP, MODE_SCORING, MODE_SIMPLE,
+from repro.cache_ext.framework import CacheExtPolicy
+from repro.cache_ext.kfuncs import (DEFAULT_MAX_SCAN, EINVAL, ENOENT, EPERM,
+                                    ITER_EVICT, ITER_MOVE, ITER_ROTATE,
+                                    ITER_SKIP, ITER_STOP, MODE_SCORING,
+                                    MODE_SIMPLE,
                                     ctx_add_candidate, current_tid,
                                     folio_key, ktime_us, list_add,
                                     list_create, list_del, list_iterate,
@@ -15,6 +19,7 @@ from repro.cache_ext.kfuncs import (EINVAL, ENOENT, EPERM, ITER_EVICT,
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
+from tests.strategies import STANDARD_SETTINGS, scoring_cases
 
 
 def attach_empty_policy(machine, cg, name="p"):
@@ -23,14 +28,14 @@ def attach_empty_policy(machine, cg, name="p"):
     return load_policy(machine, cg, ops)
 
 
-def setup():
+def setup(npages=64):
     machine = Machine()
     cg = machine.new_cgroup("t", limit_pages=256)
     policy = attach_empty_policy(machine, cg)
     f = machine.fs.create("data")
-    for i in range(64):
+    for i in range(npages):
         f.store[i] = i
-    f.npages = 64
+    f.npages = npages
     f.ra_enabled = False
     return machine, cg, policy, f
 
@@ -418,3 +423,92 @@ def test_list_membership_invariant(ops):
                 if policy.registry.get_node(fo) is not None
                 and policy.registry.get_node(fo).owner is not None)
     assert total_listed == nodes
+
+
+class _SubclassedPolicy(CacheExtPolicy):
+    """Any subclass takes list_iterate's non-inlined charge path."""
+
+
+def _reference_scoring(lst, callback, ctx, limit, want):
+    """The pre-splice selection: sort the whole scanned window, then
+    rotate every non-selected node to the tail one call at a time."""
+    nodes = list(itertools.islice(lst.iter_from_head(), limit))
+    scored = sorted((callback(position, node.item), position)
+                    for position, node in enumerate(nodes))
+    selected = {position for _score, position in scored[:want]}
+    added = 0
+    for position, node in enumerate(nodes):
+        if position in selected:
+            if ctx.add_candidate(node.item):
+                added += 1
+        else:
+            lst.move_to_tail(node)
+    return added
+
+
+class TestScoringSplice:
+    """list_iterate's O(want) rotation against the per-node loop."""
+
+    N_LISTED = 40       # longest list
+    N_PAGES = 72        # + up to 31 pre-filled candidates off the list
+
+    def _env(self, case, subclass):
+        machine, cg, policy, f = setup(self.N_PAGES)
+        if subclass:
+            policy.__class__ = _SubclassedPolicy
+        folios = fault_in(machine, f, cg, self.N_PAGES)
+        list_id = list_create(cg)
+        for folio in folios[:len(case.scores)]:
+            list_add(list_id, folio, True)
+        ctx = EvictionCtx(case.requested)
+        for folio in folios[self.N_LISTED:self.N_LISTED + case.prefilled]:
+            assert ctx.add_candidate(folio)
+        scores = {folio.id: score
+                  for folio, score in zip(folios, case.scores)}
+        return cg, policy.lists[-1], list_id, ctx, scores
+
+    @given(case=scoring_cases(N_LISTED), subclass=st.booleans())
+    @STANDARD_SETTINGS
+    def test_same_candidates_and_list_order(self, case, subclass):
+        outcomes = []
+        for use_kfunc in (True, False):
+            cg, lst, list_id, ctx, scores = self._env(case, subclass)
+
+            def score(i, folio):
+                return scores[folio.id]
+
+            if use_kfunc:
+                added = list_iterate(cg, list_id, bpf_program(score), ctx,
+                                     MODE_SCORING, case.nr_scan)
+            else:
+                limit = min(case.nr_scan or DEFAULT_MAX_SCAN, len(lst))
+                added = _reference_scoring(
+                    lst, score, ctx, limit,
+                    case.requested - case.prefilled)
+            lst.check_consistency()
+            outcomes.append((added,
+                             [folio.index for folio in ctx.candidates],
+                             [folio.index for folio in lst.items()],
+                             len(lst)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3] == len(case.scores)
+
+    @given(case=scoring_cases(N_LISTED), subclass=st.booleans(),
+           bad=st.sampled_from((None, 1.5, "7")), data=st.data())
+    @STANDARD_SETTINGS
+    def test_non_int_score_is_einval_and_leaves_list_alone(
+            self, case, subclass, bad, data):
+        cg, lst, list_id, ctx, scores = self._env(case, subclass)
+        scanned = min(case.nr_scan or DEFAULT_MAX_SCAN, len(lst))
+        bad_at = data.draw(st.integers(0, scanned - 1))
+        before = lst.items()
+
+        @bpf_program
+        def score(i, folio):
+            return bad if i == bad_at else scores[folio.id]
+
+        assert list_iterate(cg, list_id, score, ctx, MODE_SCORING,
+                            case.nr_scan) == EINVAL
+        assert lst.items() == before
+        assert ctx.nr_candidates_proposed == case.prefilled
+        lst.check_consistency()
