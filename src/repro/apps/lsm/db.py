@@ -219,8 +219,7 @@ class LsmDb(SnapshotFriendly):
                                self.opts.fmt,
                                expected_entries=len(self.mem),
                                through_cache=True)
-        for key, value in self.mem.sorted_items():
-            writer.add(key, value)
+        writer.extend(self.mem.sorted_items())
         table = writer.finish()
         self.levels[0].insert(0, table)  # newest first
         self._bump_version()
@@ -442,8 +441,7 @@ class LsmDb(SnapshotFriendly):
                                    self.opts.fmt,
                                    expected_entries=len(chunk),
                                    through_cache=False)
-            for key, value in chunk:
-                writer.add(key, value)
+            writer.extend(chunk)
             self.levels[bottom].append(writer.finish())
         self._bump_version()
 

@@ -9,7 +9,7 @@ LevelDB with the same record sizes would issue.
 from __future__ import annotations
 
 from repro.snapshot import SnapshotFriendly
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.kernel.folio import PAGE_SIZE
 
@@ -88,14 +88,16 @@ class RecordFormat(SnapshotFriendly):
 
     key_size: int = 24
     value_size: int = 1000
+    # Derived once per format, and kept out of repr/==/hash: snapshot
+    # image keys are built from those.
+    record_bytes: int = field(init=False, repr=False, compare=False)
+    entries_per_page: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def record_bytes(self) -> int:
-        return self.key_size + self.value_size + 8  # + seq/len overhead
-
-    @property
-    def entries_per_page(self) -> int:
-        return max(1, PAGE_SIZE // self.record_bytes)
+    def __post_init__(self) -> None:
+        record_bytes = self.key_size + self.value_size + 8  # + seq/len
+        object.__setattr__(self, "record_bytes", record_bytes)
+        object.__setattr__(self, "entries_per_page",
+                           max(1, PAGE_SIZE // record_bytes))
 
 
 class BloomFilter:
@@ -116,21 +118,28 @@ class BloomFilter:
         for probe in range(BLOOM_HASHES):
             yield fnv1a(key, probe) % self.nbits
 
-    # add/test_chunks draw their probe hashes from the process-wide
+    # add_all/test_chunks draw their probe hashes from the process-wide
     # :func:`bloom_hashes` memo so the key is CRC'd once per process
     # instead of once per probe per filter (both sit on the SSTable
     # write and point-read hot paths).  The memoized values equal
     # ``fnv1a(key, probe)``, so bit positions are identical to
     # :meth:`_positions`, which is kept as the readable reference.
 
-    def add(self, key: str) -> None:
+    def add_all(self, keys) -> None:
+        """Set every key's bits in one pass: a table's filter is built
+        whole, from its key list, when the writer finishes."""
         nbits = self.nbits
         chunks = self.chunks
-        for h in bloom_hashes(key):
-            pos = h % nbits
-            # divmod by the power-of-two page size, as shift/mask.
-            bit = pos & _BLOOM_PAGE_MASK
-            chunks[pos >> _BLOOM_PAGE_SHIFT][bit >> 3] |= 1 << (bit & 7)
+        cached = _HASH_CACHE.get
+        for key in keys:
+            for h in cached(key) or bloom_hashes(key):
+                pos = h % nbits
+                # divmod by the power-of-two page size, as shift/mask.
+                bit = pos & _BLOOM_PAGE_MASK
+                chunks[pos >> _BLOOM_PAGE_SHIFT][bit >> 3] |= 1 << (bit & 7)
+
+    def add(self, key: str) -> None:
+        self.add_all((key,))
 
     @staticmethod
     def test_chunks(chunks: list, nbits: int, key: str) -> bool:

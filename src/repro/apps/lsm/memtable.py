@@ -76,15 +76,12 @@ class WriteAheadLog(SnapshotFriendly):
                  fmt: RecordFormat) -> None:
         self.fs = fs
         self.name = name
-        self.fmt = fmt
         self.file: "SimFile" = fs.create(name)
+        #: Records per log page, bound once: ``append`` runs per put.
+        self.entries_per_page = fmt.entries_per_page
         self._page: list = []
         self._generation = 0
         self.records = 0
-
-    @property
-    def entries_per_page(self) -> int:
-        return self.fmt.entries_per_page
 
     def append(self, key: str, value) -> None:
         self._page.append((key, value))

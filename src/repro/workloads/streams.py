@@ -150,10 +150,12 @@ class OpStream:
 # Shared draw helpers (single source of truth for pregen + on-line)
 # ----------------------------------------------------------------------
 def draw_op_kind(rng: random.Random, spec) -> int:
-    """One YCSB op-kind draw; *the* float walk both paths must share."""
+    """One YCSB op-kind draw; *the* float walk both paths must share.
+
+    ``spec.kind_shares`` leaves out zero shares only: ``r < 0.0`` never
+    holds and ``r - 0.0`` is exact, so the chain's floats are unchanged."""
     r = rng.random()
-    for kind, share in ((OP_READ, spec.read), (OP_UPDATE, spec.update),
-                        (OP_INSERT, spec.insert), (OP_SCAN, spec.scan)):
+    for kind, share in spec.kind_shares:
         if r < share:
             return kind
         r -= share

@@ -52,11 +52,18 @@ class YcsbSpec:
     rmw: float = 0.0
     distribution: str = "zipfian"  # zipfian | latest | uniform
     max_scan_len: int = 25
+    #: The non-zero ``(kind, share)`` pairs in draw order, built once:
+    #: :func:`streams.draw_op_kind` walks them per generated op.
+    kind_shares: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = self.read + self.update + self.insert + self.scan + self.rmw
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{self.name}: proportions sum to {total}")
+        object.__setattr__(self, "kind_shares", tuple(
+            pair for pair in ((OP_READ, self.read), (OP_UPDATE, self.update),
+                              (OP_INSERT, self.insert), (OP_SCAN, self.scan))
+            if pair[1]))
 
 
 YCSB_WORKLOADS: dict[str, YcsbSpec] = {

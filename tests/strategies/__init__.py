@@ -5,7 +5,8 @@ Re-exports the commonly used names::
     from tests.strategies import STANDARD_SETTINGS, lsm_op_sequences
 """
 
-from tests.strategies.lsm import LsmOp, db_options, lsm_op_sequences
+from tests.strategies.lsm import (LsmOp, db_options, lsm_op_sequences,
+                                  sorted_runs)
 from tests.strategies.scoring import ScoringCase, scoring_cases
 from tests.strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 
@@ -17,4 +18,5 @@ __all__ = [
     "db_options",
     "lsm_op_sequences",
     "scoring_cases",
+    "sorted_runs",
 ]

@@ -46,6 +46,23 @@ def lsm_op_sequences(max_size: int = 120) -> st.SearchStrategy:
     return st.lists(lsm_ops(), min_size=1, max_size=max_size)
 
 
+def sorted_runs(epp: int, max_pages: int = 5) -> st.SearchStrategy:
+    """Strictly increasing ``(key, value)`` runs for an SSTable whose
+    data pages hold ``epp`` records; ``None`` values are tombstones.
+
+    Half the lengths sit on a page boundary (empty, one record, a page
+    less/exactly/plus one), the rest range over several pages.
+    """
+    lengths = st.one_of(
+        st.sampled_from((0, 1, epp - 1, epp, epp + 1)),
+        st.integers(0, max_pages * epp + 1))
+    records = st.tuples(st.integers(0, 9999),
+                        st.one_of(st.none(), st.integers(0, 999)))
+    return lengths.flatmap(lambda n: st.lists(
+        records, min_size=n, max_size=n, unique_by=lambda kv: kv[0])
+    ).map(lambda kvs: [(f"key{k:04d}", v) for k, v in sorted(kvs)])
+
+
 def db_options() -> st.SearchStrategy:
     """Options under which a handful of ops reaches every level."""
     return st.builds(
