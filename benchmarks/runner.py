@@ -55,22 +55,14 @@ DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_core.json")
 #: snapshots (repro.snapshot): cells restore one shared post-load
 #: image instead of rebuilding it; its table hash must also equal
 #: fig6's, and its timing entry is the committed record of what the
-#: snapshot path buys.  ``scan`` runs the fig6 sweep a fourth time on
-#: the approximate decision-level stepper (repro.scan, one multi-cell
-#: pass per workload row, snapshot-restored): it is explicitly
-#: approximate, so it is EXEMPT from the fig6 table-hash equality the
-#: other two modes must pass — instead its entry records the per-cell
-#: hit-ratio drift vs the exact fig6 table (bit-reproducible
-#: run-to-run, so still a deterministic baseline field) and its
-#: speedup over the replay entry.
+#: snapshot path buys.
 #: ``timeseries_off`` pins the telemetry sampler's disabled cost the
 #: same way: with no sampler attached the run executes zero sampler
 #: code, so this cell must track ``spans_off``-class timing exactly —
 #: if plumbing the ``--timeseries`` option ever leaks work into
 #: unsampled runs, this entry regresses in isolation.
-CORE_SUITE = ("fig6", "replay", "snapshot", "scan", "fig9",
-              "admission", "table4", "spans_off", "faults_off",
-              "timeseries_off")
+CORE_SUITE = ("fig6", "replay", "snapshot", "fig9", "admission",
+              "table4", "spans_off", "faults_off", "timeseries_off")
 
 SCHEMA = 1
 
@@ -235,11 +227,6 @@ def run_experiment(name: str, quick: bool, jobs: Optional[int],
         # rebuilding it.  Deterministic fields must again match the
         # "fig6" entry exactly (enforced in run_suite).
         name, snapshot = "fig6", "on"
-    elif name == "scan":
-        # The fig6 sweep on the decision-level stepper: approximate
-        # hit ratios (drift vs the fig6 entry recorded in run_suite),
-        # bit-reproducible, one grouped pass per workload row.
-        name, mode, snapshot = "fig6", "scan", "on"
     module = importlib.import_module(f"repro.experiments.{name}")
     spec = module.plan(quick=quick)
     report = execute(spec, jobs=jobs, serial=jobs is None, mode=mode,
@@ -308,28 +295,6 @@ def run_suite(experiments, quick: bool, jobs: Optional[int]) -> dict:
                 "state is wrong, not just slow")
         print("[snapshot] table hash matches fig6 (bit-identical)",
               flush=True)
-    scan = doc["experiments"].get("scan")
-    if full is not None and scan is not None:
-        # Scan is approximate by design — no hash-equality gate.  Its
-        # committed record is the drift itself: per-cell |scan - exact|
-        # hit ratio against the fig6 entry, plus the speedup over the
-        # replay entry.  Both derive from deterministic simulations,
-        # so they are stable baseline fields.
-        drift = {}
-        for key, exact_hr in full["hit_ratios"].items():
-            scan_hr = scan["hit_ratios"].get(key)
-            if scan_hr is not None:
-                drift[key] = round(100 * abs(scan_hr - exact_hr), 2)
-        scan["drift_pp"] = drift
-        scan["max_drift_pp"] = max(drift.values()) if drift else None
-        if fast is not None:
-            scan["speedup_vs_replay"] = round(
-                fast["timing"]["wall_s"] / scan["timing"]["wall_s"], 2)
-        print(f"[scan] max hit-ratio drift vs fig6: "
-              f"{scan['max_drift_pp']}pp across {len(drift)} cells"
-              + (f", {scan['speedup_vs_replay']}x vs replay"
-                 if "speedup_vs_replay" in scan else ""),
-              flush=True)
     _print_trajectory(doc)
     return doc
 
@@ -337,10 +302,9 @@ def run_suite(experiments, quick: bool, jobs: Optional[int]) -> dict:
 def _print_trajectory(doc: dict) -> None:
     """The sweep-throughput story in one block: how long the same
     fig6 grid takes under each execution tier, fastest-path history
-    (full engine -> trace replay -> snapshot restores -> decision-level
-    scan)."""
+    (full engine -> trace replay -> snapshot restores)."""
     tiers = [("full", "fig6"), ("replay", "replay"),
-             ("snapshot", "snapshot"), ("scan", "scan")]
+             ("snapshot", "snapshot")]
     present = [(label, doc["experiments"][name]["timing"]["wall_s"])
                for label, name in tiers
                if name in doc["experiments"]]

@@ -14,7 +14,7 @@ module collapses that to two entry points:
 * :func:`run` — one call that takes an experiment (a name like
   ``"fig6"`` or a prepared
   :class:`~repro.experiments.harness.ExperimentSpec`), an execution
-  ``mode`` (``"full"`` | ``"replay"`` | ``"scan"`` | ``"auto"``), an
+  ``mode`` (``"full"`` | ``"replay"`` | ``"auto"``), an
   optional policy filter and an optional fault plan, and returns the
   merged :class:`~repro.experiments.parallel.ExecutionReport`.
 
@@ -29,27 +29,22 @@ Example::
         kernel_policy="mglru", disk={"read_us": 95.0, "channels": 2},
         cgroups=(("app", 1000),)).build()
 
-Mode rules (enforced here and in :mod:`repro.replay`):
+Mode rules — one table,
+:data:`repro.experiments.parallel.PLANES`, settled by
+:func:`~repro.experiments.parallel.resolve_execution`:
 
 * ``mode="replay"`` runs replay-capable cells on the trace-replay
   fast path; payloads are bit-identical to the full engine.
-* ``mode="scan"`` runs scan-capable sweeps on the approximate
-  decision-level stepper (:mod:`repro.scan`) — one multi-cell pass
-  per shared stream; hit ratios land within a documented tolerance,
-  timing/latency columns are decision-level virtual time.  Anything
-  that needs the engine — ``faults``, ``trace``, ``breakdown`` —
-  raises :class:`repro.scan.ScanUnsupportedError`.
-* ``faults`` requires the full engine — combining a fault plan with
-  ``mode="replay"`` raises, and ``mode="auto"`` quietly falls back.
-* ``breakdown`` (latency attribution) likewise needs the full engine.
 * ``snapshot=True`` restores each snapshot-capable cell from one
   shared post-load machine image (:mod:`repro.snapshot`) instead of
-  re-running the load — byte-identical tables; combining with
-  ``faults`` raises (``snapshot="auto"`` falls back to cold builds).
-* ``timeseries`` (continuous telemetry frames,
-  :mod:`repro.obs.timeseries`) also needs the full engine —
-  ``mode="replay"`` raises, ``mode="scan"`` raises, ``"auto"`` falls
-  back; it composes with both ``faults`` and ``snapshot``.
+  re-running the load — byte-identical tables.
+* ``faults``, ``breakdown`` and ``timeseries`` need the full engine,
+  and ``faults`` a cold build: an explicit ``mode="replay"`` /
+  ``snapshot=True`` raises a ``ValueError`` naming the plane and the
+  alternative, ``"auto"`` falls back and records why on the report
+  (``report.mode`` / ``.snapshot`` / ``.fallback_reason``).
+* ``faults`` cannot ride with ``trace`` or ``breakdown`` (the cell
+  observer); it composes with ``timeseries``.
 """
 
 from __future__ import annotations
@@ -75,10 +70,9 @@ class MachineConfig:
       (previously ``machine.fs.bulk_io_enabled = ...``);
     * ``burst_enabled`` — the engine's burst-scheduling fast path
       (previously ``machine.engine.burst_enabled = ...``);
-    * ``mode`` — ``"full"``, ``"replay"``, or ``"scan"`` (both of the
-      latter apply :func:`repro.replay.enable_replay` before anything
-      else touches the machine; the scan stepper drives a
-      replay-trimmed machine);
+    * ``mode`` — ``"full"`` or ``"replay"`` (the latter applies
+      :func:`repro.replay.enable_replay` before anything else touches
+      the machine);
     * ``cgroups`` — ``(name, limit_pages)`` pairs created at build.
 
     Frozen, so one config can stamp out any number of machines (use
@@ -95,13 +89,13 @@ class MachineConfig:
 
     def build(self) -> Machine:
         from repro.kernel.block import BlockDevice
-        if self.mode not in ("full", "replay", "scan"):
-            raise ValueError(f"unknown machine mode {self.mode!r}")
+        if self.mode not in ("full", "replay"):
+            raise ValueError(f"unknown execution mode {self.mode!r}")
         machine = Machine(
             kernel_policy=self.kernel_policy,
             disk=BlockDevice(**self.disk) if self.disk else None,
             costs=self.costs)
-        if self.mode in ("replay", "scan"):
+        if self.mode == "replay":
             from repro.replay import enable_replay
             enable_replay(machine)
         machine.fs.bulk_io_enabled = self.bulk_io_enabled
@@ -139,14 +133,9 @@ def run(spec: Union[str, object], *, mode: str = "full",
         prepared :class:`~repro.experiments.harness.ExperimentSpec`.
     mode:
         ``"full"`` (reference engine), ``"replay"`` (trace-replay fast
-        path for cells that opt in — bit-identical payloads),
-        ``"scan"`` (approximate decision-level stepper, one multi-cell
-        pass per shared stream — hit ratios within a documented
-        tolerance; refuses ``faults``/``trace``/``breakdown`` with
-        :class:`repro.scan.ScanUnsupportedError`), or ``"auto"``
-        (replay unless ``trace``/``breakdown``/``faults`` need the
-        full instrumentation; scan only when the spec declares itself
-        hit-ratio-only).
+        path for cells that opt in — bit-identical payloads), or
+        ``"auto"`` (replay unless ``faults``/``breakdown``/
+        ``timeseries`` need the full engine).
     policy:
         Only run cells whose id matches this policy (grid cell ids are
         ``workload/policy``); any :func:`fnmatch` glob also works.
@@ -172,9 +161,8 @@ def run(spec: Union[str, object], *, mode: str = "full",
         ``report.timeseries`` (export with
         :func:`repro.experiments.parallel.timeseries_jsonl`, analyze
         with :mod:`repro.obs.analyze`).  Needs the full engine:
-        ``mode="replay"`` raises ``ValueError``, ``mode="scan"``
-        raises :class:`repro.scan.ScanUnsupportedError`, ``"auto"``
-        falls back to the full engine.  Composes with ``faults`` (the
+        ``mode="replay"`` raises ``ValueError``, ``"auto"`` falls back
+        to the full engine.  Composes with ``faults`` (the
         sampler chains behind the fault-plan observer, so the injected
         windows appear in the frames' ``active_faults`` column) and
         with ``snapshot`` (frames are byte-identical cold vs
@@ -182,7 +170,9 @@ def run(spec: Union[str, object], *, mode: str = "full",
     """
     from repro.experiments import harness
     from repro.experiments.parallel import (DEFAULT_TIMEOUT_S, execute,
-                                            filter_cells)
+                                            filter_cells,
+                                            requested_planes,
+                                            resolve_execution)
     resolved = _resolve_spec(spec, quick)
     if policy is not None:
         pattern = policy if any(ch in policy for ch in "*?[") \
@@ -192,43 +182,24 @@ def run(spec: Union[str, object], *, mode: str = "full",
         serial = jobs is None
     if timeout_s is None:
         timeout_s = DEFAULT_TIMEOUT_S
-    observer = None
+    mode, snapshot, reason = resolve_execution(
+        mode, snapshot,
+        requested_planes(faults=faults is not None, trace=trace,
+                         breakdown=breakdown,
+                         timeseries=timeseries not in (False, None)))
+    previous = None
     if faults is not None:
-        if mode == "scan":
-            from repro.scan import ScanUnsupportedError
-            raise ScanUnsupportedError(
-                "mode='scan' cannot honor faults=: the decision-level "
-                "stepper drops the engine paths fault plans hook; use "
-                "mode='full' (or mode='auto', which falls back to the "
-                "full engine when a fault plan is armed)")
-        if mode == "replay":
-            raise ValueError(
-                "fault injection needs the full engine; replay mode "
-                "strips the paths fault plans hook (use mode='full' "
-                "or mode='auto')")
-        if trace or breakdown:
-            raise ValueError(
-                "faults cannot be combined with trace/breakdown: both "
-                "claim the per-cell machine observer")
-        if snapshot in (True, "on"):
-            raise ValueError(
-                "fault injection cannot ride on snapshot restores: a "
-                "captured image must be quiescent, and cold builds arm "
-                "the plan before the load phase (use snapshot=False "
-                "or snapshot='auto')")
-        mode = "full"
-        snapshot = False  # "auto" falls back to cold builds
-
-        def observer(machine):
-            machine.arm_faults(faults)
-
-    previous = harness.set_cell_observer(observer) \
-        if observer is not None else None
+        previous = harness.set_cell_observer(
+            lambda machine: machine.arm_faults(faults))
     try:
-        return execute(resolved, jobs=jobs, serial=serial,
-                       timeout_s=timeout_s, trace=trace,
-                       breakdown=breakdown, mode=mode,
-                       snapshot=snapshot, timeseries=timeseries)
+        report = execute(resolved, jobs=jobs, serial=serial,
+                         timeout_s=timeout_s, trace=trace,
+                         breakdown=breakdown, mode=mode,
+                         snapshot=snapshot, timeseries=timeseries)
     finally:
-        if observer is not None:
+        if faults is not None:
             harness.set_cell_observer(previous)
+    # execute() saw only settled values; the fallback was decided here,
+    # where the fault plane is known.
+    report.fallback_reason = reason
+    return report

@@ -48,12 +48,6 @@ def run_one(filtered: bool, nkeys: int, cgroup_pages: int, nops: int,
             warmup_ops: int, nthreads: int, seed: int = 42,
             mode: str = "full", snapshot: bool = False):
     env = _build_env(filtered, nkeys, cgroup_pages, mode, snapshot)
-    if mode == "scan":
-        from repro.scan import ycsb_scan
-        result = ycsb_scan([env], YCSB_WORKLOADS["uniform-rw"],
-                           nkeys=nkeys, nops=nops, nthreads=nthreads,
-                           warmup_ops=warmup_ops, seed=seed)[0]
-        return result, env
     runner = YcsbRunner(env.db, YCSB_WORKLOADS["uniform-rw"],
                         nkeys=nkeys, nops=nops, nthreads=nthreads,
                         warmup_ops=warmup_ops, seed=seed)
@@ -84,24 +78,6 @@ def cell(filtered: bool, **params) -> dict:
     return _payload(result, env)
 
 
-def scan_cells(ids: list, cells: list, snapshot: bool = False,
-               prepares=None) -> dict:
-    """Baseline + admission-filter as one multi-cell scan pass (both
-    cells replay the same uniform-R/W stream)."""
-    from repro.scan import ycsb_scan
-    first = cells[0]
-    envs = [_build_env(kw["filtered"], kw["nkeys"], kw["cgroup_pages"],
-                       "scan", snapshot or kw.get("snapshot", False))
-            for kw in cells]
-    results = ycsb_scan(envs, YCSB_WORKLOADS["uniform-rw"],
-                        nkeys=first["nkeys"], nops=first["nops"],
-                        nthreads=first["nthreads"],
-                        warmup_ops=first["warmup_ops"],
-                        seed=first.get("seed", 42))
-    return {cell_id: _payload(result, env)
-            for cell_id, result, env in zip(ids, results, envs)}
-
-
 def plan(quick: bool = False, scale: dict = None) -> ExperimentSpec:
     params = dict(QUICK_SCALE if quick else FULL_SCALE)
     if scale:
@@ -109,17 +85,12 @@ def plan(quick: bool = False, scale: dict = None) -> ExperimentSpec:
     cells = [CellSpec("admission",
                       "admission-filter" if filtered else "baseline",
                       cell, dict(filtered=filtered, **params),
-                      supports_replay=True, supports_snapshot=True,
-                      snapshot_prepare=prepare_snapshot,
-                      supports_scan=True)
+                      supports_replay=True,
+                      snapshot_prepare=prepare_snapshot)
              for filtered in (False, True)]
     return ExperimentSpec("admission", cells, _merge,
                           meta={"labels": ["baseline",
-                                           "admission-filter"],
-                                "scan": {"fn": scan_cells,
-                                         "rows": [("uniform-rw",
-                                                   ["baseline",
-                                                    "admission-filter"])]}})
+                                           "admission-filter"]})
 
 
 def _merge(meta: dict, payloads: dict) -> ExperimentResult:

@@ -77,16 +77,6 @@ def run_one(label: str, policy: str, fadvise_mode: Optional[str],
             zipf_theta: float = 1.5, seed: int = 5,
             mode: str = "full", snapshot: bool = False):
     env, ops = _build_env(policy, nkeys, cgroup_pages, mode, snapshot)
-    if mode == "scan":
-        from repro.scan import getscan_scan
-        result = getscan_scan(
-            [env], nkeys=nkeys, n_gets=n_gets,
-            get_threads=get_threads, scan_threads=scan_threads,
-            scan_len=scan_len, fadvise_mode=fadvise_mode,
-            zipf_theta=zipf_theta, seed=seed,
-            on_threads=lambda _env, tids: _register_scan_tids(ops, tids),
-        )[0]
-        return result, env
     workload = GetScanWorkload(env.db, nkeys=nkeys, n_gets=n_gets,
                                get_threads=get_threads,
                                scan_threads=scan_threads,
@@ -108,37 +98,6 @@ def cell(label: str, policy: str, fadvise_mode: Optional[str],
             "hit_ratio": env.cgroup.metrics().hit_ratio}
 
 
-def scan_cells(ids: list, cells: list, snapshot: bool = False,
-               prepares=None) -> dict:
-    """All six variants as one multi-cell scan pass.
-
-    The variants replay identical GET/SCAN streams and differ only in
-    policy and fadvise advice, so one decode serves the whole figure;
-    :func:`repro.scan.getscan_scan` takes the per-cell fadvise modes
-    and ``on_threads`` fills each GET-SCAN variant's TID map."""
-    from repro.scan import getscan_scan
-    first = cells[0]
-    built = [_build_env(kw["policy"], kw["nkeys"], kw["cgroup_pages"],
-                        "scan", snapshot or kw.get("snapshot", False))
-             for kw in cells]
-    envs = [env for env, _ops in built]
-    ops_by_env = {id(env): ops for env, ops in built}
-    results = getscan_scan(
-        envs, nkeys=first["nkeys"], n_gets=first["n_gets"],
-        get_threads=first["get_threads"],
-        scan_threads=first["scan_threads"],
-        scan_len=first["scan_len"],
-        fadvise_mode=[kw["fadvise_mode"] for kw in cells],
-        zipf_theta=first["zipf_theta"], seed=first.get("seed", 5),
-        on_threads=lambda env, tids: _register_scan_tids(
-            ops_by_env[id(env)], tids))
-    return {cell_id: {"get_throughput": result.get_throughput,
-                      "get_p99_us": result.get_p99_us,
-                      "scan_throughput": result.scan_throughput,
-                      "hit_ratio": env.cgroup.metrics().hit_ratio}
-            for cell_id, result, env in zip(ids, results, envs)}
-
-
 def plan(quick: bool = False, variants: Iterable[tuple] = VARIANTS,
          scale: dict = None) -> ExperimentSpec:
     params = dict(QUICK_SCALE if quick else FULL_SCALE)
@@ -148,11 +107,9 @@ def plan(quick: bool = False, variants: Iterable[tuple] = VARIANTS,
     cells = [CellSpec("fig10", label, cell,
                       dict(label=label, policy=policy,
                            fadvise_mode=fadv, **params),
-                      supports_replay=True, supports_snapshot=True,
-                      snapshot_prepare=prepare_db_env_snapshot,
-                      supports_scan=True)
+                      supports_replay=True,
+                      snapshot_prepare=prepare_db_env_snapshot)
              for label, policy, fadv in variants]
-    scan_rows = [("variants", [v[0] for v in variants])]
 
     def prepare() -> None:
         # All six variants replay the same GET/SCAN streams.
@@ -164,9 +121,7 @@ def plan(quick: bool = False, variants: Iterable[tuple] = VARIANTS,
             seed=params.get("seed", 5))
 
     return ExperimentSpec("fig10", cells, _merge,
-                          meta={"labels": [v[0] for v in variants],
-                                "scan": {"fn": scan_cells,
-                                         "rows": scan_rows}},
+                          meta={"labels": [v[0] for v in variants]},
                           prepare=prepare)
 
 

@@ -55,11 +55,6 @@ def run_one(policy: str, workload: str, nkeys: int, cgroup_pages: int,
     engine's.  ``snapshot=True`` restores the post-load machine from
     the sweep-level image cache (:mod:`repro.snapshot`) instead of
     re-running the bulk load — again bit-identical.
-
-    ``mode="scan"`` runs the cell on the approximate decision-level
-    stepper (:mod:`repro.scan`): hit ratios carry a documented
-    tolerance, time-derived fields are decision-level approximations,
-    and the payload is bit-reproducible run-to-run.
     """
     spec = YCSB_WORKLOADS[workload]
     if spec.scan > 0:
@@ -68,13 +63,6 @@ def run_one(policy: str, workload: str, nkeys: int, cgroup_pages: int,
     env = make_db_env(policy, cgroup_pages=cgroup_pages, nkeys=nkeys,
                       compaction_thread=True, mode=mode,
                       snapshot=snapshot)
-    if mode == "scan":
-        from repro.scan import ycsb_scan
-        result = ycsb_scan([env], spec, nkeys=nkeys, nops=nops,
-                           nthreads=nthreads, seed=seed,
-                           warmup_ops=warmup_ops,
-                           zipf_theta=zipf_theta)[0]
-        return result, env
     runner = YcsbRunner(env.db, spec, nkeys=nkeys, nops=nops, seed=seed,
                         nthreads=nthreads, warmup_ops=warmup_ops,
                         zipf_theta=zipf_theta)
@@ -94,50 +82,12 @@ def cell(policy: str, workload: str, **params) -> dict:
     """One (policy, workload) cell as a picklable payload.
 
     Shared with fig7 and table5, which sweep the same grid with
-    different parameters/merges.  Accepts ``mode="replay"``
-    (``supports_replay`` in the plan): every payload field is a
-    counter or a virtual-time-derived number, all bit-identical under
-    replay.  Accepts ``mode="scan"`` (``supports_scan``): the
-    approximate decision-level stepper, hit ratios within a documented
-    tolerance.
+    different parameters/merges.  Accepts ``mode="replay"``: every
+    payload field is a counter or a virtual-time-derived number, all
+    bit-identical under replay.
     """
     result, env = run_one(policy, workload, **params)
     return _payload(result, env)
-
-
-def scan_cells(ids: list, cells: list, snapshot: bool = False,
-               prepares=None) -> dict:
-    """One workload row as a single multi-cell scan pass.
-
-    The parallel runner's ``--mode scan`` groups every policy cell of a
-    workload into one call here (the cells share one op stream): the
-    stream is decoded once and fanned out to N machines by
-    :func:`repro.scan.ycsb_scan`, so the row costs one decode instead
-    of N.  ``ids``/``cells`` are the member cell ids and their kwargs;
-    returns ``{cell_id: payload}``, each payload shaped exactly like
-    :func:`cell`'s.  The canonical order is policy-independent, so each
-    payload is bitwise equal to a single-cell ``mode="scan"`` run
-    (``tests/test_scan.py``).
-    """
-    from repro.scan import ycsb_scan
-    first = cells[0]
-    spec = YCSB_WORKLOADS[first["workload"]]
-    nops, warmup_ops = first["nops"], first["warmup_ops"]
-    if spec.scan > 0:
-        nops = max(nops // SCAN_OPS_DIVISOR, 200)
-        warmup_ops = warmup_ops // SCAN_OPS_DIVISOR
-    envs = [make_db_env(kw["policy"], cgroup_pages=kw["cgroup_pages"],
-                        nkeys=kw["nkeys"], compaction_thread=True,
-                        mode="scan",
-                        snapshot=snapshot or kw.get("snapshot", False))
-            for kw in cells]
-    results = ycsb_scan(envs, spec, nkeys=first["nkeys"], nops=nops,
-                        nthreads=first["nthreads"],
-                        seed=first.get("seed", 42),
-                        warmup_ops=warmup_ops,
-                        zipf_theta=first["zipf_theta"])
-    return {cell_id: _payload(result, env)
-            for cell_id, result, env in zip(ids, results, envs)}
 
 
 def make_prepare(params: dict, workloads: Iterable[str]):
@@ -177,17 +127,12 @@ def plan(quick: bool = False,
     policies, workloads = list(policies), list(workloads)
     cells = [CellSpec("fig6", f"{w}/{p}", cell,
                       dict(policy=p, workload=w, **params),
-                      supports_replay=True, supports_snapshot=True,
-                      snapshot_prepare=prepare_db_env_snapshot,
-                      supports_scan=True)
+                      supports_replay=True,
+                      snapshot_prepare=prepare_db_env_snapshot)
              for w in workloads for p in policies]
-    scan_rows = [(w, [f"{w}/{p}" for p in policies])
-                 for w in workloads]
     return ExperimentSpec("fig6", cells, _merge,
                           meta={"params": params, "policies": policies,
-                                "workloads": workloads,
-                                "scan": {"fn": scan_cells,
-                                         "rows": scan_rows}},
+                                "workloads": workloads},
                           prepare=make_prepare(params, workloads))
 
 

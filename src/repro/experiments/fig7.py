@@ -45,17 +45,11 @@ def plan(quick: bool = False,
     policies, workloads = list(policies), list(workloads)
     cells = [CellSpec("fig7", f"{w}/{p}", fig6.cell,
                       dict(policy=p, workload=w, **params),
-                      supports_snapshot=True,
-                      snapshot_prepare=prepare_db_env_snapshot,
-                      supports_scan=True)
+                      snapshot_prepare=prepare_db_env_snapshot)
              for w in workloads for p in policies]
-    scan_rows = [(w, [f"{w}/{p}" for p in policies])
-                 for w in workloads]
     return ExperimentSpec("fig7", cells, _merge,
                           meta={"policies": policies,
-                                "workloads": workloads,
-                                "scan": {"fn": fig6.scan_cells,
-                                         "rows": scan_rows}},
+                                "workloads": workloads},
                           prepare=fig6.make_prepare(params, workloads))
 
 

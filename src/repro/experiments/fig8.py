@@ -35,46 +35,18 @@ def run_one(policy: str, cluster: int, nkeys: int, cgroup_pages: int,
     env = make_db_env(policy, cgroup_pages=cgroup_pages, nkeys=nkeys,
                       compaction_thread=True, mode=mode,
                       snapshot=snapshot)
-    if mode == "scan":
-        from repro.scan import twitter_scan
-        result = twitter_scan([env], CLUSTERS[cluster], nkeys=nkeys,
-                              nops=nops, warmup_ops=warmup_ops,
-                              seed=seed)[0]
-        return result, env
     runner = TwitterRunner(env.db, CLUSTERS[cluster], nkeys=nkeys,
                            nops=nops, warmup_ops=warmup_ops, seed=seed)
     return runner.run(), env
 
 
 def cell(policy: str, cluster: int, **params) -> dict:
-    """Twitter-trace payload; replay-capable (``supports_replay``):
-    throughput and hit ratio are virtual-time counters, bit-identical
-    on the trace-replay fast path.  ``mode="scan"`` runs the
-    approximate decision-level stepper instead (``supports_scan``)."""
+    """Twitter-trace payload; replay-capable: throughput and hit
+    ratio are virtual-time counters, bit-identical on the trace-replay
+    fast path."""
     result, env = run_one(policy, cluster, **params)
     return {"throughput": result.throughput,
             "hit_ratio": env.cgroup.metrics().hit_ratio}
-
-
-def scan_cells(ids: list, cells: list, snapshot: bool = False,
-               prepares=None) -> dict:
-    """One cluster row as a single multi-cell scan pass (the policy
-    cells of a cluster share one trace stream — decode it once, fan it
-    out via :func:`repro.scan.twitter_scan`)."""
-    from repro.scan import twitter_scan
-    first = cells[0]
-    envs = [make_db_env(kw["policy"], cgroup_pages=kw["cgroup_pages"],
-                        nkeys=kw["nkeys"], compaction_thread=True,
-                        mode="scan",
-                        snapshot=snapshot or kw.get("snapshot", False))
-            for kw in cells]
-    results = twitter_scan(envs, CLUSTERS[first["cluster"]],
-                           nkeys=first["nkeys"], nops=first["nops"],
-                           warmup_ops=first["warmup_ops"],
-                           seed=first.get("seed", 11))
-    return {cell_id: {"throughput": result.throughput,
-                      "hit_ratio": env.cgroup.metrics().hit_ratio}
-            for cell_id, result, env in zip(ids, results, envs)}
 
 
 def plan(quick: bool = False,
@@ -87,12 +59,9 @@ def plan(quick: bool = False,
     clusters, policies = list(clusters), list(policies)
     cells = [CellSpec("fig8", f"{c}/{p}", cell,
                       dict(policy=p, cluster=c, **params),
-                      supports_replay=True, supports_snapshot=True,
-                      snapshot_prepare=prepare_db_env_snapshot,
-                      supports_scan=True)
+                      supports_replay=True,
+                      snapshot_prepare=prepare_db_env_snapshot)
              for c in clusters for p in policies]
-    scan_rows = [(str(c), [f"{c}/{p}" for p in policies])
-                 for c in clusters]
 
     def prepare() -> None:
         # One stream per cluster, shared by every policy cell (and,
@@ -106,9 +75,7 @@ def plan(quick: bool = False,
 
     return ExperimentSpec("fig8", cells, _merge,
                           meta={"clusters": clusters,
-                                "policies": policies,
-                                "scan": {"fn": scan_cells,
-                                         "rows": scan_rows}},
+                                "policies": policies},
                           prepare=prepare)
 
 

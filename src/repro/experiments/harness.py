@@ -72,9 +72,7 @@ def build_machine(policy: str, mode: str = "full") -> Machine:
     kernel = "mglru" if policy == "mglru" else "default"
     machine = Machine(kernel_policy=kernel,
                       disk=BlockDevice(**EXPERIMENT_DISK))
-    if mode in ("replay", "scan"):
-        # Scan mode (repro.scan) steps the machine directly and never
-        # runs the engine; its machine is exactly the replay machine.
+    if mode == "replay":
         from repro.replay import enable_replay
         enable_replay(machine)
     elif mode != "full":
@@ -120,8 +118,7 @@ def attach_policy(machine: Machine, cgroup: MemCgroup, policy: str,
         raise ValueError(f"unknown policy {policy!r}")
     machine.attach(cgroup, ops)
     # Post-attach initialization is uniform: every policy goes through
-    # machine.attach above (LHD included — it used to shortcut through
-    # attach_lhd, skipping the one-call API it was meant to exercise).
+    # machine.attach above, LHD included.
     if policy == "lhd":
         init_lhd(machine, ops)
     elif policy == "userspace":
@@ -196,8 +193,6 @@ def warm_db_env_snapshot(policy: str, cgroup_pages: int, nkeys: int,
     inherit the image bytes copy-on-write."""
     if db_options is None:
         db_options = DbOptions(memtable_entries=512)
-    if mode == "scan":
-        mode = "replay"
     kernel = "mglru" if policy == "mglru" else "default"
     _env_image(kernel, cgroup_pages, nkeys, db_options, cgroup_name,
                mode)
@@ -240,16 +235,9 @@ def make_db_env(policy: str, cgroup_pages: int, nkeys: int,
     bulk load.  The restored graph is fresh and independent per call;
     payloads are byte-identical to a cold build
     (``tests/test_snapshot.py``).
-
-    ``mode="scan"`` builds the *same* environment as ``"replay"`` (the
-    scan steppers in :mod:`repro.scan` drive a replay machine directly
-    and never run the engine), so the two modes share snapshot images;
-    it is normalized here so every image key is hit by both.
     """
     if db_options is None:
         db_options = DbOptions(memtable_entries=512)
-    if mode == "scan":
-        mode = "replay"
     if snapshot:
         kernel = "mglru" if policy == "mglru" else "default"
         image = _env_image(kernel, cgroup_pages, nkeys, db_options,
@@ -287,23 +275,16 @@ class CellSpec:
     #: wall-clock-independent counters).  The parallel runner's
     #: ``--mode replay|auto`` only rewrites cells that opt in.
     supports_replay: bool = False
-    #: Whether ``fn`` accepts ``snapshot=True`` and produces the same
-    #: payload when its environment is restored from a pre-load image
-    #: (:mod:`repro.snapshot`) instead of rebuilt.  The runner's
-    #: ``--snapshot on|auto`` only rewrites cells that opt in.
-    supports_snapshot: bool = False
     #: Module-level companion to ``fn`` that *warms* the snapshot image
     #: ``fn`` would restore, given the same kwargs, without running the
-    #: cell.  The runner calls it in the parent before forking so
-    #: workers inherit the image copy-on-write.
+    #: cell.  Setting it is the snapshot opt-in: ``fn`` then accepts
+    #: ``snapshot=True`` and produces the same payload when its
+    #: environment is restored from a pre-load image
+    #: (:mod:`repro.snapshot`) instead of rebuilt.  The runner's
+    #: ``--snapshot on|auto`` only rewrites cells that opt in, and calls
+    #: the companion in the parent before forking so workers inherit
+    #: the image copy-on-write.
     snapshot_prepare: Optional[Callable[..., None]] = None
-    #: Whether ``fn`` accepts ``mode="scan"`` — the approximate
-    #: decision-level stepper (:mod:`repro.scan`).  Unlike replay, scan
-    #: payloads are *not* bit-identical to the full engine's: hit
-    #: ratios carry a documented tolerance and time-derived fields are
-    #: approximations.  The runner's ``--mode scan`` only rewrites
-    #: cells that opt in, and refuses when tracing/breakdown is armed.
-    supports_scan: bool = False
 
     def execute(self) -> dict:
         return self.fn(**self.kwargs)

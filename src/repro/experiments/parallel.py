@@ -25,6 +25,13 @@ table in the parent.  Three properties make this safe:
   every machine a cell builds, giving trace-derived hit ratios that
   can be compared across execution modes.
 
+Which engine (``mode``: full / replay) and which build (``snapshot``:
+cold / restored) a run uses is settled in one place:
+:func:`resolve_execution` checks the request against :data:`PLANES`,
+the table of what each instrumentation plane (faults, breakdown,
+timeseries, trace) needs, and the answer is recorded on the
+:class:`ExecutionReport`.
+
 Usage::
 
     python -m repro.experiments.parallel fig6 --jobs 4
@@ -50,7 +57,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.experiments import harness
 from repro.experiments.harness import (CellSpec, ExperimentResult,
@@ -92,70 +99,103 @@ class _LookupCounter:
         return {"hits": self.hits, "misses": self.misses}
 
 
-def _scan_group_prepare(ids=None, cells=None, prepares=None,
-                        snapshot=False, **_ignored) -> None:
-    """``snapshot_prepare`` companion for grouped scan rows: warm each
-    member cell's image with its own prepare fn and kwargs."""
-    for kwargs, prep in zip(cells or (), prepares or ()):
-        if prep is not None:
-            prep(**kwargs)
+class Plane(NamedTuple):
+    """What one instrumentation plane requires of the run."""
+
+    #: Refuses ``mode="replay"``; ``"auto"`` resolves to the full engine.
+    full_engine: bool
+    #: Refuses snapshot restores; ``snapshot="auto"`` builds cold.
+    cold_build: bool
+    #: Claims the per-cell machine observer
+    #: (:func:`harness.set_cell_observer`).
+    observer: bool
+    #: Why it needs the full engine / a cold build, for the refusal
+    #: message (unused by a plane that needs neither).
+    why: str = ""
 
 
-def _apply_scan(spec: ExperimentSpec) -> ExperimentSpec:
-    """Rewrite a plan onto the multi-cell scan stepper.
+#: The one source of every request-level mode/plane refusal:
+#: :func:`resolve_execution` derives the explicit-conflict errors and
+#: ``auto``'s fallbacks from these rows, and :func:`repro.api.run`,
+#: :func:`apply_mode` / :func:`execute` and the CLI all go through it.
+#: (Machine-level guards — ``enable_replay``, ``TimeseriesSampler.attach``,
+#: ``snapshot.capture`` — inspect live state for callers who bypass the
+#: harness and stay where they are.)
+PLANES = {
+    "faults": Plane(
+        True, True, True,
+        "a fault plan arms on a pristine machine before the load and "
+        "can detach a policy through the watchdog, which neither the "
+        "replay registry layout nor a captured image can represent"),
+    "breakdown": Plane(
+        True, False, True,
+        "latency attribution's contracts — components sum to durations, "
+        "spans never perturb time — are asserted on the full engine only"),
+    "timeseries": Plane(
+        True, False, False,
+        "the sampler's contracts — exact totals, zero perturbation, "
+        "byte-identical frames — are asserted on the full engine only"),
+    # Tracepoints fire identically on both engines (ReplayEngine.run
+    # hands a run with ``sched:*`` subscribers to the full loop).
+    "trace": Plane(False, False, True),
+}
 
-    Cells that share one op stream (``meta["scan"]["rows"]``) are
-    grouped into a single row cell running the experiment's
-    ``meta["scan"]["fn"]`` — one stream decode fans out to every
-    policy cell of the row (:mod:`repro.scan`).  The merge is wrapped
-    to flatten each row's ``{cell_id: payload}`` back into the grid
-    the original merge expects.  Rows are independent and internally
-    serial, so tables stay bit-identical across runs and ``--jobs``.
+
+def requested_planes(**flags) -> list:
+    """Names of the planes switched on in ``flags``, in table order."""
+    return [plane for plane in PLANES if flags.get(plane)]
+
+
+def resolve_execution(mode: str, snapshot="off", planes=()) -> tuple:
+    """Settle ``(mode, snapshot)`` against the requested planes.
+
+    Returns ``(mode, snapshot, reason)`` with ``mode`` one of
+    ``"full"``/``"replay"``, ``snapshot`` ``"on"``/``"off"`` and
+    ``reason`` a sentence when an ``"auto"`` setting fell back (else
+    ``None``).  An explicit setting a plane cannot run under raises a
+    ``ValueError`` naming the plane and the working alternative, as do
+    two planes that cannot share the cell observer: a plane that needs
+    a cold build installs its observer before the machine exists and
+    holds the slot alone, while the others attach together afterwards.
     """
-    from repro.scan import ScanUnsupportedError
-    scan_info = spec.meta.get("scan")
-    if scan_info is None or not any(c.supports_scan for c in spec.cells):
-        raise ScanUnsupportedError(
-            f"experiment {spec.name!r} has no scan plan (its cells "
-            f"measure quantities the decision-level stepper cannot "
-            f"approximate); use --mode replay or --mode full")
-    by_id = {cell.cell_id: cell for cell in spec.cells}
-    grouped: set = set()
-    new_cells, row_ids = [], set()
-    for row_id, ids in scan_info["rows"]:
-        members = [by_id[i] for i in ids if i in by_id]
-        if not members:
-            continue  # --cells filtered the whole row away
-        ids = [m.cell_id for m in members]
-        grouped.update(ids)
-        row_ids.add(row_id)
-        new_cells.append(CellSpec(
-            spec.name, row_id, scan_info["fn"],
-            dict(ids=ids,
-                 # mode rides along so snapshot warmers hit the same
-                 # image keys the row's env builds will (scan and
-                 # replay share images — see harness.make_db_env).
-                 cells=[{**m.kwargs, "mode": "scan"} for m in members],
-                 prepares=[m.snapshot_prepare for m in members]),
-            supports_snapshot=all(m.supports_snapshot for m in members),
-            snapshot_prepare=_scan_group_prepare,
-            supports_scan=True))
-    # Cells outside every row (none in the built-in plans) run as-is.
-    new_cells.extend(cell for cell in spec.cells
-                     if cell.cell_id not in grouped)
-    inner_merge = spec.merge
-
-    def merge(meta: dict, payloads: dict):
-        flat = {}
-        for cell_id, payload in payloads.items():
-            if cell_id in row_ids:
-                flat.update(payload)
-            else:
-                flat[cell_id] = payload
-        return inner_merge(meta, flat)
-
-    return ExperimentSpec(spec.name, new_cells, merge, meta=spec.meta,
-                          prepare=spec.prepare)
+    if mode not in ("full", "replay", "auto"):
+        raise ValueError(f"unknown execution mode {mode!r}")
+    snapshot = {False: "off", None: "off", True: "on"}.get(snapshot,
+                                                          snapshot)
+    if snapshot not in ("off", "on", "auto"):
+        raise ValueError(f"unknown snapshot setting {snapshot!r}")
+    planes = [p for p in PLANES if p in planes]  # table order
+    claimers = [p for p in planes if PLANES[p].observer]
+    owner = next((p for p in claimers if PLANES[p].cold_build), None)
+    if owner is not None and len(claimers) > 1:
+        other = next(p for p in claimers if p != owner)
+        raise ValueError(
+            f"{owner} cannot be combined with {other}: both claim the "
+            f"per-cell machine observer, and {owner} holds it alone "
+            f"from the cold build on; run {other} without {owner}")
+    full = [p for p in planes if PLANES[p].full_engine]
+    if full and mode == "replay":
+        raise ValueError(
+            f"mode='replay' cannot honor {full[0]}, which needs the "
+            f"full engine: {PLANES[full[0]].why}; use mode='full' or "
+            f"mode='auto'")
+    cold = [p for p in planes if PLANES[p].cold_build]
+    if cold and snapshot == "on":
+        raise ValueError(
+            f"snapshot restores cannot honor {cold[0]}, which needs a "
+            f"cold build: {PLANES[cold[0]].why}; use snapshot=False or "
+            f"snapshot='auto'")
+    reasons = []
+    if mode == "auto":
+        mode = "full" if full else "replay"
+        if full:
+            reasons.append(f"{', '.join(full)} needs the full engine")
+    if snapshot == "auto":
+        snapshot = "off" if cold else "on"
+        if cold:
+            reasons.append(f"{', '.join(cold)} needs a cold build")
+    return (mode, snapshot,
+            "auto: " + "; ".join(reasons) if reasons else None)
 
 
 def apply_mode(spec: ExperimentSpec, mode: str, trace: bool = False,
@@ -167,67 +207,20 @@ def apply_mode(spec: ExperimentSpec, mode: str, trace: bool = False,
     * ``"replay"`` — every cell that declares ``supports_replay``
       executes with ``mode="replay"`` (the trace-replay fast path,
       :mod:`repro.replay`); cells that don't opt in run full.
-      Combining with ``breakdown`` is refused — latency attribution is
-      exactly the instrumentation replay strips.
-    * ``"scan"`` — cells that declare ``supports_scan`` are *grouped*
-      onto the approximate decision-level stepper (:mod:`repro.scan`):
-      one multi-cell pass per shared-stream row.  Hit ratios carry a
-      documented tolerance (see EXPERIMENTS.md) and time-derived
-      columns are decision-level approximations — combining with
-      ``trace`` or ``breakdown`` raises
-      :class:`repro.scan.ScanUnsupportedError` (scan drops the engine
-      loop those consumers hook), as does an experiment with no scan
-      plan.
-    * ``"auto"`` — like ``"replay"``, but silently falls back to the
-      full engine when ``trace``, ``breakdown`` or ``timeseries`` is
-      requested; picks scan instead of replay only when the experiment
-      declares itself hit-ratio-only (``meta["hit_ratio_only"]`` —
-      none of the paper figures do, since their tables report
-      throughput and latency).
+    * ``"auto"`` — replay, unless a requested plane needs the full
+      engine (:data:`PLANES`).
 
-    ``timeseries`` (continuous telemetry frames,
-    :mod:`repro.obs.timeseries`) needs the full engine's thread
-    scheduler to tick the sampler: ``"replay"`` refuses it (replay
-    machines reject spawned threads), ``"scan"`` refuses it (no
-    engine at all), ``"auto"`` falls back to full.
-
-    Payloads are bit-identical across full/replay/snapshot for
-    opted-in cells (enforced by ``tests/test_replay.py``), so the
-    merge result never depends on choosing those; scan is the explicit
-    exception and must be asked for by name (or via the auto rule
-    above).
+    Conflicts between ``mode`` and the planes are settled by
+    :func:`resolve_execution`.  Payloads are bit-identical across
+    full/replay/snapshot for opted-in cells (enforced by
+    ``tests/test_replay.py``), so the merge result never depends on
+    the choice.
     """
+    mode, _, _ = resolve_execution(
+        mode, planes=requested_planes(trace=trace, breakdown=breakdown,
+                                      timeseries=timeseries))
     if mode == "full":
         return spec
-    if mode not in ("replay", "auto", "scan"):
-        raise ValueError(f"unknown execution mode {mode!r}")
-    if mode == "scan":
-        if trace or breakdown or timeseries:
-            from repro.scan import ScanUnsupportedError
-            flag = ("--breakdown" if breakdown
-                    else "--trace" if trace else "--timeseries")
-            raise ScanUnsupportedError(
-                f"mode='scan' cannot honor {flag}: scan mode drops "
-                f"the engine loop that tracepoints, spans and the "
-                f"telemetry sampler hook; use --mode full "
-                f"(or --mode replay for --trace)")
-        return _apply_scan(spec)
-    if trace or breakdown or timeseries:
-        if mode == "auto":
-            return spec
-        if breakdown:
-            raise ValueError(
-                "mode='replay' cannot record latency breakdowns "
-                "(replay strips span instrumentation); use "
-                "mode='full' or mode='auto'")
-        if timeseries:
-            raise ValueError(
-                "mode='replay' cannot sample timeseries frames "
-                "(replay machines refuse the spawned sampler "
-                "thread); use mode='full' or mode='auto'")
-    if mode == "auto" and spec.meta.get("hit_ratio_only") \
-            and spec.meta.get("scan") is not None:
-        return _apply_scan(spec)
     cells = [dataclasses.replace(
                  cell, kwargs={**cell.kwargs, "mode": "replay"})
              if cell.supports_replay else cell
@@ -240,34 +233,31 @@ def apply_snapshot(spec: ExperimentSpec, snapshot) -> ExperimentSpec:
     """Rewrite a plan to restore cells from sweep-level snapshots.
 
     * ``"off"`` / ``False`` — the spec unchanged (cold builds).
-    * ``"on"`` / ``True`` / ``"auto"`` — every cell that declares
-      ``supports_snapshot`` executes with ``snapshot=True``: its
-      environment is restored from the shared post-load image
+    * ``"on"`` / ``True`` / ``"auto"`` — every cell that declares a
+      ``snapshot_prepare`` companion executes with ``snapshot=True``:
+      its environment is restored from the shared post-load image
       (:mod:`repro.snapshot`) instead of rebuilt.  Payloads are
       byte-identical either way (``tests/test_snapshot.py``), so the
       merge result never depends on this setting.
 
     The rewritten spec's prepare hook additionally *warms* each
-    distinct image in the parent (via the cells'
-    ``snapshot_prepare`` companions), mirroring the stream pre-
-    generation: serial cells share the one capture, forked workers
-    inherit the bytes copy-on-write.
+    distinct image in the parent (via those companions), mirroring the
+    stream pre-generation: serial cells share the one capture, forked
+    workers inherit the bytes copy-on-write.
 
-    ``"auto"`` is resolved by callers that know about incompatible
-    configuration (:func:`repro.api.run` falls back to cold builds
-    when a fault plan is armed); here it behaves like ``"on"``.
+    ``"auto"`` is resolved against the requested planes by callers
+    that know them (:func:`execute`, :func:`repro.api.run`); with none
+    in sight here it behaves like ``"on"``.
     """
-    if snapshot in (False, None, "off"):
+    _, snapshot, _ = resolve_execution("full", snapshot)
+    if snapshot == "off":
         return spec
-    if snapshot not in (True, "on", "auto"):
-        raise ValueError(f"unknown snapshot setting {snapshot!r}")
     cells = [dataclasses.replace(
                  cell, kwargs={**cell.kwargs, "snapshot": True})
-             if cell.supports_snapshot else cell
+             if cell.snapshot_prepare is not None else cell
              for cell in spec.cells]
     warmers = [cell for cell in cells
-               if cell.supports_snapshot
-               and cell.snapshot_prepare is not None]
+               if cell.snapshot_prepare is not None]
     inner_prepare = spec.prepare
 
     def prepare() -> None:
@@ -401,9 +391,18 @@ class ExecutionReport:
     worker_errors: dict = field(default_factory=dict)
     wall_s: float = 0.0
     jobs: int = 1
+    #: What :func:`resolve_execution` settled on for this run:
+    #: ``"full"``/``"replay"``, ``"on"``/``"off"``, and the sentence
+    #: explaining an ``"auto"`` fallback (``None`` when nothing fell
+    #: back).
+    mode: str = "full"
+    snapshot: str = "off"
+    fallback_reason: Optional[str] = None
 
     def format_timings(self) -> str:
+        why = f" ({self.fallback_reason})" if self.fallback_reason else ""
         lines = [f"[{len(self.timings)} cells, jobs={self.jobs}, "
+                 f"mode={self.mode}, snapshot={self.snapshot}{why}, "
                  f"wall {self.wall_s:.1f}s]"]
         for t in sorted(self.timings, key=lambda t: -t.wall_s):
             note = f"  ({t.mode})" if t.mode != "worker" else ""
@@ -573,7 +572,9 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
     path, with bit-identical payloads).  ``snapshot`` selects
     sweep-level machine snapshots per :func:`apply_snapshot`
     (opted-in cells restore the shared post-load image instead of
-    rebuilding it — byte-identical payloads again).
+    rebuilding it — byte-identical payloads again).  Both are settled
+    against the requested planes by :func:`resolve_execution`; the
+    answer is recorded on the report.
     """
     if timeseries in (False, None):
         timeseries = None
@@ -585,13 +586,17 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
         if timeseries <= 0:
             raise ValueError(
                 f"sample interval must be positive: {timeseries}")
-    spec = apply_mode(spec, mode, trace=trace, breakdown=breakdown,
-                      timeseries=timeseries is not None)
-    spec = apply_snapshot(spec, snapshot)
+    mode, snapshot, reason = resolve_execution(
+        mode, snapshot,
+        requested_planes(trace=trace, breakdown=breakdown,
+                         timeseries=timeseries is not None))
+    spec = apply_snapshot(apply_mode(spec, mode), snapshot)
     if jobs is None:
         jobs = default_jobs()
     can_fork = "fork" in multiprocessing.get_all_start_methods()
-    report = ExecutionReport(result=None, jobs=1 if serial else jobs)
+    report = ExecutionReport(result=None, jobs=1 if serial else jobs,
+                             mode=mode, snapshot=snapshot,
+                             fallback_reason=reason)
     t0 = time.perf_counter()
     if spec.prepare is not None:
         # Warm shared caches (pre-generated workload streams, machine
@@ -662,86 +667,6 @@ def timeseries_jsonl(report: ExecutionReport) -> str:
     return buf.getvalue()
 
 
-# ----------------------------------------------------------------------
-# scan drift artifact
-# ----------------------------------------------------------------------
-def _exact_reference(experiment: str, scale: str) -> dict:
-    """Committed exact hit ratios for one experiment, if available.
-
-    The drift report compares scan-mode hit ratios against the exact
-    engine's.  The committed ``BENCH_core.json`` carries the exact
-    (full-engine) per-cell hit ratios at its recorded scale; when it
-    matches the run's scale, its cells are the reference.  Otherwise
-    the report still lists every scan cell, with ``exact_hit_ratio``
-    null — an artifact consumer can fill it from its own exact run.
-    """
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    for candidate in (os.path.join(repo_root, "BENCH_core.json"),
-                      os.path.join(os.getcwd(), "BENCH_core.json")):
-        try:
-            with open(candidate) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if doc.get("scale") != scale:
-            continue
-        entry = doc.get("experiments", {}).get(experiment)
-        if entry and entry.get("hit_ratios"):
-            return entry["hit_ratios"]
-    return {}
-
-
-def scan_drift_report(result: ExperimentResult, experiment: str,
-                      scale: str) -> str:
-    """The ``--mode scan`` drift artifact (JSON, deterministic).
-
-    One entry per table row keyed like the bench baselines
-    (``workload/policy``): the scan hit ratio, the exact reference (or
-    null when no committed reference matches the scale), and their
-    absolute delta in percentage points.
-    """
-    reference = _exact_reference(experiment, scale)
-    cells: dict = {}
-    if "hit_ratio" in result.headers:
-        idx = result.headers.index("hit_ratio")
-        for row in result.rows:
-            key = _row_key(result.headers, row)
-            scan_hr = row[idx]
-            exact = reference.get(key)
-            cells[key] = {
-                "scan_hit_ratio": scan_hr,
-                "exact_hit_ratio": exact,
-                "drift_pp": (round(abs(scan_hr - exact) * 100, 4)
-                             if exact is not None else None),
-            }
-    drifts = [c["drift_pp"] for c in cells.values()
-              if c["drift_pp"] is not None]
-    doc = {
-        "experiment": experiment,
-        "mode": "scan",
-        "scale": scale,
-        "reference": "BENCH_core.json" if reference else None,
-        "max_drift_pp": max(drifts) if drifts else None,
-        "cells": cells,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _row_key(headers: list, row: list) -> str:
-    """Identify a table row by its leading label columns (the same
-    keying the bench baselines use: ``workload/policy``).  Metric
-    columns are rounded floats, so the first float ends the label
-    prefix — integer labels like fig8's cluster number stay part of
-    the key."""
-    labels = []
-    for header, value in zip(headers, row):
-        if isinstance(value, float):
-            break
-        labels.append(str(value))
-    return "/".join(labels) if labels else str(row[0])
-
-
 def _subset_merge(meta: dict, payloads: dict) -> ExperimentResult:
     """Merge for ``--cells``-filtered runs: experiment merges assume
     the full grid, so a subset is rendered as raw per-cell payloads."""
@@ -792,20 +717,14 @@ def main(argv: Optional[list] = None) -> int:
                         help="reduced sizes (CI smoke)")
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
                         help="per-cell timeout in seconds")
-    parser.add_argument("--mode",
-                        choices=("full", "replay", "scan", "auto"),
+    parser.add_argument("--mode", metavar="{full,replay,auto}",
                         default="full",
                         help="execution engine: 'replay' runs "
                              "replay-capable cells on the trace-replay "
                              "fast path (bit-identical payloads); "
-                             "'scan' runs scan-capable cells on the "
-                             "approximate decision-level stepper, one "
-                             "multi-cell pass per shared stream "
-                             "(hit ratios within a documented "
-                             "tolerance; a drift report is written "
-                             "next to the table); 'auto' picks replay "
-                             "unless --trace/--breakdown need the "
-                             "full instrumentation")
+                             "'auto' picks replay unless "
+                             "--breakdown/--timeseries need the full "
+                             "engine")
     parser.add_argument("--snapshot", choices=("off", "on", "auto"),
                         default="off",
                         help="sweep-level machine snapshots: 'on' "
@@ -836,11 +755,6 @@ def main(argv: Optional[list] = None) -> int:
                              "per-cell payloads")
     parser.add_argument("-o", "--output", default=None,
                         help="also write the table to this file")
-    parser.add_argument("--drift-report", default=None, metavar="PATH",
-                        help="with --mode scan: where to write the "
-                             "per-cell |scan - exact| hit-ratio drift "
-                             "artifact (default: next to --output, or "
-                             "<experiment>-scan-drift.json)")
     args = parser.parse_args(argv)
 
     module = _load_experiment(args.experiment)
@@ -856,18 +770,19 @@ def main(argv: Optional[list] = None) -> int:
     if args.timeseries is not None:
         timeseries = (args.sample_interval_us
                       if args.sample_interval_us is not None else True)
-        if args.mode == "replay":
-            parser.error("--timeseries needs the full engine to tick "
-                         "the sampler; use --mode full or --mode auto")
-    from repro.scan import ScanUnsupportedError
     try:
-        report = execute(spec, jobs=args.jobs, serial=args.serial,
-                         timeout_s=args.timeout, trace=args.trace,
-                         breakdown=args.breakdown is not None,
-                         mode=args.mode, snapshot=args.snapshot,
-                         timeseries=timeseries)
-    except ScanUnsupportedError as exc:
+        resolve_execution(
+            args.mode, args.snapshot,
+            requested_planes(trace=args.trace,
+                             breakdown=args.breakdown is not None,
+                             timeseries=timeseries is not None))
+    except ValueError as exc:
         parser.error(str(exc))
+    report = execute(spec, jobs=args.jobs, serial=args.serial,
+                     timeout_s=args.timeout, trace=args.trace,
+                     breakdown=args.breakdown is not None,
+                     mode=args.mode, snapshot=args.snapshot,
+                     timeseries=timeseries)
     table = report.result.format_table()
     print(table)
     if args.breakdown:
@@ -896,15 +811,6 @@ def main(argv: Optional[list] = None) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(table + "\n")
-    if args.mode == "scan":
-        drift_path = args.drift_report or (
-            args.output + ".drift.json" if args.output
-            else f"{args.experiment}-scan-drift.json")
-        with open(drift_path, "w") as fh:
-            fh.write(scan_drift_report(
-                report.result, args.experiment,
-                "quick" if args.quick else "full"))
-        print(f"drift report: {drift_path}", file=sys.stderr)
     return 0
 
 

@@ -36,7 +36,6 @@ def plan(quick: bool = False,
     workloads = list(workloads)
     cells = [CellSpec("table5", f"{w}/{p}", fig6.cell,
                       dict(policy=p, workload=w, **params),
-                      supports_snapshot=True,
                       snapshot_prepare=prepare_db_env_snapshot)
              for w in workloads for p in ("mglru", "mglru-bpf")]
     return ExperimentSpec("table5", cells, _merge,

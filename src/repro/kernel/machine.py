@@ -136,9 +136,8 @@ class Machine(SnapshotFriendly):
         """Attach an eviction policy to a cgroup (the one-call API).
 
         ``cgroup`` may be a :class:`MemCgroup` or a cgroup name;
-        ``ops`` may be a ready :class:`~repro.cache_ext.ops.CacheExtOps`,
-        a :class:`~repro.cache_ext.ops.PolicyBuilder` instance, or a
-        ``PolicyBuilder`` subclass (instantiated with defaults)::
+        ``ops`` may be a ready :class:`~repro.cache_ext.ops.CacheExtOps`
+        or a :class:`~repro.cache_ext.ops.PolicyBuilder` instance::
 
             machine.attach("analytics", MruPolicy(skip=4))
 
@@ -148,17 +147,6 @@ class Machine(SnapshotFriendly):
         from repro.cache_ext.ops import PolicyBuilder
         if isinstance(cgroup, str):
             cgroup = self.cgroup(cgroup)
-        if isinstance(ops, type) and issubclass(ops, PolicyBuilder):
-            # Class form predates the builder API settling on
-            # instances; it hid "defaults only" attaches among
-            # configured ones, so it now warns.
-            import warnings
-            warnings.warn(
-                "passing a PolicyBuilder class to Machine.attach is "
-                "deprecated; pass an instance, e.g. "
-                "machine.attach(cgroup, FifoPolicy())",
-                DeprecationWarning, stacklevel=2)
-            ops = ops()
         if isinstance(ops, PolicyBuilder):
             ops = ops.build()
         return load_policy(self, cgroup, ops)

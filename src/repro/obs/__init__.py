@@ -30,7 +30,7 @@ to its real-kernel analogue.
 
 from repro.obs.attr import SpanAggregator, SpanStats, format_breakdown
 from repro.obs.collectors import (Collector, EventCounter, Histogram,
-                                  HitRatioTimeline, InterReferenceCollector,
+                                  InterReferenceCollector,
                                   IoLatencyCollector, WindowedSeries)
 from repro.obs.metrics import (CgroupMetrics, MachineMetrics, PolicyMetrics,
                                snapshot_cgroup, snapshot_machine)
@@ -47,7 +47,7 @@ __all__ = [
     "Tracepoint", "TraceRegistry", "TraceSession", "TraceEvent",
     "NULL_TRACEPOINT", "read_jsonl",
     "Collector", "EventCounter", "Histogram", "WindowedSeries",
-    "IoLatencyCollector", "InterReferenceCollector", "HitRatioTimeline",
+    "IoLatencyCollector", "InterReferenceCollector",
     "MachineMetrics", "CgroupMetrics", "PolicyMetrics",
     "snapshot_machine", "snapshot_cgroup",
     "COMPONENTS", "Span", "SpanRecorder",

@@ -12,16 +12,13 @@ a :class:`~repro.obs.trace.TraceSession` is active.
   (``biolatency`` over the simulated block device);
 * :class:`InterReferenceCollector` — per-cgroup inter-reference
   distance (accesses between successive touches of the same page),
-  the locality profile cache-policy papers plot;
-* :class:`HitRatioTimeline` — deprecated shim over
-  :class:`repro.obs.timeseries.LookupTimeline`, the event-driven
-  sibling of the continuous telemetry plane that absorbed it.
+  the locality profile cache-policy papers plot.
+
+The event-driven hit-ratio-over-time collector lives with the
+telemetry plane: :class:`repro.obs.timeseries.LookupTimeline`.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Optional
 
 from repro.obs.trace import TraceEvent
 
@@ -266,44 +263,3 @@ class InterReferenceCollector(Collector):
     def hist(self, cgroup: str) -> Histogram:
         return self.per_cgroup.get(cgroup, Histogram())
 
-
-class HitRatioTimeline(Collector):
-    """Deprecated: use :class:`repro.obs.timeseries.LookupTimeline`
-    (event-driven, identical semantics) or the
-    :class:`~repro.obs.timeseries.TimeseriesSampler` frames, which
-    carry hit/miss rates alongside every other per-cgroup metric.
-
-    This shim delegates to ``LookupTimeline`` and will be removed one
-    release after PR 9.  The import is deferred to construction so the
-    collectors module (imported by timeseries) stays cycle-free.
-    """
-
-    tracepoints = ("cache:lookup",)
-
-    def __init__(self, window_us: float = 100_000.0) -> None:
-        warnings.warn(
-            "HitRatioTimeline is deprecated; use "
-            "repro.obs.timeseries.LookupTimeline (same semantics) or "
-            "the TimeseriesSampler frames",
-            DeprecationWarning, stacklevel=2)
-        from repro.obs.timeseries import LookupTimeline
-        self._delegate = LookupTimeline(window_us)
-
-    @property
-    def window_us(self) -> float:
-        return self._delegate.window_us
-
-    @property
-    def per_cgroup(self) -> dict:
-        return self._delegate.per_cgroup
-
-    def handle(self, event: TraceEvent) -> None:
-        self._delegate.handle(event)
-
-    def series(self, cgroup: str) -> list[tuple]:
-        """``(window_start_us, hit_ratio)`` points for one cgroup."""
-        return self._delegate.series(cgroup)
-
-    def overall(self, cgroup: str) -> Optional[float]:
-        """Whole-run hit ratio for one cgroup (None if unseen)."""
-        return self._delegate.overall(cgroup)

@@ -18,9 +18,7 @@ plane that answers it:
   sampled machine (one list per column, one row per (frame, scope)),
   with JSONL and ``.npz`` exports.
 * :class:`LookupTimeline` — the event-driven hit-ratio-over-time
-  collector (absorbing the original
-  :class:`repro.obs.collectors.HitRatioTimeline`, now a deprecated
-  shim over this class).
+  collector.
 
 Determinism contract (asserted in ``tests/test_timeseries.py`` and by
 ``python -m repro.obs.guard --timeseries``):
@@ -357,8 +355,8 @@ class TimeseriesSampler:
 
     or let the parallel runner / :func:`repro.api.run` drive it via
     ``--timeseries`` / ``timeseries=True``.  Refuses replay-mode
-    machines: the trimmed replay engine rejects spawned threads, and a
-    cadence needs the engine clock (``mode="full"`` keeps telemetry).
+    machines: the determinism contract above is asserted on the full
+    engine only (``mode="full"`` keeps telemetry).
     """
 
     def __init__(self,
@@ -372,9 +370,10 @@ class TimeseriesSampler:
     def attach(self, machine) -> "TimeseriesSampler":
         if getattr(machine, "replay_mode", False):
             raise ValueError(
-                "timeseries sampling needs the full engine: replay-mode "
-                "machines refuse spawned threads, so the virtual-time "
-                "sampler cannot tick (use mode='full' or 'auto')")
+                "timeseries sampling needs the full engine: its "
+                "exact-totals / zero-perturbation / byte-identical "
+                "contracts are not asserted on replay-mode machines "
+                "(use mode='full' or 'auto')")
         self.streams.append(_MachineStream(machine, self.interval_us))
         return self
 
@@ -552,9 +551,7 @@ class LookupTimeline(Collector):
     the same hit-ratio-over-time signal from ``cache:lookup`` events
     when only a trace is available (no engine to tick a sampler in).
     This is the metric the real page cache cannot give you ("the page
-    cache doesn't expose system-wide hit-rate metrics", §6.1.1) and the
-    implementation the deprecated
-    :class:`repro.obs.collectors.HitRatioTimeline` now delegates to.
+    cache doesn't expose system-wide hit-rate metrics", §6.1.1).
     """
 
     tracepoints = ("cache:lookup",)

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 
 from repro.cache_ext.kfuncs import (MODE_SCORING, ktime_us, list_add,
                                     list_create, list_iterate)
-from repro.cache_ext.loader import load_policy
 from repro.cache_ext.ops import CacheExtOps
 from repro.ebpf.maps import ArrayMap, HashMap
 from repro.ebpf.ringbuf import RingBuffer
@@ -36,7 +35,6 @@ from repro.ebpf.runtime import bpf_program, run_syscall_prog
 from repro.ebpf.verifier import verify_program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.kernel.cgroup import MemCgroup
     from repro.kernel.machine import Machine
 
 #: Fixed-point scale for densities (no floats in BPF).
@@ -311,22 +309,3 @@ def init_lhd(machine: "Machine", ops: CacheExtOps):
     run_syscall_prog(prog)
     return spawn_lhd_agent(machine, ops)
 
-
-def attach_lhd(machine: "Machine", memcg: "MemCgroup",
-               **kwargs) -> CacheExtOps:
-    """Deprecated: load LHD on ``memcg`` and start its agent.
-
-    Use ``machine.attach(memcg, make_lhd_policy(...))`` followed by
-    :func:`init_lhd` — the same one-call attach API every other policy
-    goes through.  This shim remains for older scripts and performs
-    the identical sequence.
-    """
-    import warnings
-    warnings.warn(
-        "attach_lhd is deprecated; use "
-        "machine.attach(cgroup, make_lhd_policy(...)) + init_lhd()",
-        DeprecationWarning, stacklevel=2)
-    ops = make_lhd_policy(**kwargs)
-    load_policy(machine, memcg, ops)
-    init_lhd(machine, ops)
-    return ops

@@ -55,21 +55,24 @@ class ReplayEngine(Engine):
     steady state) executes a trimmed loop: byte-for-byte the heap /
     seq / burst arithmetic of :meth:`Engine.run`, without the
     ``sched:switch`` / ``sched:exit`` tracepoint checks and the
-    ``until_us`` / ``max_steps`` branches.  Any bounded call delegates
-    to the full loop, so windowed experiments still work on a replay
-    machine.
+    ``until_us`` / ``max_steps`` branches.  A bounded call, or one
+    with a scheduler tracepoint subscribed, delegates to the full
+    loop, so windowed experiments and ``sched:*`` consumers still work
+    on a replay machine.
 
     Equivalence argument (same as the burst-scheduling invariant, see
     EXPERIMENTS.md): scheduling order depends only on the heap
     contents, the seq counter and the strict-less-than burst test, all
     of which this loop reproduces exactly; tracepoint emission is
-    side-effect-free when disabled, and a replay machine never enables
-    the scheduler tracepoints.
+    side-effect-free when disabled, and the trimmed loop only runs
+    when neither scheduler tracepoint has a subscriber (checked once
+    per run).
     """
 
     def run(self, until_us: Optional[float] = None,
             max_steps: Optional[int] = None) -> None:
-        if until_us is not None or max_steps is not None:
+        if (until_us is not None or max_steps is not None
+                or self._tp_switch.enabled or self._tp_exit.enabled):
             return super().run(until_us=until_us, max_steps=max_steps)
         # Folio <-> ListNode references form cycles, so miss-heavy
         # cells allocate cyclic garbage at hundreds of thousands of

@@ -19,13 +19,11 @@ CLI::
     python -m repro.tools.cachesim TRACE --cache-pages 1024 \
         --policies default,lfu,s3fifo,sieve
 
-Since PR 8 the replay runs on the scan core
-(:func:`repro.scan.trace_scan`): every requested policy steps the
-same parsed trace in one pass, one page cache per policy.  A raw
-trace is single-threaded, so unlike the workload steppers there is no
-interleaving approximation — the counts are exactly those of stepping
-the trace under the engine (``--compare-exact`` cross-checks that
-against the original engine loop).
+Each policy gets its own machine; one engine thread steps the trace
+through :meth:`Filesystem.read_page` / :meth:`write_page`, one access
+per turn, so the counts are the page cache's own — agent-backed
+policies (LHD) included, whose reconfiguration thread runs on the same
+engine.
 """
 
 from __future__ import annotations
@@ -38,13 +36,6 @@ from repro.cache_ext import load_policy
 from repro.kernel import Machine
 from repro.policies import EXTENSION_POLICIES, GENERIC_POLICIES
 from repro.policies.lhd import init_lhd, make_lhd_policy
-
-#: ``--compare-exact`` failure threshold, in hit-ratio percentage
-#: points.  Engine-thread-only policies must match bitwise; LHD's
-#: asynchronous reconfiguration agent runs on a poll schedule the
-#: synchronous scan servicing cannot replicate access-exactly.
-_COMPARE_TOLERANCE_PP = 0.1
-
 
 @dataclass
 class TraceReport:
@@ -85,17 +76,18 @@ def parse_trace(lines: Iterable[str]) -> list[tuple]:
     return out
 
 
-def _attach(machine: Machine, cgroup, policy: str, cache_pages: int):
-    """Attach ``policy`` to ``cgroup``; returns the loaded ops (or
-    ``None`` for the built-in kernel policies)."""
+def _attach(machine: Machine, cgroup, policy: str,
+            cache_pages: int) -> None:
+    """Attach ``policy`` to ``cgroup`` (a no-op for the built-in
+    kernel policies)."""
     if policy in ("default", "mglru"):
-        return None
+        return
     map_entries = max(4 * cache_pages, 1024)
     if policy == "lhd":
         ops = make_lhd_policy(map_entries=map_entries)
         machine.attach(cgroup, ops)
         init_lhd(machine, ops)
-        return ops
+        return
     factories = dict(GENERIC_POLICIES)
     factories.update(EXTENSION_POLICIES)
     if policy not in factories:
@@ -107,12 +99,19 @@ def _attach(machine: Machine, cgroup, policy: str, cache_pages: int):
     except TypeError:
         ops = factories[policy]()
     load_policy(machine, cgroup, ops)
-    return ops
 
 
-def _materialize_files(machine: Machine, trace: list[tuple],
-                       readahead: bool) -> dict:
-    """Materialize the trace's file universe on one machine."""
+def replay_trace(trace: list[tuple], policy: str,
+                 cache_pages: int, readahead: bool = False) -> TraceReport:
+    """Replay one parsed trace against one policy."""
+    if cache_pages <= 0:
+        raise ValueError("cache_pages must be positive")
+    kernel = "mglru" if policy == "mglru" else "default"
+    machine = Machine(kernel_policy=kernel)
+    cgroup = machine.new_cgroup("trace", limit_pages=cache_pages)
+    _attach(machine, cgroup, policy, cache_pages)
+
+    # Materialize the trace's file universe.
     files = {}
     for file_id, page, _w in trace:
         f = files.get(file_id)
@@ -124,46 +123,6 @@ def _materialize_files(machine: Machine, trace: list[tuple],
             for idx in range(f.npages, page + 1):
                 f.store[idx] = idx
             f.npages = page + 1
-    return files
-
-
-def _build_machine(trace: list[tuple], policy: str, cache_pages: int,
-                   readahead: bool):
-    if cache_pages <= 0:
-        raise ValueError("cache_pages must be positive")
-    kernel = "mglru" if policy == "mglru" else "default"
-    machine = Machine(kernel_policy=kernel)
-    cgroup = machine.new_cgroup("trace", limit_pages=cache_pages)
-    ops = _attach(machine, cgroup, policy, cache_pages)
-    files = _materialize_files(machine, trace, readahead)
-    return machine, cgroup, files, ops
-
-
-def _report(policy: str, trace: list[tuple], cgroup, machine,
-            elapsed_us: float) -> TraceReport:
-    report = TraceReport(policy=policy)
-    report.accesses = len(trace)
-    report.hits = cgroup.stats.hits
-    report.misses = cgroup.stats.misses
-    report.evictions = cgroup.stats.evictions
-    report.disk_pages = machine.disk.stats.total_pages
-    report.elapsed_ms = elapsed_us / 1000.0
-    if cgroup.stats.ext_policy_faults:
-        report.notes.append("policy was removed by the watchdog")
-    return report
-
-
-def engine_replay_trace(trace: list[tuple], policy: str,
-                        cache_pages: int,
-                        readahead: bool = False) -> TraceReport:
-    """Replay one parsed trace under the full engine loop.
-
-    The original (pre-scan-core) implementation, kept as the
-    ``--compare-exact`` reference: one engine thread stepping one
-    access per turn through :meth:`Filesystem.read_page` /
-    :meth:`write_page`."""
-    machine, cgroup, files, _ops = _build_machine(trace, policy,
-                                                  cache_pages, readahead)
 
     def step(thread, it=iter(trace)):
         access = next(it, None)
@@ -178,34 +137,25 @@ def engine_replay_trace(trace: list[tuple], policy: str,
 
     thread = machine.spawn("replay", step, cgroup=cgroup)
     machine.run()
-    return _report(policy, trace, cgroup, machine, thread.clock_us)
 
-
-def replay_trace(trace: list[tuple], policy: str,
-                 cache_pages: int, readahead: bool = False) -> TraceReport:
-    """Replay one parsed trace against one policy (scan core)."""
-    return simulate_policies(trace, [policy], cache_pages, readahead)[0]
+    report = TraceReport(policy=policy)
+    report.accesses = len(trace)
+    report.hits = cgroup.stats.hits
+    report.misses = cgroup.stats.misses
+    report.evictions = cgroup.stats.evictions
+    report.disk_pages = machine.disk.stats.total_pages
+    report.elapsed_ms = thread.clock_us / 1000.0
+    if cgroup.stats.ext_policy_faults:
+        report.notes.append("policy was removed by the watchdog")
+    return report
 
 
 def simulate_policies(trace: list[tuple], policies: Iterable[str],
                       cache_pages: int,
                       readahead: bool = False) -> list[TraceReport]:
-    """Replay the trace against each policy; returns one report each.
-
-    One :func:`repro.scan.trace_scan` pass over the parsed trace
-    drives every policy's page cache — the trace is decoded and
-    iterated once, not once per policy."""
-    from repro.scan import TraceCell, trace_scan
-    policies = list(policies)
-    cells = []
-    for policy in policies:
-        machine, cgroup, files, ops = _build_machine(
-            trace, policy, cache_pages, readahead)
-        cells.append(TraceCell(machine, cgroup, files, ops=ops))
-    trace_scan(cells, trace)
-    return [_report(policy, trace, cell.memcg, cell.machine,
-                    cell.threads[0].clock_us)
-            for policy, cell in zip(policies, cells)]
+    """Replay the trace against each policy; returns one report each."""
+    return [replay_trace(trace, policy, cache_pages, readahead)
+            for policy in policies]
 
 
 def format_reports(reports: list[TraceReport]) -> str:
@@ -229,15 +179,6 @@ def main(argv: Optional[list] = None) -> int:
                         help="comma-separated policy names")
     parser.add_argument("--readahead", action="store_true",
                         help="enable kernel readahead during replay")
-    parser.add_argument("--compare-exact", action="store_true",
-                        help="also replay every policy under the full "
-                             "engine loop and print the per-policy "
-                             "delta; raw traces are single-threaded, "
-                             "so the scan core matches exactly — "
-                             "except LHD, whose asynchronous "
-                             "reconfiguration agent is serviced "
-                             "synchronously (delta stays within "
-                             f"{_COMPARE_TOLERANCE_PP}pp)")
     args = parser.parse_args(argv)
 
     import sys
@@ -254,31 +195,6 @@ def main(argv: Optional[list] = None) -> int:
     reports = simulate_policies(trace, policies,
                                 args.cache_pages, args.readahead)
     print(format_reports(reports))
-    if args.compare_exact:
-        failed = False
-        for report in reports:
-            exact = engine_replay_trace(trace, report.policy,
-                                        args.cache_pages,
-                                        args.readahead)
-            delta_pp = 100 * abs(report.hit_ratio - exact.hit_ratio)
-            same = (report.hits == exact.hits
-                    and report.misses == exact.misses
-                    and report.evictions == exact.evictions
-                    and report.disk_pages == exact.disk_pages)
-            # Agent-backed policies (LHD) reconfigure on a poll
-            # schedule the synchronous scan core cannot replicate
-            # access-exactly; everything else must match bitwise.
-            ok = same or delta_pp <= _COMPARE_TOLERANCE_PP
-            failed = failed or not ok
-            print(f"compare-exact {report.policy:>10s}: "
-                  f"scan {100 * report.hit_ratio:6.2f}%  "
-                  f"engine {100 * exact.hit_ratio:6.2f}%  "
-                  f"delta {delta_pp:.4f}pp  "
-                  + ("counters match" if same else
-                     f"within {_COMPARE_TOLERANCE_PP}pp" if ok
-                     else "EXCEEDS TOLERANCE"))
-        if failed:
-            return 1
     return 0
 
 

@@ -19,8 +19,8 @@ from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
 from repro.kernel.machine import KERNEL_TRACEPOINTS
 from repro.obs import (NULL_TRACEPOINT, EventCounter, Histogram,
-                       HitRatioTimeline, InterReferenceCollector,
-                       IoLatencyCollector, TraceEvent, Tracepoint,
+                       InterReferenceCollector, IoLatencyCollector,
+                       LookupTimeline, TraceEvent, Tracepoint,
                        TraceRegistry, TraceSession)
 from repro.policies.fifo import FifoPolicy, make_fifo_policy
 from repro.policies.mru import MruPolicy, make_mru_policy
@@ -267,8 +267,7 @@ class TestCollectors:
 
     def test_hit_ratio_timeline_overall_matches_stats(self):
         machine, cg, f = make_env(limit=16)
-        with pytest.warns(DeprecationWarning):  # shim onto LookupTimeline
-            timeline = HitRatioTimeline(window_us=50.0)
+        timeline = LookupTimeline(window_us=50.0)
         with TraceSession(machine, collectors=[timeline], buffer=False):
             run_reads(machine, f, cg, [i % 24 for i in range(200)])
         assert timeline.overall("t") == cg.stats.hit_ratio
@@ -314,12 +313,9 @@ class TestPolicyBuilder:
             results.append(cg.stats.snapshot())
         assert results[0] == results[1]
 
-    def test_attach_accepts_builder_class(self):
+    def test_attach_accepts_builder_instance(self):
         machine, cg, f = make_env()
-        # Class form is the deprecated spelling; it still attaches but
-        # warns toward machine.attach(cg, FifoPolicy()).
-        with pytest.warns(DeprecationWarning, match="PolicyBuilder"):
-            policy = machine.attach(cg, FifoPolicy)
+        policy = machine.attach(cg, FifoPolicy())
         assert cg.ext_policy is policy
         assert policy.name == "fifo"
 

@@ -11,7 +11,7 @@ from repro.policies import (GENERIC_POLICIES, make_admission_filter_policy,
                             make_mru_policy, make_noop_policy,
                             make_s3fifo_policy,
                             make_userspace_dispatch_policy)
-from repro.policies.lhd import attach_lhd, make_lhd_policy
+from repro.policies.lhd import init_lhd, make_lhd_policy
 from repro.policies.userspace import spawn_drainer
 
 
@@ -160,10 +160,9 @@ class TestS3Fifo:
 class TestLhd:
     def test_reconfiguration_runs_via_agent(self):
         machine, cg, f = make_env(limit=32)
-        # attach_lhd is the deprecated one-call shim; it must still
-        # work (and must say so).
-        with pytest.warns(DeprecationWarning, match="attach_lhd"):
-            ops = attach_lhd(machine, cg, map_entries=1024)
+        ops = make_lhd_policy(map_entries=1024)
+        machine.attach(cg, ops)
+        init_lhd(machine, ops)
         bss = ops.user_maps["bss"]
         initial = bss.lookup(2)
         # Push enough events to cross RECONFIG_EVERY at least once.
@@ -176,8 +175,9 @@ class TestLhd:
 
     def test_densities_are_fixed_point_ints(self):
         machine, cg, f = make_env(limit=32)
-        with pytest.warns(DeprecationWarning, match="attach_lhd"):
-            ops = attach_lhd(machine, cg, map_entries=1024)
+        ops = make_lhd_policy(map_entries=1024)
+        machine.attach(cg, ops)
+        init_lhd(machine, ops)
         run_trace(machine, f, cg, [i % 48 for i in range(500)])
         density = None
         reconf = ops.user_maps["reconfigure"]

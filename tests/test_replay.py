@@ -189,6 +189,28 @@ class TestReplayRefusals:
         assert machine.engine.now_us <= 110.0
         assert len(ticks) >= 5
 
+    @pytest.mark.parametrize("name", ["sched:switch", "sched:exit"])
+    def test_scheduler_tracepoints_fire_like_a_full_machine(self, name):
+        # The trimmed loop emits neither; a subscriber must make the
+        # run fall back to the full loop, not go silently deaf.
+        def events(mode):
+            machine = api.MachineConfig(mode=mode).build()
+            seen = []
+            machine.trace.tracepoint(name).subscribe(
+                lambda e: seen.append((e.ts_us, e.tid, dict(e.data))))
+            for worker in range(3):
+                def step(thread, left=[4 + worker]):
+                    thread.advance(10.0 + worker)
+                    left[0] -= 1
+                    return left[0] > 0
+                machine.spawn(f"w{worker}", step)
+            machine.run()
+            return seen
+
+        full = events("full")
+        assert full
+        assert events("replay") == full
+
 
 class TestApiFacade:
     def test_machine_config_knobs_apply(self):
@@ -211,7 +233,7 @@ class TestApiFacade:
         assert isinstance(machine.engine, ReplayEngine)
 
     def test_machine_config_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown machine mode"):
+        with pytest.raises(ValueError, match="unknown execution mode"):
             api.MachineConfig(mode="turbo").build()
 
     def test_machine_config_is_reusable(self):
@@ -239,18 +261,6 @@ class TestApiFacade:
         with pytest.raises(ValueError, match="no cell"):
             api.run(spec, policy="nonexistent")
 
-    def test_faults_with_replay_raises(self):
-        spec = fig6.plan(policies=("fifo",), workloads=("B",),
-                         scale=YCSB_SCALE)
-        with pytest.raises(ValueError, match="full engine"):
-            api.run(spec, mode="replay", faults=FaultPlan(seed=1))
-
-    def test_faults_with_trace_raises(self):
-        spec = fig6.plan(policies=("fifo",), workloads=("B",),
-                         scale=YCSB_SCALE)
-        with pytest.raises(ValueError, match="observer"):
-            api.run(spec, faults=FaultPlan(seed=1), trace=True)
-
     def test_replay_mode_matches_full_through_facade(self):
         spec = lambda: fig6.plan(policies=("s3fifo",), workloads=("B",),
                                  scale=YCSB_SCALE)
@@ -259,17 +269,8 @@ class TestApiFacade:
         assert full.result.rows == fast.result.rows
 
 
-class TestDeprecatedShims:
-    def test_attach_lhd_warns_and_works(self):
-        from repro.policies.lhd import attach_lhd
-        machine = Machine()
-        cg = machine.new_cgroup("app", limit_pages=64)
-        with pytest.warns(DeprecationWarning, match="attach_lhd"):
-            ops = attach_lhd(machine, cg, map_entries=512)
-        assert cg.ext_policy is not None
-        assert ops.name == "lhd"
-
-    def test_new_style_attach_does_not_warn(self):
+class TestLhdAttach:
+    def test_one_call_attach_does_not_warn(self):
         from repro.policies.lhd import init_lhd, make_lhd_policy
         machine = Machine()
         cg = machine.new_cgroup("app", limit_pages=64)
@@ -279,3 +280,4 @@ class TestDeprecatedShims:
             machine.attach(cg, ops)
             init_lhd(machine, ops)
         assert cg.ext_policy is not None
+        assert ops.name == "lhd"

@@ -12,8 +12,8 @@ The virtual-time sampler (:mod:`repro.obs.timeseries`) promises:
   reads);
 * **byte-identical artifacts** — the JSONL export is the same bytes
   serial vs ``--jobs`` and cold vs snapshot-restored;
-* **typed refusals** — replay and scan modes refuse the sampler with
-  a typed error, ``mode="auto"`` falls back to the full engine;
+* **refusals** — a replay machine refuses the sampler (the
+  request-level mode rules live in ``tests/test_refusals.py``);
 * **fault localization** — the analyzer (:mod:`repro.obs.analyze`)
   localizes an injected device brownout to within one sample
   interval, via the frames alone.
@@ -21,7 +21,6 @@ The virtual-time sampler (:mod:`repro.obs.timeseries`) promises:
 
 import io
 import json
-import warnings
 
 import pytest
 
@@ -32,11 +31,10 @@ from repro.experiments.parallel import execute, timeseries_jsonl
 from repro.faults.plan import DeviceFault, FaultPlan
 from repro.kernel.machine import Machine
 from repro.obs import analyze, guard
-from repro.obs.collectors import HitRatioTimeline, WindowedSeries
+from repro.obs.collectors import WindowedSeries
 from repro.obs.timeseries import (LookupTimeline, TimeseriesSampler,
                                   frame_totals, read_frames_jsonl)
 from repro.replay import enable_replay
-from repro.scan import ScanUnsupportedError
 from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
 
 # Small-but-busy YCSB scale: enough traffic to cross many frame
@@ -138,16 +136,6 @@ class TestArtifactDeterminism:
 
 
 class TestRefusals:
-    def test_replay_mode_refused(self):
-        with pytest.raises(ValueError, match="replay"):
-            api.run("fig6", quick=True, mode="replay", policy="mru",
-                    timeseries=True)
-
-    def test_scan_mode_refused(self):
-        with pytest.raises(ScanUnsupportedError):
-            api.run("fig6", quick=True, mode="scan", policy="mru",
-                    timeseries=True)
-
     def test_auto_mode_falls_back_to_full(self):
         spec = fig6.plan(quick=True, policies=("mru",), workloads=("C",),
                          scale=dict(fig6.QUICK_SCALE, **SCALE))
@@ -231,15 +219,9 @@ class TestFaultLocalization:
 
 
 class TestCollectorsCompat:
-    def test_hit_ratio_timeline_shim_warns_and_delegates(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            timeline = HitRatioTimeline(window_us=50_000.0)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
+    def test_lookup_timeline_windows_and_overall(self):
+        timeline = LookupTimeline(window_us=50_000.0)
         assert timeline.window_us == 50_000.0
-        # Same events -> same series as the replacement.
-        direct = LookupTimeline(window_us=50_000.0)
 
         class Event:
             name = "cache:lookup"
@@ -251,9 +233,8 @@ class TestCollectorsCompat:
 
         for ts, hit in ((0.0, 1), (10_000.0, 0), (60_000.0, 1)):
             timeline.handle(Event(ts, hit))
-            direct.handle(Event(ts, hit))
-        assert timeline.series("app") == direct.series("app")
-        assert timeline.overall("app") == direct.overall("app") == 2 / 3
+        assert timeline.series("app") == [(0.0, 0.5), (50_000.0, 1.0)]
+        assert timeline.overall("app") == 2 / 3
 
     def test_windowed_series_boundaries_are_half_open(self):
         series = WindowedSeries(window_us=100.0)
