@@ -2,11 +2,11 @@
 
 Before this module, driving the reproduction meant knowing several
 layers by name: ``Machine(...)`` plus post-construction pokes
-(``machine.fs.bulk_io_enabled``, ``machine.engine.burst_enabled``),
-``harness.make_db_env`` for DB cells, ``<experiment>.plan()`` +
-``parallel.execute(...)`` for sweeps, ``repro.replay.enable_replay``
-for the fast path, ``machine.arm_faults`` for fault plans.  This
-module collapses that to two entry points:
+(``machine.fs.bulk_io_enabled``), ``harness.make_db_env`` for DB
+cells, ``<experiment>.plan()`` + ``parallel.execute(...)`` for sweeps,
+``repro.replay.enable_replay`` for the fast path,
+``machine.arm_faults`` for fault plans.  This module collapses that to
+two entry points:
 
 * :class:`MachineConfig` — a declarative machine description whose
   ``build()`` returns a ready :class:`~repro.kernel.machine.Machine`
@@ -68,8 +68,6 @@ class MachineConfig:
     * ``costs`` — a :class:`~repro.sim.resources.CpuCosts` override;
     * ``bulk_io_enabled`` — batched sequential reads in the VFS
       (previously ``machine.fs.bulk_io_enabled = ...``);
-    * ``burst_enabled`` — the engine's burst-scheduling fast path
-      (previously ``machine.engine.burst_enabled = ...``);
     * ``mode`` — ``"full"`` or ``"replay"`` (the latter applies
       :func:`repro.replay.enable_replay` before anything else touches
       the machine);
@@ -83,7 +81,6 @@ class MachineConfig:
     disk: Optional[dict] = None
     costs: Optional[object] = None
     bulk_io_enabled: bool = True
-    burst_enabled: bool = True
     mode: str = "full"
     cgroups: tuple = ()
 
@@ -99,7 +96,6 @@ class MachineConfig:
             from repro.replay import enable_replay
             enable_replay(machine)
         machine.fs.bulk_io_enabled = self.bulk_io_enabled
-        machine.engine.burst_enabled = self.burst_enabled
         for name, limit_pages in self.cgroups:
             machine.new_cgroup(name, limit_pages=limit_pages)
         return machine

@@ -48,6 +48,15 @@ class FioJob:
                  file_pages: int, nthreads: int = 8,
                  ops_per_thread: int = 2000, seed: int = 99,
                  name: str = "fio") -> None:
+        # An empty file has no offset to draw (run()'s rejection loop
+        # would never accept one), and a job needs a thread to run on.
+        if file_pages < 1:
+            raise ValueError(f"file_pages must be >= 1, got {file_pages}")
+        if nthreads < 1:
+            raise ValueError(f"nthreads must be >= 1, got {nthreads}")
+        if ops_per_thread < 0:
+            raise ValueError(
+                f"ops_per_thread must be >= 0, got {ops_per_thread}")
         self.machine = machine
         self.cgroup = cgroup
         self.nthreads = nthreads
@@ -63,19 +72,38 @@ class FioJob:
     def run(self) -> FioResult:
         machine = self.machine
         file = self.file
+        result = self.result
+        # One step runs per I/O, so everything that cannot change
+        # during the job is bound here, once.
+        read_page = machine.fs.read_page
+        syscall_us = machine.costs.syscall_us
+        if syscall_us < 0:
+            raise ValueError(f"negative time advance: {syscall_us}")
+        npages = file.npages
+        nbits = npages.bit_length()
 
         def make_step(thread_seed: int):
-            rng = random.Random(thread_seed)
-            remaining = [self.ops_per_thread]
+            getrandbits = random.Random(thread_seed).getrandbits
+            remaining = self.ops_per_thread
 
             def step(thread: SimThread) -> bool:
-                if remaining[0] <= 0:
+                nonlocal remaining
+                if remaining <= 0:
                     return False
-                thread.advance(machine.costs.syscall_us)
-                machine.fs.read_page(file,
-                                     rng.randrange(file.npages))
-                remaining[0] -= 1
-                self.result.ops += 1
+                # Inlined thread.advance; syscall_us was checked above.
+                thread.clock_us += syscall_us
+                thread.cpu_us += syscall_us
+                # rng.randrange(npages), spelled out: the same
+                # getrandbits rejection sampling (so the same Mersenne
+                # stream and the same offsets) without randrange's
+                # argument-checking frames.  tests/reference/fio.py
+                # holds the two equal.
+                index = getrandbits(nbits)
+                while index >= npages:
+                    index = getrandbits(nbits)
+                read_page(file, index)
+                remaining -= 1
+                result.ops += 1
                 return True
             return step
 
@@ -84,6 +112,6 @@ class FioJob:
                           cgroup=self.cgroup)
             for i in range(self.nthreads)]
         machine.run()
-        self.result.elapsed_us = max(t.finish_us for t in threads)
-        self.result.cpu_us = sum(t.cpu_us for t in threads)
-        return self.result
+        result.elapsed_us = max(t.finish_us for t in threads)
+        result.cpu_us = sum(t.cpu_us for t in threads)
+        return result

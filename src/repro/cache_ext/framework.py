@@ -31,6 +31,7 @@ from repro.kernel.address_space import AddressSpace
 from repro.kernel.cgroup import MemCgroup
 from repro.kernel.folio import Folio
 from repro.kernel.page_cache import ExtPolicyBase
+from repro.sim import engine as _engine
 from repro.sim.engine import current_thread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,6 +39,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Registry sizing when the cgroup is unlimited (root attach in tests).
 DEFAULT_REGISTRY_BUCKETS = 4096
+
+
+def _resolve_slot(prog) -> tuple:
+    """``(callable, program to count)`` for one ops slot.
+
+    Dispatching through ``prog.fn`` with the invocation bump done by
+    the caller is the same observable behaviour as calling the
+    :class:`~repro.ebpf.runtime.BpfProgram`, one Python frame cheaper.
+    Plain callables (tests) lack ``fn``: they are called directly and
+    nothing is counted.  An empty slot resolves to ``(None, None)``.
+    """
+    fn = getattr(prog, "fn", None)
+    if fn is None:
+        return prog, None
+    return fn, prog
 
 
 class CacheExtPolicy(ExtPolicyBase):
@@ -62,6 +78,13 @@ class CacheExtPolicy(ExtPolicyBase):
         # the attachment, and _charge runs on every hook and kfunc.
         self._memcg_stats = memcg.stats
         self._cache_stats = machine.page_cache.stats
+        self._costs = machine.costs
+        # The per-folio hooks' programs are fixed for the life of the
+        # attachment (struct_ops registers them once), so what to call
+        # and whether to count it is decided here, not per event.
+        self._added = _resolve_slot(ops.folio_added)
+        self._accessed = _resolve_slot(ops.folio_accessed)
+        self._removed = _resolve_slot(ops.folio_removed)
         self.lists: list[EvictionList] = []
         #: kfunc calls that returned an error (policy bug indicator).
         self.kfunc_errors = 0
@@ -204,15 +227,9 @@ class CacheExtPolicy(ExtPolicyBase):
         program gets its whole policy forcibly detached and the cgroup
         falls back to the kernel's own eviction.
         """
-        # Dispatch through prog.fn with the invocation bump done here:
-        # the same observable behaviour as calling the BpfProgram, one
-        # Python frame cheaper.  Plain callables (tests) lack ``fn``
-        # and take the direct path.
-        fn = getattr(prog, "fn", None)
-        if fn is None:
-            fn = prog
-        else:
-            prog.invocations += 1
+        fn, counted = _resolve_slot(prog)
+        if counted is not None:
+            counted.invocations += 1
         try:
             return fn(*args)
         except Exception as exc:
@@ -296,8 +313,8 @@ class CacheExtPolicy(ExtPolicyBase):
         self.registry.insert(folio)
         if self._guard is None and not (self._tp_hook_entry.enabled
                                         or self._tp_hook_exit.enabled):
-            us = self.machine.costs.bpf_hook_us
-            thread = current_thread()
+            us = self._costs.bpf_hook_us
+            thread = _engine._current
             if thread is not None:
                 # inlined thread.advance(us): us is a configured cost,
                 # never negative
@@ -308,15 +325,12 @@ class CacheExtPolicy(ExtPolicyBase):
                     span.add("kfunc", us)
             self._memcg_stats.hook_cpu_us += us
             self._cache_stats.hook_cpu_us += us
-            prog = self.ops.folio_added
-            if prog is not None:
+            fn, counted = self._added
+            if fn is not None:
                 # Inlined _run_prog (same dispatch, invocation bump and
                 # watchdog handling, one frame cheaper).
-                fn = getattr(prog, "fn", None)
-                if fn is None:
-                    fn = prog
-                else:
-                    prog.invocations += 1
+                if counted is not None:
+                    counted.invocations += 1
                 try:
                     fn(folio)
                 except Exception as exc:
@@ -333,8 +347,8 @@ class CacheExtPolicy(ExtPolicyBase):
     def folio_accessed(self, folio: Folio) -> None:
         if self._guard is None and not (self._tp_hook_entry.enabled
                                         or self._tp_hook_exit.enabled):
-            us = self.machine.costs.bpf_hook_us
-            thread = current_thread()
+            us = self._costs.bpf_hook_us
+            thread = _engine._current
             if thread is not None:
                 # inlined thread.advance(us): us is a configured cost,
                 # never negative
@@ -345,14 +359,11 @@ class CacheExtPolicy(ExtPolicyBase):
                     span.add("kfunc", us)
             self._memcg_stats.hook_cpu_us += us
             self._cache_stats.hook_cpu_us += us
-            prog = self.ops.folio_accessed
-            if prog is not None:
+            fn, counted = self._accessed
+            if fn is not None:
                 # Inlined _run_prog (see folio_added).
-                fn = getattr(prog, "fn", None)
-                if fn is None:
-                    fn = prog
-                else:
-                    prog.invocations += 1
+                if counted is not None:
+                    counted.invocations += 1
                 try:
                     fn(folio)
                 except Exception as exc:
@@ -376,8 +387,8 @@ class CacheExtPolicy(ExtPolicyBase):
         folio.ext_node = None
         if self._guard is None and not (self._tp_hook_entry.enabled
                                         or self._tp_hook_exit.enabled):
-            us = self.machine.costs.bpf_hook_us
-            thread = current_thread()
+            us = self._costs.bpf_hook_us
+            thread = _engine._current
             if thread is not None:
                 # inlined thread.advance(us): us is a configured cost,
                 # never negative
@@ -388,14 +399,11 @@ class CacheExtPolicy(ExtPolicyBase):
                     span.add("kfunc", us)
             self._memcg_stats.hook_cpu_us += us
             self._cache_stats.hook_cpu_us += us
-            prog = self.ops.folio_removed
-            if prog is not None:
+            fn, counted = self._removed
+            if fn is not None:
                 # Inlined _run_prog (see folio_added).
-                fn = getattr(prog, "fn", None)
-                if fn is None:
-                    fn = prog
-                else:
-                    prog.invocations += 1
+                if counted is not None:
+                    counted.invocations += 1
                 try:
                     fn(folio)
                 except Exception as exc:

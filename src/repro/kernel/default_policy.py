@@ -90,7 +90,7 @@ class DefaultLruPolicy(KernelPolicy):
 
     def folio_accessed(self, folio: Folio) -> None:
         node = folio.lru_node
-        if node is None or not node.linked:
+        if node is None or node.owner is None:  # not node.linked
             return
         if folio.active:
             # Active folios just get their referenced bit set; position

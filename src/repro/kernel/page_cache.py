@@ -29,6 +29,7 @@ from repro.kernel.folio import Folio
 from repro.kernel.mglru import MgLruPolicy
 from repro.kernel.shadow import make_shadow, refault_should_activate
 from repro.kernel.stats import CacheStats
+from repro.sim import engine as _engine
 from repro.sim.engine import current_thread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -164,10 +165,10 @@ class PageCache(SnapshotFriendly):
         ``update_recency=False`` implements FADV_NOREUSE semantics: the
         data is read but the folio earns no promotion.
         """
-        # The calling thread is resolved once per hit: this path runs
-        # once per operation, and each current_thread() lookup costs a
-        # module-global load plus None checks.
-        thread = current_thread()
+        # The calling thread is resolved once per hit, and read
+        # straight from the engine module: this path runs once per
+        # operation and the current_thread() frame is measurable.
+        thread = _engine._current
         if thread is not None and thread.cgroup is not None:
             accessor = thread.cgroup
         else:
@@ -200,8 +201,9 @@ class PageCache(SnapshotFriendly):
             return
         owner = folio.memcg
         owner.kernel_policy.folio_accessed(folio)
-        if owner.ext_policy is not None:
-            owner.ext_policy.folio_accessed(folio)
+        ext = owner.ext_policy
+        if ext is not None:
+            ext.folio_accessed(folio)
 
     # ------------------------------------------------------------------
     # insert path

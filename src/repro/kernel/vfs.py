@@ -241,10 +241,10 @@ class Filesystem(SnapshotFriendly):
                 f.seq_streak = 0
             f.last_read_index = index
 
-            folio = f.mapping.lookup(index)
+            # Inlined f.mapping.lookup(index).
+            folio = f.mapping._folios.get(index)
             if folio is not None:
-                cache.mark_accessed(
-                    folio, update_recency=not (f.noreuse or noreuse))
+                cache.mark_accessed(folio, not (f.noreuse or noreuse))
                 return f.store.get(index)
 
             # Miss: bring the page (plus any readahead) in from the

@@ -92,15 +92,13 @@ class ReplayEngine(Engine):
 
     def _run_trimmed(self) -> None:
         heap = self._heap
-        heappop, heappush = heapq.heappop, heapq.heappush
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
         next_seq = self._seq.__next__
         while heap:
             if self._live_nondaemon == 0:
                 return
             clock, _seq, thread = heappop(heap)
-            if thread.done:
-                continue
-            while True:
+            while not thread.done:
                 self.now_us = clock
                 _engine_mod._current = thread
                 try:
@@ -119,12 +117,12 @@ class ReplayEngine(Engine):
                     heap = self._heap
                     break
                 clock = thread.clock_us
-                # Same burst test as Engine.run: ties go to the heap
-                # entry, only a strictly smaller clock keeps the burst.
-                if (not self.burst_enabled
-                        or (heap and clock >= heap[0][0])):
-                    heappush(heap, (clock, next_seq(), thread))
-                    break
+                # Same burst test and fused re-queue as Engine.run:
+                # ties go to the heap entry, only a strictly smaller
+                # clock keeps the burst.
+                if heap and clock >= heap[0][0]:
+                    clock, _seq, thread = heappushpop(
+                        heap, (clock, next_seq(), thread))
 
 
 def enable_replay(machine: Machine) -> Machine:

@@ -135,14 +135,6 @@ class Engine(SnapshotFriendly):
         self._live_nondaemon = 0
         self._nr_done = 0
         self.now_us: float = 0.0
-        #: Burst scheduling: after stepping a thread, keep stepping it
-        #: while its clock stays *strictly* below the heap top's,
-        #: skipping the push/pop round-trip.  The schedule is provably
-        #: identical — on clock ties the heap's existing entry wins by
-        #: seq number, which the strict ``<`` preserves (see
-        #: EXPERIMENTS.md, "burst-scheduling invariant").  Exposed as a
-        #: switch so the equivalence test can force the slow path.
-        self.burst_enabled = True
         # Scheduler tracepoints (sched:switch / sched:exit); wired by
         # Machine via attach_trace, permanently disabled on a bare
         # engine so the hot loop needs no None checks.
@@ -237,37 +229,40 @@ class Engine(SnapshotFriendly):
         steps = 0
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
+        heappushpop = heapq.heappushpop
+        next_seq = self._seq.__next__
+        tp_switch = self._tp_switch
         while heap:
             if self._live_nondaemon == 0:
                 # Only daemons remain; they must not keep us spinning.
                 return
             clock, _seq, thread = heappop(heap)
-            if thread.done:
-                continue
-            if until_us is not None and clock >= until_us:
-                # Not runnable within the window; push back and stop.
-                # Clamp: a thread finishing past the deadline may have
-                # already advanced now_us beyond until_us.
-                heappush(heap, (clock, next(self._seq), thread))
-                if until_us > self.now_us:
-                    self.now_us = until_us
-                return
-            # Burst inner loop: step ``thread`` repeatedly while it
-            # remains *strictly* ahead of every other runnable thread.
-            # Each iteration is byte-for-byte the body of the original
-            # pop-step-push loop; only the heap round-trip is elided.
-            # A stale heap top (done thread not yet compacted) merely
-            # ends the burst early, which is safe.
-            while True:
+            # One iteration per dispatch.  This is the plain
+            # pop-step-push loop (tests/reference/engine.py) minus two
+            # heap round-trips: a thread *strictly* ahead of every
+            # other runnable one is stepped again without touching the
+            # heap (burst), and one that is not re-queues and takes
+            # the next entry in a single sift.  See EXPERIMENTS.md,
+            # "burst-scheduling invariant".  A stale entry (finished,
+            # not yet compacted) ends the loop and is dropped.
+            while not thread.done:
+                if until_us is not None and clock >= until_us:
+                    # Not runnable within the window; push back and
+                    # stop.  Clamp: a thread finishing past the
+                    # deadline may have already advanced now_us beyond
+                    # until_us.
+                    heappush(heap, (clock, next_seq(), thread))
+                    if until_us > self.now_us:
+                        self.now_us = until_us
+                    return
                 if max_steps is not None and steps >= max_steps:
-                    heappush(heap, (clock, next(self._seq), thread))
+                    heappush(heap, (clock, next_seq(), thread))
                     raise RuntimeError(
                         f"engine exceeded max_steps={max_steps}")
                 self.now_us = clock
-                tp = self._tp_switch
-                if tp.enabled:
-                    tp.emit(clock, thread.cgroup_name, thread.tid,
-                            thread=thread.name, step=thread.steps)
+                if tp_switch.enabled:
+                    tp_switch.emit(clock, thread.cgroup_name, thread.tid,
+                                   thread=thread.name, step=thread.steps)
                 _current = thread
                 try:
                     more = thread.step_fn(thread)
@@ -289,17 +284,19 @@ class Engine(SnapshotFriendly):
                                 steps=thread.steps, cpu_us=thread.cpu_us)
                     self._maybe_compact()
                     heap = self._heap
+                    # Only a finishing thread can leave daemons alone
+                    # on the heap: back to the outer loop's exit test.
                     break
                 clock = thread.clock_us
                 # Re-read heap[0] every iteration: a spawn inside the
                 # step pushes into this same heap and must be able to
                 # preempt.  Ties go to the heap entry (smaller seq),
                 # so only a strictly smaller clock keeps the burst.
-                if (not self.burst_enabled
-                        or (heap and clock >= heap[0][0])
-                        or (until_us is not None and clock >= until_us)):
-                    heappush(heap, (clock, next(self._seq), thread))
-                    break
+                if heap and clock >= heap[0][0]:
+                    # heappush + heappop, fused: the same (clock, seq)
+                    # order from one sift instead of two.
+                    clock, _seq, thread = heappushpop(
+                        heap, (clock, next_seq(), thread))
 
     def run_single(self, name: str, step_fn: Callable[[SimThread], bool],
                    cgroup=None) -> SimThread:

@@ -331,8 +331,10 @@ def uniform_indices(nkeys: int, seed: int, count: int) -> array:
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    # Not vectorizable: randrange consumes getrandbits, whose draw
-    # sequence numpy cannot reproduce — stays scalar by design.
+    # Left scalar because vectorizing does not pay, not because it
+    # cannot be done: getrandbits(32 * K) yields the same K words as K
+    # calls of getrandbits(32), but decoding them (rejections included)
+    # in pure Python is no faster than this loop.
     rng = random.Random(seed)
     return _cache_put(key, array(
         "q", (rng.randrange(nkeys) for _ in range(count))))

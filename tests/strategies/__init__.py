@@ -5,6 +5,7 @@ Re-exports the commonly used names::
     from tests.strategies import STANDARD_SETTINGS, lsm_op_sequences
 """
 
+from tests.strategies.engine import EngineScenario, engine_scenarios
 from tests.strategies.lsm import (LsmOp, db_options, lsm_op_sequences,
                                   sorted_runs)
 from tests.strategies.scoring import ScoringCase, scoring_cases
@@ -13,9 +14,11 @@ from tests.strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 __all__ = [
     "DETERMINISM_SETTINGS",
     "STANDARD_SETTINGS",
+    "EngineScenario",
     "LsmOp",
     "ScoringCase",
     "db_options",
+    "engine_scenarios",
     "lsm_op_sequences",
     "scoring_cases",
     "sorted_runs",

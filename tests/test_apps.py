@@ -1,11 +1,25 @@
 """File-search and fio application substrates."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps.filesearch import (FileSearcher, corpus_pages,
                                    make_source_tree)
 from repro.apps.fio import FioJob
 from repro.kernel import Machine
+from repro.obs.trace import TraceSession
+from repro.policies import make_noop_policy
+from tests.reference.fio import ReferenceFioJob
+from tests.strategies import STANDARD_SETTINGS
+
+#: Sizes on and beside every ``bit_length`` boundary the offset draw
+#: can see: a power of two rejects no draw, one more rejects half.
+FIO_FILE_PAGES = sorted(
+    {1, 2, 3} | {(1 << k) + d for k in range(2, 14) for d in (-1, 0, 1)
+                 if (1 << k) + d <= 8192})
 
 
 class TestSourceTree:
@@ -115,3 +129,61 @@ class TestFio:
             r = job.run()
             results.append((r.elapsed_us, r.cpu_us))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"file_pages": 0}, "file_pages"),
+        ({"file_pages": 8, "nthreads": 0}, "nthreads"),
+        ({"file_pages": 8, "ops_per_thread": -1}, "ops_per_thread"),
+    ])
+    def test_bad_argument_rejected_before_anything_is_built(self, kwargs,
+                                                            named):
+        # file_pages=0 used to surface as randrange's "empty range"
+        # from inside the first engine step, threads already spawned.
+        machine = Machine()
+        cg = machine.new_cgroup("fio", limit_pages=64)
+        with pytest.raises(ValueError, match=named):
+            FioJob(machine, cg, **kwargs)
+        assert not machine.fs.files()
+        assert not machine.engine.threads
+
+    def test_one_page_file(self):
+        # k = 1: getrandbits(1) is rejected half the time, and every
+        # accepted draw is page 0.
+        machine = Machine()
+        cg = machine.new_cgroup("fio", limit_pages=64)
+        result = FioJob(machine, cg, file_pages=1, nthreads=2,
+                        ops_per_thread=50).run()
+        assert result.ops == 100
+        assert cg.stats.lookups == 100
+        assert cg.stats.misses == 1
+
+    @staticmethod
+    def _observe(job_cls, policy, limit_pages, **job_kwargs):
+        machine = Machine()
+        cg = machine.new_cgroup("fio", limit_pages=limit_pages)
+        if policy == "noop":
+            machine.attach(cg, make_noop_policy())
+        job = job_cls(machine, cg, **job_kwargs)
+        with TraceSession(machine, "cache:lookup") as session:
+            result = job.run()
+        lookups = [(e.ts_us, e.tid, e.data["hit"], e.data["file"],
+                    e.data["index"]) for e in session.events]
+        # Cgroup ids come from a process-wide counter.
+        metrics = dataclasses.replace(machine.metrics().cgroup("fio"), id=0)
+        return ((result.ops, result.elapsed_us, result.cpu_us), lookups,
+                metrics)
+
+    @STANDARD_SETTINGS
+    @given(file_pages=st.sampled_from(FIO_FILE_PAGES),
+           seed=st.integers(0, 2**32), nthreads=st.integers(1, 4),
+           ops_per_thread=st.integers(0, 200),
+           policy=st.sampled_from(("default", "noop")),
+           limit_pages=st.sampled_from((48, 16384)))
+    def test_step_equals_the_randrange_reference(self, policy, limit_pages,
+                                                 **job_kwargs):
+        """The inlined draw *is* ``randrange`` — same offsets per
+        thread, so same hits, clocks and counters — on whichever
+        interpreter runs the suite."""
+        assert (self._observe(FioJob, policy, limit_pages, **job_kwargs)
+                == self._observe(ReferenceFioJob, policy, limit_pages,
+                                 **job_kwargs))

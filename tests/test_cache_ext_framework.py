@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cache_ext import load_policy, unload_policy
+from repro.cache_ext.framework import CacheExtPolicy
 from repro.cache_ext.ops import CacheExtOps
 from repro.ebpf.errors import ProgramError, VerificationError
 from repro.ebpf.maps import ArrayMap
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
+from repro.obs.trace import TraceSession
 
 
 def make_env(limit=64):
@@ -210,3 +212,72 @@ class TestAdmission:
         load_policy(machine, cg, counting_ops())
         read_n(machine, f, cg, range(10))
         assert cg.stats.hook_cpu_us > 0
+
+
+class TestDispatchResolution:
+    """What to call for each per-folio slot is decided at attach; the
+    guard and tracepoint gates are still read on every dispatch."""
+
+    def test_program_and_bare_callable_slots_both_dispatch(self):
+        machine, cg, f = make_env()
+        counts = ArrayMap(2, name="counts")
+
+        @bpf_program
+        def on_added(folio):
+            counts.atomic_add(0, 1)
+
+        def on_accessed(folio):  # no BpfProgram wrapper, no ``.fn``
+            counts.atomic_add(1, 1)
+
+        # The loader refuses a slot that is not a BpfProgram, so the
+        # framework object is attached directly (as test_page_cache's
+        # compromised-policy case does).
+        policy = CacheExtPolicy(machine, cg, CacheExtOps(
+            name="mixed", folio_added=on_added, folio_accessed=on_accessed))
+        cg.ext_policy = policy
+        policy.attached = True
+        read_n(machine, f, cg, [0, 1, 0, 1, 2])
+        assert (counts.lookup(0), counts.lookup(1)) == (3, 2)
+        # Only the BpfProgram has an invocation counter to bump.
+        assert on_added.invocations == 3
+        assert policy.hook_dispatches() == 3
+
+    def test_empty_slots_still_charge_the_hook(self):
+        machine, cg, f = make_env()
+        load_policy(machine, cg, CacheExtOps(name="empty"))
+        read_n(machine, f, cg, [0, 1, 0, 1, 2])  # 3 adds + 2 hits
+        want = pytest.approx(5 * machine.costs.bpf_hook_us)
+        assert cg.stats.hook_cpu_us == want
+        assert machine.page_cache.stats.hook_cpu_us == want
+
+    def test_budget_armed_after_attach_applies_to_next_dispatch(self):
+        machine, cg, f = make_env()
+        ops = counting_ops()
+        load_policy(machine, cg, ops)
+        read_n(machine, f, cg, [0, 0, 0])       # guard-free dispatches
+        assert cg.ext_policy is not None
+        # Below one hook's own charge: any dispatch now overruns.
+        machine.set_hook_budget(machine.costs.bpf_hook_us / 2)
+        read_n(machine, f, cg, [0, 0, 0])
+        assert cg.ext_policy is None
+        assert cg.stats.budget_overruns == 1
+        # The overrunning dispatch still ran its program; none after.
+        assert ops.user_maps["counts"].lookup(1) == 3
+
+    def test_hook_entry_subscriber_mid_run_sees_next_dispatch(self):
+        machine, cg, f = make_env()
+        load_policy(machine, cg, counting_ops())
+        session = TraceSession(machine, "cache_ext:hook_entry")
+
+        def step(thread):
+            if thread.steps == 3:
+                session.start()
+            machine.fs.read_page(f, 0)
+            return thread.steps < 5
+
+        machine.spawn("reader", step, cgroup=cg)
+        machine.run()
+        session.stop()
+        # Steps 0-2 dispatched untraced (one add, two hits).
+        assert [e.data["slot"] for e in session.events] == \
+            ["folio_accessed"] * 3

@@ -1,9 +1,15 @@
 """Engine and resource-model tests: clocks, scheduling, contention."""
 
 import pytest
+from hypothesis import given
 
+from repro.obs.trace import TraceRegistry, TraceSession
+from repro.replay import ReplayEngine
 from repro.sim.engine import Engine, current_thread
 from repro.sim.resources import Disk
+from tests.reference.engine import ReferenceEngine
+from tests.strategies import STANDARD_SETTINGS, engine_scenarios
+from tests.strategies.engine import play
 
 
 def make_counter_thread(engine, name, n, cost_us, log=None):
@@ -271,10 +277,11 @@ class TestUntilUsClamp:
 
 
 class TestBurstScheduling:
-    """Burst mode must be schedule-equivalent to the pop/push loop."""
+    """The burst + fused re-queue loops must be schedule-equivalent to
+    the plain pop-step-push loop (tests/reference/engine.py)."""
 
     @staticmethod
-    def _contention_scenario(burst: bool):
+    def _contention_scenario(engine_cls):
         """Fig11-style contention: two cgroups hammering one machine.
 
         Random readers (cache-thrashing, fio-style) share the disk and
@@ -285,10 +292,10 @@ class TestBurstScheduling:
         import random
 
         from repro.kernel.machine import Machine
-        from repro.obs.trace import TraceSession
 
         machine = Machine()
-        machine.engine.burst_enabled = burst
+        machine.engine = engine_cls()  # swapped as enable_replay does
+        machine.engine.attach_trace(machine.trace)
         cg_a = machine.new_cgroup("rand", limit_pages=64)
         cg_b = machine.new_cgroup("seq", limit_pages=64)
         f = machine.fs.create("data")
@@ -352,11 +359,33 @@ class TestBurstScheduling:
         return switches, threads, machine.now_us
 
     def test_burst_equivalent_to_heap_loop(self):
-        fast = self._contention_scenario(burst=True)
-        slow = self._contention_scenario(burst=False)
+        fast = self._contention_scenario(Engine)
+        slow = self._contention_scenario(ReferenceEngine)
         # Identical step interleavings (every sched:switch), identical
         # final clocks/step counts, identical engine time.
         assert fast == slow
+
+    @staticmethod
+    def _traced(engine_cls, scenario):
+        """``play`` under a ``sched:switch`` session; the session must
+        tell the same story as the step functions' own log."""
+        engine = engine_cls()
+        registry = TraceRegistry()
+        engine.attach_trace(registry)
+        with TraceSession(registry, "sched:switch") as session:
+            outcome = play(engine, scenario)
+        assert [(e.tid, e.data["step"], e.ts_us)
+                for e in session.events] == outcome[0]
+        return outcome
+
+    @STANDARD_SETTINGS
+    @given(scenario=engine_scenarios())
+    def test_every_loop_schedules_like_the_reference(self, scenario):
+        want = self._traced(ReferenceEngine, scenario)
+        assert self._traced(Engine, scenario) == want
+        # Untraced, so an unbounded run() takes the trimmed loop (a
+        # sched:switch subscriber would send it to Engine.run).
+        assert play(ReplayEngine(), scenario) == want
 
     def test_burst_single_thread_heap_stays_idle(self):
         # A lone thread bursts to completion: the heap sees exactly one

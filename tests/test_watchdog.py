@@ -62,6 +62,25 @@ class TestWatchdog:
         assert cg.charged_pages <= 16
         assert cg.stats.hits + cg.stats.misses >= 200
 
+    def test_fault_on_a_hit_is_detached(self):
+        counter = ArrayMap(1, name="hits")
+
+        @bpf_program
+        def crashy_accessed(folio):
+            if counter.atomic_add(0, 1) >= 2:
+                counter.lookup(999)
+            return 0
+
+        machine, cg, f = make_env()
+        load_policy(machine, cg, CacheExtOps(
+            name="crashy-hit", folio_accessed=crashy_accessed))
+        run_trace(machine, f, cg, [0, 0, 0, 0, 0])
+        assert cg.ext_policy is None
+        assert cg.stats.ext_policy_faults == 1
+        assert cg.stats.watchdog_detaches == 1
+        assert crashy_accessed.invocations == 2   # none after the kill
+        assert cg.stats.hits == 4                 # the reads went on
+
     def test_detached_policy_slot_is_reusable(self):
         machine, cg, f = make_env()
         load_policy(machine, cg, faulting_after(1))
