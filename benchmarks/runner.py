@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Core perf baseline: run the bench suite, emit ``BENCH_core.json``.
+"""Core baseline: run the bench suite, emit ``BENCH_core.json``.
 
-This is the repo's first committed performance data point and the gate
-future PRs are measured against.  For each experiment in the core
-suite it records:
+This is the repo's first committed data point; its deterministic
+fields are the gate future PRs are checked against.  For each
+experiment in the core suite it records:
 
 * **non-timing fields** — simulated ops/sec per table row, hit ratios,
   cell count and a hash of the formatted table.  These derive from the
@@ -12,13 +12,15 @@ suite it records:
   correctness cross-check that perf work never changes physics);
 * **timing fields** — wall-clock per experiment plus ``work_units``,
   wall-clock normalised by a calibration run of the simulator on the
-  same machine.  Normalisation makes the >20% CI regression gate
-  meaningful across runner hardware of different speeds.
+  same machine.  ``--check`` prints them next to the baseline's and
+  does not gate on them: one calibration per run cannot resolve a
+  sub-second cell (the pipeline's ``BENCHMARK.json`` run, which
+  brackets every repetition, is the perf gate).
 
 Usage::
 
     python benchmarks/runner.py --quick                  # CI smoke
-    python benchmarks/runner.py --quick --check          # regression gate
+    python benchmarks/runner.py --quick --check          # physics gate
     python benchmarks/runner.py --experiments fig6 --jobs 4
 """
 
@@ -65,10 +67,6 @@ CORE_SUITE = ("fig6", "replay", "snapshot", "fig9", "admission",
               "table4", "spans_off", "faults_off", "timeseries_off")
 
 SCHEMA = 1
-
-#: Timing regression threshold for --check (fractional increase in
-#: normalised work units before the gate fails).
-REGRESSION_THRESHOLD = 0.20
 
 
 def calibrate(rounds: int = 3) -> float:
@@ -332,8 +330,8 @@ def check_against_baseline(doc: dict, baseline_path: str) -> list:
 
     Returns a list of human-readable failures (empty = gate passes):
     any non-timing field mismatch (physics changed — a correctness
-    regression, not a perf one) and any experiment whose normalised
-    wall-clock grew more than :data:`REGRESSION_THRESHOLD`.
+    regression, not a perf one).  Normalised wall-clock is printed old
+    → new per cell and never fails the gate.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
@@ -353,15 +351,9 @@ def check_against_baseline(doc: dict, baseline_path: str) -> list:
                     f"{name}: deterministic field {field!r} changed "
                     f"(simulation output differs from baseline)")
                 break
-        old_units = base.get("timing", {}).get("work_units")
-        new_units = entry["timing"]["work_units"]
-        old_jobs = base.get("timing", {}).get("jobs")
-        if old_units and old_jobs == entry["timing"]["jobs"]:
-            if new_units > old_units * (1.0 + REGRESSION_THRESHOLD):
-                failures.append(
-                    f"{name}: perf regression — {new_units:.1f} work "
-                    f"units vs baseline {old_units:.1f} "
-                    f"(>{REGRESSION_THRESHOLD:.0%} slower)")
+        print(f"[{name}] work units "
+              f"{base.get('timing', {}).get('work_units')} -> "
+              f"{entry['timing']['work_units']} (not gated)")
     return failures
 
 
@@ -382,7 +374,7 @@ def main(argv: Optional[list] = None) -> int:
                         help="output path (default: repo BENCH_core.json)")
     parser.add_argument("--check", action="store_true",
                         help="compare against the committed baseline; "
-                             "exit 1 on regression")
+                             "exit 1 if a deterministic field changed")
     parser.add_argument("--baseline", default=DEFAULT_OUTPUT,
                         help="baseline path for --check")
     parser.add_argument("--profile", default=None, metavar="PATH",
@@ -408,8 +400,7 @@ def main(argv: Optional[list] = None) -> int:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
-        print(f"baseline check passed "
-              f"(threshold {REGRESSION_THRESHOLD:.0%})")
+        print("baseline check passed (deterministic fields equal)")
         return 0
 
     with open(args.output, "w") as fh:

@@ -38,13 +38,12 @@ Mode rules — one table,
 * ``snapshot=True`` restores each snapshot-capable cell from one
   shared post-load machine image (:mod:`repro.snapshot`) instead of
   re-running the load — byte-identical tables.
-* ``faults``, ``breakdown`` and ``timeseries`` need the full engine,
-  and ``faults`` a cold build: an explicit ``mode="replay"`` /
-  ``snapshot=True`` raises a ``ValueError`` naming the plane and the
-  alternative, ``"auto"`` falls back and records why on the report
-  (``report.mode`` / ``.snapshot`` / ``.fallback_reason``).
-* ``faults`` cannot ride with ``trace`` or ``breakdown`` (the cell
-  observer); it composes with ``timeseries``.
+* ``faults``, ``trace``, ``breakdown`` and ``timeseries`` compose in
+  any combination, cold or restored, serial or ``jobs``.  The one rule:
+  ``faults``, ``breakdown`` and ``timeseries`` need the full engine —
+  an explicit ``mode="replay"`` raises a ``ValueError`` naming the
+  plane and the alternative, ``"auto"`` falls back and records why on
+  the report (``report.mode`` / ``.snapshot`` / ``.fallback_reason``).
 """
 
 from __future__ import annotations
@@ -137,8 +136,9 @@ def run(spec: Union[str, object], *, mode: str = "full",
         ``workload/policy``); any :func:`fnmatch` glob also works.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` armed on every machine
-        the cells build.  Requires the full engine: combined with
-        ``mode="replay"`` this raises, with ``"auto"`` it falls back.
+        the cells build or restore, ahead of the observing planes (so
+        the injected windows appear in the frames' ``active_faults``
+        column).  Needs the full engine.
     serial:
         Defaults to ``jobs is None`` — no explicit job count means
         in-process serial execution (the reference behaviour).
@@ -146,29 +146,18 @@ def run(spec: Union[str, object], *, mode: str = "full",
         ``False`` (cold builds, the reference behaviour), ``True``
         (snapshot-capable cells restore one shared post-load machine
         image per sweep instead of re-running the load — byte-identical
-        tables, see :mod:`repro.snapshot`), or ``"auto"`` (snapshots
-        unless a fault plan needs pristine cold builds).  Combining
-        ``snapshot=True`` with ``faults`` raises: a captured image
-        cannot carry armed fault state.
+        tables, see :mod:`repro.snapshot`); ``"auto"`` is another
+        spelling of ``True``.
     timeseries:
         ``False`` (no sampling, the zero-cost default), ``True``
         (continuous telemetry frames at the default 10 ms virtual
         cadence), or a sample interval in virtual µs.  Frames land in
         ``report.timeseries`` (export with
         :func:`repro.experiments.parallel.timeseries_jsonl`, analyze
-        with :mod:`repro.obs.analyze`).  Needs the full engine:
-        ``mode="replay"`` raises ``ValueError``, ``"auto"`` falls back
-        to the full engine.  Composes with ``faults`` (the
-        sampler chains behind the fault-plan observer, so the injected
-        windows appear in the frames' ``active_faults`` column) and
-        with ``snapshot`` (frames are byte-identical cold vs
-        restored).
+        with :mod:`repro.obs.analyze`).  Needs the full engine.
     """
-    from repro.experiments import harness
     from repro.experiments.parallel import (DEFAULT_TIMEOUT_S, execute,
-                                            filter_cells,
-                                            requested_planes,
-                                            resolve_execution)
+                                            filter_cells)
     resolved = _resolve_spec(spec, quick)
     if policy is not None:
         pattern = policy if any(ch in policy for ch in "*?[") \
@@ -178,24 +167,7 @@ def run(spec: Union[str, object], *, mode: str = "full",
         serial = jobs is None
     if timeout_s is None:
         timeout_s = DEFAULT_TIMEOUT_S
-    mode, snapshot, reason = resolve_execution(
-        mode, snapshot,
-        requested_planes(faults=faults is not None, trace=trace,
-                         breakdown=breakdown,
-                         timeseries=timeseries not in (False, None)))
-    previous = None
-    if faults is not None:
-        previous = harness.set_cell_observer(
-            lambda machine: machine.arm_faults(faults))
-    try:
-        report = execute(resolved, jobs=jobs, serial=serial,
-                         timeout_s=timeout_s, trace=trace,
-                         breakdown=breakdown, mode=mode,
-                         snapshot=snapshot, timeseries=timeseries)
-    finally:
-        if faults is not None:
-            harness.set_cell_observer(previous)
-    # execute() saw only settled values; the fallback was decided here,
-    # where the fault plane is known.
-    report.fallback_reason = reason
-    return report
+    return execute(resolved, jobs=jobs, serial=serial,
+                   timeout_s=timeout_s, trace=trace, breakdown=breakdown,
+                   mode=mode, snapshot=snapshot, timeseries=timeseries,
+                   faults=faults)

@@ -45,6 +45,7 @@ def plan(quick: bool = False,
     policies, workloads = list(policies), list(workloads)
     cells = [CellSpec("fig7", f"{w}/{p}", fig6.cell,
                       dict(policy=p, workload=w, **params),
+                      supports_replay=True,
                       snapshot_prepare=prepare_db_env_snapshot)
              for w in workloads for p in policies]
     return ExperimentSpec("fig7", cells, _merge,

@@ -13,6 +13,7 @@ results.  Policy names:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -43,22 +44,24 @@ KERNEL_POLICIES = ("default", "mglru")
 EXPERIMENT_DISK = dict(read_us=95.0, write_us=30.0, channels=2)
 
 
-#: Per-process cell observer (see :func:`set_cell_observer`).  When an
-#: experiment cell runs under the parallel runner with tracing
-#: requested, the observer attaches trace consumers to every machine
-#: the cell builds, so serial and parallel runs can be compared on
-#: trace-derived numbers, not just final tables.
-_cell_observer: Optional[Callable[[Machine], None]] = None
+#: Attach functions applied, in order, to every machine a cell builds
+#: or restores while an :func:`observing` block is open.  Planes append
+#: here instead of owning a slot, so any number of them — fault plan,
+#: trace consumers, span aggregator, sampler — ride the same cell.
+_observers: list = []
 
 
-def set_cell_observer(observer: Optional[Callable[[Machine], None]]):
-    """Install a callback invoked with every machine built by
-    :func:`build_machine`; returns the previous observer so callers
-    can restore it."""
-    global _cell_observer
-    previous = _cell_observer
-    _cell_observer = observer
-    return previous
+@contextmanager
+def observing(*attach_fns: Callable[[Machine], None]):
+    """Call each ``attach_fn(machine)``, after those of any enclosing
+    block, on every machine :func:`build_machine` builds or
+    :func:`make_db_env` restores inside the ``with`` block."""
+    mark = len(_observers)
+    _observers.extend(attach_fns)
+    try:
+        yield
+    finally:
+        del _observers[mark:]
 
 
 def build_machine(policy: str, mode: str = "full") -> Machine:
@@ -77,8 +80,8 @@ def build_machine(policy: str, mode: str = "full") -> Machine:
         enable_replay(machine)
     elif mode != "full":
         raise ValueError(f"unknown execution mode {mode!r}")
-    if _cell_observer is not None:
-        _cell_observer(machine)
+    for attach in _observers:
+        attach(machine)
     return machine
 
 
@@ -161,23 +164,24 @@ def _env_image(kernel: str, cgroup_pages: int, nkeys: int,
     Keyed on everything that shapes the image; the bulk load runs
     outside the engine with no simulated I/O, so the image is
     workload-independent — one capture per kernel flavor serves a whole
-    sweep.  The builder runs with the cell observer suppressed: the
-    captured machine must stay pristine, and the observer is re-applied
-    to every *restored* machine instead (no events fire during the
-    build — the load phase never enters the engine — so observers see
-    identical streams either way).
+    sweep.  The builder runs with the observer chain emptied: the
+    captured machine must stay pristine, and the chain is applied to
+    every *restored* machine instead (no events fire during the build —
+    the load phase never enters the engine, virtual time is 0 — so
+    observers see identical streams and a fault plan arms on the same
+    state either way).
     """
     key = ("db_env", kernel, mode, cgroup_name, int(cgroup_pages),
            int(nkeys), repr(db_options))
 
     def builder():
-        previous = set_cell_observer(None)
+        held, _observers[:] = _observers[:], []
         try:
             machine, cgroup, db = _preattach_env(
                 kernel, cgroup_pages, nkeys, db_options, cgroup_name,
                 mode)
         finally:
-            set_cell_observer(previous)
+            _observers[:] = held
         return machine, (cgroup, db)
 
     return _snapshot.get_or_capture(key, builder)
@@ -243,8 +247,8 @@ def make_db_env(policy: str, cgroup_pages: int, nkeys: int,
         image = _env_image(kernel, cgroup_pages, nkeys, db_options,
                            cgroup_name, mode)
         machine, cgroup, db = _snapshot.restore(image)
-        if _cell_observer is not None:
-            _cell_observer(machine)
+        for attach in _observers:
+            attach(machine)
     else:
         machine, cgroup, db = _preattach_env(
             "mglru" if policy == "mglru" else "default", cgroup_pages,

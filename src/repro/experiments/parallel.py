@@ -25,12 +25,13 @@ table in the parent.  Three properties make this safe:
   every machine a cell builds, giving trace-derived hit ratios that
   can be compared across execution modes.
 
-Which engine (``mode``: full / replay) and which build (``snapshot``:
-cold / restored) a run uses is settled in one place:
+The instrumentation planes (faults, trace, breakdown, timeseries)
+compose: :func:`run_cell` attaches every requested one to the cell's
+machines through :func:`harness.observing` and returns what they
+produced as one ``{plane: artifact}`` mapping.  Which engine (``mode``:
+full / replay) a run uses is settled in one place:
 :func:`resolve_execution` checks the request against :data:`PLANES`,
-the table of what each instrumentation plane (faults, breakdown,
-timeseries, trace) needs, and the answer is recorded on the
-:class:`ExecutionReport`.
+and the answer is recorded on the :class:`ExecutionReport`.
 
 Usage::
 
@@ -57,7 +58,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from repro.experiments import harness
 from repro.experiments.harness import (CellSpec, ExperimentResult,
@@ -99,126 +100,85 @@ class _LookupCounter:
         return {"hits": self.hits, "misses": self.misses}
 
 
-class Plane(NamedTuple):
-    """What one instrumentation plane requires of the run."""
-
-    #: Refuses ``mode="replay"``; ``"auto"`` resolves to the full engine.
-    full_engine: bool
-    #: Refuses snapshot restores; ``snapshot="auto"`` builds cold.
-    cold_build: bool
-    #: Claims the per-cell machine observer
-    #: (:func:`harness.set_cell_observer`).
-    observer: bool
-    #: Why it needs the full engine / a cold build, for the refusal
-    #: message (unused by a plane that needs neither).
-    why: str = ""
-
-
-#: The one source of every request-level mode/plane refusal:
-#: :func:`resolve_execution` derives the explicit-conflict errors and
-#: ``auto``'s fallbacks from these rows, and :func:`repro.api.run`,
-#: :func:`apply_mode` / :func:`execute` and the CLI all go through it.
-#: (Machine-level guards — ``enable_replay``, ``TimeseriesSampler.attach``,
-#: ``snapshot.capture`` — inspect live state for callers who bypass the
-#: harness and stay where they are.)
+#: Each instrumentation plane, in the order :func:`run_cell` attaches
+#: them, mapped to *why it needs the full engine* (``None``: it runs on
+#: either).  The one source of every request-level refusal:
+#: :func:`resolve_execution` derives the explicit-conflict error and
+#: ``auto``'s fallback from it, and :func:`repro.api.run`,
+#: :func:`execute` and the CLI all go through that.  (Machine-level
+#: guards — ``enable_replay``, ``TimeseriesSampler.attach``,
+#: ``snapshot.capture``, ``Machine.arm_faults`` — inspect live state for
+#: callers who bypass the harness and stay where they are.)
 PLANES = {
-    "faults": Plane(
-        True, True, True,
-        "a fault plan arms on a pristine machine before the load and "
-        "can detach a policy through the watchdog, which neither the "
-        "replay registry layout nor a captured image can represent"),
-    "breakdown": Plane(
-        True, False, True,
-        "latency attribution's contracts — components sum to durations, "
-        "spans never perturb time — are asserted on the full engine only"),
-    "timeseries": Plane(
-        True, False, False,
-        "the sampler's contracts — exact totals, zero perturbation, "
-        "byte-identical frames — are asserted on the full engine only"),
+    "faults":
+        "a fault plan can detach a policy through the watchdog, which "
+        "the replay registry layout cannot represent",
     # Tracepoints fire identically on both engines (ReplayEngine.run
     # hands a run with ``sched:*`` subscribers to the full loop).
-    "trace": Plane(False, False, True),
+    "trace": None,
+    "breakdown":
+        "latency attribution's contracts — components sum to durations, "
+        "spans never perturb time — are asserted on the full engine only",
+    "timeseries":
+        "the sampler's contracts — exact totals, zero perturbation, "
+        "byte-identical frames — are asserted on the full engine only",
 }
 
 
-def requested_planes(**flags) -> list:
-    """Names of the planes switched on in ``flags``, in table order."""
-    return [plane for plane in PLANES if flags.get(plane)]
+def requested_planes(**values) -> dict:
+    """``{plane: value}`` for the planes switched on in ``values``
+    (neither ``None`` nor ``False``), in table order."""
+    return {plane: values[plane] for plane in PLANES
+            if values.get(plane) is not None
+            and values[plane] is not False}
 
 
 def resolve_execution(mode: str, snapshot="off", planes=()) -> tuple:
     """Settle ``(mode, snapshot)`` against the requested planes.
 
     Returns ``(mode, snapshot, reason)`` with ``mode`` one of
-    ``"full"``/``"replay"``, ``snapshot`` ``"on"``/``"off"`` and
-    ``reason`` a sentence when an ``"auto"`` setting fell back (else
-    ``None``).  An explicit setting a plane cannot run under raises a
-    ``ValueError`` naming the plane and the working alternative, as do
-    two planes that cannot share the cell observer: a plane that needs
-    a cold build installs its observer before the machine exists and
-    holds the slot alone, while the others attach together afterwards.
+    ``"full"``/``"replay"``, ``snapshot`` ``"on"``/``"off"`` (``"auto"``
+    is a spelling of ``"on"``: every plane runs on a restored machine)
+    and ``reason`` a sentence when ``mode="auto"`` fell back (else
+    ``None``).  An explicit ``mode="replay"`` with a plane that needs
+    the full engine raises a ``ValueError`` naming the plane and the
+    working alternative.
     """
     if mode not in ("full", "replay", "auto"):
         raise ValueError(f"unknown execution mode {mode!r}")
-    snapshot = {False: "off", None: "off", True: "on"}.get(snapshot,
-                                                          snapshot)
-    if snapshot not in ("off", "on", "auto"):
+    snapshot = {False: "off", None: "off", True: "on",
+                "auto": "on"}.get(snapshot, snapshot)
+    if snapshot not in ("off", "on"):
         raise ValueError(f"unknown snapshot setting {snapshot!r}")
-    planes = [p for p in PLANES if p in planes]  # table order
-    claimers = [p for p in planes if PLANES[p].observer]
-    owner = next((p for p in claimers if PLANES[p].cold_build), None)
-    if owner is not None and len(claimers) > 1:
-        other = next(p for p in claimers if p != owner)
-        raise ValueError(
-            f"{owner} cannot be combined with {other}: both claim the "
-            f"per-cell machine observer, and {owner} holds it alone "
-            f"from the cold build on; run {other} without {owner}")
-    full = [p for p in planes if PLANES[p].full_engine]
+    full = [p for p in PLANES if p in planes and PLANES[p]]
     if full and mode == "replay":
         raise ValueError(
             f"mode='replay' cannot honor {full[0]}, which needs the "
-            f"full engine: {PLANES[full[0]].why}; use mode='full' or "
+            f"full engine: {PLANES[full[0]]}; use mode='full' or "
             f"mode='auto'")
-    cold = [p for p in planes if PLANES[p].cold_build]
-    if cold and snapshot == "on":
-        raise ValueError(
-            f"snapshot restores cannot honor {cold[0]}, which needs a "
-            f"cold build: {PLANES[cold[0]].why}; use snapshot=False or "
-            f"snapshot='auto'")
-    reasons = []
+    reason = None
     if mode == "auto":
         mode = "full" if full else "replay"
         if full:
-            reasons.append(f"{', '.join(full)} needs the full engine")
-    if snapshot == "auto":
-        snapshot = "off" if cold else "on"
-        if cold:
-            reasons.append(f"{', '.join(cold)} needs a cold build")
-    return (mode, snapshot,
-            "auto: " + "; ".join(reasons) if reasons else None)
+            reason = f"auto: {', '.join(full)} needs the full engine"
+    return mode, snapshot, reason
 
 
-def apply_mode(spec: ExperimentSpec, mode: str, trace: bool = False,
-               breakdown: bool = False,
-               timeseries: bool = False) -> ExperimentSpec:
+def apply_mode(spec: ExperimentSpec, mode: str) -> ExperimentSpec:
     """Rewrite a plan for the requested execution mode.
 
     * ``"full"`` — the spec unchanged (the reference engine).
     * ``"replay"`` — every cell that declares ``supports_replay``
       executes with ``mode="replay"`` (the trace-replay fast path,
       :mod:`repro.replay`); cells that don't opt in run full.
-    * ``"auto"`` — replay, unless a requested plane needs the full
-      engine (:data:`PLANES`).
+    * ``"auto"`` — replay: no planes are in sight here, and callers
+      that know them (:func:`execute`) pass a settled mode.
 
-    Conflicts between ``mode`` and the planes are settled by
-    :func:`resolve_execution`.  Payloads are bit-identical across
-    full/replay/snapshot for opted-in cells (enforced by
-    ``tests/test_replay.py``), so the merge result never depends on
-    the choice.
+    Payloads are bit-identical across full/replay/snapshot for opted-in
+    cells (enforced by ``tests/test_replay.py``), so the merge result
+    never depends on the choice.
     """
-    mode, _, _ = resolve_execution(
-        mode, planes=requested_planes(trace=trace, breakdown=breakdown,
-                                      timeseries=timeseries))
+    mode, _, _ = resolve_execution(mode)
     if mode == "full":
         return spec
     cells = [dataclasses.replace(
@@ -244,10 +204,6 @@ def apply_snapshot(spec: ExperimentSpec, snapshot) -> ExperimentSpec:
     distinct image in the parent (via those companions), mirroring the
     stream pre-generation: serial cells share the one capture, forked
     workers inherit the bytes copy-on-write.
-
-    ``"auto"`` is resolved against the requested planes by callers
-    that know them (:func:`execute`, :func:`repro.api.run`); with none
-    in sight here it behaves like ``"on"``.
     """
     _, snapshot, _ = resolve_execution("full", snapshot)
     if snapshot == "off":
@@ -296,68 +252,57 @@ def _run_gc_paused(fn):
         gc.collect()
 
 
-def run_cell(cell: CellSpec, trace: bool = False,
-             breakdown: bool = False,
-             timeseries: Optional[float] = None) -> tuple:
-    """Execute one cell in this process; returns
-    ``(payload, trace counts, latency breakdown, timeseries doc)``.
+def run_cell(cell: CellSpec, planes=None) -> tuple:
+    """Execute one cell in this process; returns ``(payload,
+    {plane: artifact})``.
 
-    With ``trace=True`` a lookup counter is attached to every machine
-    the cell builds (via the :func:`harness.build_machine` observer),
-    so tracing-enabled runs exercise the real tracepoint dispatch path.
-    With ``breakdown=True`` a
-    :class:`~repro.obs.attr.SpanAggregator` rides along the same way —
-    which *enables* span recording on the cell's machines — and the
-    third element carries its JSON-safe summary plus collapsed-stack
-    text.  With ``timeseries`` (a sample interval in virtual µs) a
-    :class:`~repro.obs.timeseries.TimeseriesSampler` attaches to every
-    machine and the fourth element carries its columnar frame document.
-    All are deterministic, so serial and parallel runs of the same
-    cell produce byte-identical artifacts.
+    ``planes`` is :func:`requested_planes`' ``{plane: value}``.  Each
+    one attaches, in table order, to every machine the cell builds or
+    restores (:func:`harness.observing`):
 
-    A previously installed cell observer (e.g. :func:`repro.api.run`'s
-    fault-plan armer) is chained, not replaced — faults + telemetry
-    compose, and the fault windows land in the frames.
+    * ``faults`` arms its :class:`~repro.faults.plan.FaultPlan` first,
+      so the injected windows land in the frames and spans behind it
+      (no artifact);
+    * ``trace`` counts lookups on the real tracepoint dispatch path;
+    * ``breakdown`` attaches a :class:`~repro.obs.attr.SpanAggregator`
+      — which *enables* span recording — and files its JSON-safe
+      summary plus collapsed-stack text;
+    * ``timeseries`` (a sample interval in virtual µs) attaches a
+      :class:`~repro.obs.timeseries.TimeseriesSampler` and files its
+      columnar frame document.
+
+    All are deterministic, so serial and parallel, cold and restored
+    runs of the same cell produce byte-identical artifacts.
     """
-    if not trace and not breakdown and timeseries is None:
-        return _run_gc_paused(cell.execute), None, None, None
-    counter = _LookupCounter() if trace else None
-    aggregator = None
-    if breakdown:
+    if not planes:
+        return _run_gc_paused(cell.execute), {}
+    attach, artifacts = [], {}
+    if "faults" in planes:
+        attach.append(
+            lambda machine: machine.arm_faults(planes["faults"]))
+    if "trace" in planes:
+        counter = _LookupCounter()
+        attach.append(counter.attach)
+        artifacts["trace"] = counter.counts
+    if "breakdown" in planes:
         from repro.obs.attr import SpanAggregator
         aggregator = SpanAggregator()
-    sampler = None
-    if timeseries is not None:
+        attach.append(aggregator.attach)
+        artifacts["breakdown"] = lambda: {
+            "summary": aggregator.to_dict(),
+            "collapsed": aggregator.collapsed()}
+    if "timeseries" in planes:
         from repro.obs.timeseries import TimeseriesSampler
-        sampler = TimeseriesSampler(timeseries)
+        sampler = TimeseriesSampler(planes["timeseries"])
+        attach.append(sampler.attach)
 
-    previous = None
-
-    def observe(machine) -> None:
-        if previous is not None:
-            previous(machine)
-        if counter is not None:
-            counter.attach(machine)
-        if aggregator is not None:
-            aggregator.attach(machine)
-        if sampler is not None:
-            sampler.attach(machine)
-
-    previous = harness.set_cell_observer(observe)
-    try:
+        def frames() -> dict:
+            sampler.finalize()
+            return sampler.to_doc()
+        artifacts["timeseries"] = frames
+    with harness.observing(*attach):
         payload = _run_gc_paused(cell.execute)
-    finally:
-        harness.set_cell_observer(previous)
-    bdown = None
-    if aggregator is not None:
-        bdown = {"summary": aggregator.to_dict(),
-                 "collapsed": aggregator.collapsed()}
-    tdoc = None
-    if sampler is not None:
-        sampler.finalize()
-        tdoc = sampler.to_doc()
-    return (payload, counter.counts() if counter is not None else None,
-            bdown, tdoc)
+    return payload, {plane: make() for plane, make in artifacts.items()}
 
 
 @dataclass
@@ -418,51 +363,47 @@ class ExecutionReport:
         return "\n".join(lines)
 
 
-def _worker_main(conn, cell: CellSpec, trace: bool, breakdown: bool,
-                 timeseries: Optional[float]) -> None:
+def _worker_main(conn, cell: CellSpec, planes: dict) -> None:
     """Child entry: run one cell, send one message, exit."""
     try:
-        payload, counts, bdown, tdoc = run_cell(cell, trace=trace,
-                                                breakdown=breakdown,
-                                                timeseries=timeseries)
-        conn.send(("ok", payload, counts, bdown, tdoc))
+        conn.send(("ok", *run_cell(cell, planes)))
     except BaseException as exc:  # report, don't propagate: the parent
         import traceback          # decides how to retry
         try:
             message = (f"{type(exc).__name__}: {exc}\n"
                        f"{traceback.format_exc()}")
-            conn.send(("err", message, None, None, None))
+            conn.send(("err", message, {}))
         except Exception:
             pass
     finally:
         conn.close()
 
 
-def _execute_serial(spec: ExperimentSpec, trace: bool, breakdown: bool,
-                    timeseries: Optional[float],
+def _file_cell(report: ExecutionReport, payloads: dict,
+               timing: CellTiming, payload: dict,
+               artifacts: dict) -> None:
+    """Record one finished cell: timing, payload, and each plane's
+    artifact under ``report.<plane>[cell_id]``."""
+    report.timings.append(timing)
+    payloads[timing.cell_id] = payload
+    for plane, artifact in artifacts.items():
+        getattr(report, plane)[timing.cell_id] = artifact
+
+
+def _execute_serial(spec: ExperimentSpec, planes: dict,
                     report: ExecutionReport) -> dict:
     payloads = {}
     for cell in spec.cells:
         t0 = time.perf_counter()
-        payload, counts, bdown, tdoc = run_cell(cell, trace=trace,
-                                                breakdown=breakdown,
-                                                timeseries=timeseries)
-        report.timings.append(
-            CellTiming(cell.cell_id, time.perf_counter() - t0, "serial"))
-        payloads[cell.cell_id] = payload
-        if counts is not None:
-            report.trace[cell.cell_id] = counts
-        if bdown is not None:
-            report.breakdown[cell.cell_id] = bdown
-        if tdoc is not None:
-            report.timeseries[cell.cell_id] = tdoc
+        result = run_cell(cell, planes)
+        _file_cell(report, payloads,
+                   CellTiming(cell.cell_id, time.perf_counter() - t0,
+                              "serial"), *result)
     return payloads
 
 
 def _execute_parallel(spec: ExperimentSpec, jobs: int, timeout_s: float,
-                      trace: bool, breakdown: bool,
-                      timeseries: Optional[float],
-                      report: ExecutionReport) -> dict:
+                      planes: dict, report: ExecutionReport) -> dict:
     ctx = multiprocessing.get_context("fork")
     pending = list(spec.cells)
     running: dict = {}  # parent_conn -> (cell, process, started_at)
@@ -484,22 +425,17 @@ def _execute_parallel(spec: ExperimentSpec, jobs: int, timeout_s: float,
     def reap(conn, cell, proc, started) -> None:
         wall = time.perf_counter() - started
         try:
-            status, value, counts, bdown, tdoc = conn.recv()
+            status, value, artifacts = conn.recv()
         except (EOFError, OSError):
-            status, value, counts, bdown, tdoc = \
-                "err", "worker died without a result", None, None, None
+            status, value, artifacts = \
+                "err", "worker died without a result", {}
         conn.close()
         proc.join()
         if status == "ok":
-            mode = "worker" if cell.cell_id not in attempts else "retry"
-            payloads[cell.cell_id] = value
-            report.timings.append(CellTiming(cell.cell_id, wall, mode))
-            if counts is not None:
-                report.trace[cell.cell_id] = counts
-            if bdown is not None:
-                report.breakdown[cell.cell_id] = bdown
-            if tdoc is not None:
-                report.timeseries[cell.cell_id] = tdoc
+            how = "worker" if cell.cell_id not in attempts else "retry"
+            _file_cell(report, payloads,
+                       CellTiming(cell.cell_id, wall, how), value,
+                       artifacts)
         else:
             record_failure(cell, value)
 
@@ -508,8 +444,7 @@ def _execute_parallel(spec: ExperimentSpec, jobs: int, timeout_s: float,
             cell = pending.pop(0)
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, cell, trace, breakdown,
-                                     timeseries),
+                               args=(child_conn, cell, planes),
                                name=f"cell-{cell.cell_id}")
             proc.start()
             child_conn.close()
@@ -533,20 +468,11 @@ def _execute_parallel(spec: ExperimentSpec, jobs: int, timeout_s: float,
     order = {cell.cell_id: i for i, cell in enumerate(spec.cells)}
     for cell, error in sorted(failed, key=lambda f: order[f[0].cell_id]):
         t0 = time.perf_counter()
-        payload, counts, bdown, tdoc = run_cell(cell, trace=trace,
-                                                breakdown=breakdown,
-                                                timeseries=timeseries)
-        report.timings.append(
-            CellTiming(cell.cell_id, time.perf_counter() - t0,
-                       "fallback", error=error))
+        result = run_cell(cell, planes)
         report.fallbacks.append(cell.cell_id)
-        payloads[cell.cell_id] = payload
-        if counts is not None:
-            report.trace[cell.cell_id] = counts
-        if bdown is not None:
-            report.breakdown[cell.cell_id] = bdown
-        if tdoc is not None:
-            report.timeseries[cell.cell_id] = tdoc
+        _file_cell(report, payloads,
+                   CellTiming(cell.cell_id, time.perf_counter() - t0,
+                              "fallback", error=error), *result)
     return payloads
 
 
@@ -554,7 +480,7 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
             serial: bool = False, timeout_s: float = DEFAULT_TIMEOUT_S,
             trace: bool = False, breakdown: bool = False,
             mode: str = "full", snapshot="off",
-            timeseries=None) -> ExecutionReport:
+            timeseries=None, faults=None) -> ExecutionReport:
     """Run every cell of ``spec`` and merge; returns the full report.
 
     ``serial=True`` (or ``jobs=1``, or a platform without ``fork``)
@@ -566,15 +492,17 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
     µs) records per-cell telemetry frames in
     :attr:`ExecutionReport.timeseries` — export with
     :func:`timeseries_jsonl`; byte-identical serial vs ``--jobs`` and
-    cold vs snapshot-restored.  ``mode`` selects
-    the execution engine per :func:`apply_mode` (``"replay"`` /
+    cold vs snapshot-restored.  ``faults`` (a
+    :class:`~repro.faults.plan.FaultPlan`) is armed on every machine
+    the cells build or restore, ahead of the observing planes.  ``mode``
+    selects the execution engine per :func:`apply_mode` (``"replay"`` /
     ``"auto"`` route opted-in cells through the trace-replay fast
-    path, with bit-identical payloads).  ``snapshot`` selects
+    path, with bit-identical payloads), settled against the requested
+    planes by :func:`resolve_execution`; ``snapshot`` selects
     sweep-level machine snapshots per :func:`apply_snapshot`
     (opted-in cells restore the shared post-load image instead of
-    rebuilding it — byte-identical payloads again).  Both are settled
-    against the requested planes by :func:`resolve_execution`; the
-    answer is recorded on the report.
+    rebuilding it — byte-identical payloads again).  What was settled
+    is recorded on the report.
     """
     if timeseries in (False, None):
         timeseries = None
@@ -586,10 +514,9 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
         if timeseries <= 0:
             raise ValueError(
                 f"sample interval must be positive: {timeseries}")
-    mode, snapshot, reason = resolve_execution(
-        mode, snapshot,
-        requested_planes(trace=trace, breakdown=breakdown,
-                         timeseries=timeseries is not None))
+    planes = requested_planes(faults=faults, trace=trace,
+                              breakdown=breakdown, timeseries=timeseries)
+    mode, snapshot, reason = resolve_execution(mode, snapshot, planes)
     spec = apply_snapshot(apply_mode(spec, mode), snapshot)
     if jobs is None:
         jobs = default_jobs()
@@ -614,11 +541,10 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
         gc.freeze()
     if serial or jobs <= 1 or len(spec.cells) <= 1 or not can_fork:
         report.jobs = 1
-        payloads = _execute_serial(spec, trace, breakdown, timeseries,
-                                   report)
+        payloads = _execute_serial(spec, planes, report)
     else:
-        payloads = _execute_parallel(spec, jobs, timeout_s, trace,
-                                     breakdown, timeseries, report)
+        payloads = _execute_parallel(spec, jobs, timeout_s, planes,
+                                     report)
     report.result = spec.merge(spec.meta, payloads)
     report.wall_s = time.perf_counter() - t0
     return report
@@ -732,8 +658,7 @@ def main(argv: Optional[list] = None) -> int:
                              "shared post-load image instead of "
                              "re-running the load per policy "
                              "(byte-identical tables); 'auto' is "
-                             "equivalent here and exists for API "
-                             "symmetry")
+                             "another spelling of 'on'")
     parser.add_argument("--trace", action="store_true",
                         help="attach cache:lookup counters to every cell")
     parser.add_argument("--breakdown", default=None, metavar="PATH",
@@ -773,9 +698,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         resolve_execution(
             args.mode, args.snapshot,
-            requested_planes(trace=args.trace,
-                             breakdown=args.breakdown is not None,
-                             timeseries=timeseries is not None))
+            requested_planes(trace=args.trace, breakdown=args.breakdown,
+                             timeseries=timeseries))
     except ValueError as exc:
         parser.error(str(exc))
     report = execute(spec, jobs=args.jobs, serial=args.serial,

@@ -36,6 +36,7 @@ def plan(quick: bool = False,
     workloads = list(workloads)
     cells = [CellSpec("table5", f"{w}/{p}", fig6.cell,
                       dict(policy=p, workload=w, **params),
+                      supports_replay=True,
                       snapshot_prepare=prepare_db_env_snapshot)
              for w in workloads for p in ("mglru", "mglru-bpf")]
     return ExperimentSpec("table5", cells, _merge,

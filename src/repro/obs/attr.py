@@ -23,8 +23,6 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.obs.collectors import Collector, Histogram
 from repro.obs.spans import COMPONENTS
 from repro.obs.trace import TraceEvent
@@ -111,13 +109,6 @@ class SpanAggregator(Collector):
         if stats is None:
             stats = self.stats[key] = SpanStats()
         stats.fold(data)
-
-    def replay(self, events: Iterable[TraceEvent]) -> "SpanAggregator":
-        """Fold a recorded trace (only ``span:close`` events count)."""
-        for event in events:
-            if event.name == "span:close":
-                self.handle(event)
-        return self
 
     def merge(self, other: "SpanAggregator") -> "SpanAggregator":
         for key, stats in other.stats.items():

@@ -20,6 +20,9 @@ telemetry plane: :class:`repro.obs.timeseries.LookupTimeline`.
 
 from __future__ import annotations
 
+from fnmatch import fnmatchcase
+from typing import Iterable
+
 from repro.obs.trace import TraceEvent
 
 
@@ -186,6 +189,20 @@ class Collector:
         for tp in getattr(self, "_attached_tps", ()):
             tp.unsubscribe(self.handle)
         self._attached_tps = []
+
+    def replay(self, events: Iterable[TraceEvent]) -> "Collector":
+        """Fold a recorded trace offline: every event whose name matches
+        a declared tracepoint pattern, by the rule :meth:`attach` gets
+        from ``TraceRegistry.match``.  Returns ``self``."""
+        wanted: dict[str, bool] = {}  # a trace has few distinct names
+        for event in events:
+            name = event.name
+            if name not in wanted:
+                wanted[name] = any(fnmatchcase(name, pattern)
+                                   for pattern in self.tracepoints)
+            if wanted[name]:
+                self.handle(event)
+        return self
 
 
 class EventCounter(Collector):

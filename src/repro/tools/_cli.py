@@ -1,0 +1,64 @@
+"""What the trace-consuming CLIs share: loading an artifact, the
+``--live`` fig6 cell, and the ``__main__`` footer."""
+
+from __future__ import annotations
+
+import sys
+from typing import Callable, Optional
+
+from repro.obs.collectors import Collector
+from repro.obs.trace import TraceSession
+
+
+def load(tool: str, loader: Callable, *args, **kwargs):
+    """``loader(*args, **kwargs)``, or ``None`` after reporting an
+    unreadable or malformed artifact on stderr as ``<tool>: <message>``
+    — the caller returns 1."""
+    try:
+        return loader(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        print(f"{tool}: {exc}", file=sys.stderr)
+        return None
+
+
+def load_trace(tool: str, path: str) -> Optional[list]:
+    """Events of the JSONL trace at ``path`` (``-`` reads stdin), or
+    ``None`` as :func:`load`."""
+    return load(tool, TraceSession.load,
+                sys.stdin if path == "-" else path)
+
+
+def add_live_arguments(parser) -> None:
+    """``--live`` / ``--policy`` / ``--workload``: run a quick fig6-sized
+    cell instead of reading a trace."""
+    parser.add_argument("--live", action="store_true",
+                        help="run a quick fig6-sized cell instead of "
+                             "reading a trace")
+    parser.add_argument("--policy", default="mru",
+                        help="policy for --live (default: mru)")
+    parser.add_argument("--workload", default="C",
+                        help="YCSB workload for --live (default: C)")
+
+
+def collect(tool: str, parser, args,
+            collector: Collector) -> Optional[Collector]:
+    """Fill ``collector`` the way ``args`` ask: attached to a live
+    fig6-sized cell, or replayed over the trace file.  ``None`` after
+    reporting an unreadable trace (see :func:`load_trace`)."""
+    if args.live:
+        from repro.obs.guard import run_cell
+        run_cell(args.policy, args.workload, collectors=[collector])
+        return collector
+    if not args.trace:
+        parser.error("a trace file is required (or --live)")
+    events = load_trace(tool, args.trace)
+    return None if events is None else collector.replay(events)
+
+
+def run(main: Callable[[], int]) -> None:
+    """The ``__main__`` footer: exit with ``main()``'s status, quietly
+    when the reader closed the pipe (``<tool> trace | head``)."""
+    try:
+        raise SystemExit(main())
+    except BrokenPipeError:
+        raise SystemExit(0)

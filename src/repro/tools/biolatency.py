@@ -18,11 +18,11 @@ Both modes consume ``block:io_complete`` events, whose payload carries
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.obs.collectors import Collector, Histogram
-from repro.obs.trace import TraceEvent, TraceSession
+from repro.obs.trace import TraceEvent
+from repro.tools import _cli
 
 
 class BioLatencyCollector(Collector):
@@ -44,12 +44,6 @@ class BioLatencyCollector(Collector):
         service.record(event.data.get("service_us", 0))
         self.total_ios += 1
 
-    def replay(self, events: Iterable[TraceEvent]) -> "BioLatencyCollector":
-        for event in events:
-            if event.name == "block:io_complete":
-                self.handle(event)
-        return self
-
 
 def format_biolatency(collector: BioLatencyCollector) -> str:
     if not collector.per_cgroup:
@@ -65,48 +59,21 @@ def format_biolatency(collector: BioLatencyCollector) -> str:
     return "\n\n".join(chunks)
 
 
-def run_live(policy: str, workload: str) -> BioLatencyCollector:
-    """Run one fig6-sized cell with the collector attached."""
-    from repro.obs.guard import run_cell
-    collector = BioLatencyCollector()
-    run_cell(policy, workload, collectors=[collector])
-    return collector
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Per-cgroup block I/O queue/service histograms")
     parser.add_argument("trace", nargs="?",
                         help="JSONL trace file ('-' for stdin)")
-    parser.add_argument("--live", action="store_true",
-                        help="run a quick fig6-sized cell instead of "
-                             "reading a trace")
-    parser.add_argument("--policy", default="mru",
-                        help="policy for --live (default: mru)")
-    parser.add_argument("--workload", default="C",
-                        help="YCSB workload for --live (default: C)")
+    _cli.add_live_arguments(parser)
     args = parser.parse_args(argv)
 
-    if args.live:
-        collector = run_live(args.policy, args.workload)
-    else:
-        if not args.trace:
-            parser.error("a trace file is required (or --live)")
-        try:
-            if args.trace == "-":
-                events = TraceSession.load(sys.stdin)
-            else:
-                events = TraceSession.load(args.trace)
-        except (OSError, ValueError) as exc:
-            print(f"biolatency: {exc}", file=sys.stderr)
-            return 1
-        collector = BioLatencyCollector().replay(events)
+    collector = _cli.collect("biolatency", parser, args,
+                             BioLatencyCollector())
+    if collector is None:
+        return 1
     print(format_biolatency(collector))
     return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    try:
-        raise SystemExit(main())
-    except BrokenPipeError:
-        raise SystemExit(0)
+    _cli.run(main)

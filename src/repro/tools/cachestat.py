@@ -16,11 +16,11 @@ Offline against a recorded trace, or live against a fig6-sized cell::
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.obs.collectors import Collector
-from repro.obs.trace import TraceEvent, TraceSession
+from repro.obs.trace import TraceEvent
+from repro.tools import _cli
 
 DEFAULT_WINDOW_MS = 100.0
 
@@ -57,13 +57,6 @@ class CacheStatCollector(Collector):
         elif name == "cache:evict":
             slot[3] += 1
 
-    def replay(self, events: Iterable[TraceEvent]) -> "CacheStatCollector":
-        names = set(self.tracepoints)
-        for event in events:
-            if event.name in names:
-                self.handle(event)
-        return self
-
     def rows(self) -> list[tuple]:
         """``(window_start_us, hits, misses, inserts, evicts)`` rows."""
         return [(index * self.window_us, *counts)
@@ -89,15 +82,6 @@ def format_cachestat(collector: CacheStatCollector) -> str:
     return "\n".join(lines)
 
 
-def run_live(policy: str, workload: str,
-             window_us: float) -> CacheStatCollector:
-    """Run one fig6-sized cell with the collector attached."""
-    from repro.obs.guard import run_cell
-    collector = CacheStatCollector(window_us)
-    run_cell(policy, workload, collectors=[collector])
-    return collector
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Page-cache hit/miss/churn rates per virtual-time "
@@ -107,36 +91,17 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--window-ms", type=float, default=DEFAULT_WINDOW_MS,
                         help=f"window size in virtual ms "
                              f"(default: {DEFAULT_WINDOW_MS:.0f})")
-    parser.add_argument("--live", action="store_true",
-                        help="run a quick fig6-sized cell instead of "
-                             "reading a trace")
-    parser.add_argument("--policy", default="mru",
-                        help="policy for --live (default: mru)")
-    parser.add_argument("--workload", default="C",
-                        help="YCSB workload for --live (default: C)")
+    _cli.add_live_arguments(parser)
     args = parser.parse_args(argv)
 
-    window_us = args.window_ms * 1000.0
-    if args.live:
-        collector = run_live(args.policy, args.workload, window_us)
-    else:
-        if not args.trace:
-            parser.error("a trace file is required (or --live)")
-        try:
-            if args.trace == "-":
-                events = TraceSession.load(sys.stdin)
-            else:
-                events = TraceSession.load(args.trace)
-        except (OSError, ValueError) as exc:
-            print(f"cachestat: {exc}", file=sys.stderr)
-            return 1
-        collector = CacheStatCollector(window_us).replay(events)
+    collector = _cli.collect(
+        "cachestat", parser, args,
+        CacheStatCollector(args.window_ms * 1000.0))
+    if collector is None:
+        return 1
     print(format_cachestat(collector))
     return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    try:
-        raise SystemExit(main())
-    except BrokenPipeError:
-        raise SystemExit(0)
+    _cli.run(main)

@@ -37,6 +37,7 @@ from typing import Iterable, Optional
 
 from repro.obs.collectors import Histogram
 from repro.obs.trace import TraceEvent, TraceSession
+from repro.tools import _cli
 
 
 @dataclass
@@ -411,11 +412,9 @@ def main(argv: Optional[list] = None) -> int:
         if args.trace:
             parser.error("--replay reads frames, not a trace; "
                          "give one or the other")
-        import sys
-        try:
-            rendered = render_replay(args.replay, at_ms=args.at)
-        except (OSError, ValueError) as exc:
-            print(f"cachetop: {exc}", file=sys.stderr)
+        rendered = _cli.load("cachetop", render_replay, args.replay,
+                             at_ms=args.at)
+        if rendered is None:
             return 1
         print(rendered)
         return 0
@@ -424,14 +423,8 @@ def main(argv: Optional[list] = None) -> int:
     if not args.trace:
         parser.error("a trace file is required (or --replay/--selftest)")
 
-    import sys
-    try:
-        if args.trace == "-":
-            events = TraceSession.load(sys.stdin)
-        else:
-            events = TraceSession.load(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"cachetop: {exc}", file=sys.stderr)
+    events = _cli.load_trace("cachetop", args.trace)
+    if events is None:
         return 1
     if not events:
         print("(empty trace)")
@@ -450,7 +443,4 @@ def main(argv: Optional[list] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    try:
-        raise SystemExit(main())
-    except BrokenPipeError:  # e.g. `cachetop trace | head`
-        raise SystemExit(0)
+    _cli.run(main)

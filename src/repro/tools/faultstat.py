@@ -29,11 +29,11 @@ measured effect side by side.
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.obs.collectors import Collector
 from repro.obs.trace import TraceEvent, TraceSession
+from repro.tools import _cli
 
 DEFAULT_WINDOW_MS = 20.0
 
@@ -84,13 +84,6 @@ class FaultStatCollector(Collector):
             slot[5] += 1
         elif name == "cache_ext:reattach":
             slot[6] += 1
-
-    def replay(self, events: Iterable[TraceEvent]) -> "FaultStatCollector":
-        names = set(self.tracepoints)
-        for event in events:
-            if event.name in names:
-                self.handle(event)
-        return self
 
     def rows(self) -> list[tuple]:
         """``(window_start_us, device, policy, memory, io_errors,
@@ -230,12 +223,10 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.frames:
         from repro.obs.timeseries import read_frames_jsonl
-        try:
-            meta, rows = read_frames_jsonl(args.frames)
-        except (OSError, ValueError) as exc:
-            print(f"faultstat: {exc}", file=sys.stderr)
+        frames = _cli.load("faultstat", read_frames_jsonl, args.frames)
+        if frames is None:
             return 1
-        frames_view = format_frames_view(meta, rows)
+        frames_view = format_frames_view(*frames)
         if not args.trace and not args.live:
             print(frames_view)
             return 0
@@ -249,13 +240,8 @@ def main(argv: Optional[list] = None) -> int:
         if not args.trace:
             parser.error("a trace file is required "
                          "(or --live / --frames)")
-        try:
-            if args.trace == "-":
-                events = TraceSession.load(sys.stdin)
-            else:
-                events = TraceSession.load(args.trace)
-        except (OSError, ValueError) as exc:
-            print(f"faultstat: {exc}", file=sys.stderr)
+        events = _cli.load_trace("faultstat", args.trace)
+        if events is None:
             return 1
         collector = FaultStatCollector(window_us).replay(events)
     print(format_faultstat(collector))
@@ -266,7 +252,4 @@ def main(argv: Optional[list] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    try:
-        raise SystemExit(main())
-    except BrokenPipeError:
-        raise SystemExit(0)
+    _cli.run(main)

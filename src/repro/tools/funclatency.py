@@ -23,11 +23,11 @@ asserts that), only host-time cost grows.
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.obs.collectors import Collector, Histogram
-from repro.obs.trace import TraceEvent, TraceSession
+from repro.obs.trace import TraceEvent
+from repro.tools import _cli
 
 
 class FuncLatencyCollector(Collector):
@@ -46,12 +46,6 @@ class FuncLatencyCollector(Collector):
             hist = self.per_hook[key] = Histogram()
         hist.record(event.data.get("cpu_us", 0.0) * 1000.0)
 
-    def replay(self, events: Iterable[TraceEvent]) -> "FuncLatencyCollector":
-        for event in events:
-            if event.name == "cache_ext:hook_exit":
-                self.handle(event)
-        return self
-
 
 def format_funclatency(collector: FuncLatencyCollector) -> str:
     if not collector.per_hook:
@@ -67,49 +61,22 @@ def format_funclatency(collector: FuncLatencyCollector) -> str:
     return "\n\n".join(chunks)
 
 
-def run_live(policy: str, workload: str) -> FuncLatencyCollector:
-    """Run one fig6-sized cell with the collector attached."""
-    from repro.obs.guard import run_cell
-    collector = FuncLatencyCollector()
-    run_cell(policy, workload, collectors=[collector])
-    return collector
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Per-(policy, hook) latency histograms from "
                     "cache_ext:hook_exit events")
     parser.add_argument("trace", nargs="?",
                         help="JSONL trace file ('-' for stdin)")
-    parser.add_argument("--live", action="store_true",
-                        help="run a quick fig6-sized cell instead of "
-                             "reading a trace")
-    parser.add_argument("--policy", default="mru",
-                        help="policy for --live (default: mru)")
-    parser.add_argument("--workload", default="C",
-                        help="YCSB workload for --live (default: C)")
+    _cli.add_live_arguments(parser)
     args = parser.parse_args(argv)
 
-    if args.live:
-        collector = run_live(args.policy, args.workload)
-    else:
-        if not args.trace:
-            parser.error("a trace file is required (or --live)")
-        try:
-            if args.trace == "-":
-                events = TraceSession.load(sys.stdin)
-            else:
-                events = TraceSession.load(args.trace)
-        except (OSError, ValueError) as exc:
-            print(f"funclatency: {exc}", file=sys.stderr)
-            return 1
-        collector = FuncLatencyCollector().replay(events)
+    collector = _cli.collect("funclatency", parser, args,
+                             FuncLatencyCollector())
+    if collector is None:
+        return 1
     print(format_funclatency(collector))
     return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    try:
-        raise SystemExit(main())
-    except BrokenPipeError:
-        raise SystemExit(0)
+    _cli.run(main)

@@ -8,18 +8,24 @@ Re-exports the commonly used names::
 from tests.strategies.engine import EngineScenario, engine_scenarios
 from tests.strategies.lsm import (LsmOp, db_options, lsm_op_sequences,
                                   sorted_runs)
+from tests.strategies.planes import PlaneCase, plane_cases
 from tests.strategies.scoring import ScoringCase, scoring_cases
-from tests.strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
+from tests.strategies.settings import (COMPOSITION_SETTINGS,
+                                       DETERMINISM_SETTINGS,
+                                       STANDARD_SETTINGS)
 
 __all__ = [
+    "COMPOSITION_SETTINGS",
     "DETERMINISM_SETTINGS",
     "STANDARD_SETTINGS",
     "EngineScenario",
     "LsmOp",
+    "PlaneCase",
     "ScoringCase",
     "db_options",
     "engine_scenarios",
     "lsm_op_sequences",
+    "plane_cases",
     "scoring_cases",
     "sorted_runs",
 ]

@@ -15,3 +15,9 @@ STANDARD_SETTINGS = settings(max_examples=100, deadline=None)
 #: box.
 DETERMINISM_SETTINGS = settings(max_examples=40, deadline=None,
                                 derandomize=True)
+
+#: Machine-level composition contracts: every example runs the same
+#: cells three times (plain, instrumented, restored/forked), so a
+#: handful — derandomized, as above.
+COMPOSITION_SETTINGS = settings(max_examples=30, deadline=None,
+                                derandomize=True)

@@ -135,6 +135,10 @@ class TestTable3:
         assert min(loc, key=loc.get) == "admission-filter"
         assert max(loc, key=loc.get) in ("mglru-bpf", "lhd")
         assert all(1 <= v <= 1000 for v in loc.values())
+        # The note is derived from the rows, not asserted beside them.
+        note, = res.notes
+        assert f"{min(loc, key=loc.get)} is smallest" in note
+        assert f"{max(loc, key=loc.get)} largest" in note
 
     def test_paper_columns_included(self):
         res = table3.run()

@@ -293,6 +293,18 @@ class TestCollectors:
         assert counter.counts.get("cache:evict", 0) > 0
         assert counter.total == sum(counter.counts.values())
 
+    def test_replay_folds_what_attach_would_have_seen(self):
+        # One Collector.replay for every collector: the same glob rule
+        # offline that attach applies live.
+        machine, cg, f = make_env(limit=8)
+        live = EventCounter("cache:*", "block:io_complete")
+        with TraceSession(machine, collectors=[live]) as session:
+            run_reads(machine, f, cg, range(32))
+        assert {e.name for e in session.events} - set(live.counts)
+        offline = EventCounter("cache:*", "block:io_complete")
+        assert offline.replay(session.events) is offline
+        assert offline.counts == live.counts
+
 
 class TestPolicyBuilder:
     def test_build_produces_cache_ext_ops(self):

@@ -98,10 +98,8 @@ def test_trace_counts_are_real():
 
 
 def test_untraced_run_attaches_nothing():
-    payload, counts, bdown, tdoc = run_cell(fig9.plan(quick=True).cells[0])
-    assert counts is None
-    assert bdown is None
-    assert tdoc is None
+    payload, artifacts = run_cell(fig9.plan(quick=True).cells[0])
+    assert artifacts == {}
     assert payload["seconds"] > 0
 
 

@@ -1,14 +1,15 @@
 """Mode / snapshot / plane rules, enumerated from the table itself.
 
 :data:`repro.experiments.parallel.PLANES` is the one declaration of
-what each instrumentation plane needs (full engine, cold build, the
-cell-observer slot).  Every case below is generated from its rows:
-all modes x snapshot settings x subsets of planes, with the expected
-outcome worked out here from the columns alone and compared with what
-:func:`resolve_execution` — and the three entry points that call it —
-actually do.  Adding a plane or flipping a column re-generates the
-matrix; nothing in this file names a plane by hand except the kwargs
-needed to switch it on.
+what each instrumentation plane needs — whether it needs the full
+engine, the one column left now that planes share an observer chain
+and attach to restored machines.  Every case below is generated from
+its rows: all modes x snapshot settings x subsets of planes, with the
+expected outcome worked out here from the column alone and compared
+with what :func:`resolve_execution` — and the three entry points that
+call it — actually do.  Adding a plane or flipping its entry
+re-generates the matrix; nothing in this file names a plane by hand
+except the values needed to switch it on.
 """
 
 import itertools
@@ -22,10 +23,17 @@ from repro.experiments.parallel import (PLANES, apply_mode, execute,
                                         resolve_execution)
 from repro.faults.plan import FaultPlan
 
+#: What switches each plane on, at every door that takes keywords.
+#: Case ids list planes in this order (the table's own order changed
+#: with ISSUE 19; the ids did not, so runs stay comparable across PRs).
+VALUES = {"faults": FaultPlan(seed=1), "breakdown": True,
+          "timeseries": 2_000.0, "trace": True}
+assert set(VALUES) == set(PLANES)
+
 MODES = ("full", "replay", "auto")
 SNAPSHOTS = ("off", "on", "auto")
-SUBSETS = [subset for n in range(len(PLANES) + 1)
-           for subset in itertools.combinations(PLANES, n)]
+SUBSETS = [subset for n in range(len(VALUES) + 1)
+           for subset in itertools.combinations(VALUES, n)]
 MATRIX = list(itertools.product(MODES, SNAPSHOTS, SUBSETS))
 
 SCALE = dict(nkeys=1000, cgroup_pages=64, nops=300, warmup_ops=100,
@@ -39,32 +47,21 @@ def one_cell():
 
 def expected(mode, snapshot, planes):
     """``("conflict", planes named, alternative)`` or ``("ok", mode,
-    snapshot, planes a fallback reason must name)`` from the columns."""
-    claimers = [p for p in planes if PLANES[p].observer]
-    if len(claimers) > 1 and any(PLANES[p].cold_build for p in claimers):
-        return "conflict", claimers[:2], "without"
-    full = [p for p in planes if PLANES[p].full_engine]
-    cold = [p for p in planes if PLANES[p].cold_build]
+    snapshot, planes a fallback reason must name)`` from the column."""
+    full = [p for p in PLANES if p in planes and PLANES[p]]
     if full and mode == "replay":
         return "conflict", full[:1], "mode='full'"
-    if cold and snapshot == "on":
-        return "conflict", cold[:1], "snapshot=False"
     fell_back = []
     if mode == "auto":
         mode = "full" if full else "replay"
-        fell_back += full
-    if snapshot == "auto":
-        snapshot = "off" if cold else "on"
-        fell_back += cold
-    return "ok", mode, snapshot, fell_back
+        fell_back = full
+    return "ok", mode, "off" if snapshot == "off" else "on", fell_back
 
 
 def plane_kwargs(planes):
-    """``api.run`` keywords switching exactly ``planes`` on."""
-    values = {"faults": FaultPlan(seed=1), "trace": True,
-              "breakdown": True, "timeseries": 2_000.0}
-    assert set(values) == set(PLANES)
-    return {plane: values[plane] for plane in planes}
+    """``api.run`` / ``execute`` keywords switching exactly ``planes``
+    on."""
+    return {plane: VALUES[plane] for plane in planes}
 
 
 def case_id(case):
@@ -73,7 +70,6 @@ def case_id(case):
 
 
 CONFLICTS = [c for c in MATRIX if expected(*c)[0] == "conflict"]
-NO_FAULTS = [c for c in CONFLICTS if "faults" not in c[2]]
 
 
 def assert_names(message, planes, alternative):
@@ -117,19 +113,41 @@ class TestResolver:
             resolve_execution("full", "sometimes")
 
 
-class TestEntryPoints:
-    """Explicit conflicts raise the resolver's message from every door."""
+def assert_delivered(report, planes):
+    """Every requested observing plane filed its artifact, no other
+    did (``faults`` yields none)."""
+    for plane in PLANES:
+        if plane != "faults":
+            assert bool(getattr(report, plane)) == (plane in planes)
 
-    @pytest.mark.parametrize("case", CONFLICTS, ids=case_id)
+
+#: The planes the CLI can switch on, and how (paths land in the cwd).
+CLI_FLAGS = {"trace": ["--trace"],
+             "breakdown": ["--breakdown", "b.json"],
+             "timeseries": ["--timeseries", "t.jsonl"]}
+
+
+class TestEntryPoints:
+    """Every door refuses exactly the table's conflicts, with the
+    resolver's message; everything else runs."""
+
+    @pytest.mark.parametrize("case", MATRIX, ids=case_id)
     def test_api_run_refuses(self, case):
         mode, snapshot, planes = case
-        _, named, alternative = expected(*case)
-        with pytest.raises(ValueError) as err:
-            api.run(one_cell(), mode=mode, snapshot=snapshot,
-                    **plane_kwargs(planes))
-        assert_names(str(err.value), named, alternative)
+        want = expected(*case)
+        run = lambda: api.run(one_cell(), mode=mode, snapshot=snapshot,
+                              **plane_kwargs(planes))
+        if want[0] == "conflict":
+            with pytest.raises(ValueError) as err:
+                run()
+            assert_names(str(err.value), want[1], want[2])
+            return
+        report = run()
+        assert report.result.rows
+        assert (report.mode, report.snapshot) == want[1:3]
+        assert_delivered(report, planes)
 
-    @pytest.mark.parametrize("case", NO_FAULTS, ids=case_id)
+    @pytest.mark.parametrize("case", CONFLICTS, ids=case_id)
     def test_execute_and_apply_mode_refuse(self, case):
         mode, snapshot, planes = case
         _, named, alternative = expected(*case)
@@ -138,22 +156,22 @@ class TestEntryPoints:
             execute(one_cell(), serial=True, mode=mode,
                     snapshot=snapshot, **kwargs)
         assert_names(str(err.value), named, alternative)
-        if alternative == "mode='full'":
-            with pytest.raises(ValueError) as err:
-                apply_mode(one_cell(), mode, **dict.fromkeys(planes, True))
-            assert_names(str(err.value), named, alternative)
+        # apply_mode is no second door to the same question: it takes
+        # no planes at all.
+        with pytest.raises(TypeError):
+            apply_mode(one_cell(), mode, **kwargs)
 
-    @pytest.mark.parametrize("case", NO_FAULTS, ids=case_id)
-    def test_cli_refuses(self, case, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "case", [c for c in CONFLICTS if set(c[2]) <= set(CLI_FLAGS)],
+        ids=case_id)
+    def test_cli_refuses(self, case, tmp_path, monkeypatch, capsys):
         mode, snapshot, planes = case
         _, named, alternative = expected(*case)
-        flags = {"trace": ["--trace"],
-                 "breakdown": ["--breakdown", str(tmp_path / "b.json")],
-                 "timeseries": ["--timeseries", str(tmp_path / "t.jsonl")]}
+        monkeypatch.chdir(tmp_path)
         argv = ["fig6", "--quick", "--serial", "--cells", "C/mru",
                 "--mode", mode, "--snapshot", snapshot]
         for plane in planes:
-            argv += flags[plane]
+            argv += CLI_FLAGS[plane]
         with pytest.raises(SystemExit) as err:
             parallel.main(argv)
         assert err.value.code == 2
@@ -161,18 +179,19 @@ class TestEntryPoints:
         assert not list(tmp_path.iterdir())
 
 
-AUTO = [c for c in MATRIX if c[0] == "auto" and c[1] == "auto"
-        and expected(*c)[0] == "ok"]
+AUTO = [c for c in MATRIX if c[:2] == ("auto", "auto")]
 
 
 class TestAutoRuns:
-    """``auto`` never refuses a runnable combination: it runs, on the
-    tier the table says, and says why when that was a fallback."""
+    """``auto`` never refuses: it runs every subset of planes, restored
+    from the snapshot, on the tier the table says, and says why when
+    that was a fallback."""
 
     @pytest.mark.parametrize("case", AUTO, ids=case_id)
     def test_runs_and_reports_the_choice(self, case):
         mode, snapshot, planes = case
         _, want_mode, want_snapshot, fell_back = expected(*case)
+        assert want_snapshot == "on"
         report = api.run(one_cell(), mode=mode, snapshot=snapshot,
                          **plane_kwargs(planes))
         assert report.result.rows
@@ -185,9 +204,7 @@ class TestAutoRuns:
         assert f"mode={want_mode}, snapshot={want_snapshot}" in header
         if fell_back:
             assert f"({report.fallback_reason})" in header
-        # Every requested plane delivered its artifact.
-        for plane in ("trace", "breakdown", "timeseries"):
-            assert bool(getattr(report, plane)) == (plane in planes)
+        assert_delivered(report, planes)
 
     def test_header_names_the_fallback(self):
         report = api.run(one_cell(), mode="auto", timeseries=2_000.0)

@@ -16,8 +16,10 @@ import warnings
 import pytest
 
 from repro import api, load_policy
-from repro.experiments import admission, fig6, fig8, fig10
+from repro.experiments import (admission, fig6, fig7, fig8, fig10,
+                               table5)
 from repro.experiments.harness import GENERIC_POLICY_NAMES
+from repro.experiments.parallel import apply_mode, execute
 from repro.faults.plan import FaultPlan
 from repro.kernel.machine import Machine
 from repro.policies.arc import make_arc_policy
@@ -143,6 +145,29 @@ class TestDeterminism:
                                      scale=YCSB_SCALE),
                            mode="replay", jobs=2)
         assert serial.result.rows == parallel.result.rows
+
+
+#: Plans that run ``fig6.cell`` verbatim under another merge.
+FIG6_CELL_PLANS = {
+    "fig7": lambda: fig7.plan(quick=True, workloads=("A",),
+                              policies=("default", "mru", "lfu")),
+    "table5": lambda: table5.plan(quick=True, workloads=("A",)),
+}
+
+
+class TestPlansOnFig6Cells:
+    @pytest.mark.parametrize("name", sorted(FIG6_CELL_PLANS))
+    def test_replay_rewrites_every_cell_and_matches_full(self, name):
+        # ``--mode replay`` used to report mode=replay here while
+        # rewriting nothing: the plans forgot ``supports_replay``.
+        plan = FIG6_CELL_PLANS[name]
+        cells = apply_mode(plan(), "replay").cells
+        assert cells
+        assert all(cell.kwargs["mode"] == "replay" for cell in cells)
+        full = execute(plan(), serial=True, mode="full")
+        fast = execute(plan(), serial=True, mode="replay",
+                       snapshot="on")
+        assert full.result.format_table() == fast.result.format_table()
 
 
 class TestReplayRefusals:

@@ -18,12 +18,13 @@ hash diverges from the cold one).
 import pytest
 
 from repro import api, snapshot
-from repro.experiments import admission, fig6, fig8, fig10
+from repro.experiments import admission, chaos, fig6, fig8, fig10
 from repro.experiments.harness import (GENERIC_POLICY_NAMES,
-                                       make_db_env,
-                                       warm_db_env_snapshot)
+                                       build_machine, make_db_env,
+                                       observing, warm_db_env_snapshot)
 from repro.faults.plan import FaultPlan
 from repro.kernel.machine import Machine
+from repro.obs.collectors import EventCounter
 from repro.obs.spans import Span
 
 # One small YCSB scale reused by the policy sweep below.
@@ -175,6 +176,74 @@ class TestDeterminism:
         auto = api.run(plan(), snapshot="auto")
         assert cold.result.rows == auto.result.rows
 
+    @pytest.mark.parametrize("setting", (True, "auto"))
+    def test_facade_snapshot_with_faults_matches_cold(self, setting):
+        # A plan arms on a restored machine exactly as on a cold one —
+        # the same faults fire, the same rows come out, and they are
+        # not the clean run's.
+        plan = lambda: fig6.plan(policies=("fifo",), workloads=("B",),
+                                 scale=YCSB_SCALE)
+        faults = chaos.scenario_plan("flaky-disk", 60_000.0, seed=7)
+        clean = api.run(plan())
+        cold = api.run(plan(), faults=faults)
+        restored = api.run(plan(), snapshot=setting, faults=faults)
+        assert cold.result.rows == restored.result.rows
+        assert cold.result.rows != clean.result.rows
+        assert (restored.snapshot, restored.fallback_reason) == ("on",
+                                                                 None)
+
+
+class TestObserverChain:
+    """``harness.observing``: planes append to one chain instead of
+    owning a slot."""
+
+    ENV = dict(cgroup_pages=64, nkeys=1000)
+
+    def test_nested_blocks_apply_in_order_to_built_and_restored(self):
+        snapshot.clear_cache()
+        seen = []
+        first = lambda machine: seen.append(("first", machine))
+        second = lambda machine: seen.append(("second", machine))
+        with observing(first):
+            with observing(second):
+                # The capture happens inside both blocks ...
+                restored = make_db_env("fifo", snapshot=True, **self.ENV)
+                built = build_machine("default")
+            after_inner = build_machine("default")
+        outside = build_machine("default")
+        assert seen == [("first", restored.machine),
+                        ("second", restored.machine),
+                        ("first", built), ("second", built),
+                        ("first", after_inner)]
+        assert outside not in [machine for _, machine in seen]
+
+    def test_unwinds_on_exception(self):
+        seen = []
+        with pytest.raises(RuntimeError, match="cell died"):
+            with observing(seen.append):
+                with observing(seen.append):
+                    raise RuntimeError("cell died")
+        build_machine("default")
+        assert seen == []
+
+    def test_captured_image_is_pristine(self):
+        # ... yet nothing attached to the captured machine: restoring
+        # the same image outside any block yields an unarmed machine
+        # with no subscribers.
+        snapshot.clear_cache()
+        counter = EventCounter("cache:*")
+        with observing(lambda m: m.arm_faults(FaultPlan(seed=3)),
+                       counter.attach):
+            armed = make_db_env("fifo", snapshot=True, **self.ENV)
+        assert armed.machine.faults is not None
+        assert armed.machine.trace.tracepoint("cache:lookup").enabled
+        info = snapshot.cache_info()
+        clean = make_db_env("fifo", snapshot=True, **self.ENV)
+        assert snapshot.cache_info()["cache_hits"] > info["cache_hits"]
+        assert clean.machine.faults is None
+        assert not any(tp.nr_subscribers
+                       for tp in clean.machine.trace.match())
+
 
 def _one_step(thread) -> bool:
     return False
@@ -213,15 +282,3 @@ class TestRefusals:
         restored, = snapshot.restore(image)
         assert restored.engine.now_us == machine.engine.now_us
 
-    def test_facade_snapshot_with_faults_raises(self):
-        spec = fig6.plan(policies=("fifo",), workloads=("B",),
-                         scale=YCSB_SCALE)
-        with pytest.raises(ValueError, match="snapshot"):
-            api.run(spec, snapshot=True, faults=FaultPlan(seed=1))
-
-    def test_facade_auto_falls_back_with_faults(self):
-        # "auto" + faults silently runs cold instead of raising.
-        spec = fig6.plan(policies=("fifo",), workloads=("B",),
-                         scale=YCSB_SCALE)
-        report = api.run(spec, snapshot="auto", faults=FaultPlan(seed=9))
-        assert report.result.rows
