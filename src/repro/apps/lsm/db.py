@@ -244,6 +244,11 @@ class LsmDb(SnapshotFriendly):
         the search work.  :meth:`_bump_version` drops every plan when
         the table set changes.  Bypassed while faults are armed: error
         paths must re-run the real lookup.
+
+        On that first walk the table holding the key answers from its
+        slot map, skipping searches that could only have found that
+        record (:meth:`SSTable.get`); tables walked before it still pay
+        the bloom test: a false positive is a real, simulated read.
         """
         self.n_gets += 1
         # Span opens at entry and closes at return, so ``dur_us``

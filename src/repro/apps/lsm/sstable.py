@@ -50,6 +50,21 @@ class SSTable(SnapshotFriendly):
         self.min_key = min_key
         self.max_key = max_key
         self.n_entries = n_entries
+        #: Slot map ``key -> record position`` and records per full data
+        #: page, derived from the data pages on the first :meth:`get`.
+        self._slots: Optional[dict] = None
+        self._epp = 1
+
+    # Derived state never enters a machine image: a restored table
+    # starts as __init__ leaves one and rebuilds its slot map on demand.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_slots"], state["_epp"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        super().__setstate__(state)
+        self._slots, self._epp = None, 1
 
     # ------------------------------------------------------------------
     @property
@@ -71,26 +86,53 @@ class SSTable(SnapshotFriendly):
         pos = bisect.bisect_right(self.index, key) - 1
         return max(pos, 0)
 
+    def _build_slots(self) -> dict:
+        """Derive the slot map in one pass over the table's own data
+        pages: host-side state like ``index``, no ``fs`` call, no virtual
+        time.  An unlinked file's store is gone; its empty map sends every
+        key down the absent-key path, whose read raises the typed EBADF."""
+        file = self.file
+        pages = [] if file.deleted else list(
+            map(file.store.__getitem__, range(self.n_data_pages)))
+        # Every page but the last is full.
+        self._epp = len(pages[0]) if pages else 1
+        slots = self._slots = dict(zip(
+            map(operator.itemgetter(0), itertools.chain.from_iterable(pages)),
+            itertools.count()))
+        return slots
+
     def get(self, key: str,
             reads: Optional[list] = None) -> tuple[bool, Optional[object]]:
         """Point lookup; returns (found, value).
 
-        Touches at most one data page through the page cache (plus
-        nothing if the bloom filter says no).  ``reads``, if given,
-        collects the ``(file, page)`` pairs this lookup faults through
-        the cache — the raw material of the point-read plans
-        (:meth:`repro.apps.lsm.db.LsmDb.get`).
+        Touches at most one data page through the page cache.  A key
+        the table *holds* costs one probe of the slot map: the bloom
+        test (no false negatives), index bisect (``index ==
+        keys[::epp]``) and in-page search could only arrive at record
+        ``pos`` of page ``pos // epp``, so they are skipped.  A key it
+        does not hold still pays :meth:`may_contain`: a false positive
+        is a real ``read_page`` — simulated I/O, not search work.
+        ``reads``, if given, collects the ``(file, page)`` pairs this
+        lookup faults through the cache — the raw material of the
+        point-read plans (:meth:`repro.apps.lsm.db.LsmDb.get`).
         """
-        if not self.may_contain(key):
+        slots = self._slots
+        if slots is None:
+            slots = self._build_slots()
+        pos = slots.get(key)
+        if pos is not None:
+            page = pos // self._epp
+        elif self.may_contain(key):
+            page = self._page_for_key(key)  # bloom false positive
+        else:
             return (False, None)
-        page = self._page_for_key(key)
+        file = self.file
         if reads is not None:
-            reads.append((self.file, page))
-        entries = self.fs.read_page(self.file, page)
-        pos = bisect.bisect_left(entries, (key,))
-        if pos < len(entries) and entries[pos][0] == key:
-            return (True, entries[pos][1])
-        return (False, None)
+            reads.append((file, page))
+        entries = self.fs.read_page(file, page)
+        if pos is None:
+            return (False, None)
+        return (True, entries[pos % self._epp][1])
 
     def iter_from(self, start_key: str, noreuse: bool = False,
                   touched: Optional[list] = None) -> Iterator[tuple]:

@@ -11,13 +11,12 @@ and feeds MGLRU's PID controller (§5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.kernel.cgroup import MemCgroup
 
 
-@dataclass(frozen=True)
-class ShadowEntry:
+class ShadowEntry(NamedTuple):
     """Metadata left behind by an evicted folio.
 
     Attributes

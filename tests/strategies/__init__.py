@@ -7,7 +7,7 @@ Re-exports the commonly used names::
 
 from tests.strategies.engine import EngineScenario, engine_scenarios
 from tests.strategies.lsm import (LsmOp, db_options, lsm_op_sequences,
-                                  sorted_runs)
+                                  sorted_runs, table_probes)
 from tests.strategies.planes import PlaneCase, plane_cases
 from tests.strategies.scoring import ScoringCase, scoring_cases
 from tests.strategies.settings import (COMPOSITION_SETTINGS,
@@ -28,4 +28,5 @@ __all__ = [
     "plane_cases",
     "scoring_cases",
     "sorted_runs",
+    "table_probes",
 ]

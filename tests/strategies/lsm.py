@@ -63,6 +63,26 @@ def sorted_runs(epp: int, max_pages: int = 5) -> st.SearchStrategy:
     ).map(lambda kvs: [(f"key{k:04d}", v) for k, v in sorted(kvs)])
 
 
+def table_probes(run: list, max_size: int = 40) -> st.SearchStrategy:
+    """Point-lookup keys for a table built from a non-empty
+    :func:`sorted_runs` run: held keys (tombstoned ones drawn in their
+    own right), and absent keys below, between and above them."""
+    held = [key for key, _ in run]
+    kinds = [
+        st.sampled_from(held),
+        # Just past a held key: before the next one — the next page's
+        # first, at a page seam — or above the last.
+        st.sampled_from(held).map(lambda key: key + "0"),
+        st.integers(0, 9999).map("key{:04d}".format).filter(
+            lambda key: key not in held),
+        st.sampled_from(("ke", "kez")),    # below / above every run
+    ]
+    dead = [key for key, value in run if value is None]
+    if dead:
+        kinds.append(st.sampled_from(dead))
+    return st.lists(st.one_of(kinds), min_size=1, max_size=max_size)
+
+
 def db_options() -> st.SearchStrategy:
     """Options under which a handful of ops reaches every level."""
     return st.builds(

@@ -96,6 +96,49 @@ class TestAdmissionEquality:
         assert cold == restored
 
 
+class GetKeys:
+    """Step function of one reader thread (a class, so the finished
+    thread pickles with the image)."""
+
+    def __init__(self, db, keys) -> None:
+        self.db = db
+        self.keys = keys
+        self.values: list = []
+
+    def __call__(self, thread) -> bool:
+        self.values.extend(map(self.db.get, self.keys))
+        return False
+
+
+class TestServedTablesEquality:
+    def test_image_of_tables_that_served_gets(self):
+        """Every sweep captures before the first lookup; here the image
+        is of a quiescent machine whose tables have already answered
+        gets.  What they derived to answer (slot maps) stays out of the
+        image, and the restored graph carries on exactly as the
+        captured one does."""
+        env = make_db_env("default", cgroup_pages=64, nkeys=1000)
+        keys = [key for table in env.db._all_tables()
+                for index in range(table.n_data_pages)
+                for key, _ in table.file.store[index]]
+
+        def payload(machine, cgroup, db, keys):
+            step = GetKeys(db, keys)
+            thread = machine.spawn("reader", step, cgroup=cgroup)
+            machine.run()
+            return step.values, thread.clock_us, machine.metrics()
+
+        payload(env.machine, env.cgroup, env.db, keys[::3])
+        assert all(table._slots for table in env.db._all_tables())
+        image = snapshot.capture(env.machine, (env.cgroup, env.db))
+        restored = snapshot.restore(image)
+        assert all(table._slots is None
+                   for table in restored[2]._all_tables())
+        again = keys[::2] + ["absent"]
+        assert payload(*restored, again) == \
+            payload(env.machine, env.cgroup, env.db, again)
+
+
 class TestImageCache:
     def test_one_capture_serves_a_sweep(self):
         """Different policies on the same kernel flavor share one
