@@ -22,7 +22,7 @@ is where the kernel implements it too.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.cache_ext.lists import EvictionList
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
@@ -56,6 +56,62 @@ def _resolve_slot(prog) -> tuple:
     return fn, prog
 
 
+def _per_folio_hook(slot: str, which: int):
+    """Generate the ``slot`` hook of :class:`CacheExtPolicy`.
+
+    The three per-folio hooks run on every cache insertion, access and
+    removal and differ only in ``self._slots[which]``, so they are one
+    body.  What fills the slot was settled at attach; the guard, the
+    two hook tracepoint gates, the running thread and the *value* of
+    ``costs.bpf_hook_us`` can change between two events and are read on
+    each.  With a guard armed or a gate open the event goes through
+    :meth:`CacheExtPolicy._traced_hook`; otherwise (the overwhelmingly
+    common case) the identical charge and dispatch run inlined, saving
+    the ``_hook_entry`` / ``charge`` / ``_run_prog`` / ``_hook_exit``
+    frames.  The result is a plain function, set as a class attribute,
+    so whatever wraps class attributes (a tracer, a profiler) sees it.
+    """
+    def hook(self, folio: Folio) -> None:
+        step, fn, counted = self._slots[which]
+        if step is not None:
+            # The registry moves before the policy's program runs
+            # (memory safety): a buggy program can neither see an
+            # unregistered folio nor resurrect a stale reference.
+            step(folio)
+        if self._guard is None and not (self._tp_hook_entry.enabled
+                                        or self._tp_hook_exit.enabled):
+            us = self._costs.bpf_hook_us
+            thread = _engine._current
+            if thread is not None:
+                # inlined thread.advance(us): us is a configured cost,
+                # never negative
+                thread.clock_us += us
+                thread.cpu_us += us
+                span = thread.span
+                if span is not None:
+                    span.add("kfunc", us)
+            self._memcg_stats.hook_cpu_us += us
+            self._cache_stats.hook_cpu_us += us
+            if fn is not None:
+                # Inlined _run_prog (same dispatch, invocation bump and
+                # watchdog handling, one frame cheaper).
+                if counted is not None:
+                    counted.invocations += 1
+                try:
+                    fn(folio)
+                except Exception as exc:
+                    self._program_faulted(exc)
+            return
+        self._traced_hook(slot, fn, counted, folio)
+
+    # Its own code object, named for the slot: cProfile keys and names
+    # its rows by code object, not by __name__.
+    hook.__code__ = hook.__code__.replace(co_name=slot)
+    hook.__name__ = slot
+    hook.__qualname__ = f"CacheExtPolicy.{slot}"
+    return hook
+
+
 class CacheExtPolicy(ExtPolicyBase):
     """One attached policy instance for one cgroup."""
 
@@ -80,11 +136,14 @@ class CacheExtPolicy(ExtPolicyBase):
         self._cache_stats = machine.page_cache.stats
         self._costs = machine.costs
         # The per-folio hooks' programs are fixed for the life of the
-        # attachment (struct_ops registers them once), so what to call
-        # and whether to count it is decided here, not per event.
-        self._added = _resolve_slot(ops.folio_added)
-        self._accessed = _resolve_slot(ops.folio_accessed)
-        self._removed = _resolve_slot(ops.folio_removed)
+        # attachment (struct_ops registers them once), so each slot's
+        # (registry step, callable, program to count) is decided here,
+        # not per event; indexed by _per_folio_hook's ``which``.
+        self._slots = (
+            (self.registry.insert, *_resolve_slot(ops.folio_added)),
+            (None, *_resolve_slot(ops.folio_accessed)),
+            (self._forget, *_resolve_slot(ops.folio_removed)),
+        )
         self.lists: list[EvictionList] = []
         #: kfunc calls that returned an error (policy bug indicator).
         self.kfunc_errors = 0
@@ -113,36 +172,22 @@ class CacheExtPolicy(ExtPolicyBase):
     # cost accounting
     # ------------------------------------------------------------------
     def _charge(self, us: float) -> None:
+        """Hook CPU no request is billed for: the fault injector's
+        stall primitive, and the base of :meth:`charge`."""
         thread = current_thread()
         if thread is not None:
             thread.advance(us)
         self._memcg_stats.hook_cpu_us += us
         self._cache_stats.hook_cpu_us += us
 
-    # charge_hook/charge_kfunc run once per hook dispatch and once per
-    # kfunc call respectively; the _charge body is inlined rather than
-    # delegated so the hot path costs one frame, not two.
-    def charge_hook(self) -> None:
-        us = self.machine.costs.bpf_hook_us
+    def charge(self, us: float) -> None:
+        """Charge ``us`` of hook or kfunc CPU (``costs.bpf_hook_us`` /
+        ``costs.kfunc_op_us``), attributed to the running request's
+        ``"kfunc"`` span component."""
+        self._charge(us)
         thread = current_thread()
-        if thread is not None:
-            thread.advance(us)
-            span = thread.span
-            if span is not None:
-                span.add("kfunc", us)
-        self._memcg_stats.hook_cpu_us += us
-        self._cache_stats.hook_cpu_us += us
-
-    def charge_kfunc(self) -> None:
-        us = self.machine.costs.kfunc_op_us
-        thread = current_thread()
-        if thread is not None:
-            thread.advance(us)
-            span = thread.span
-            if span is not None:
-                span.add("kfunc", us)
-        self._memcg_stats.hook_cpu_us += us
-        self._cache_stats.hook_cpu_us += us
+        if thread is not None and thread.span is not None:
+            thread.span.add("kfunc", us)
 
     # ------------------------------------------------------------------
     # tracing
@@ -233,10 +278,13 @@ class CacheExtPolicy(ExtPolicyBase):
         try:
             return fn(*args)
         except Exception as exc:
-            self.memcg.stats.ext_policy_faults += 1
-            self.machine.page_cache.stats.ext_policy_faults += 1
-            self._watchdog_detach(reason=type(exc).__name__)
+            self._program_faulted(exc)
             return default
+
+    def _program_faulted(self, exc: Exception) -> None:
+        self.memcg.stats.ext_policy_faults += 1
+        self.machine.page_cache.stats.ext_policy_faults += 1
+        self._watchdog_detach(reason=type(exc).__name__)
 
     def _watchdog_detach(self, reason: str = "fault") -> None:
         """Forcibly remove this policy (kernel-side, no loader help)."""
@@ -253,12 +301,7 @@ class CacheExtPolicy(ExtPolicyBase):
         handle = getattr(self, "_struct_ops_handle", None)
         if handle is not None:
             self.machine.struct_ops.unregister(handle)
-        for lst in self.lists:
-            node = lst.pop_head()
-            while node is not None:
-                if node.item is not None:
-                    node.item.ext_node = None
-                node = lst.pop_head()
+        self._empty_lists()
         # Quarantine (opt-in): instead of staying detached forever, the
         # policy's ops go into backoff custody and re-attach on a later
         # reclaim pass (repro.faults.QuarantineManager).
@@ -274,6 +317,15 @@ class CacheExtPolicy(ExtPolicyBase):
         self.lists.append(lst)
         return lst
 
+    def _empty_lists(self) -> None:
+        """Detach teardown: no folio keeps a dangling ext reference."""
+        for lst in self.lists:
+            node = lst.pop_head()
+            while node is not None:
+                if node.item is not None:
+                    node.item.ext_node = None
+                node = lst.pop_head()
+
     # ------------------------------------------------------------------
     # hook dispatch (ExtPolicyBase interface)
     # ------------------------------------------------------------------
@@ -281,7 +333,7 @@ class CacheExtPolicy(ExtPolicyBase):
         if self.ops.admit is None:
             return True
         cpu = self._hook_entry("admit")
-        self.charge_hook()
+        self.charge(self._costs.bpf_hook_us)
         thread = current_thread()
         tid = thread.tid if thread is not None else 0
         verdict = bool(self._run_prog(self.ops.admit, mapping.file_id,
@@ -294,7 +346,7 @@ class CacheExtPolicy(ExtPolicyBase):
         if self.ops.readahead is None:
             return None
         cpu = self._hook_entry("readahead")
-        self.charge_hook()
+        self.charge(self._costs.bpf_hook_us)
         pages = self._run_prog(self.ops.readahead, mapping.file_id,
                                index, seq_streak)
         self._hook_exit("readahead", cpu)
@@ -302,147 +354,35 @@ class CacheExtPolicy(ExtPolicyBase):
             return None  # malformed hint: keep the kernel heuristic
         return pages
 
-    # The three per-folio hooks below run on every cache access,
-    # insertion and removal.  When both hook tracepoints are disabled
-    # (the overwhelmingly common case) they skip the _hook_entry /
-    # _hook_exit / charge_hook frames entirely; the charged cost and
-    # dispatch order are identical on both paths.
+    folio_added = _per_folio_hook("folio_added", 0)
+    folio_accessed = _per_folio_hook("folio_accessed", 1)
+    folio_removed = _per_folio_hook("folio_removed", 2)
 
-    def folio_added(self, folio: Folio) -> None:
-        # Registry first (memory safety), then the policy's program.
-        self.registry.insert(folio)
-        if self._guard is None and not (self._tp_hook_entry.enabled
-                                        or self._tp_hook_exit.enabled):
-            us = self._costs.bpf_hook_us
-            thread = _engine._current
-            if thread is not None:
-                # inlined thread.advance(us): us is a configured cost,
-                # never negative
-                thread.clock_us += us
-                thread.cpu_us += us
-                span = thread.span
-                if span is not None:
-                    span.add("kfunc", us)
-            self._memcg_stats.hook_cpu_us += us
-            self._cache_stats.hook_cpu_us += us
-            fn, counted = self._added
-            if fn is not None:
-                # Inlined _run_prog (same dispatch, invocation bump and
-                # watchdog handling, one frame cheaper).
-                if counted is not None:
-                    counted.invocations += 1
-                try:
-                    fn(folio)
-                except Exception as exc:
-                    self.memcg.stats.ext_policy_faults += 1
-                    self.machine.page_cache.stats.ext_policy_faults += 1
-                    self._watchdog_detach(reason=type(exc).__name__)
-            return
-        cpu = self._hook_entry("folio_added")
-        self.charge_hook()
-        if self.ops.folio_added is not None:
-            self._run_prog(self.ops.folio_added, folio)
-        self._hook_exit("folio_added", cpu)
-
-    def folio_accessed(self, folio: Folio) -> None:
-        if self._guard is None and not (self._tp_hook_entry.enabled
-                                        or self._tp_hook_exit.enabled):
-            us = self._costs.bpf_hook_us
-            thread = _engine._current
-            if thread is not None:
-                # inlined thread.advance(us): us is a configured cost,
-                # never negative
-                thread.clock_us += us
-                thread.cpu_us += us
-                span = thread.span
-                if span is not None:
-                    span.add("kfunc", us)
-            self._memcg_stats.hook_cpu_us += us
-            self._cache_stats.hook_cpu_us += us
-            fn, counted = self._accessed
-            if fn is not None:
-                # Inlined _run_prog (see folio_added).
-                if counted is not None:
-                    counted.invocations += 1
-                try:
-                    fn(folio)
-                except Exception as exc:
-                    self.memcg.stats.ext_policy_faults += 1
-                    self.machine.page_cache.stats.ext_policy_faults += 1
-                    self._watchdog_detach(reason=type(exc).__name__)
-            return
-        cpu = self._hook_entry("folio_accessed")
-        self.charge_hook()
-        if self.ops.folio_accessed is not None:
-            self._run_prog(self.ops.folio_accessed, folio)
-        self._hook_exit("folio_accessed", cpu)
-
-    def folio_removed(self, folio: Folio) -> None:
-        # Kernel-side cleanup: detach the folio's eviction-list node and
-        # drop the registry entry *before* the policy program runs, so a
-        # buggy program cannot resurrect a stale reference.
+    def _forget(self, folio: Folio) -> None:
+        """``folio_removed``'s registry step — kernel-side cleanup:
+        drop the registry entry and detach the folio's eviction-list
+        node (§4.2.5: the kernel, not the policy, unlinks it)."""
         node = self.registry.remove(folio)
         if node is not None and node.owner is not None:
             node.owner.remove(node)
         folio.ext_node = None
-        if self._guard is None and not (self._tp_hook_entry.enabled
-                                        or self._tp_hook_exit.enabled):
-            us = self._costs.bpf_hook_us
-            thread = _engine._current
-            if thread is not None:
-                # inlined thread.advance(us): us is a configured cost,
-                # never negative
-                thread.clock_us += us
-                thread.cpu_us += us
-                span = thread.span
-                if span is not None:
-                    span.add("kfunc", us)
-            self._memcg_stats.hook_cpu_us += us
-            self._cache_stats.hook_cpu_us += us
-            fn, counted = self._removed
-            if fn is not None:
-                # Inlined _run_prog (see folio_added).
-                if counted is not None:
-                    counted.invocations += 1
-                try:
-                    fn(folio)
-                except Exception as exc:
-                    self.memcg.stats.ext_policy_faults += 1
-                    self.machine.page_cache.stats.ext_policy_faults += 1
-                    self._watchdog_detach(reason=type(exc).__name__)
-            return
-        cpu = self._hook_entry("folio_removed")
-        self.charge_hook()
-        if self.ops.folio_removed is not None:
-            self._run_prog(self.ops.folio_removed, folio)
-        self._hook_exit("folio_removed", cpu)
+
+    def _traced_hook(self, slot: str, fn, counted, folio: Folio) -> None:
+        """One per-folio dispatch with a guard armed or a hook
+        tracepoint enabled: the generated hooks' charge and dispatch,
+        bracketed by :meth:`_hook_entry` / :meth:`_hook_exit`."""
+        cpu = self._hook_entry(slot)
+        self.charge(self._costs.bpf_hook_us)
+        if fn is not None:
+            # _run_prog takes the program and resolves it itself.
+            self._run_prog(fn if counted is None else counted, folio)
+        self._hook_exit(slot, cpu)
 
     def folios_removed(self, folios: list[Folio]) -> None:
-        """Batched removal dispatch (truncate/delete path).
-
-        Per-folio semantics — registry removal, node unlink, one hook
-        dispatch and charge, the policy's ``folio_removed`` program —
-        are identical to looping :meth:`folio_removed`; the registry,
-        program and charge machinery are simply bound once per batch
-        instead of once per folio.
-        """
-        registry_remove = self.registry.remove
-        charge_hook = self.charge_hook
-        prog = self.ops.folio_removed
-        trace_hooks = (self._tp_hook_entry.enabled
-                       or self._tp_hook_exit.enabled
-                       or self._guard is not None)
+        """Batched removal dispatch (truncate/delete path)."""
+        removed = self.folio_removed
         for folio in folios:
-            node = registry_remove(folio)
-            if node is not None and node.owner is not None:
-                node.owner.remove(node)
-            folio.ext_node = None
-            cpu = self._hook_entry("folio_removed") if trace_hooks else None
-            charge_hook()
-            if prog is not None:
-                self._run_prog(prog, folio)
-            if trace_hooks:
-                self._hook_exit("folio_removed", cpu)
+            removed(folio)
             if not self.attached:
                 # The program faulted and the watchdog detached us; the
                 # remaining folios are no longer this policy's concern
@@ -455,7 +395,7 @@ class CacheExtPolicy(ExtPolicyBase):
         self.candidate_requests += nr
         ctx = EvictionCtx(nr)
         cpu = self._hook_entry("evict_folios")
-        self.charge_hook()
+        self.charge(self._costs.bpf_hook_us)
         self._run_prog(self.ops.evict_folios, ctx, self.memcg)
         self._hook_exit("evict_folios", cpu)
         out = list(ctx.candidates)

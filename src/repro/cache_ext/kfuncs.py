@@ -15,14 +15,13 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from repro.cache_ext.lists import (EvictionList, attach_folio, detach_folio,
-                                   resolve_list)
+from repro.cache_ext.framework import _resolve_slot
+from repro.cache_ext.lists import EvictionList, resolve_list
 from repro.cache_ext.ops import EvictionCtx
 from repro.ebpf.runtime import bpf_kfunc
 from repro.kernel.folio import Folio
 from repro.kernel.list import ListNode
 from repro.sim import engine as _engine
-from repro.sim.engine import current_thread
 
 # Error codes (negative errno, as returned to BPF programs).
 EINVAL = -22
@@ -63,12 +62,6 @@ def _owned_list(policy, list_id: int) -> Optional[EvictionList]:
     return lst
 
 
-def _policy_of_folio(folio):
-    if not isinstance(folio, Folio):
-        return None
-    return _policy_of_memcg(folio.memcg)
-
-
 def _fail(policy, code: int, kfunc: str) -> int:
     """Return ``code`` after recording the error against ``policy``.
 
@@ -80,9 +73,7 @@ def _fail(policy, code: int, kfunc: str) -> int:
     in the kernel, there is nowhere to account them.
     """
     if policy is not None:
-        note = getattr(policy, "note_kfunc_error", None)
-        if note is not None:
-            note(code, kfunc)
+        policy.note_kfunc_error(code, kfunc)
     return code
 
 
@@ -99,14 +90,9 @@ def list_create(memcg) -> int:
     policy = _policy_of_memcg(memcg)
     if policy is None:
         return EINVAL
-    policy.charge_kfunc()
+    policy.charge(policy.machine.costs.kfunc_op_us)
     lst = policy.create_list()
     return lst.id
-
-
-#: Lazily-bound framework.CacheExtPolicy (import-cycle guard); used by
-#: the inlined-charge fast paths below, mirroring _iter_hot_state.
-_CacheExtPolicy = None
 
 
 @bpf_kfunc
@@ -118,10 +104,9 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
     on some list moves it.
 
     Hot path: list_add runs once per insertion plus once per rotation
-    under eviction churn, so the policy/charge resolution helpers are
-    inlined here (same invariant as :func:`_iter_hot_state` — the call
-    runs inside one engine step, and the inlined charge performs the
-    identical float additions in the identical order).
+    under eviction churn, so policy resolution and
+    :meth:`CacheExtPolicy.charge` are inlined here (the identical
+    float additions in the identical order, two frames cheaper).
     """
     if folio.__class__ is Folio or isinstance(folio, Folio):
         memcg = folio.memcg
@@ -135,44 +120,34 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
     lst = resolve_list(list_id)
     if lst is None or lst.policy is not policy:
         return _fail(policy, EPERM, "list_add")
-    global _CacheExtPolicy
-    if _CacheExtPolicy is None:
-        from repro.cache_ext.framework import CacheExtPolicy
-        _CacheExtPolicy = CacheExtPolicy
-    if type(policy) is _CacheExtPolicy:
-        us = policy.machine.costs.kfunc_op_us
-        thread = _engine._current
-        if thread is not None:
-            # Inlined Thread.advance; us is a configured cost, >= 0.
-            thread.clock_us += us
-            thread.cpu_us += us
-            span = thread.span
-            if span is not None:
-                span.add("kfunc", us)
-        policy._memcg_stats.hook_cpu_us += us
-        policy._cache_stats.hook_cpu_us += us
-        # Inlined attach_folio(lst, folio, tail): identical registry
-        # call sequence (each call still bumps its bucket's lock
-        # counter), one frame cheaper.
-        registry = policy.registry
-        node = registry.get_node(folio)
-        if node is None:
-            if not registry.contains(folio):
-                return _fail(policy, ENOENT, "list_add")
-            node = ListNode(folio)
-            folio.ext_node = node
-            registry.set_node(folio, node)
-        owner = node.owner
-        if owner is not None:
-            owner.remove(node)
-        if tail:
-            lst.add_tail(node)
-        else:
-            lst.add_head(node)
-        return 0
-    policy.charge_kfunc()
-    if not attach_folio(lst, folio, tail):
-        return _fail(policy, ENOENT, "list_add")
+    us = policy.machine.costs.kfunc_op_us
+    thread = _engine._current
+    if thread is not None:
+        # Inlined Thread.advance; us is a configured cost, >= 0.
+        thread.clock_us += us
+        thread.cpu_us += us
+        span = thread.span
+        if span is not None:
+            span.add("kfunc", us)
+    policy._memcg_stats.hook_cpu_us += us
+    policy._cache_stats.hook_cpu_us += us
+    # Create (or reuse) the folio's single node; a folio unknown to
+    # the policy's registry is the input-validation failure.
+    registry = policy.registry
+    node = registry.get_node(folio)
+    if node is None:
+        if not registry.contains(folio):
+            return _fail(policy, ENOENT, "list_add")
+        node = ListNode(folio)
+        folio.ext_node = node
+        registry.set_node(folio, node)
+    owner = node.owner
+    if owner is not None:
+        owner.remove(node)
+    if tail:
+        lst.add_tail(node)
+    else:
+        lst.add_head(node)
     return 0
 
 
@@ -180,8 +155,7 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
 def list_del(folio) -> int:
     """Remove ``folio`` from whatever eviction list holds it.
 
-    Hot path: inlined like :func:`list_add` (including
-    :func:`~repro.cache_ext.lists.detach_folio`'s body).
+    Hot path: inlined like :func:`list_add`.
     """
     if folio.__class__ is Folio or isinstance(folio, Folio):
         memcg = folio.memcg
@@ -192,24 +166,17 @@ def list_del(folio) -> int:
         policy = None
     if policy is None:
         return EINVAL
-    global _CacheExtPolicy
-    if _CacheExtPolicy is None:
-        from repro.cache_ext.framework import CacheExtPolicy
-        _CacheExtPolicy = CacheExtPolicy
-    if type(policy) is _CacheExtPolicy:
-        us = policy.machine.costs.kfunc_op_us
-        thread = _engine._current
-        if thread is not None:
-            # Inlined Thread.advance; us is a configured cost, >= 0.
-            thread.clock_us += us
-            thread.cpu_us += us
-            span = thread.span
-            if span is not None:
-                span.add("kfunc", us)
-        policy._memcg_stats.hook_cpu_us += us
-        policy._cache_stats.hook_cpu_us += us
-    else:
-        policy.charge_kfunc()
+    us = policy.machine.costs.kfunc_op_us
+    thread = _engine._current
+    if thread is not None:
+        # Inlined Thread.advance; us is a configured cost, >= 0.
+        thread.clock_us += us
+        thread.cpu_us += us
+        span = thread.span
+        if span is not None:
+            span.add("kfunc", us)
+    policy._memcg_stats.hook_cpu_us += us
+    policy._cache_stats.hook_cpu_us += us
     node = policy.registry.get_node(folio)
     if node is None or node.owner is None:
         return _fail(policy, ENOENT, "list_del")
@@ -229,7 +196,7 @@ def list_size(list_id: int) -> int:
     lst = resolve_list(list_id)
     if lst is None:
         return EINVAL
-    lst.policy.charge_kfunc()
+    lst.policy.charge(lst.policy.machine.costs.kfunc_op_us)
     return len(lst)
 
 
@@ -276,29 +243,7 @@ def list_iterate(memcg, list_id: int, callback, ctx,
     return _fail(policy, EINVAL, "list_iterate")
 
 
-def _iter_hot_state(policy, callback):
-    """Hoist the per-folio charge-and-dispatch state for an iterate loop.
-
-    Returns ``(thread, us, memcg_stats, cache_stats, cb_fn)`` when the
-    charge can be inlined (a plain :class:`CacheExtPolicy`), else
-    ``None``.  The whole iteration runs inside one engine step, so the
-    current thread and the configured kfunc cost cannot change
-    mid-loop; inlining ``charge_kfunc``'s body per folio performs the
-    identical float additions in the identical order, minus two Python
-    frames per scanned folio.  ``cb_fn`` unwraps a BpfProgram callback
-    the same way :meth:`CacheExtPolicy._run_prog` does (the
-    ``invocations`` bump stays with the caller).
-    """
-    from repro.cache_ext.framework import CacheExtPolicy
-    if type(policy) is not CacheExtPolicy:
-        return None
-    return (current_thread(), policy.machine.costs.kfunc_op_us,
-            policy._memcg_stats, policy._cache_stats,
-            getattr(callback, "fn", None))
-
-
-def _iter_charge(thread, span, memcg_stats, cache_stats, prog,
-                 n: int, us: float) -> None:
+def _iter_charge(policy, thread, prog, n: int, us: float) -> None:
     """Settle the batched per-candidate accounting after a list scan.
 
     ``n`` candidates were visited at ``us`` each; ``clock_us`` already
@@ -310,141 +255,94 @@ def _iter_charge(thread, span, memcg_stats, cache_stats, prog,
     total = n * us
     if thread is not None:
         thread.cpu_us += total
+        span = thread.span
         if span is not None:
             span.add("kfunc", total)
-    memcg_stats.hook_cpu_us += total
-    cache_stats.hook_cpu_us += total
+    policy._memcg_stats.hook_cpu_us += total
+    policy._cache_stats.hook_cpu_us += total
     if prog is not None:
         prog.invocations += n
 
 
+# Both scan loops hoist the same state: the whole iteration runs inside
+# one engine step, so the current thread and the configured kfunc cost
+# cannot change mid-loop, and the callback is resolved by the one
+# definition CacheExtPolicy._run_prog uses.  Per-candidate
+# accounting that nothing inside the loop reads back (cpu_us,
+# hook_cpu_us, invocations, span attribution) is charged in one batch of
+# n*us by _iter_charge; only clock_us — the value ktime_us() exposes to
+# callbacks — advances inside the loop.  tests/reference/kfuncs.py
+# keeps the per-candidate form as the oracle.
+
 def _iterate_simple(policy, lst: EvictionList, callback, ctx: EvictionCtx,
                     limit: int, dst: Optional[EvictionList]) -> int:
-    hot = _iter_hot_state(policy, callback)
+    thread = _engine._current
+    us = policy.machine.costs.kfunc_op_us
+    call, prog = _resolve_slot(callback)
     added = 0
     head = lst._head
     move_to_tail = lst.move_to_tail
     node = lst.head()
-    if hot is not None:
-        thread, us, memcg_stats, cache_stats, cb_fn = hot
-        # Hoisted: the span (like the thread) cannot change inside one
-        # engine step, so one load covers the whole scan.
-        span = thread.span if thread is not None else None
-        is_prog = cb_fn is not None
-        call = cb_fn if is_prog else callback
-        # Per-candidate accounting that nothing inside the loop reads
-        # back (cpu_us, hook_cpu_us, invocations, span attribution) is
-        # charged in one batch of n*us afterwards; only clock_us — the
-        # value ktime_us() exposes to scoring callbacks — advances
-        # inside the loop.
-        n = 0
-        for position in range(limit):
-            if node is None or ctx.full:
-                break
-            nxt = node.next
-            if nxt is head:
-                nxt = None
-            folio: Folio = node.item
-            n += 1
-            if thread is not None:
-                thread.clock_us += us
-            verdict = call(position, folio)
-            if verdict == ITER_EVICT:
-                ctx.add_candidate(folio)
-                added += 1
-                move_to_tail(node)
-            elif verdict == ITER_MOVE:
-                if dst is None:
-                    _iter_charge(thread, span, memcg_stats, cache_stats,
-                                 callback if is_prog else None, n, us)
-                    return _fail(policy, EINVAL, "list_iterate")
-                dst.move_to_tail(node)
-            elif verdict == ITER_ROTATE:
-                move_to_tail(node)
-            elif verdict == ITER_STOP:
-                break
-            # ITER_SKIP (and unknown verdicts): leave in place.
-            node = nxt
-        _iter_charge(thread, span, memcg_stats, cache_stats,
-                     callback if is_prog else None, n, us)
-        return added
+    n = 0
     for position in range(limit):
         if node is None or ctx.full:
             break
         nxt = node.next
         if nxt is head:
             nxt = None
-        folio = node.item
-        policy.charge_kfunc()
-        verdict = callback(position, folio)
+        folio: Folio = node.item
+        n += 1
+        if thread is not None:
+            thread.clock_us += us
+        verdict = call(position, folio)
         if verdict == ITER_EVICT:
             ctx.add_candidate(folio)
             added += 1
             move_to_tail(node)
         elif verdict == ITER_MOVE:
             if dst is None:
+                _iter_charge(policy, thread, prog, n, us)
                 return _fail(policy, EINVAL, "list_iterate")
             dst.move_to_tail(node)
         elif verdict == ITER_ROTATE:
             move_to_tail(node)
         elif verdict == ITER_STOP:
             break
-        # ITER_SKIP (and unknown verdicts, defensively): leave in place.
+        # ITER_SKIP (and unknown verdicts): leave in place.
         node = nxt
+    _iter_charge(policy, thread, prog, n, us)
     return added
 
 
 def _iterate_scoring(policy, lst: EvictionList, callback, ctx: EvictionCtx,
                      limit: int, want: int) -> int:
-    hot = _iter_hot_state(policy, callback)
+    thread = _engine._current
+    us = policy.machine.costs.kfunc_op_us
+    call, prog = _resolve_slot(callback)
     scores: list[int] = []  # by scan position, as nodes
     nodes: list = []
     scores_append = scores.append
     nodes_append = nodes.append
     head = lst._head
     node = lst.head()
-    if hot is not None:
-        thread, us, memcg_stats, cache_stats, cb_fn = hot
-        # Hoisted: see _iterate_simple (including the batched
-        # accounting — only clock_us advances per candidate, for the
-        # benefit of ktime_us-based scores).
-        span = thread.span if thread is not None else None
-        is_prog = cb_fn is not None
-        call = cb_fn if is_prog else callback
-        n = 0
-        for position in range(limit):
-            if node is None:
-                break
-            nxt = node.next
-            if nxt is head:
-                nxt = None
-            n += 1
-            if thread is not None:
-                thread.clock_us += us
-            score = call(position, node.item)
-            if type(score) is not int and not isinstance(score, int):
-                _iter_charge(thread, span, memcg_stats, cache_stats,
-                             callback if is_prog else None, n, us)
-                return _fail(policy, EINVAL, "list_iterate")
-            scores_append(score)
-            nodes_append(node)
-            node = nxt
-        _iter_charge(thread, span, memcg_stats, cache_stats,
-                     callback if is_prog else None, n, us)
-    else:
-        for position in range(limit):
-            if node is None:
-                break
-            nxt = node.next
-            if nxt is head:
-                nxt = None
-            policy.charge_kfunc()
-            score = callback(position, node.item)
-            if not isinstance(score, int):
-                return _fail(policy, EINVAL, "list_iterate")
-            scores_append(score)
-            nodes_append(node)
-            node = nxt
+    n = 0
+    for position in range(limit):
+        if node is None:
+            break
+        nxt = node.next
+        if nxt is head:
+            nxt = None
+        n += 1
+        if thread is not None:
+            thread.clock_us += us
+        score = call(position, node.item)
+        if type(score) is not int and not isinstance(score, int):
+            _iter_charge(policy, thread, prog, n, us)
+            return _fail(policy, EINVAL, "list_iterate")
+        scores_append(score)
+        nodes_append(node)
+        node = nxt
+    _iter_charge(policy, thread, prog, n, us)
     if not nodes:
         return 0
     if want < len(nodes):
@@ -484,10 +382,10 @@ def ctx_add_candidate(ctx, folio) -> int:
     """Directly append an eviction candidate (outside list_iterate)."""
     if not isinstance(ctx, EvictionCtx) or not isinstance(folio, Folio):
         return EINVAL
-    policy = _policy_of_folio(folio)
+    policy = _policy_of_memcg(folio.memcg)
     if policy is None:
         return EINVAL
-    policy.charge_kfunc()
+    policy.charge(policy.machine.costs.kfunc_op_us)
     return 1 if ctx.add_candidate(folio) else 0
 
 

@@ -24,7 +24,7 @@ import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.kernel.folio import Folio
-from repro.kernel.list import IntrusiveList, ListNode
+from repro.kernel.list import IntrusiveList
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache_ext.framework import CacheExtPolicy
@@ -56,34 +56,3 @@ def resolve_list(list_id: int) -> Optional[EvictionList]:
         return None
     return _all_lists.get(list_id)
 
-
-def attach_folio(lst: EvictionList, folio: Folio, tail: bool) -> bool:
-    """Create (or reuse) the folio's node and link it onto ``lst``.
-
-    Returns False if the folio is unknown to the owning policy's
-    registry — the kfunc input-validation path.
-    """
-    registry = lst.policy.registry
-    node = registry.get_node(folio)
-    if node is None:
-        if not registry.contains(folio):
-            return False
-        node = ListNode(folio)
-        folio.ext_node = node
-        registry.set_node(folio, node)
-    if node.owner is not None:
-        node.owner.remove(node)
-    if tail:
-        lst.add_tail(node)
-    else:
-        lst.add_head(node)
-    return True
-
-
-def detach_folio(policy: "CacheExtPolicy", folio: Folio) -> bool:
-    """Unlink the folio's node from whatever list holds it."""
-    node = policy.registry.get_node(folio)
-    if node is None or node.owner is None:
-        return False
-    node.owner.remove(node)
-    return True

@@ -80,14 +80,7 @@ def unload_policy(policy: CacheExtPolicy) -> None:
     memcg.ext_policy = None
     policy.attached = False
     policy.machine.struct_ops.unregister(policy._struct_ops_handle)
-    # Tear down list nodes so no folio keeps a dangling ext reference.
-    for lst in policy.lists:
-        node = lst.pop_head()
-        while node is not None:
-            folio = node.item
-            if folio is not None:
-                folio.ext_node = None
-            node = lst.pop_head()
+    policy._empty_lists()
 
 
 def _resident_folios(machine: "Machine", memcg: MemCgroup):

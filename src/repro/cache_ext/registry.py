@@ -49,17 +49,10 @@ class FolioRegistry:
         self.lock_acquisitions = [0] * nbuckets
         self._size = 0
 
-    # ------------------------------------------------------------------
-    # Every operation hashes and bumps the bucket's lock counter inline
-    # (rather than via a helper) — the registry is consulted on each
-    # insert, access and eviction, so the shared helper frame showed up
-    # in profiles.  `_bucket` remains the readable reference and the
-    # single place the hashing scheme is documented.
-    def _bucket(self, folio: Folio) -> int:
-        index = folio.id % self.nbuckets
-        self.lock_acquisitions[index] += 1
-        return index
-
+    # Every operation hashes ``folio.id % nbuckets`` and bumps that
+    # bucket's lock counter inline rather than through a shared helper:
+    # the registry is consulted on each insert, access and eviction,
+    # and the helper's frame showed up in profiles.
     def insert(self, folio: Folio) -> None:
         """Register a folio at page-cache insertion time."""
         index = folio.id % self.nbuckets
@@ -136,9 +129,9 @@ class ReplayFolioRegistry(FolioRegistry):
     Validity rests on two invariants of the full-mode code:
 
     * ``folio.ext_node`` is set/cleared in lockstep with the registry
-      node binding at every site (lists.attach_folio, the inlined
-      kfunc list_add fast path, framework folio_removed /
-      folios_removed, loader detach), so it can *be* the binding;
+      node binding at every site (kfunc list_add, the framework's
+      folio_removed registry step, loader detach), so it can *be* the
+      binding;
     * only the watchdog-detach path breaks that lockstep, and replay
       mode refuses to coexist with fault plans / hook budgets
       (:func:`repro.replay.enable_replay`), so it never runs.

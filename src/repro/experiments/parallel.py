@@ -622,12 +622,26 @@ def filter_cells(spec: ExperimentSpec, pattern: str) -> ExperimentSpec:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+class UnknownExperimentError(ValueError):
+    """The name is not a :mod:`repro.experiments` module with a
+    ``plan()``; the message lists the ones that are."""
+
+
 def _load_experiment(name: str):
     import importlib
-    module = importlib.import_module(f"repro.experiments.{name}")
-    if not hasattr(module, "plan"):
-        raise SystemExit(f"experiment {name!r} has no plan()")
-    return module
+    import pkgutil
+    from repro import experiments
+
+    def load(module_name: str):
+        return importlib.import_module(f"repro.experiments.{module_name}")
+
+    names = [info.name for info in pkgutil.iter_modules(experiments.__path__)]
+    if name in names and hasattr(load(name), "plan"):
+        return load(name)
+    known = sorted(n for n in names if hasattr(load(n), "plan"))
+    raise UnknownExperimentError(
+        f"unknown experiment {name!r}: known experiments are "
+        + ", ".join(known))
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -682,7 +696,10 @@ def main(argv: Optional[list] = None) -> int:
                         help="also write the table to this file")
     args = parser.parse_args(argv)
 
-    module = _load_experiment(args.experiment)
+    try:
+        module = _load_experiment(args.experiment)
+    except UnknownExperimentError as exc:
+        parser.error(str(exc))
     spec = module.plan(quick=args.quick)
     if args.cells:
         try:

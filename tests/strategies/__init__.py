@@ -9,7 +9,8 @@ from tests.strategies.engine import EngineScenario, engine_scenarios
 from tests.strategies.lsm import (LsmOp, db_options, lsm_op_sequences,
                                   sorted_runs, table_probes)
 from tests.strategies.planes import PlaneCase, plane_cases
-from tests.strategies.scoring import ScoringCase, scoring_cases
+from tests.strategies.scoring import (ScoringCase, SimpleCase,
+                                      scoring_cases, simple_cases)
 from tests.strategies.settings import (COMPOSITION_SETTINGS,
                                        DETERMINISM_SETTINGS,
                                        STANDARD_SETTINGS)
@@ -22,11 +23,13 @@ __all__ = [
     "LsmOp",
     "PlaneCase",
     "ScoringCase",
+    "SimpleCase",
     "db_options",
     "engine_scenarios",
     "lsm_op_sequences",
     "plane_cases",
     "scoring_cases",
+    "simple_cases",
     "sorted_runs",
     "table_probes",
 ]

@@ -10,8 +10,13 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import types
 
 import pytest
+
+from repro.cache_ext.framework import CacheExtPolicy
+from repro.cache_ext.ops import CacheExtOps
+from repro.kernel import Machine
 
 LAYERED = pathlib.Path(__file__).resolve().parent.parent \
     / "benchmarks" / "layered"
@@ -36,6 +41,24 @@ def test_every_boundary_is_in_its_owners_dict():
                for owner, attr, _span in boundaries
                if attr not in vars(owner)]
     assert not missing
+
+
+@pytest.mark.parametrize("slot", ["folio_added", "folio_accessed",
+                                  "folio_removed"])
+def test_generated_hooks_are_plain_named_functions(slot):
+    # The three per-folio hooks come from one factory.  The tracer's
+    # functools.wraps and cProfile both name a hook by __name__, and
+    # neither sees a per-instance closure: it must stay a function in
+    # the class dict, not on the instance.
+    hook = vars(CacheExtPolicy)[slot]
+    assert type(hook) is types.FunctionType
+    assert hook.__name__ == slot
+    assert hook.__qualname__ == f"CacheExtPolicy.{slot}"
+    assert hook.__code__.co_name == slot        # cProfile's row name
+    machine = Machine()
+    policy = CacheExtPolicy(machine, machine.new_cgroup("t", limit_pages=8),
+                            CacheExtOps(name="empty"))
+    assert slot not in vars(policy)
 
 
 def repro_imports(path: pathlib.Path):

@@ -1,9 +1,12 @@
 """Loader and framework tests: attach/detach, hooks, admission."""
 
+import collections
+
 import pytest
 
 from repro.cache_ext import load_policy, unload_policy
 from repro.cache_ext.framework import CacheExtPolicy
+from repro.cache_ext.kfuncs import list_add, list_move
 from repro.cache_ext.ops import CacheExtOps
 from repro.ebpf.errors import ProgramError, VerificationError
 from repro.ebpf.maps import ArrayMap
@@ -281,3 +284,150 @@ class TestDispatchResolution:
         # Steps 0-2 dispatched untraced (one add, two hits).
         assert [e.data["slot"] for e in session.events] == \
             ["folio_accessed"] * 3
+
+
+SLOTS = ("folio_added", "folio_accessed", "folio_removed")
+
+
+class TestGatedEqualsTraced:
+    """The generated hooks' inlined charge-and-dispatch and the one
+    traced body are the same physics: identically built machines that
+    differ only in what opens the per-event gate end in equal state."""
+
+    VARIANTS = ("untraced", "traced", "budget")
+    Env = collections.namedtuple(
+        "Env", "machine cg f policy progs calls session")
+    #: Adds, hits and enough distinct pages to evict from 16.
+    READS = [*range(12), 0, 3, 5, 0, *range(12, 40), 39, 38, 20]
+
+    def _build(self, slot, kind, variant):
+        machine, cg, f = make_env(limit=16)
+        calls, state = [], {}
+
+        def body(which):
+            def run(folio):
+                calls.append((which, folio.index))
+                if which == slot and kind == "raises" \
+                        and sum(1 for c in calls if c[0] == slot) == 3:
+                    raise RuntimeError("policy bug")
+                if which == "folio_added":
+                    list_add(state["list"], folio, True)
+                elif which == "folio_accessed":
+                    list_move(state["list"], folio, True)
+            return run
+
+        progs = {which: bpf_program(body(which)) for which in SLOTS}
+        if kind == "bare":
+            progs[slot] = body(slot)
+        elif kind == "empty":
+            progs[slot] = None
+        if variant == "budget":
+            machine.set_hook_budget(1e9)       # armed, never trips
+        # Attached directly: the loader refuses a bare callable.
+        policy = CacheExtPolicy(machine, cg,
+                                CacheExtOps(name="probe", **progs))
+        state["list"] = policy.create_list().id
+        cg.ext_policy = policy
+        policy.attached = True
+        names = ["span:close"]
+        if variant == "traced":
+            names += ["cache_ext:hook_entry", "cache_ext:hook_exit"]
+        return self.Env(machine, cg, f, policy, progs, calls,
+                        TraceSession(machine, *names))
+
+    def _drive(self, env, *phases):
+        """Run each phase's callables, one per engine step, then report
+        everything the gate must not move; registry and list membership
+        are recorded after every phase."""
+        machine, cg, f, policy = env[:4]
+        snapshots = []
+
+        def membership():
+            snapshots.append((
+                sorted(folio.index for folio in f.mapping.folios()
+                       if policy.registry.contains(folio)),
+                len(policy.registry),
+                [folio.index for folio in policy.lists[0].items()]))
+
+        steps = [op for phase in phases for op in (*phase, membership)]
+
+        def step(thread, it=iter(steps)):
+            op = next(it, None)
+            if op is None:
+                return False
+            op()
+            return True
+
+        with env.session:
+            thread = machine.spawn("driver", step, cgroup=cg)
+            machine.run()
+        return {
+            "clock_us": thread.clock_us, "cpu_us": thread.cpu_us,
+            "hook_cpu_us": (cg.stats.hook_cpu_us,
+                            machine.page_cache.stats.hook_cpu_us),
+            "invocations": {which: getattr(prog, "invocations", None)
+                            for which, prog in env.progs.items()},
+            "calls": env.calls,
+            "faults": (cg.stats.ext_policy_faults,
+                       cg.stats.watchdog_detaches, policy.attached),
+            "kfunc": [e.data.get("kfunc", 0.0) for e in env.session.events
+                      if e.name == "span:close"],
+            "snapshots": snapshots,
+        }
+
+    @pytest.mark.parametrize("kind",
+                             ["program", "bare", "empty", "raises"])
+    @pytest.mark.parametrize("slot", SLOTS)
+    def test_every_gate_state_same_physics(self, slot, kind):
+        seen = []
+        for variant in self.VARIANTS:
+            env = self._build(slot, kind, variant)
+            machine, cg, f, policy = env[:4]
+            reads = [lambda i=i: machine.fs.read_page(f, i)
+                     for i in self.READS]
+            seen.append(self._drive(
+                env, reads, [lambda: machine.fs.delete("data")]))
+            # The traced machine really took the traced body.
+            hook_events = [e for e in env.session.events
+                           if e.name.startswith("cache_ext:hook_")]
+            assert bool(hook_events) == (variant == "traced")
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0]["hook_cpu_us"][0] > 0
+        resident, registered, listed = seen[0]["snapshots"][0]
+        if kind != "raises":
+            assert len(resident) == registered == 16
+            # Only folio_added's program links a folio on insertion.
+            if (slot, kind) == ("folio_added", "empty"):
+                assert set(listed) < set(resident)
+            else:
+                assert sorted(listed) == resident
+        assert seen[0]["faults"][:2] == ((1, 1) if kind == "raises"
+                                         else (0, 0))
+
+    @pytest.mark.parametrize("kind", ["program", "raises"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_removal_is_the_loop(self, variant, kind):
+        seen = []
+        for batched in (True, False):
+            env = self._build("folio_removed", kind, variant)
+            machine, cg, f, policy = env[:4]
+
+            def remove_all():
+                batch = list(f.mapping.folios())
+                if batched:
+                    policy.folios_removed(batch)
+                    return
+                for folio in batch:
+                    policy.folio_removed(folio)
+                    if not policy.attached:
+                        break
+
+            reads = [lambda i=i: machine.fs.read_page(f, i)
+                     for i in range(10)]
+            seen.append(self._drive(env, reads, [remove_all]))
+        assert seen[0] == seen[1]
+        removed = [c for c in seen[0]["calls"] if c[0] == "folio_removed"]
+        # The third program call raises: the watchdog detaches and the
+        # rest of the batch is no longer dispatched.
+        assert len(removed) == (3 if kind == "raises" else 10)
+        assert seen[0]["faults"][2] == (kind != "raises")

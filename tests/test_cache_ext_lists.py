@@ -1,13 +1,10 @@
 """Eviction-list kfuncs: the Table 2 API and its safety properties."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache_ext import load_policy
-from repro.cache_ext.framework import CacheExtPolicy
 from repro.cache_ext.kfuncs import (DEFAULT_MAX_SCAN, EINVAL, ENOENT, EPERM,
                                     ITER_EVICT, ITER_MOVE, ITER_ROTATE,
                                     ITER_SKIP, ITER_STOP, MODE_SCORING,
@@ -19,7 +16,9 @@ from repro.cache_ext.kfuncs import (DEFAULT_MAX_SCAN, EINVAL, ENOENT, EPERM,
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
-from tests.strategies import STANDARD_SETTINGS, scoring_cases
+from tests.reference.kfuncs import (reference_iterate_simple,
+                                    reference_scoring)
+from tests.strategies import STANDARD_SETTINGS, scoring_cases, simple_cases
 
 
 def attach_empty_policy(machine, cg, name="p"):
@@ -425,25 +424,75 @@ def test_list_membership_invariant(ops):
     assert total_listed == nodes
 
 
-class _SubclassedPolicy(CacheExtPolicy):
-    """Any subclass takes list_iterate's non-inlined charge path."""
+class TestSimpleBatchedCharge:
+    """list_iterate(MODE_SIMPLE), which settles a scan's accounting in
+    one batch, against the loop that charges candidate by candidate."""
 
+    N_LISTED = 40
+    N_PAGES = 72
 
-def _reference_scoring(lst, callback, ctx, limit, want):
-    """The pre-splice selection: sort the whole scanned window, then
-    rotate every non-selected node to the tail one call at a time."""
-    nodes = list(itertools.islice(lst.iter_from_head(), limit))
-    scored = sorted((callback(position, node.item), position)
-                    for position, node in enumerate(nodes))
-    selected = {position for _score, position in scored[:want]}
-    added = 0
-    for position, node in enumerate(nodes):
-        if position in selected:
-            if ctx.add_candidate(node.item):
-                added += 1
-        else:
-            lst.move_to_tail(node)
-    return added
+    def _run(self, case, use_kfunc):
+        machine, cg, policy, f = setup(self.N_PAGES)
+        folios = fault_in(machine, f, cg, self.N_PAGES)
+        list_id, dst_id = list_create(cg), list_create(cg)
+        lst, dst = policy.lists[-2:]
+        for folio in folios[:len(case.verdicts)]:
+            list_add(list_id, folio, True)
+        ctx = EvictionCtx(case.requested)
+        for folio in folios[self.N_LISTED:self.N_LISTED + case.prefilled]:
+            assert ctx.add_candidate(folio)
+        visited = []
+
+        @bpf_program
+        def verdict(i, folio):
+            visited.append(folio.index)
+            return case.verdicts[i]
+
+        out = {}
+
+        def step(thread):
+            base = (cg.stats.hook_cpu_us, thread.clock_us, thread.cpu_us)
+            if use_kfunc:
+                out["rc"] = list_iterate(
+                    cg, list_id, verdict, ctx, MODE_SIMPLE, case.nr_scan,
+                    dst_id if case.with_dst else 0)
+            else:
+                limit = min(case.nr_scan or DEFAULT_MAX_SCAN, len(lst))
+                out["rc"] = reference_iterate_simple(
+                    policy, lst, verdict, ctx, limit,
+                    dst if case.with_dst else None)
+            out["charged"] = tuple(
+                now - then for now, then in zip(
+                    (cg.stats.hook_cpu_us, thread.clock_us, thread.cpu_us),
+                    base))
+            return False
+
+        machine.spawn("reclaimer", step, cgroup=cg)
+        machine.run()
+        lst.check_consistency()
+        dst.check_consistency()
+        return (out["rc"], [folio.index for folio in ctx.candidates],
+                [folio.index for folio in lst.items()],
+                [folio.index for folio in dst.items()], visited,
+                verdict.invocations, policy.kfunc_errors,
+                cg.stats.kfunc_errors), out["charged"], machine
+
+    @given(case=simple_cases(N_LISTED))
+    @STANDARD_SETTINGS
+    def test_same_outcome_and_same_charge(self, case):
+        fast, fast_charged, machine = self._run(case, use_kfunc=True)
+        plain, plain_charged, _ = self._run(case, use_kfunc=False)
+        assert fast == plain
+        visited = len(fast[4])
+        assert fast[5] == visited
+        # One add of n * us against n adds of us: equal to rounding.
+        want = pytest.approx(visited * machine.costs.kfunc_op_us)
+        assert fast_charged == (want, want, want)
+        assert plain_charged == (want, want, want)
+        moved_without_dst = not case.with_dst and visited \
+            and case.verdicts[visited - 1] == ITER_MOVE
+        assert (fast[0] == EINVAL) == bool(moved_without_dst)
+        assert fast[6] == fast[7] == int(bool(moved_without_dst))
 
 
 class TestScoringSplice:
@@ -452,10 +501,8 @@ class TestScoringSplice:
     N_LISTED = 40       # longest list
     N_PAGES = 72        # + up to 31 pre-filled candidates off the list
 
-    def _env(self, case, subclass):
+    def _env(self, case):
         machine, cg, policy, f = setup(self.N_PAGES)
-        if subclass:
-            policy.__class__ = _SubclassedPolicy
         folios = fault_in(machine, f, cg, self.N_PAGES)
         list_id = list_create(cg)
         for folio in folios[:len(case.scores)]:
@@ -467,12 +514,12 @@ class TestScoringSplice:
                   for folio, score in zip(folios, case.scores)}
         return cg, policy.lists[-1], list_id, ctx, scores
 
-    @given(case=scoring_cases(N_LISTED), subclass=st.booleans())
+    @given(case=scoring_cases(N_LISTED))
     @STANDARD_SETTINGS
-    def test_same_candidates_and_list_order(self, case, subclass):
+    def test_same_candidates_and_list_order(self, case):
         outcomes = []
         for use_kfunc in (True, False):
-            cg, lst, list_id, ctx, scores = self._env(case, subclass)
+            cg, lst, list_id, ctx, scores = self._env(case)
 
             def score(i, folio):
                 return scores[folio.id]
@@ -482,7 +529,7 @@ class TestScoringSplice:
                                      MODE_SCORING, case.nr_scan)
             else:
                 limit = min(case.nr_scan or DEFAULT_MAX_SCAN, len(lst))
-                added = _reference_scoring(
+                added = reference_scoring(
                     lst, score, ctx, limit,
                     case.requested - case.prefilled)
             lst.check_consistency()
@@ -493,12 +540,12 @@ class TestScoringSplice:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][3] == len(case.scores)
 
-    @given(case=scoring_cases(N_LISTED), subclass=st.booleans(),
+    @given(case=scoring_cases(N_LISTED),
            bad=st.sampled_from((None, 1.5, "7")), data=st.data())
     @STANDARD_SETTINGS
     def test_non_int_score_is_einval_and_leaves_list_alone(
-            self, case, subclass, bad, data):
-        cg, lst, list_id, ctx, scores = self._env(case, subclass)
+            self, case, bad, data):
+        cg, lst, list_id, ctx, scores = self._env(case)
         scanned = min(case.nr_scan or DEFAULT_MAX_SCAN, len(lst))
         bad_at = data.draw(st.integers(0, scanned - 1))
         before = lst.items()

@@ -19,7 +19,9 @@ import pytest
 from repro.experiments import (admission, fig6, fig7, fig8, fig9, fig10,
                                fig11, table1, table3, table4, table5)
 from repro.experiments.harness import CellSpec, ExperimentSpec
-from repro.experiments.parallel import execute, run_cell
+from repro.experiments.parallel import (UnknownExperimentError,
+                                        _load_experiment, execute, main,
+                                        run_cell)
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -220,3 +222,24 @@ def test_serial_execution_never_forks():
     assert report.result == {"bad": 2, "good-1": 1, "good-2": 3}
     assert report.jobs == 1
     assert all(t.mode == "serial" for t in report.timings)
+
+
+@pytest.mark.parametrize("name", ["nosuch", "harness", "fig6.plan", ""])
+def test_unknown_experiment_is_typed_and_lists_the_known(name):
+    # "harness" is a module of the package, but has no plan().
+    with pytest.raises(UnknownExperimentError) as excinfo:
+        _load_experiment(name)
+    message = str(excinfo.value)
+    assert repr(name) in message
+    for known in [e[0] for e in EXPERIMENTS] + ["chaos"]:
+        assert known in message
+    assert "harness" not in message.split("known experiments are")[1]
+    assert _load_experiment("table3") is table3
+
+
+def test_cli_turns_unknown_experiment_into_exit_status_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["nosuch"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment 'nosuch'" in err and "fig6" in err
