@@ -325,21 +325,35 @@ def strip_timing(doc: dict) -> dict:
     return out
 
 
-def check_against_baseline(doc: dict, baseline_path: str) -> list:
+def check_against_baseline(doc: dict, baseline_path: str,
+                           subset: bool = False) -> list:
     """Compare a fresh run to the committed baseline.
 
     Returns a list of human-readable failures (empty = gate passes):
     any non-timing field mismatch (physics changed — a correctness
-    regression, not a perf one).  Normalised wall-clock is printed old
-    → new per cell and never fails the gate.
+    regression, not a perf one), a baseline written under another
+    ``SCHEMA``, or — unless the run was a deliberate ``subset``
+    (``--experiments``) — a baseline cell the run no longer produces.
+    Normalised wall-clock is printed old → new per cell and never
+    fails the gate.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    failures = []
+    if baseline.get("schema") != doc.get("schema"):
+        return [f"baseline schema {baseline.get('schema')}, runner "
+                f"schema {doc.get('schema')} — regenerate with "
+                f"`python benchmarks/runner.py --quick`"]
     if baseline.get("scale") != doc.get("scale"):
         return [f"scale mismatch: baseline {baseline.get('scale')!r} "
                 f"vs run {doc.get('scale')!r} — rerun with matching "
                 f"flags"]
+    failures = []
+    if not subset:
+        failures += [
+            f"{name}: in the baseline but not in this run (dropped "
+            f"from CORE_SUITE?) — its physics is no longer gated"
+            for name in baseline["experiments"]
+            if name not in doc["experiments"]]
     for name, entry in doc["experiments"].items():
         base = baseline["experiments"].get(name)
         if base is None:
@@ -395,7 +409,8 @@ def main(argv: Optional[list] = None) -> int:
         doc = run_suite(experiments, quick=args.quick, jobs=args.jobs)
 
     if args.check:
-        failures = check_against_baseline(doc, args.baseline)
+        failures = check_against_baseline(
+            doc, args.baseline, subset=args.experiments is not None)
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)

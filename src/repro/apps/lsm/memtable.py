@@ -41,10 +41,6 @@ class MemTable(SnapshotFriendly):
     def __len__(self) -> int:
         return len(self._data)
 
-    @property
-    def approx_bytes(self) -> int:
-        return len(self._data) * self.fmt.record_bytes
-
     def sorted_items(self) -> list[tuple]:
         items = self._sorted
         if items is None:

@@ -163,6 +163,8 @@ def cell(workload: str, scenario: str, horizon_us: float,
     if plan_obj is not None:
         injector = env.machine.arm_faults(plan_obj)
     result = _run_workload(env, workload, params)
+    # Degrading is allowed; breaking a conservation law is not.
+    env.machine.check_invariants()
     metrics = env.machine.metrics()
     cg = metrics.cgroup(env.cgroup.name)
     policy = cg.policy

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.snapshot import SnapshotFriendly
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.trace import NULL_TRACEPOINT
@@ -22,10 +22,6 @@ from repro.sim.resources import Disk, IoCompletion
 class CgroupIoStats:
     read_pages: int = 0
     write_pages: int = 0
-
-    @property
-    def total_pages(self) -> int:
-        return self.read_pages + self.write_pages
 
 
 class BlockDevice(Disk, SnapshotFriendly):
@@ -48,122 +44,92 @@ class BlockDevice(Disk, SnapshotFriendly):
         self._tp_issue = registry.tracepoint("block:io_issue")
         self._tp_complete = registry.tracepoint("block:io_complete")
 
-    def _cgroup_id(self, thread: SimThread) -> int:
-        if thread is not None and thread.cgroup is not None:
-            return thread.cgroup.id
-        return 0
-
     def _trace_io(self, thread: SimThread, op: str, npages: int,
                   completion: IoCompletion) -> None:
-        cgroup = (thread.cgroup.name if thread.cgroup is not None
-                  else "root")
         tp = self._tp_issue
         if tp.enabled:
-            tp.emit(completion.issue_us, cgroup, thread.tid, op=op,
-                    pages=npages, queue_depth=completion.queue_depth)
+            tp.emit(completion.issue_us, thread.cgroup_name, thread.tid,
+                    op=op, pages=npages, queue_depth=completion.queue_depth)
         tp = self._tp_complete
         if tp.enabled:
-            tp.emit(completion.done_us, cgroup, thread.tid, op=op,
-                    pages=npages, latency_us=completion.latency_us,
+            tp.emit(completion.done_us, thread.cgroup_name, thread.tid,
+                    op=op, pages=npages, latency_us=completion.latency_us,
                     wait_us=completion.wait_us,
                     service_us=completion.service_us,
                     queue_depth=completion.queue_depth)
+
+    def _request(self, thread: SimThread, op: str, base_us: float,
+                 npages: int, contiguous: bool) -> Optional[IoCompletion]:
+        """Service one fault-free request from an engine thread: what
+        :meth:`read` and :meth:`write` share."""
+        # Single-random-page requests dominate cache-miss traffic and
+        # need no per-page discount arithmetic.
+        if npages == 1 and not contiguous:
+            service_us = base_us
+        else:
+            service_us = self._service_us(base_us, npages, contiguous)
+        tracing = self._tp_issue.enabled or self._tp_complete.enabled
+        if tracing or thread.span is not None:
+            completion = self._submit(thread, service_us)
+            if tracing:
+                self._trace_io(thread, op, npages, completion)
+            return completion
+        # No consumer for the completion record: run _submit's
+        # channel/clock arithmetic without building one (the
+        # IoCompletion dataclass plus the queue-depth scan cost real
+        # time on every cache miss).
+        free_at = self._free_at
+        best = min(free_at)
+        idx = free_at.index(best)
+        issue_us = thread.clock_us
+        start = issue_us if best <= issue_us else best
+        done = start + service_us
+        free_at[idx] = done
+        self.stats.busy_us += service_us
+        if done > issue_us:
+            thread.clock_us = done
+        return None
 
     def read(self, thread: SimThread, npages: int = 1,
              contiguous: bool = False) -> Optional[IoCompletion]:
         if thread is None:
             thread = current_thread()
+        # Outside the engine (unit tests): account, no timing.
+        completion = None
         if thread is not None:
             faults = self._faults
             if faults is not None:
                 return faults.device_io(self, thread, "read", npages,
                                         contiguous)
-            # Inlined Disk.read (service time + submit + counters): one
-            # request per cache miss makes the extra super() frame
-            # measurable.  Stats are bumped in the same order.
-            if npages == 1 and not contiguous:
-                service_us = self.read_us
-            else:
-                service_us = self._service_us(self.read_us, npages,
-                                              contiguous)
-            if (thread.span is None and not self._tp_issue.enabled
-                    and not self._tp_complete.enabled):
-                # No consumer for the completion record: run the same
-                # channel/clock arithmetic without building one (the
-                # IoCompletion dataclass plus the queue-depth scan cost
-                # real time on every cache miss).
-                completion = None
-                free_at = self._free_at
-                best = min(free_at)
-                idx = free_at.index(best)
-                issue_us = thread.clock_us
-                start = issue_us if best <= issue_us else best
-                done = start + service_us
-                free_at[idx] = done
-                self.stats.busy_us += service_us
-                if done > thread.clock_us:
-                    thread.clock_us = done
-            else:
-                completion = self._submit(thread, service_us)
-            stats = self.stats
-            stats.reads += 1
-            stats.read_pages += npages
+            completion = self._request(thread, "read", self.read_us,
+                                       npages, contiguous)
             cgroup = thread.cgroup
             self.per_cgroup[cgroup.id if cgroup is not None else 0] \
                 .read_pages += npages
-            if completion is not None and (self._tp_issue.enabled
-                                           or self._tp_complete.enabled):
-                self._trace_io(thread, "read", npages, completion)
-            return completion
-        # Outside the engine (unit tests): account, no timing.
-        self.stats.reads += 1
-        self.stats.read_pages += npages
-        return None
+        stats = self.stats
+        stats.reads += 1
+        stats.read_pages += npages
+        return completion
 
     def write(self, thread: SimThread, npages: int = 1,
               contiguous: bool = False) -> Optional[IoCompletion]:
         if thread is None:
             thread = current_thread()
+        completion = None
         if thread is not None:
             faults = self._faults
             if faults is not None:
                 return faults.device_io(self, thread, "write", npages,
                                         contiguous)
-            # Inlined Disk.write (see read).
-            if npages == 1 and not contiguous:
-                service_us = self.write_us
-            else:
-                service_us = self._service_us(self.write_us, npages,
-                                              contiguous)
-            if (thread.span is None and not self._tp_issue.enabled
-                    and not self._tp_complete.enabled):
-                # Completion-free fast path; see read().
-                completion = None
-                free_at = self._free_at
-                best = min(free_at)
-                idx = free_at.index(best)
-                issue_us = thread.clock_us
-                start = issue_us if best <= issue_us else best
-                done = start + service_us
-                free_at[idx] = done
-                self.stats.busy_us += service_us
-                if done > thread.clock_us:
-                    thread.clock_us = done
-            else:
-                completion = self._submit(thread, service_us)
-            stats = self.stats
-            stats.writes += 1
-            stats.write_pages += npages
+            completion = self._request(thread, "write", self.write_us,
+                                       npages, contiguous)
             cgroup = thread.cgroup
             self.per_cgroup[cgroup.id if cgroup is not None else 0] \
                 .write_pages += npages
-            if completion is not None and (self._tp_issue.enabled
-                                           or self._tp_complete.enabled):
-                self._trace_io(thread, "write", npages, completion)
-            return completion
-        self.stats.writes += 1
-        self.stats.write_pages += npages
-        return None
+        stats = self.stats
+        stats.writes += 1
+        stats.write_pages += npages
+        return completion
 
     def cgroup_io(self, cgroup_id: int) -> CgroupIoStats:
         return self.per_cgroup[cgroup_id]

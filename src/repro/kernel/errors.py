@@ -32,3 +32,8 @@ class EIO(KernelError):
 
 class ETIMEDOUT(KernelError):
     """A block-device request exceeded its completion deadline."""
+
+
+class InvariantViolation(AssertionError):
+    """A page-cache conservation law does not hold; the message lists
+    every broken one (:meth:`Machine.check_invariants`)."""

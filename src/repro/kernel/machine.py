@@ -14,6 +14,7 @@ from typing import Callable, Optional
 from repro.ebpf.struct_ops import StructOpsRegistry
 from repro.kernel.block import BlockDevice
 from repro.kernel.cgroup import MemCgroup
+from repro.kernel.errors import InvariantViolation
 from repro.kernel.page_cache import PageCache
 from repro.kernel.vfs import Filesystem
 from repro.obs.metrics import CgroupMetrics, MachineMetrics, \
@@ -257,6 +258,62 @@ class Machine(SnapshotFriendly):
         if isinstance(cgroup, str):
             cgroup = self.cgroup(cgroup)
         return snapshot_cgroup(self, cgroup)
+
+    # ------------------------------------------------------------------
+    # invariants
+    # ------------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Check the page cache's conservation laws, at rest (between
+        engine steps), over every live file and every cgroup:
+
+        * a cgroup's charge equals its resident folio count and does
+          not exceed its limit;
+        * ``lookups == hits + misses``, per cgroup and machine-wide;
+        * an attached cache_ext policy's registry holds exactly the
+          cgroup's resident folios, and no folio sits on two of its
+          eviction lists.
+
+        Raises :class:`InvariantViolation` listing each broken law.
+        """
+        resident: dict = {}
+        for f in self.fs.files():
+            for folio in f.mapping.folios():
+                resident.setdefault(folio.memcg, []).append(folio)
+        broken = []
+
+        def law(holds: bool, message: str) -> None:
+            if not holds:
+                broken.append(message)
+
+        def lookups_add_up(who: str, stats) -> None:
+            law(stats.lookups == stats.hits + stats.misses,
+                f"{who}: lookups {stats.lookups} != hits {stats.hits} "
+                f"+ misses {stats.misses}")
+
+        lookups_add_up("machine", self.page_cache.stats)
+        for cg in self._cgroups.values():
+            who = f"cgroup {cg.name}"
+            folios = resident.get(cg, ())
+            n = len(folios)
+            lookups_add_up(who, cg.stats)
+            law(cg.charged_pages == n,
+                f"{who}: charge {cg.charged_pages} != resident {n}")
+            law(not cg.over_limit,
+                f"{who}: charge {cg.charged_pages} > limit {cg.limit_pages}")
+            policy = cg.ext_policy
+            if policy is None:
+                continue
+            law(len(policy.registry) == n,
+                f"{who}: registry size {len(policy.registry)} != resident {n}")
+            law(all(map(policy.holds_reference, folios)),
+                f"{who}: a resident folio is not in the registry")
+            listed = [folio.id for lst in policy.lists
+                      for folio in lst.folios()]
+            law(len(listed) == len(set(listed)),
+                f"{who}: a folio is on two eviction lists")
+        if broken:
+            raise InvariantViolation(
+                "page-cache invariants violated:\n  " + "\n  ".join(broken))
 
     # ------------------------------------------------------------------
     # threads

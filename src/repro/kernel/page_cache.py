@@ -12,8 +12,10 @@ This module is the seam where everything meets.  It owns:
   *validation* against the valid-folio registry and pin counts (§4.4),
   and the **eviction fallback** to the kernel policy when a custom
   policy underdelivers;
-* the **removal path** shared by eviction and truncation — the paper's
-  distinction between "request for eviction" and "folio removal".
+* the **removal paths** — the paper's distinction between a "request
+  for eviction" (:meth:`PageCache._evict_batch`, per folio) and a
+  "folio removal" that bypasses it
+  (:meth:`PageCache.remove_folios_no_shadow`, grouped per cgroup).
 """
 
 from __future__ import annotations
@@ -116,11 +118,6 @@ class PageCache(SnapshotFriendly):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _charge_cpu(self, us: float) -> None:
-        thread = current_thread()
-        if thread is not None:
-            thread.advance(us)
-
     def _current_cgroup(self) -> MemCgroup:
         thread = current_thread()
         if thread is not None and thread.cgroup is not None:
@@ -150,10 +147,6 @@ class PageCache(SnapshotFriendly):
     # ------------------------------------------------------------------
     # access path
     # ------------------------------------------------------------------
-    def lookup(self, mapping: AddressSpace, index: int) -> Optional[Folio]:
-        """Find a resident folio without touching recency state."""
-        return mapping.lookup(index)
-
     def mark_accessed(self, folio: Folio, update_recency: bool = True) -> None:
         """``folio_mark_accessed``: record a hit on a resident folio.
 
@@ -432,15 +425,15 @@ class PageCache(SnapshotFriendly):
 
     def _evict_batch(self, memcg: MemCgroup, ext, candidates: list[Folio],
                      fallback_from: int) -> int:
-        """Complete eviction for a whole validated candidate batch.
+        """Complete eviction for a validated candidate batch — the one
+        body of the paper's "request for eviction".
 
-        Per-folio *simulated* behaviour is identical to calling
-        :meth:`evict_folio` in a loop — writeback, shadow entry, list
-        unlink and CPU charges happen folio by folio in the same order,
-        so disk queueing and virtual time are unchanged.  What the
-        batch saves is Python dispatch: stats objects, tracepoints, the
-        disk, the kernel policy and the CPU-cost constants are bound
-        once per 32-folio batch instead of re-resolved per folio.
+        Writeback, shadow entry, unmap, both policies' notification,
+        uncharge and the CPU charge happen folio by folio, in that
+        order, so disk queueing and virtual time are those of a
+        per-folio loop; stats objects, tracepoints, the disk, the
+        kernel policy and the CPU-cost constants are bound once per
+        batch.  :meth:`evict_folio` is a batch of one.
         """
         disk_write = self.machine.disk.write
         thread = current_thread()
@@ -554,73 +547,27 @@ class PageCache(SnapshotFriendly):
         if span is not None:
             sect = span.begin_section("reclaim_stall", thread.clock_us)
         try:
-            if folio.dirty:
-                try:
-                    self.machine.disk.write(thread, 1)
-                except (EIO, ETIMEDOUT):
-                    # Writeback failed: leave the folio dirty+resident.
-                    memcg.stats.writeback_errors += 1
-                    self.stats.writeback_errors += 1
-                    return False
-                folio.dirty = False
-                memcg.stats.writebacks += 1
-                self.stats.writebacks += 1
-                tp = self._tp_writeback
-                if tp.enabled:
-                    ts, tid = self._trace_point()
-                    tp.emit(ts, memcg.name, tid,
-                            file=folio.mapping.file_id,
-                            index=folio.index)
-            shadow = make_shadow(
-                memcg,
-                workingset=folio.active or folio.workingset,
-                tier=memcg.kernel_policy.eviction_tier(folio))
-            folio.mapping.store_shadow(folio.index, shadow)
-            file_id = folio.mapping.file_id
-            index = folio.index
-            active = folio.active
-            self._remove_folio(folio, memcg)
-            memcg.eviction_clock += 1
-            memcg.stats.evictions += 1
-            self.stats.evictions += 1
-            tp = self._tp_evict
-            if tp.enabled:
-                ts, tid = self._trace_point()
-                tp.emit(ts, memcg.name, tid, file=file_id, index=index,
-                        active=1 if active else 0,
-                        charged=memcg.charged_pages)
-            self._charge_cpu(self.machine.costs.evict_us)
-            return True
+            # ext=None: a direct eviction is never a fallback eviction.
+            return self._evict_batch(memcg, None, (folio,), 1) == 1
         finally:
             if span is not None:
                 span.end_section(thread.clock_us, sect)
 
-    def remove_folio_no_shadow(self, folio: Folio) -> None:
-        """Removal outside the eviction path (truncate/file delete).
+    def remove_folios_no_shadow(self, folios) -> None:
+        """Removal outside the eviction path (truncate, file delete, a
+        read that failed after its folios were inserted).
 
         This is the paper's "folio removal" event that bypasses the
         eviction request: policies are told to clean up metadata, no
-        shadow entry is left.
+        shadow entry is left.  The whole batch goes through one
+        ``folios_removed`` dispatch per cgroup policy instead of
+        re-entering the policy layer per folio.  Safe to batch because
+        this path does no I/O and leaves no shadow entries: regrouping
+        the per-folio hook charges does not move any disk request in
+        virtual time.
         """
-        memcg = folio.memcg
-        if folio.mapping is None:
-            return
-        self._remove_folio(folio, memcg)
-
-    def remove_folios_no_shadow(self, folios) -> None:
-        """Batched removal outside the eviction path (truncate/delete).
-
-        The whole batch goes through one ``folios_removed`` dispatch
-        per cgroup policy instead of re-entering the policy layer per
-        folio.  Safe to batch because this path does no I/O and leaves
-        no shadow entries: regrouping the per-folio hook charges does
-        not move any disk request in virtual time.
-        """
-        batch = [folio for folio in folios if folio.mapping is not None]
-        if not batch:
-            return
         by_memcg: dict = {}
-        for folio in batch:
+        for folio in [fo for fo in folios if fo.mapping is not None]:
             folio.mapping.remove(folio)
             group = by_memcg.get(folio.memcg)
             if group is None:
@@ -635,10 +582,3 @@ class PageCache(SnapshotFriendly):
             if ext is not None:
                 ext.folios_removed(group)
             memcg.uncharge(len(group))
-
-    def _remove_folio(self, folio: Folio, memcg: MemCgroup) -> None:
-        folio.mapping.remove(folio)
-        memcg.kernel_policy.folio_removed(folio)
-        if memcg.ext_policy is not None:
-            memcg.ext_policy.folio_removed(folio)
-        memcg.uncharge()

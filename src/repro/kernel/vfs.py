@@ -23,7 +23,6 @@ import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel.address_space import AddressSpace
-from repro.kernel.cgroup import MemCgroup
 from repro.kernel.errors import EBADF, EINVAL, EIO, ETIMEDOUT
 from repro.sim.engine import current_thread
 
@@ -232,8 +231,9 @@ class Filesystem(SnapshotFriendly):
                 span = self._spans.open(_thread, "vfs.read")
         try:
             cache = self.machine.page_cache
-            # Inlined _update_seq_state: read_page runs once per access
-            # and the helper frame is measurable on miss-heavy
+            # Sequential-detection state (feeds the readahead
+            # heuristic), updated in line: read_page runs once per
+            # access and a helper frame is measurable on miss-heavy
             # workloads.
             if index == f.last_read_index + 1:
                 f.seq_streak += 1
@@ -279,7 +279,7 @@ class Filesystem(SnapshotFriendly):
                 return f.store.get(index)
 
             folio.pin_count += 1  # inlined folio.pin()
-            ra_folios = None
+            ra_folios = []
             try:
                 try:
                     inserted = 1
@@ -287,7 +287,6 @@ class Filesystem(SnapshotFriendly):
                         # Track inserted readahead folios: a read that
                         # fails after retries must not leave folios
                         # whose data never arrived in the cache.
-                        ra_folios = []
                         for ra_index in ra_indices:
                             raf = cache.add_folio(f.mapping, ra_index,
                                                   memcg)
@@ -311,9 +310,7 @@ class Filesystem(SnapshotFriendly):
                 # Retries exhausted: the pages never arrived.  Drop the
                 # optimistically inserted folios (no shadow entry — the
                 # data was never resident) and surface the typed error.
-                cache.remove_folio_no_shadow(folio)
-                if ra_folios:
-                    cache.remove_folios_no_shadow(ra_folios)
+                cache.remove_folios_no_shadow([folio, *ra_folios])
                 raise
             return f.store.get(index)
         finally:
@@ -467,27 +464,17 @@ class Filesystem(SnapshotFriendly):
         store_get = f.store.get
         return [store_get(index) for index in range(start, end)]
 
-    def _update_seq_state(self, f: SimFile, index: int) -> None:
-        if index == f.last_read_index + 1:
-            f.seq_streak += 1
-        else:
-            f.seq_streak = 0
-        f.last_read_index = index
-
     def _readahead_indices(self, f: SimFile, index: int,
-                           memcg=None) -> list[int]:
-        """Pages to prefetch alongside a missed read.
+                           memcg) -> list[int]:
+        """Pages to prefetch alongside a missed read by ``memcg``.
 
         A cache_ext policy with the ``readahead`` extension hook (§7's
         FetchBPF integration) decides the window directly; otherwise
         the kernel heuristic applies: readahead arms after a short
         sequential streak and reads up to the file's window, with
         FADV_SEQUENTIAL doubling the window and FADV_RANDOM disabling
-        it, as in Linux.  ``memcg`` lets the miss path reuse the cgroup
-        it already resolved.
+        it, as in Linux.
         """
-        if memcg is None:
-            memcg = self.machine.page_cache._current_cgroup()
         window = None
         if memcg.ext_policy is not None:
             hint = memcg.ext_policy.readahead_hint(

@@ -297,10 +297,3 @@ class Engine(SnapshotFriendly):
                     # order from one sift instead of two.
                     clock, _seq, thread = heappushpop(
                         heap, (clock, next_seq(), thread))
-
-    def run_single(self, name: str, step_fn: Callable[[SimThread], bool],
-                   cgroup=None) -> SimThread:
-        """Convenience: spawn one thread and run it to completion."""
-        thread = self.spawn(name, step_fn, cgroup=cgroup)
-        self.run()
-        return thread

@@ -201,6 +201,3 @@ class Disk:
         instantaneous queue-depth gauge the telemetry sampler records
         (same definition as ``IoCompletion.queue_depth`` at issue)."""
         return sum(1 for t in self._free_at if t > now_us)
-
-    def reset_stats(self) -> None:
-        self.stats = DiskStats()

@@ -153,102 +153,60 @@ class YcsbRunner:
         self._insert_counter = [nkeys]
         self._keys = streams.key_strings(nkeys)
 
-    def _make_chooser(self, seed: int):
-        return streams.make_ycsb_chooser(self.spec, self.nkeys, seed,
-                                         self.zipf_theta,
-                                         self.latest_theta)
+    def _step(self, worker: int, total: int, warmup: int, pregen: bool):
+        """Step function for one worker: ``total`` ops, the first
+        ``warmup`` of them discarded.
 
-    def _key(self, index: int) -> str:
-        # Keys in the loaded keyspace come from the shared formatted
-        # list; inserted keys past it format on demand.
-        if index < self.nkeys:
-            return self._keys[index]
-        return key_of(index)
-
-    def _do_op(self, thread: "SimThread", kind: int, index: int,
-               scan_len: int, counter: int) -> None:
-        """Execute one already-drawn op (shared by replay + on-line)."""
-        result = self.result
-        name = OP_NAMES[kind]
-        result.op_counts[name] = result.op_counts.get(name, 0) + 1
-        thread.advance(self.db.machine.costs.app_op_us)
-        if kind == OP_INSERT:
-            index = self._insert_counter[0]
-            self._insert_counter[0] += 1
-            self.db.put(key_of(index), ("new", counter))
-            return
-        # "latest" can point at inserts not yet performed in other
-        # threads' views; clamp to the loaded keyspace + done inserts.
-        limit = self._insert_counter[0] - 1
-        if index > limit:
-            index = limit
-        key = self._key(index)
-        if kind == OP_READ:
-            start = thread.clock_us
-            value = self.db.get(key)
-            result.read_latency.record(thread.clock_us - start)
-            if value is None:
-                result.missing_keys += 1
-        elif kind == OP_UPDATE:
-            self.db.put(key, ("u", counter))
-        elif kind == OP_SCAN:
-            self.db.scan(key, scan_len)
-        else:  # rmw
-            start = thread.clock_us
-            value = self.db.get(key)
-            result.read_latency.record(thread.clock_us - start)
-            if value is None:
-                result.missing_keys += 1
-            self.db.put(key, ("rmw", counter))
-
-    def _run_op(self, thread: "SimThread", rng: random.Random,
-                chooser, counter: int) -> None:
-        """Draw one op on line and execute it (the fallback path for
-        streams too long to pre-generate)."""
-        kind = streams.draw_op_kind(rng, self.spec)
-        if kind == OP_INSERT:
-            if isinstance(chooser, LatestGenerator):
-                chooser.advance()
-            self._do_op(thread, kind, -1, 0, counter)
-            return
-        index = chooser.next()
-        scan_len = (1 + rng.randrange(self.spec.max_scan_len)
-                    if kind == OP_SCAN else 0)
-        self._do_op(thread, kind, index, scan_len, counter)
-
-    def _replay_step(self, worker: int, total: int, warmup: int):
-        """Step function replaying one worker's pre-generated stream.
-
-        The op body is inlined rather than routed through
-        :meth:`_do_op` — one step runs per operation, and the shared
-        helper frame plus a fresh throwaway ``YcsbResult`` per warmup
-        op are measurable at sweep scale.  Behaviour mirrors
-        :meth:`_do_op` exactly (same charge, same latest-clamp, same
-        counter updates); ``_do_op`` remains the readable reference
-        used by the on-line sampling path.
+        Ops come from the worker's pre-generated stream, or are drawn
+        on line in the order :func:`streams.ycsb_stream` documents
+        (streams too long to pre-generate); one op body serves both.
         """
-        stream = streams.ycsb_stream(self.spec, self.nkeys, total,
-                                     self.seed, worker,
-                                     self.zipf_theta, self.latest_theta)
-        kinds, indices, lengths = (stream.kinds, stream.indices,
-                                   stream.lengths)
+        spec = self.spec
+        if pregen:
+            stream = streams.ycsb_stream(spec, self.nkeys, total,
+                                         self.seed, worker,
+                                         self.zipf_theta, self.latest_theta)
+            kinds, indices, lengths = (stream.kinds, stream.indices,
+                                       stream.lengths)
+        else:
+            kinds = None
+            rng = random.Random(self.seed * 1000 + worker)
+            chooser = streams.make_ycsb_chooser(
+                spec, self.nkeys, self.seed * 77 + worker,
+                self.zipf_theta, self.latest_theta)
+            is_latest = isinstance(chooser, LatestGenerator)
+            max_scan_len = spec.max_scan_len
         db = self.db
         app_op_us = db.machine.costs.app_op_us
         keys = self._keys
         nkeys = self.nkeys
         insert_counter = self._insert_counter
-        #: Warmup ops record into this one reused sink (the on-line
-        #: path allocates per op; here that would be 40% of all ops).
-        discard = YcsbResult(self.spec.name)
+        #: Warmup ops record into this one reused sink.
+        discard = YcsbResult(spec.name)
         pos = [0]
         window_start = [0.0]
 
-        def step(thread) -> bool:
+        def step(thread: "SimThread") -> bool:
             i = pos[0]
             if i >= total:
                 return False
             pos[0] = i + 1
-            kind = kinds[i]
+            # Lazy decode: an index only for non-inserts (an insert's
+            # comes from the shared counter), a length only for scans.
+            if kinds is not None:
+                kind = kinds[i]
+                if kind != OP_INSERT:
+                    index = indices[i]
+                    if kind == OP_SCAN:
+                        scan_len = lengths[i]
+            else:
+                kind = streams.draw_op_kind(rng, spec)
+                if kind != OP_INSERT:
+                    index = chooser.next()
+                    if kind == OP_SCAN:
+                        scan_len = 1 + rng.randrange(max_scan_len)
+                elif is_latest:
+                    chooser.advance()
             measured = i >= warmup
             result = self.result if measured else discard
             counts = result.op_counts
@@ -263,12 +221,15 @@ class YcsbRunner:
                 insert_counter[0] = index + 1
                 db.put(key_of(index), ("new", counter))
             else:
-                index = indices[i]
                 # "latest" can point at inserts not yet performed in
-                # other threads' views; clamp like _do_op.
+                # other threads' views; clamp to the loaded keyspace +
+                # done inserts.
                 limit = insert_counter[0] - 1
                 if index > limit:
                     index = limit
+                # Keys in the loaded keyspace come from the shared
+                # formatted list; inserted keys past it format on
+                # demand.
                 key = keys[index] if index < nkeys else key_of(index)
                 if kind == OP_READ:
                     start = thread.clock_us
@@ -280,7 +241,7 @@ class YcsbRunner:
                 elif kind == OP_UPDATE:
                     db.put(key, ("u", counter))
                 elif kind == OP_SCAN:
-                    db.scan(key, lengths[i] if lengths is not None else 0)
+                    db.scan(key, scan_len)
                 else:  # rmw
                     start = thread.clock_us
                     value = db.get(key)
@@ -296,39 +257,6 @@ class YcsbRunner:
                     result.elapsed_us = elapsed
             else:
                 window_start[0] = thread.clock_us
-            return True
-
-        return step
-
-    def _online_step(self, worker: int, warmup_per_thread: int,
-                     per_thread: int):
-        """Step function sampling on line (oversized streams)."""
-        rng = random.Random(self.seed * 1000 + worker)
-        chooser = self._make_chooser(self.seed * 77 + worker)
-        remaining = [per_thread]
-        warmup_left = [warmup_per_thread]
-        window_start = [0.0]
-
-        def step(thread) -> bool:
-            if warmup_left[0] > 0:
-                # Warmup: same op stream, results discarded.
-                saved = self.result
-                self.result = YcsbResult(self.spec.name)
-                try:
-                    self._run_op(thread, rng, chooser, 0)
-                finally:
-                    self.result = saved
-                warmup_left[0] -= 1
-                window_start[0] = thread.clock_us
-                return True
-            if remaining[0] <= 0:
-                return False
-            self._run_op(thread, rng, chooser, self.result.ops)
-            remaining[0] -= 1
-            self.result.ops += 1
-            self.result.elapsed_us = max(
-                self.result.elapsed_us,
-                thread.clock_us - window_start[0])
             return True
 
         return step
@@ -362,18 +290,12 @@ class YcsbRunner:
         total = warmup_per_thread + per_thread
         pregen = (self.pregen if self.pregen is not None
                   else total <= STREAM_PREGEN_MAX)
-        threads = []
-        for worker in range(self.nthreads):
-            if pregen:
-                step = self._replay_step(worker, total,
-                                         warmup_per_thread)
-            else:
-                step = self._online_step(worker, warmup_per_thread,
-                                         per_thread)
-            threads.append(self.db.machine.spawn(
-                f"ycsb-{self.spec.name}-{worker}", step,
-                cgroup=self.db.cgroup))
-        return threads
+        return [
+            self.db.machine.spawn(
+                f"ycsb-{self.spec.name}-{worker}",
+                self._step(worker, total, warmup_per_thread, pregen),
+                cgroup=self.db.cgroup)
+            for worker in range(self.nthreads)]
 
     def run(self) -> YcsbResult:
         self.spawn()

@@ -9,6 +9,7 @@ benchmark driver.  This file makes it surface here, in seconds.
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
 import types
 
@@ -22,11 +23,11 @@ LAYERED = pathlib.Path(__file__).resolve().parent.parent \
     / "benchmarks" / "layered"
 
 
-def load_by_path(name: str):
-    """Import ``benchmarks/layered/<name>.py`` under a private module
-    name (``trace.py`` would otherwise shadow the stdlib's)."""
+def load_by_path(name: str, directory: pathlib.Path = LAYERED):
+    """Import ``<directory>/<name>.py`` under a private module name
+    (``trace.py`` would otherwise shadow the stdlib's)."""
     spec = importlib.util.spec_from_file_location(
-        f"_layered_{name}", LAYERED / f"{name}.py")
+        f"_{directory.name}_{name}", directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -78,3 +79,65 @@ def test_repro_imports_resolve(name):
             if not hasattr(module, attr):
                 # ``from package import submodule``
                 importlib.import_module(f"{module_name}.{attr}")
+
+
+# ----------------------------------------------------------------------
+# benchmarks/runner.py --check: the physics gate must not pass by
+# looking at less.  Hand-built two-cell documents; no suite run.
+# ----------------------------------------------------------------------
+def _cell(sha: str) -> dict:
+    return {"cells": 8, "rows": 1, "table_sha256": sha,
+            "ops_per_sec": {"C/lfu": 1.0}, "hit_ratios": {"C/lfu": 0.5},
+            "timing": {"work_units": 1.0}}
+
+
+@pytest.fixture
+def gate(tmp_path):
+    runner = load_by_path("runner", LAYERED.parent)
+    doc = {"schema": runner.SCHEMA, "suite": "core", "scale": "quick",
+           "experiments": {"fig6": _cell("aa"), "fig9": _cell("bb")}}
+    path = tmp_path / "baseline.json"
+
+    def check(baseline: dict, run: dict, **kwargs) -> list:
+        path.write_text(json.dumps(baseline))
+        return runner.check_against_baseline(run, str(path), **kwargs)
+
+    return doc, check
+
+
+def without(doc: dict, name: str) -> dict:
+    cells = {k: v for k, v in doc["experiments"].items() if k != name}
+    return {**doc, "experiments": cells}
+
+
+def test_gate_passes_on_equal_documents(gate):
+    doc, check = gate
+    assert check(doc, doc) == []
+
+
+def test_gate_names_a_cell_the_run_dropped(gate):
+    doc, check = gate
+    failures = check(doc, without(doc, "fig9"))
+    assert len(failures) == 1
+    assert "fig9" in failures[0] and "CORE_SUITE" in failures[0]
+    # --experiments asks for a subset on purpose.
+    assert check(doc, without(doc, "fig9"), subset=True) == []
+    # A cell the baseline has never seen has nothing to regress against.
+    assert check(without(doc, "fig9"), doc) == []
+
+
+def test_gate_refuses_a_baseline_of_another_schema(gate):
+    doc, check = gate
+    failures = check({**doc, "schema": doc["schema"] + 1}, doc)
+    assert failures == [
+        f"baseline schema {doc['schema'] + 1}, runner schema "
+        f"{doc['schema']} — regenerate with "
+        f"`python benchmarks/runner.py --quick`"]
+
+
+def test_gate_still_fails_on_changed_physics(gate):
+    doc, check = gate
+    moved = {**doc, "experiments": {**doc["experiments"],
+                                    "fig9": _cell("cc")}}
+    failures = check(doc, moved)
+    assert len(failures) == 1 and "table_sha256" in failures[0]

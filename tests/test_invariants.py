@@ -1,8 +1,9 @@
 """Whole-stack invariants under randomized operation sequences.
 
 Hypothesis drives random mixes of reads, writes, fadvise calls, file
-deletions and policy attach/detach against one machine, then checks
-the conservation laws the kernel substrate must uphold:
+deletions and policy attach/detach against one machine — fault-free
+and with a flaky disk armed — then checks the conservation laws the
+kernel substrate must uphold (``Machine.check_invariants``):
 
 * a cgroup's charge equals its resident folio count;
 * the cgroup never exceeds its limit at rest;
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache_ext import load_policy, unload_policy
+from repro.faults.plan import DeviceFault, FaultPlan
 from repro.kernel import FAdvice, Machine
+from repro.kernel.errors import EIO, InvariantViolation
 from repro.policies import GENERIC_POLICIES
 
 LIMIT = 24
@@ -29,26 +32,6 @@ op_strategy = st.one_of(
     st.tuples(st.just("willneed"), st.integers(0, NPAGES - 1)),
     st.tuples(st.just("fsync"), st.integers(0, 0)),
 )
-
-
-def check_invariants(machine, cg, files):
-    resident = sum(f.mapping.nr_folios for f in files
-                   if not f.deleted)
-    assert cg.charged_pages == resident
-    assert cg.charged_pages <= LIMIT
-    stats = cg.stats
-    assert stats.lookups == stats.hits + stats.misses
-    policy = cg.ext_policy
-    if policy is not None:
-        assert len(policy.registry) == resident
-        listed = set()
-        for lst in policy.lists:
-            for folio in lst.folios():
-                assert folio.id not in listed, "folio on two lists"
-                listed.add(folio.id)
-        for f in files:
-            for folio in f.mapping.folios():
-                assert policy.registry.contains(folio)
 
 
 @pytest.mark.parametrize("policy_name",
@@ -86,7 +69,7 @@ def test_invariants_under_random_ops(policy_name, ops):
 
     machine.spawn("ops", step, cgroup=cg)
     machine.run()
-    check_invariants(machine, cg, [f])
+    machine.check_invariants()
 
 
 @settings(max_examples=15, deadline=None)
@@ -121,7 +104,7 @@ def test_invariants_across_policy_swaps(ops, swap_at):
 
     machine.spawn("swapper", step, cgroup=cg)
     machine.run()
-    check_invariants(machine, cg, [f])
+    machine.check_invariants()
 
 
 @settings(max_examples=10, deadline=None)
@@ -158,4 +141,93 @@ def test_invariants_with_file_deletion(ops):
 
     machine.spawn("deleter", step, cgroup=cg)
     machine.run()
-    check_invariants(machine, cg, files)
+    machine.check_invariants()
+
+
+faulty_op_strategy = st.one_of(
+    op_strategy,
+    # Runs of consecutive pages arm readahead, so a failed read has
+    # readahead folios to take back out as well.
+    st.tuples(st.just("read_run"), st.integers(0, NPAGES - 6)),
+    st.tuples(st.just("read_range"), st.integers(0, NPAGES - 6)),
+    st.tuples(st.just("delete"), st.just(0)),
+)
+
+
+@pytest.mark.parametrize("policy_name", [None, "lfu"])
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(faulty_op_strategy, min_size=1, max_size=60),
+       seed=st.integers(0, 5))
+def test_invariants_after_every_op_on_a_flaky_disk(policy_name, ops, seed):
+    """Most device requests fail, so retries run out often: the
+    failed-read cleanup, DONTNEED's single evictions, failed writeback
+    and unlink must each leave every law standing."""
+    machine = Machine()
+    cg = machine.new_cgroup("t", limit_pages=LIMIT)
+    if policy_name is not None:
+        load_policy(machine, cg, GENERIC_POLICIES[policy_name]())
+    machine.arm_faults(FaultPlan(seed=seed, device=(
+        DeviceFault(kind="eio", prob=0.7),)))
+    state = {"generation": 0, "failed": 0}
+
+    def new_file():
+        f = machine.fs.create(f"data{state['generation']}")
+        state["generation"] += 1
+        for i in range(NPAGES):
+            f.store[i] = i
+        f.npages = NPAGES
+        return f
+
+    state["file"] = new_file()
+
+    def apply(kind, index):
+        fs, f = machine.fs, state["file"]
+        if kind == "read":
+            fs.read_page(f, index)
+        elif kind == "read_run":
+            for i in range(index, index + 6):
+                fs.read_page(f, i)
+        elif kind == "read_range":
+            fs.read_range(f, index, 6)
+        elif kind == "write":
+            fs.write_page(f, index, "w")
+        elif kind == "dontneed":
+            fs.fadvise(f, FAdvice.DONTNEED, index, 4)
+        elif kind == "willneed":
+            fs.fadvise(f, FAdvice.WILLNEED, index, min(4, NPAGES - index))
+        elif kind == "fsync":
+            fs.fsync(f)
+        elif kind == "delete":
+            fs.delete(f.name)
+            state["file"] = new_file()
+
+    def step(thread, it=iter(ops)):
+        op = next(it, None)
+        if op is None:
+            return False
+        try:
+            apply(*op)
+        except EIO:
+            state["failed"] += 1
+            if op[0] == "read":
+                # Only a miss does I/O, and its page never arrived.
+                assert state["file"].mapping.lookup(op[1]) is None
+        machine.check_invariants()
+        return True
+
+    machine.spawn("ops", step, cgroup=cg)
+    machine.run()
+    assert cg.stats.io_errors >= state["failed"]
+
+
+def test_a_broken_law_is_named():
+    machine = Machine()
+    cg = machine.new_cgroup("t", limit_pages=LIMIT)
+    machine.check_invariants()
+    cg.charged_pages += 1
+    cg.stats.hits += 1
+    with pytest.raises(InvariantViolation) as raised:
+        machine.check_invariants()
+    assert str(raised.value).splitlines()[1:] == [
+        "  cgroup t: lookups 0 != hits 1 + misses 0",
+        "  cgroup t: charge 1 != resident 0"]

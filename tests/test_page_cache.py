@@ -1,6 +1,7 @@
 """Reclaim driver tests: batching, validation, fallback, removal paths."""
 
 import pytest
+from hypothesis import given
 
 from repro.cache_ext import load_policy
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
@@ -8,7 +9,10 @@ from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
 from repro.kernel.errors import EBUSY, ENOMEM
 from repro.kernel.folio import Folio
-from repro.kernel.page_cache import EVICTION_BATCH
+from repro.kernel.page_cache import EVICTION_BATCH, PageCache
+from tests.reference.page_cache import reference_evict_folio
+from tests.strategies import STANDARD_SETTINGS, eviction_cases
+from tests.strategies.eviction import observe
 
 
 def make_machine(limit=64, kernel="default"):
@@ -137,6 +141,17 @@ class TestEvictFolioGuards:
         folio = f.mapping.lookup(0)
         assert machine.page_cache.evict_folio(folio, folio.memcg)
         assert not machine.page_cache.evict_folio(folio, folio.memcg)
+
+
+class TestEvictFolioIsABatchOfOne:
+    """``evict_folio`` runs the batch body on one folio; it must stay
+    indistinguishable from the spelled-out single eviction."""
+
+    @STANDARD_SETTINGS
+    @given(eviction_cases())
+    def test_matches_reference(self, case):
+        assert observe(case, PageCache.evict_folio) \
+            == observe(case, reference_evict_folio)
 
 
 class TestExtValidationAndFallback:

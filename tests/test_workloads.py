@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given
 
 from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm.format import RecordFormat
@@ -18,6 +19,9 @@ from repro.workloads.twitter import (CLUSTERS, ClusterKeyStream,
                                      ClusterProfile, TwitterRunner)
 from repro.workloads.ycsb import (YCSB_WORKLOADS, YcsbRunner, YcsbSpec,
                                   key_of, load_items)
+from tests.reference.ycsb import ReferenceYcsbRunner
+from tests.strategies import STANDARD_SETTINGS, ycsb_cases
+from tests.strategies.ycsb import NKEYS
 
 
 class TestDistributions:
@@ -200,6 +204,27 @@ class TestTwitter:
                                warmup_ops=100).run()
         assert result.ops == 500
         assert result.throughput > 0
+
+
+class TestYcsbStepMatchesReference:
+    """One step decodes or draws an op and runs it; the reference
+    draws with ``_run_op`` and executes with ``_do_op``."""
+
+    @staticmethod
+    def _observe(cls, case):
+        machine, cg, db = small_db_env(nkeys=NKEYS, limit=48)
+        runner = case.runner(cls, db)
+        result = runner.run()
+        return (result.ops, result.op_counts, result.elapsed_us,
+                result.missing_keys, result.read_latency.samples_us,
+                runner._insert_counter[0], machine.now_us,
+                cg.stats.snapshot())
+
+    @STANDARD_SETTINGS
+    @given(ycsb_cases())
+    def test_matches_reference(self, case):
+        assert self._observe(YcsbRunner, case) \
+            == self._observe(ReferenceYcsbRunner, case)
 
 
 class TestStreamPregen:
