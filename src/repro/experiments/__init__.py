@@ -7,8 +7,8 @@ simulated machine each) that :mod:`repro.experiments.parallel` fans
 across worker processes, with a merge step that is a pure function of
 the cell payloads — serial (``jobs=None``) and parallel runs emit
 byte-identical tables.  ``quick=True`` shrinks sizes for CI smoke
-tests; the default sizes are what ``EXPERIMENTS.md`` and the benchmark
-suite use.  All runs are deterministic (seeded RNGs + virtual time).
+tests; the default sizes are what ``EXPERIMENTS.md`` reports.  All
+runs are deterministic (seeded RNGs + virtual time).
 
 ==============  =====================================================
 Module          Reproduces
@@ -24,6 +24,7 @@ Module          Reproduces
 ``fig11``       Figure 11 — per-cgroup policy isolation
 ``table4``      Table 4 — no-op policy CPU overhead (fio)
 ``table5``      Table 5 — cache_ext MGLRU vs native MGLRU fidelity
+``ablations``   beyond the paper — design constants, SIEVE and ARC
 ==============  =====================================================
 """
 

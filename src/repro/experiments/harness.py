@@ -7,6 +7,7 @@ results.  Policy names:
 * ``"mglru"`` — the kernel's native MGLRU (no cache_ext);
 * ``"fifo" | "mru" | "lfu" | "s3fifo" | "lhd" | "mglru-bpf"`` —
   cache_ext policies on top of the default kernel (fallback) lists;
+* ``"sieve" | "arc" | "prefetch"`` — post-paper extension policies;
 * ``"noop"`` — the no-op cache_ext policy (overhead baseline);
 * ``"userspace"`` — the Table 1 dispatch strawman.
 """
@@ -22,10 +23,11 @@ from repro.apps.lsm import DbOptions, LsmDb
 from repro.cache_ext.ops import CacheExtOps
 from repro.kernel import Machine
 from repro.kernel.cgroup import MemCgroup
-from repro.policies import (make_fifo_policy, make_get_scan_policy,
-                            make_lfu_policy, make_mglru_policy,
-                            make_mru_policy, make_noop_policy,
-                            make_s3fifo_policy,
+from repro.policies import (make_arc_policy, make_fifo_policy,
+                            make_get_scan_policy, make_lfu_policy,
+                            make_mglru_policy, make_mru_policy,
+                            make_noop_policy, make_prefetch_policy,
+                            make_s3fifo_policy, make_sieve_policy,
                             make_userspace_dispatch_policy)
 from repro.policies.lhd import init_lhd, make_lhd_policy
 from repro.policies.userspace import spawn_drainer
@@ -85,6 +87,23 @@ def build_machine(policy: str, mode: str = "full") -> Machine:
     return machine
 
 
+#: cache_ext policy name -> (factory, the cgroup-derived sizes it takes).
+_FACTORIES = {
+    "fifo": (make_fifo_policy, ()),
+    "mru": (make_mru_policy, ()),
+    "lfu": (make_lfu_policy, ("map_entries",)),
+    "s3fifo": (make_s3fifo_policy, ("map_entries", "ghost_entries")),
+    "lhd": (make_lhd_policy, ("map_entries",)),
+    "mglru-bpf": (make_mglru_policy, ("map_entries", "ghost_entries")),
+    "noop": (make_noop_policy, ()),
+    "get-scan": (make_get_scan_policy, ("map_entries",)),
+    "userspace": (make_userspace_dispatch_policy, ()),
+    "sieve": (make_sieve_policy, ("map_entries",)),
+    "arc": (make_arc_policy, ("map_entries", "cache_pages")),
+    "prefetch": (make_prefetch_policy, ("map_entries",)),
+}
+
+
 def attach_policy(machine: Machine, cgroup: MemCgroup, policy: str,
                   cgroup_pages: int) -> Optional[CacheExtOps]:
     """Attach the named cache_ext policy (None for kernel policies).
@@ -95,30 +114,15 @@ def attach_policy(machine: Machine, cgroup: MemCgroup, policy: str,
     """
     if policy in KERNEL_POLICIES:
         return None
-    map_entries = max(4 * cgroup_pages, 1024)
-    ghost_entries = max(cgroup_pages, 256)
-    if policy == "fifo":
-        ops = make_fifo_policy()
-    elif policy == "mru":
-        ops = make_mru_policy()
-    elif policy == "lfu":
-        ops = make_lfu_policy(map_entries=map_entries)
-    elif policy == "s3fifo":
-        ops = make_s3fifo_policy(map_entries=map_entries,
-                                 ghost_entries=ghost_entries)
-    elif policy == "lhd":
-        ops = make_lhd_policy(map_entries=map_entries)
-    elif policy == "mglru-bpf":
-        ops = make_mglru_policy(map_entries=map_entries,
-                                ghost_entries=ghost_entries)
-    elif policy == "noop":
-        ops = make_noop_policy()
-    elif policy == "get-scan":
-        ops = make_get_scan_policy(map_entries=map_entries)
-    elif policy == "userspace":
-        ops = make_userspace_dispatch_policy()
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    if policy not in _FACTORIES:
+        raise ValueError(
+            f"unknown policy {policy!r}; choose from: "
+            + ", ".join(KERNEL_POLICIES + tuple(_FACTORIES)))
+    sizes = {"map_entries": max(4 * cgroup_pages, 1024),
+             "ghost_entries": max(cgroup_pages, 256),
+             "cache_pages": cgroup_pages}
+    factory, wanted = _FACTORIES[policy]
+    ops = factory(**{name: sizes[name] for name in wanted})
     machine.attach(cgroup, ops)
     # Post-attach initialization is uniform: every policy goes through
     # machine.attach above, LHD included.

@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.experiments import (admission, fig6, fig7, fig8, fig9, fig10,
-                               fig11, table1, table3, table4, table5)
+from repro.experiments import (ablations, admission, fig6, fig7, fig8,
+                               fig9, fig10, fig11, table1, table3,
+                               table4, table5)
 from repro.experiments.parallel import default_jobs
 
 #: Execution order: cheap first, so early output appears quickly.
-MODULES = (table3, table4, fig9, admission, table1, fig10, fig11, fig7,
-           fig8, table5, fig6)
+MODULES = (table3, table4, fig9, admission, ablations, table1, fig10,
+           fig11, fig7, fig8, table5, fig6)
 
 
 def run_all(quick: bool = False, out_path: str | None = None,

@@ -18,7 +18,7 @@ described in §5.3 of the paper:
 
 The cache_ext port of this policy lives in
 :mod:`repro.policies.mglru`; Table 5 of the paper (and
-``benchmarks/bench_table5.py`` here) compares the two.
+:mod:`repro.experiments.table5` here) compares the two.
 """
 
 from __future__ import annotations

@@ -91,6 +91,11 @@ class ExtPolicyBase:
 class PageCache(SnapshotFriendly):
     """The machine-wide page cache."""
 
+    #: Candidates requested per eviction pass (§4.2.3).  A class
+    #: attribute: an ablation sets it on one machine's cache, every
+    #: other cache keeps reading the default from here.
+    eviction_batch = EVICTION_BATCH
+
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.stats = CacheStats()
@@ -299,7 +304,7 @@ class PageCache(SnapshotFriendly):
             # style, but proportional so tiny cgroups aren't flushed
             # wholesale) so steady-state insertions don't pay a reclaim
             # pass each — kernel watermark hysteresis.
-            slack = min(EVICTION_BATCH,
+            slack = min(self.eviction_batch,
                         max(1, (memcg.limit_pages or 4096) // 32))
             self.reclaim_cgroup(
                 memcg, nr_pages=max(memcg.excess_pages(), slack))
@@ -333,7 +338,7 @@ class PageCache(SnapshotFriendly):
             while total_evicted < target or memcg.over_limit:
                 remaining = max(target - total_evicted,
                                 memcg.excess_pages())
-                batch = min(EVICTION_BATCH, remaining)
+                batch = min(self.eviction_batch, remaining)
                 if batch <= 0:
                     break
                 evicted = self._shrink_batch(memcg, batch)

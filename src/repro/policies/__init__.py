@@ -59,11 +59,3 @@ GENERIC_POLICIES = {
     "lhd": make_lhd_policy,
     "mglru-bpf": make_mglru_policy,
 }
-
-#: Extension policies beyond the paper's suite (§7 directions; ARC
-#: substantiates §4.2.2's multiple-variable-sized-lists claim).
-EXTENSION_POLICIES = {
-    "sieve": make_sieve_policy,
-    "prefetch": make_prefetch_policy,
-    "arc": make_arc_policy,
-}

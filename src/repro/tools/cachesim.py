@@ -32,10 +32,9 @@ import argparse
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
-from repro.cache_ext import load_policy
+from repro.experiments.harness import attach_policy
 from repro.kernel import Machine
-from repro.policies import EXTENSION_POLICIES, GENERIC_POLICIES
-from repro.policies.lhd import init_lhd, make_lhd_policy
+
 
 @dataclass
 class TraceReport:
@@ -76,31 +75,6 @@ def parse_trace(lines: Iterable[str]) -> list[tuple]:
     return out
 
 
-def _attach(machine: Machine, cgroup, policy: str,
-            cache_pages: int) -> None:
-    """Attach ``policy`` to ``cgroup`` (a no-op for the built-in
-    kernel policies)."""
-    if policy in ("default", "mglru"):
-        return
-    map_entries = max(4 * cache_pages, 1024)
-    if policy == "lhd":
-        ops = make_lhd_policy(map_entries=map_entries)
-        machine.attach(cgroup, ops)
-        init_lhd(machine, ops)
-        return
-    factories = dict(GENERIC_POLICIES)
-    factories.update(EXTENSION_POLICIES)
-    if policy not in factories:
-        raise ValueError(
-            f"unknown policy {policy!r}; choose from: default, mglru, "
-            f"lhd, {', '.join(sorted(factories))}")
-    try:
-        ops = factories[policy](map_entries=map_entries)
-    except TypeError:
-        ops = factories[policy]()
-    load_policy(machine, cgroup, ops)
-
-
 def replay_trace(trace: list[tuple], policy: str,
                  cache_pages: int, readahead: bool = False) -> TraceReport:
     """Replay one parsed trace against one policy."""
@@ -109,7 +83,7 @@ def replay_trace(trace: list[tuple], policy: str,
     kernel = "mglru" if policy == "mglru" else "default"
     machine = Machine(kernel_policy=kernel)
     cgroup = machine.new_cgroup("trace", limit_pages=cache_pages)
-    _attach(machine, cgroup, policy, cache_pages)
+    attach_policy(machine, cgroup, policy, cache_pages)
 
     # Materialize the trace's file universe.
     files = {}

@@ -1,7 +1,8 @@
 """Whole requests to the experiment runner: a subset of the
 instrumentation planes, a fault scenario, a sample interval, cold or
-restored builds, in-process or forked, over one or two tiny fig6-style
-cells whose payload also carries the machine's end-of-run counters."""
+restored builds, in-process or forked, over one or two tiny fig6 or
+ablation cells whose payload also carries the machine's end-of-run
+counters."""
 
 import dataclasses
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from repro.experiments import chaos, fig6
+from repro.experiments import ablations, chaos, fig6
 from repro.experiments.harness import ExperimentSpec
 from repro.experiments.parallel import PLANES, filter_cells
 
@@ -29,16 +30,21 @@ HORIZONS_US = (4_000.0, 10_000.0)
 SAMPLE_INTERVALS_US = (500.0, 2_000.0, 10_000_000.0)
 
 
-def counted_cell(**kwargs) -> dict:
+def counted_cell(run_one=fig6.run_one, **kwargs) -> dict:
     """``fig6.cell``'s run, reporting the virtual-time results plus the
     machine's end-of-run integer counters."""
-    result, env = fig6.run_one(**kwargs)
+    result, env = run_one(**kwargs)
     metrics = env.machine.metrics()
     return {"throughput": result.throughput,
             "p99_read_us": result.p99_read_us,
             "stats": {k: metrics.stats[k] for k in STAT_COUNTERS},
             "disk": {k: metrics.disk[k]
                      for k in ("total_pages", "reads", "writes")}}
+
+
+def counted_ablation(**kwargs) -> dict:
+    """The same report of ``ablations.cell``'s run."""
+    return counted_cell(ablations.run_one, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -55,15 +61,24 @@ class PlaneCase:
     jobs: Optional[int]
     policies: tuple
     workload: str
+    #: Rows of the ablations plan to run instead of the fig6 cells
+    #: (empty: fig6).
+    variants: tuple
 
     def spec(self) -> ExperimentSpec:
         """A fresh plan; its merged table is every cell's whole payload
         (``filter_cells``' raw rendering), one JSON document per row."""
-        spec = fig6.plan(quick=True, policies=self.policies,
-                         workloads=(self.workload,),
-                         scale=dict(fig6.QUICK_SCALE, **SCALE))
-        spec.cells = [dataclasses.replace(cell, fn=counted_cell)
-                      for cell in spec.cells]
+        if self.variants:
+            spec = ablations.plan(quick=True, scale=SCALE)
+            spec.cells = [dataclasses.replace(cell, fn=counted_ablation)
+                          for cell in spec.cells
+                          if cell.cell_id in self.variants]
+        else:
+            spec = fig6.plan(quick=True, policies=self.policies,
+                             workloads=(self.workload,),
+                             scale=dict(fig6.QUICK_SCALE, **SCALE))
+            spec.cells = [dataclasses.replace(cell, fn=counted_cell)
+                          for cell in spec.cells]
         return filter_cells(spec, "*")
 
     def plane_kwargs(self, planes=None) -> dict:
@@ -98,4 +113,8 @@ def plane_cases() -> st.SearchStrategy:
         policies=st.lists(st.sampled_from(("default", "mglru", "mru",
                                            "lfu", "s3fifo")),
                           min_size=1, max_size=2, unique=True).map(tuple),
-        workload=st.sampled_from(("A", "C", "F")))
+        workload=st.sampled_from(("A", "C", "F")),
+        variants=st.one_of(
+            st.just(()),
+            st.lists(st.sampled_from(sorted(ablations.VARIANTS)),
+                     min_size=1, max_size=2, unique=True).map(tuple)))

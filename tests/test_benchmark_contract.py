@@ -85,15 +85,19 @@ def test_repro_imports_resolve(name):
 # benchmarks/runner.py --check: the physics gate must not pass by
 # looking at less.  Hand-built two-cell documents; no suite run.
 # ----------------------------------------------------------------------
-def _cell(sha: str) -> dict:
+def _cell(sha: str, **ops_per_sec) -> dict:
     return {"cells": 8, "rows": 1, "table_sha256": sha,
-            "ops_per_sec": {"C/lfu": 1.0}, "hit_ratios": {"C/lfu": 0.5},
-            "timing": {"work_units": 1.0}}
+            "ops_per_sec": ops_per_sec or {"C/lfu": 1.0},
+            "hit_ratios": {"C/lfu": 0.5}}
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return load_by_path("runner", LAYERED.parent)
 
 
 @pytest.fixture
-def gate(tmp_path):
-    runner = load_by_path("runner", LAYERED.parent)
+def gate(runner, tmp_path):
     doc = {"schema": runner.SCHEMA, "suite": "core", "scale": "quick",
            "experiments": {"fig6": _cell("aa"), "fig9": _cell("bb")}}
     path = tmp_path / "baseline.json"
@@ -141,3 +145,48 @@ def test_gate_still_fails_on_changed_physics(gate):
                                     "fig9": _cell("cc")}}
     failures = check(doc, moved)
     assert len(failures) == 1 and "table_sha256" in failures[0]
+    assert "'bb' -> 'cc'" in failures[0]
+
+
+def test_gate_names_the_rows_that_moved(gate):
+    doc, check = gate
+    rows = {f"{w}/lfu": 1.0 for w in "ABCDEFG"}
+    moved = dict(rows, **{"B/lfu": 2.0, "H/lfu": 3.0},
+                 **{f"{w}/lfu": 1.5 for w in "CDEFG"})
+    del moved["A/lfu"]
+    failures = check(
+        {**doc, "experiments": {"fig6": _cell("aa", **rows)}},
+        {**doc, "experiments": {"fig6": _cell("aa", **moved)}})
+    # Old -> new per row, a vanished or new row included, five at most.
+    assert failures == [
+        "fig6: deterministic field 'ops_per_sec' changed (simulation "
+        "output differs from baseline): A/lfu 1.0 -> None, "
+        "B/lfu 1.0 -> 2.0, C/lfu 1.0 -> 1.5, D/lfu 1.0 -> 1.5, "
+        "E/lfu 1.0 -> 1.5, +3 more"]
+
+
+def test_every_core_suite_name_is_an_experiment_plan(runner):
+    for name in runner.CORE_SUITE:
+        module = importlib.import_module(f"repro.experiments.{name}")
+        assert callable(module.plan)
+
+
+def test_committed_baseline_records_only_what_is_exact(runner):
+    doc = json.loads((LAYERED.parent.parent / "BENCH_core.json").read_text())
+    assert doc["schema"] == runner.SCHEMA
+    assert tuple(sorted(doc["experiments"])) == \
+        tuple(sorted(runner.CORE_SUITE))
+
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+
+    # Nothing wall-clock, and no cell that re-runs another one.
+    assert not [key for key in keys(doc)
+                if key in ("timing", "work_units", "calibration_s",
+                           "wall_s", "replay", "snapshot")
+                or key.endswith("_off")]
+    for entry in doc["experiments"].values():
+        assert tuple(entry) == tuple(sorted(runner.FIELDS))

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.apps.filesearch import (FileSearcher, corpus_pages,
+                                   make_source_tree)
 from repro.cache_ext import load_policy
 from repro.cache_ext.ops import CacheExtOps
 from repro.ebpf.runtime import bpf_program
 from repro.ebpf.verifier import verify_program
+from repro.experiments.harness import build_machine
 from repro.kernel import Machine
 from repro.kernel.vfs import MAX_RA_PAGES
 from repro.policies import make_prefetch_policy, make_sieve_policy
@@ -104,6 +107,26 @@ class TestPrefetchPolicy:
         load_policy(machine, cg, make_prefetch_policy())
         run_trace(machine, f, cg, range(400))
         assert cg.charged_pages <= 64  # fallback eviction still works
+
+    def test_file_search_finishes_sooner_on_fewer_requests(self):
+        # §7's FetchBPF direction on the fig9 scan workload.
+        def search(with_prefetch):
+            machine = build_machine("default")
+            files = make_source_tree(machine, nfiles=200)
+            limit = max(64, int(corpus_pages(files) * 0.7))
+            cgroup = machine.new_cgroup("search", limit_pages=limit)
+            if with_prefetch:
+                load_policy(machine, cgroup,
+                            make_prefetch_policy(window=32))
+            result = FileSearcher(machine, files, cgroup, passes=4).run()
+            return result.elapsed_us, machine.metrics().disk["reads"]
+
+        kernel_us, kernel_requests = search(False)
+        prefetch_us, prefetch_requests = search(True)
+        # The aggressive streaming window issues fewer, larger device
+        # requests and finishes sooner on this scan-dominated workload.
+        assert prefetch_requests < kernel_requests
+        assert prefetch_us <= kernel_us * 1.02
 
 
 class TestSievePolicy:

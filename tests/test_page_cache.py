@@ -61,6 +61,18 @@ class TestBasicCaching:
     def test_eviction_batch_is_32(self):
         assert EVICTION_BATCH == 32
 
+    def test_eviction_batch_is_set_per_machine(self):
+        ablated, cg, f = make_machine(limit=512)
+        ablated.page_cache.eviction_batch = 1
+        read_n(ablated, f, cg, range(600))
+        # One folio per pass: no slack below the limit ...
+        assert cg.charged_pages == 512
+        # ... and a machine built in the same process still reads 32.
+        other, cg, f = make_machine(limit=512)
+        assert other.page_cache.eviction_batch == EVICTION_BATCH
+        read_n(other, f, cg, range(600))
+        assert cg.charged_pages < 512
+
     def test_evictions_leave_shadows(self):
         machine, cg, f = make_machine(limit=64)
         read_n(machine, f, cg, range(100))

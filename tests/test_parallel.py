@@ -16,8 +16,9 @@ import time
 
 import pytest
 
-from repro.experiments import (admission, fig6, fig7, fig8, fig9, fig10,
-                               fig11, table1, table3, table4, table5)
+from repro.experiments import (ablations, admission, fig6, fig7, fig8,
+                               fig9, fig10, fig11, table1, table3,
+                               table4, table5)
 from repro.experiments.harness import CellSpec, ExperimentSpec
 from repro.experiments.parallel import (UnknownExperimentError,
                                         _load_experiment, execute, main,
@@ -63,6 +64,7 @@ EXPERIMENTS = [
     ("table4", lambda: table4.plan(
         quick=True, sizes=(("5GiB", 128, 1024),))),
     ("table5", lambda: table5.plan(quick=True, workloads=("A",))),
+    ("ablations", lambda: ablations.plan(quick=True, scale=SMALL_KV)),
 ]
 
 

@@ -16,8 +16,8 @@ import warnings
 import pytest
 
 from repro import api, load_policy
-from repro.experiments import (admission, fig6, fig7, fig8, fig10,
-                               table5)
+from repro.experiments import (ablations, admission, fig6, fig7, fig8,
+                               fig10, table5)
 from repro.experiments.harness import GENERIC_POLICY_NAMES
 from repro.experiments.parallel import apply_mode, execute
 from repro.faults.plan import FaultPlan
@@ -87,8 +87,8 @@ class TestAdmissionEquality:
 
 
 def run_direct(ops_factory, replay: bool) -> dict:
-    """ARC and SIEVE are not in the harness registry; drive them on a
-    bare machine with a mixed hot/scan read pattern."""
+    """ARC and SIEVE off the harness: a bare machine under a mixed
+    hot/scan read pattern."""
     machine = Machine()
     if replay:
         enable_replay(machine)
@@ -147,8 +147,10 @@ class TestDeterminism:
         assert serial.result.rows == parallel.result.rows
 
 
-#: Plans that run ``fig6.cell`` verbatim under another merge.
+#: Plans that run ``fig6.cell`` verbatim under another merge, and the
+#: one that builds fig6's environment under its own cell.
 FIG6_CELL_PLANS = {
+    "ablations": lambda: ablations.plan(quick=True, scale=YCSB_SCALE),
     "fig7": lambda: fig7.plan(quick=True, workloads=("A",),
                               policies=("default", "mru", "lfu")),
     "table5": lambda: table5.plan(quick=True, workloads=("A",)),

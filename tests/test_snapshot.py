@@ -10,15 +10,15 @@ policy, both execution modes, plus the refusal and mutation-isolation
 guarantees of :mod:`repro.snapshot` driven directly.
 
 Scales are kept small: equality at any scale exercises the same code
-paths, and the full-scale cross-check lives in the benchmark suite
-(``benchmarks/runner.py`` fails hard if the snapshot-mode fig6 table
-hash diverges from the cold one).
+paths, and CI's ``snapshot-smoke`` job diffs the whole quick fig6 table,
+cold against restored.
 """
 
 import pytest
 
 from repro import api, snapshot
-from repro.experiments import admission, chaos, fig6, fig8, fig10
+from repro.experiments import (ablations, admission, chaos, fig6, fig8,
+                               fig10)
 from repro.experiments.harness import (GENERIC_POLICY_NAMES,
                                        build_machine, make_db_env,
                                        observing, warm_db_env_snapshot)
@@ -93,6 +93,16 @@ class TestAdmissionEquality:
         cold, restored = cold_and_restored(
             admission.cell, filtered=filtered, nkeys=1500,
             cgroup_pages=96, nops=800, warmup_ops=200, nthreads=2)
+        assert cold == restored
+
+
+class TestAblationEquality:
+    @pytest.mark.parametrize("variant", ("lfu batch=1", "lfu nr_scan=32",
+                                         "lfu unvalidated", "arc"))
+    def test_variant_payloads_bit_identical(self, variant):
+        # The cell sets its knobs on the restored machine's page cache.
+        cold, restored = cold_and_restored(
+            ablations.cell, **YCSB_SCALE, **ablations.VARIANTS[variant])
         assert cold == restored
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.trace import TraceEvent
+from repro.tools import cachesim
 from repro.tools.cachesim import (format_reports, parse_trace,
                                   replay_trace, simulate_policies)
 
@@ -66,7 +67,7 @@ class TestReplay:
     def test_all_policies_replayable(self):
         trace = [(0, (i * 7) % 64, False) for i in range(300)]
         policies = ("default", "mglru", "fifo", "mru", "lfu", "s3fifo",
-                    "lhd", "mglru-bpf", "sieve")
+                    "lhd", "mglru-bpf", "sieve", "arc", "prefetch")
         reports = simulate_policies(trace, policies, cache_pages=32)
         assert len(reports) == len(policies)
         for report in reports:
@@ -76,6 +77,21 @@ class TestReplay:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             replay_trace([(0, 0, False)], "nope", cache_pages=8)
+
+    @pytest.mark.parametrize("cache_pages,ghost_entries",
+                             [(32, 256), (1000, 1000)])
+    def test_ghost_queue_sized_from_cache_pages(self, monkeypatch,
+                                                cache_pages,
+                                                ghost_entries):
+        # Not the factory's 8,192 default: harness.attach_policy sizes
+        # every map from the cgroup (floor 256).
+        attached = []
+        attach = cachesim.attach_policy
+        monkeypatch.setattr(cachesim, "attach_policy",
+                            lambda *args: attached.append(attach(*args)))
+        replay_trace([(0, 0, False)], "s3fifo", cache_pages=cache_pages)
+        ops, = attached
+        assert ops.user_maps["ghost"].max_entries == ghost_entries
 
     def test_invalid_cache_size(self):
         with pytest.raises(ValueError):
