@@ -33,8 +33,8 @@ _db_ids = itertools.count(1)
 COMPACTION_IDLE_US = 500.0
 
 #: Read plans are ~250 bytes each and cleared on every structure bump;
-#: clear-on-full (as :data:`repro.apps.lsm.format._HASH_CACHE_MAX`)
-#: bounds them on a read-only trace over a huge keyspace too.
+#: clearing them when this many are held bounds them (at ~64 MiB) on a
+#: read-only trace over a huge keyspace too.
 _PLAN_CACHE_MAX = 1 << 18
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from repro.snapshot import SnapshotFriendly
 from dataclasses import dataclass, field
+from itertools import groupby
+from zlib import crc32
 
 from repro.kernel.folio import PAGE_SIZE
 
@@ -24,58 +26,46 @@ BLOOM_PAGE_BITS = PAGE_SIZE * 8
 _BLOOM_PAGE_SHIFT = BLOOM_PAGE_BITS.bit_length() - 1
 _BLOOM_PAGE_MASK = BLOOM_PAGE_BITS - 1
 assert BLOOM_PAGE_BITS == 1 << _BLOOM_PAGE_SHIFT
+assert BLOOM_HASHES == 4  # add_all unpacks its probes
 #: Index entries per index page (first_key + page number comfortably
 #: fit 16 bytes each at our key sizes).
 INDEX_ENTRIES_PER_PAGE = 256
 
-import zlib
-
 
 def fnv1a(key: str, salt: int = 0) -> int:
-    """Deterministic 64-bit string hash.
+    """Deterministic 64-bit string hash (FNV in name only).
 
     Builtin ``hash`` is process-randomized for strings, which would
-    break run-to-run reproducibility, so we derive a 64-bit value from
-    two salted CRC32 passes (C-speed, unlike a per-character pure-Python
-    FNV loop — bloom probes and key scrambling sit on hot paths).
+    break run-to-run reproducibility, so the value is two salted CRC-32
+    passes: ``crc32(key, salt)`` in the low word and ``crc32(key, salt
+    ^ 0x9E3779B9)`` in the high one.  CRC-32 is affine in its start
+    value, so a caller hashing one key under many salts needs one pass
+    (:class:`_ProbeSalts`).
     """
     data = key.encode()
-    lo = zlib.crc32(data, salt & 0xFFFFFFFF)
-    hi = zlib.crc32(data, (salt ^ 0x9E3779B9) & 0xFFFFFFFF)
+    lo = crc32(data, salt & 0xFFFFFFFF)
+    hi = crc32(data, (salt ^ 0x9E3779B9) & 0xFFFFFFFF)
     return (hi << 32) | lo
 
 
-#: Memoized bloom probe hashes: key -> (h_0 .. h_{BLOOM_HASHES-1}).
-#: The four 64-bit values are independent of any particular filter's
-#: ``nbits`` (the modulo happens at probe time), so one entry serves
-#: every bloom filter the key ever touches — the same hot key is
-#: probed against each table of every level on each point read.
-_HASH_CACHE: dict[str, tuple] = {}
-#: Entries are ~100 bytes each; clear-on-full bounds the memo at a few
-#: tens of MiB in the worst case while keeping the common case (one
-#: experiment's keyspace) fully resident.
-_HASH_CACHE_MAX = 1 << 18
+class _ProbeSalts(dict):
+    """Encoded key length -> ``(los, salts)``, the constants that turn
+    ``crc = crc32(data)`` into every probe hash: ``crc32(d, s) ==
+    crc32(d) ^ crc32(z, s) ^ crc32(z)`` with ``z = bytes(len(d))``, so
+    ``fnv1a(key, probe) == crc * 0x100000001 ^ salts[probe]`` (the CRC
+    in both words), and its low word is ``crc ^ los[probe]``.  One
+    entry per distinct key length."""
+
+    def __missing__(self, length: int) -> tuple:
+        zeros = "\0" * length
+        base = crc32(zeros.encode()) * 0x100000001
+        salts = tuple(fnv1a(zeros, probe) ^ base
+                      for probe in range(BLOOM_HASHES))
+        self[length] = pair = tuple(s & 0xFFFFFFFF for s in salts), salts
+        return pair
 
 
-def bloom_hashes(key: str) -> tuple:
-    """The :data:`BLOOM_HASHES` salted 64-bit hashes of ``key``.
-
-    Bit positions derive as ``h % nbits`` per filter; values are
-    identical to ``fnv1a(key, probe)`` for probe in 0..BLOOM_HASHES-1.
-    """
-    cached = _HASH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    data = key.encode()
-    crc32 = zlib.crc32
-    hashes = tuple(
-        (crc32(data, (probe ^ 0x9E3779B9) & 0xFFFFFFFF) << 32)
-        | crc32(data, probe)
-        for probe in range(BLOOM_HASHES))
-    if len(_HASH_CACHE) >= _HASH_CACHE_MAX:
-        _HASH_CACHE.clear()
-    _HASH_CACHE[key] = hashes
-    return hashes
+_PROBE_SALTS = _ProbeSalts()
 
 
 @dataclass(frozen=True)
@@ -118,34 +108,58 @@ class BloomFilter:
         for probe in range(BLOOM_HASHES):
             yield fnv1a(key, probe) % self.nbits
 
-    # add_all/test_chunks draw their probe hashes from the process-wide
-    # :func:`bloom_hashes` memo so the key is CRC'd once per process
-    # instead of once per probe per filter (both sit on the SSTable
-    # write and point-read hot paths).  The memoized values equal
-    # ``fnv1a(key, probe)``, so bit positions are identical to
-    # :meth:`_positions`, which is kept as the readable reference.
+    # add_all/test_chunks CRC the key once and XOR the probe salts in
+    # (:class:`_ProbeSalts`); bit positions equal :meth:`_positions`,
+    # which is kept as the readable reference.  Where ``h % nbits`` is a
+    # mask of the low word (to build: a power-of-two filter, true up to
+    # 2**32 bits, 400 M keys; to probe: one page) the 64-bit hash is
+    # never formed.
 
     def add_all(self, keys) -> None:
         """Set every key's bits in one pass: a table's filter is built
         whole, from its key list, when the writer finishes."""
         nbits = self.nbits
+        # One ASCII digit per bit, highest position first: int(flags, 2)
+        # packs the filter in one call.
+        flags = bytearray(b"0") * nbits
+        top = nbits - 1
+        for length, run in groupby(map(str.encode, keys), len):
+            los, salts = _PROBE_SALTS[length]
+            if not nbits & top:
+                # Unpacked: looping the probes costs 13 % of the pass.
+                l0, l1, l2, l3 = (~lo & top for lo in los)
+                for crc in map(crc32, run):
+                    crc &= top
+                    flags[crc ^ l0] = flags[crc ^ l1] = \
+                        flags[crc ^ l2] = flags[crc ^ l3] = 49
+            else:
+                for crc in map(crc32, run):
+                    crc *= 0x100000001
+                    for salt in salts:
+                        flags[~((crc ^ salt) % nbits)] = 49
         chunks = self.chunks
-        cached = _HASH_CACHE.get
-        for key in keys:
-            for h in cached(key) or bloom_hashes(key):
-                pos = h % nbits
-                # divmod by the power-of-two page size, as shift/mask.
-                bit = pos & _BLOOM_PAGE_MASK
-                chunks[pos >> _BLOOM_PAGE_SHIFT][bit >> 3] |= 1 << (bit & 7)
-
-    def add(self, key: str) -> None:
-        self.add_all((key,))
+        bits = (int(flags, 2) | int.from_bytes(b"".join(chunks), "little")
+                ).to_bytes(nbits >> 3, "little")
+        # In place: whoever holds a chunk (file.store) keeps seeing it.
+        for page, chunk in enumerate(chunks):
+            chunk[:] = bits[page * PAGE_SIZE:(page + 1) * PAGE_SIZE]
 
     @staticmethod
     def test_chunks(chunks: list, nbits: int, key: str) -> bool:
         """Membership probe against already-loaded chunks."""
-        for h in bloom_hashes(key):
-            pos = h % nbits
+        data = key.encode()
+        crc = crc32(data)
+        los, salts = _PROBE_SALTS[len(data)]
+        if len(chunks) == 1:
+            chunk = chunks[0]
+            for lo in los:
+                bit = (crc ^ lo) & _BLOOM_PAGE_MASK
+                if not chunk[bit >> 3] & (1 << (bit & 7)):
+                    return False
+            return True
+        crc *= 0x100000001
+        for salt in salts:
+            pos = (crc ^ salt) % nbits
             bit = pos & _BLOOM_PAGE_MASK
             if not chunks[pos >> _BLOOM_PAGE_SHIFT][bit >> 3] \
                     & (1 << (bit & 7)):

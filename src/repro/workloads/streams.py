@@ -78,7 +78,7 @@ def _value_bytes(value) -> int:
     if isinstance(value, array):
         return value.buffer_info()[1] * value.itemsize
     if isinstance(value, list):
-        return sum(len(s) for s in value)
+        return sum(map(len, value))
     return 0
 
 

@@ -24,6 +24,7 @@ reports throughput in operations per simulated second.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -86,7 +87,7 @@ def key_of(index: int) -> str:
 def load_items(nkeys: int) -> list[tuple]:
     """The YCSB load phase's records, for :meth:`LsmDb.bulk_load`."""
     keys = streams.key_strings(nkeys)
-    return [(keys[i], ("v0", i)) for i in range(nkeys)]
+    return list(zip(keys, zip(itertools.repeat("v0"), range(nkeys))))
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """LSM store tests: SSTables, bloom filters, compaction, DB semantics."""
 
+import operator
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 
 from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm.compaction import CompactionJob
+from repro.apps.lsm import format as lsm_format
 from repro.apps.lsm.format import BloomFilter, RecordFormat, fnv1a
 from repro.apps.lsm.sstable import SSTableWriter, open_sstable
 from repro.kernel import Machine
+from tests.reference.bloom import reference_add, reference_test
+from tests.strategies import STANDARD_SETTINGS
 
 
 def make_db(limit=512, memtable=64, value_size=1000, max_levels=3):
@@ -48,16 +53,14 @@ class TestBloom:
     def test_no_false_negatives(self):
         bloom = BloomFilter(100)
         keys = [f"k{i}" for i in range(100)]
-        for key in keys:
-            bloom.add(key)
+        bloom.add_all(keys)
         for key in keys:
             assert BloomFilter.test_chunks(bloom.chunks, bloom.nbits,
                                            key)
 
     def test_some_true_negatives(self):
         bloom = BloomFilter(50)
-        for i in range(50):
-            bloom.add(f"k{i}")
+        bloom.add_all(f"k{i}" for i in range(50))
         negatives = sum(
             1 for i in range(1000)
             if not BloomFilter.test_chunks(bloom.chunks, bloom.nbits,
@@ -68,10 +71,73 @@ class TestBloom:
     @settings(max_examples=50, deadline=None)
     def test_membership_property(self, keys):
         bloom = BloomFilter(max(len(keys), 1))
-        for key in keys:
-            bloom.add(key)
+        bloom.add_all(keys)
         assert all(BloomFilter.test_chunks(bloom.chunks, bloom.nbits, k)
                    for k in keys)
+
+
+class TestBloomOneCrc:
+    """``add_all``/``test_chunks`` derive all four probe hashes from one
+    CRC of the key; ``_positions`` (eight salted passes) is the oracle."""
+
+    @given(st.binary(max_size=64), st.integers(0, 0xFFFFFFFF))
+    @STANDARD_SETTINGS
+    def test_crc32_is_affine_in_its_start_value(self, data, salt):
+        zeros = bytes(len(data))
+        assert zlib.crc32(data, salt) == \
+            zlib.crc32(data) ^ zlib.crc32(zeros, salt) ^ zlib.crc32(zeros)
+
+    @given(st.lists(st.text(max_size=12), unique=True),
+           st.sampled_from(((1, 1), (4000, 2), (9000, 3), (12000, 4),
+                            (19000, 6))),
+           st.data())
+    @STANDARD_SETTINGS
+    def test_filter_equals_the_oracle(self, keys, sizing, data):
+        expected_entries, npages = sizing
+        cut = data.draw(st.integers(0, len(keys)))
+        held, absent = keys[:cut], keys[cut:]
+        want = BloomFilter(expected_entries)
+        for key in held:
+            reference_add(want, key)
+        bloom = BloomFilter(expected_entries)
+        chunks = list(bloom.chunks)
+        assert len(chunks) == npages
+        # Twice on one filter ORs, into the same chunk objects.
+        split = data.draw(st.integers(0, cut))
+        bloom.add_all(held[:split])
+        bloom.add_all(held[split:])
+        assert bloom.chunks == want.chunks
+        assert all(map(operator.is_, bloom.chunks, chunks))
+        for key in keys:
+            verdict = reference_test(want, key)
+            assert BloomFilter.test_chunks(bloom.chunks, bloom.nbits,
+                                           key) is verdict
+            assert verdict or key in absent
+
+    def test_format_keeps_nothing_per_key(self):
+        def sizes():
+            return {name: len(value)
+                    for name, value in vars(lsm_format).items()
+                    if isinstance(value, (dict, list, set))}
+
+        def load(first):
+            machine, cg, db = make_db()
+            db.bulk_load([(f"user{i:012d}", ("v0", i))
+                          for i in range(first, first + 20000, 2)])
+            return db
+
+        before = sizes()
+        db = load(0)
+        # A held key, and an absent one only the filter can turn away.
+        assert in_thread(db.machine, db.cgroup,
+                         lambda: db.get("user000000000008")) == ("v0", 8)
+        assert in_thread(db.machine, db.cgroup,
+                         lambda: db.get("user000000000007")) is None
+        after = sizes()
+        # One probe-salt entry per distinct encoded key length, at most.
+        assert all(after[name] - before[name] <= 1 for name in after)
+        load(20000)
+        assert sizes() == after
 
 
 class TestSSTable:

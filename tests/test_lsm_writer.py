@@ -15,10 +15,11 @@ from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm import compaction as lsm_compaction
 from repro.apps.lsm import db as lsm_db
 from repro.apps.lsm import sstable as lsm_sstable
-from repro.apps.lsm.format import (BLOOM_PAGE_BITS, INDEX_ENTRIES_PER_PAGE,
-                                   BloomFilter, RecordFormat)
+from repro.apps.lsm.format import (INDEX_ENTRIES_PER_PAGE, BloomFilter,
+                                   RecordFormat)
 from repro.apps.lsm.sstable import SSTable, SSTableWriter
 from repro.kernel import Machine
+from tests.reference.bloom import reference_add
 from tests.strategies import (DETERMINISM_SETTINGS, STANDARD_SETTINGS,
                               db_options, lsm_op_sequences, sorted_runs)
 from tests.strategies.lsm import apply_op
@@ -66,9 +67,7 @@ class ReferenceWriter:
         if not self._page:
             self._index.append(key)
         self._page.append((key, value))
-        for pos in self.bloom._positions(key):
-            chunk, bit = divmod(pos, BLOOM_PAGE_BITS)
-            self.bloom.chunks[chunk][bit >> 3] |= 1 << (bit & 7)
+        reference_add(self.bloom, key)
         self._n_entries += 1
         if len(self._page) >= self.fmt.entries_per_page:
             self._emit_page(self._page)
@@ -225,6 +224,20 @@ class TestWriterDifferential:
         assert got[0]["npages"] == 1334 + 2 + 6 + 1
         assert len(got[0]["bloom"]) == 2
 
+    @pytest.mark.parametrize("through_cache", (False, True))
+    def test_three_bloom_pages(self, through_cache):
+        # 90000 bloom bits: 3 pages, so the page of a bit is a true
+        # remainder (not a mask) of the 64-bit probe hash.
+        run = [(f"key{i:05d}", i) for i in range(9000)]
+        got = build(SSTableWriter, FORMATS[1], len(run),
+                    pieces_of(run, [5000]), [True, False],
+                    through_cache, limit_pages=64)
+        want = build(ReferenceWriter, FORMATS[1], len(run), [run], [False],
+                     through_cache, limit_pages=64)
+        assert got == want
+        assert len(got[0]["bloom"]) == 3
+        assert all(any(chunk) for chunk in got[0]["bloom"])
+
 
 class TestWriterRefusals:
     def _writer(self, writer_cls=SSTableWriter):
@@ -297,6 +310,40 @@ class TestDbThroughReferenceWriter:
                     metrics_image(machine))
 
         assert run(reference=True) == run(reference=False)
+
+    def test_multi_page_filters_through_flush_and_compaction(self):
+        # 9000-entry memtables flush tables with 3 bloom pages; merging
+        # two of them sizes the compaction writer's filters at 6.
+        def run(reference):
+            machine = Machine()
+            cg = machine.new_cgroup("db", limit_pages=256)
+            db = LsmDb(machine, cg, name="db", options=DbOptions(
+                fmt=FORMATS[1], memtable_entries=9000,
+                l0_compaction_trigger=1))
+            stages = []
+
+            def step(thread):
+                for first in (0, 4500):
+                    for i in range(first, first + 9000):
+                        db.put(f"key{i:05d}", first + i)  # 9000th flushes
+                stages.append([[table_image(table) for table in level]
+                               for level in db.levels])
+                db.drain_compaction()
+                return False
+
+            machine.spawn("op", step, cgroup=cg)
+            with tables_built_by(reference):
+                machine.run()
+            stages.append([[table_image(table) for table in level]
+                           for level in db.levels])
+            return stages, db.n_compactions, metrics_image(machine)
+
+        got = run(reference=False)
+        assert got == run(reference=True)
+        flushed, compacted = got[0]
+        assert [len(table["bloom"]) for table in flushed[0]] == [3, 3]
+        assert not compacted[0] and got[1] == 1
+        assert {len(table["bloom"]) for table in compacted[1]} == {6}
 
     def test_bulk_load_equals_the_reference(self):
         items = [(f"key{i:05d}", ("v0", i)) for i in range(700)]

@@ -98,6 +98,8 @@ class TestYcsbSpecs:
         items = load_items(10)
         assert len(items) == 10
         assert items[0][0] == key_of(0)
+        assert items == [(key_of(i), ("v0", i)) for i in range(10)]
+        assert all(type(item) is type(item[1]) is tuple for item in items)
 
 
 def small_db_env(nkeys=2000, limit=128):
@@ -284,9 +286,11 @@ class TestStreamPregen:
         assert streams.cache_info()["entries"] >= 1
 
     def test_key_strings_match_key_of(self):
+        streams.clear_cache()
         keys = streams.key_strings(50)
         assert keys == [key_of(i) for i in range(50)]
         assert streams.key_strings(50) is keys
+        assert streams.cache_info()["bytes"] == 50 * len(key_of(0))
 
     def test_insert_indices_are_runtime_state(self):
         # Insert ops carry -1: the key index comes from the shared
