@@ -486,28 +486,28 @@ class LsmDb(SnapshotFriendly):
                 if picked is None:
                     return False
                 inputs, target, drop = picked
+                # Reads each input's first page: inside the guard.
                 self._job = CompactionJob(
                     self.machine.fs, inputs, self.opts.fmt,
                     max_table_pages=self.opts.table_pages,
                     name_fn=self._next_sst_name,
                     drop_tombstones=drop)
                 self._job_target_level = target
-            try:
-                if self._job.step():
-                    self._install_compaction(self._job,
-                                             self._job_target_level)
-                    self._job = None
-            except (EIO, ETIMEDOUT):
-                # Abandon the job; inputs stay installed and a later
-                # step re-picks the compaction from scratch.  An
-                # unhandled error here would tear down the background
-                # daemon — and with it the whole engine run.
-                self.n_io_errors += 1
+            if self._job.step():
+                self._install_compaction(self._job,
+                                         self._job_target_level)
                 self._job = None
-            return True
+        except (EIO, ETIMEDOUT):
+            # Abandon the job; inputs stay installed and a later step
+            # re-picks the compaction from scratch.  An unhandled error
+            # here would tear down the background daemon — and with it
+            # the whole engine run.
+            self.n_io_errors += 1
+            self._job = None
         finally:
             if span is not None:
                 self._spans.close(_thread, span)
+        return True
 
     def _install_compaction(self, job: CompactionJob, target: int) -> None:
         input_set = {t.file.file_id for t in job.inputs}

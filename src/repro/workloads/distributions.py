@@ -11,11 +11,30 @@ cluster in a few SSTable pages and every policy looks great).
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
+from itertools import islice, repeat
 
 from repro.apps.lsm.format import fnv1a
 
 
-class UniformGenerator:
+class _KeyGenerator:
+    """What every key generator shares: :meth:`take`."""
+
+    def take(self, count: int) -> array:
+        """``count`` draws as one ``array('q')`` — exactly the values,
+        and the RNG state, that ``count`` calls of ``next()`` leave.
+
+        Subclasses override :meth:`_draws` with a chain of C-level
+        iterators over the same RNG calls; the default calls ``next``.
+        """
+        return array("q", self._draws(count))
+
+    def _draws(self, count: int):
+        return islice(iter(self.next, None), count)
+
+
+class UniformGenerator(_KeyGenerator):
     """Uniform over [0, n)."""
 
     def __init__(self, n: int, seed: int = 0) -> None:
@@ -27,8 +46,11 @@ class UniformGenerator:
     def next(self) -> int:
         return self._rng.randrange(self.n)
 
+    def _draws(self, count: int):
+        return map(self._rng.randrange, repeat(self.n, count))
 
-class ZipfianGenerator:
+
+class ZipfianGenerator(_KeyGenerator):
     """Zipfian over [0, n) with YCSB's default theta = 0.99.
 
     Rank 0 is the most popular item.
@@ -72,7 +94,7 @@ _CDF_CACHE: dict[tuple, list] = {}
 #: fnv1a(str(rank)) % n.  Ranks drawn by either zipfian sampler lie in
 #: [0, n), so one table answers every scramble for that keyspace —
 #: replacing a str + encode + two CRC32 passes per draw with a list
-#: index (and giving the numpy stream builder a fancy-indexable map).
+#: index.
 _SCRAMBLE_CACHE: dict[int, list] = {}
 
 
@@ -85,12 +107,12 @@ def scramble_table(n: int) -> list:
 
 
 def zipf_cdf(n: int, theta: float) -> list:
-    """The normalized zipfian CDF over ranks 1..n (memoized).
+    """The normalized zipfian CDF over ranks 1..n (memoized), shared
+    by every :class:`CdfZipfianGenerator` of that ``(n, theta)``.
 
-    Shared by :class:`CdfZipfianGenerator` and the vectorized stream
-    builders (:mod:`repro.workloads.streams`), which must binary-search
-    the *same* float values to stay bit-identical with the scalar
-    sampler.
+    The last entry is ``acc / acc``, which is exactly ``1.0``; since
+    ``random()`` is below 1.0, ``bisect_right`` over this list always
+    lands in ``[0, n)``.
     """
     cached = _CDF_CACHE.get((n, theta))
     if cached is None:
@@ -103,7 +125,7 @@ def zipf_cdf(n: int, theta: float) -> list:
     return cached
 
 
-class CdfZipfianGenerator:
+class CdfZipfianGenerator(_KeyGenerator):
     """Inverse-CDF zipfian sampler valid for any theta > 0.
 
     The YCSB rejection-free algorithm in :class:`ZipfianGenerator`
@@ -118,19 +140,20 @@ class CdfZipfianGenerator:
             raise ValueError("n must be positive")
         if theta <= 0:
             raise ValueError("theta must be positive")
-        import bisect
-        self._bisect = bisect.bisect_right
         self.n = n
         self.theta = theta
         self._rng = random.Random(seed)
         self._cdf = zipf_cdf(n, theta)
 
     def next(self) -> int:
-        return min(self._bisect(self._cdf, self._rng.random()),
-                   self.n - 1)
+        return bisect_right(self._cdf, self._rng.random())
+
+    def _draws(self, count: int):
+        return map(bisect_right, repeat(self._cdf, count),
+                   islice(iter(self._rng.random, None), count))
 
 
-class ScrambledZipfianGenerator:
+class ScrambledZipfianGenerator(_KeyGenerator):
     """Zipfian ranks scattered across the keyspace by FNV hashing."""
 
     def __init__(self, n: int, theta: float = 0.99, seed: int = 0) -> None:
@@ -144,8 +167,11 @@ class ScrambledZipfianGenerator:
     def next(self) -> int:
         return self._scramble[self._zipf.next()]
 
+    def _draws(self, count: int):
+        return map(self._scramble.__getitem__, self._zipf._draws(count))
 
-class LatestGenerator:
+
+class LatestGenerator(_KeyGenerator):
     """YCSB's "latest" distribution: recency-skewed towards the newest
     insert (workload D).  ``max_index`` moves as inserts happen.
 

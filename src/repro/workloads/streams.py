@@ -8,8 +8,7 @@ identical op sequence was being regenerated eight times per figure
 row.
 
 This module materializes each stream once per parameter tuple into
-compact ``array`` buffers (no numpy dependency) and memoizes them
-process-wide:
+compact ``array`` buffers and memoizes them process-wide:
 
 * serial runs reuse one buffer across every policy cell;
 * the parallel runner's :attr:`ExperimentSpec.prepare` hook fills the
@@ -20,7 +19,10 @@ process-wide:
 Pre-generation reproduces the exact RNG draw order of the original
 on-line samplers (same ``random.Random`` seeds, same call sequence),
 so replayed runs are byte-identical to the pre-existing behaviour —
-``tests/test_workloads.py`` asserts replay == on-line for each runner.
+``tests/test_workloads.py`` asserts replay == on-line for each runner,
+and each generator's ``take`` == repeated ``next``.  Everything here
+is the standard library: the bulk builds are chains of C-level
+iterators (``map``, ``islice``, ``repeat``) over the same RNG calls.
 
 Streams whose length exceeds :data:`STREAM_PREGEN_MAX` are not
 materialized; runners fall back to on-line sampling (fig11 spawns a
@@ -32,12 +34,12 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import repeat
 from typing import Optional
 
-try:  # numpy accelerates eligible stream builds; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
+from repro.workloads.distributions import (LatestGenerator,
+                                           ScrambledZipfianGenerator,
+                                           UniformGenerator)
 
 #: Operation codes used in pre-generated streams (array-friendly).
 OP_READ, OP_UPDATE, OP_INSERT, OP_SCAN, OP_RMW = range(5)
@@ -56,11 +58,10 @@ STREAM_PREGEN_MAX = 1_000_000
 #: processes sweeping many scales.
 STREAM_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
-#: Vectorize eligible stream builds with numpy (zipfian request
-#: distribution, no inserts/scans, theta >= 1).  A module switch, not
-#: a parameter, so ``tests/test_workloads.py`` can force the scalar
-#: reference path and assert byte-identical streams.
-VECTORIZE = _np is not None
+#: Always False: every stream is built with the standard library.
+#: Kept only because ``benchmarks/layered/run.py`` prints it in its
+#: header line; nothing in ``repro`` reads it.
+VECTORIZE = False
 
 #: Process-global stream cache: parameter tuple -> materialized data.
 #: Filled either lazily (first cell to need a stream builds it) or
@@ -165,9 +166,6 @@ def draw_op_kind(rng: random.Random, spec) -> int:
 def make_ycsb_chooser(spec, nkeys: int, seed: int,
                       zipf_theta: float, latest_theta: float):
     """The request-distribution generator for one YCSB worker."""
-    from repro.workloads.distributions import (LatestGenerator,
-                                               ScrambledZipfianGenerator,
-                                               UniformGenerator)
     if spec.distribution == "zipfian":
         return ScrambledZipfianGenerator(nkeys, theta=zipf_theta,
                                          seed=seed)
@@ -191,21 +189,30 @@ def ycsb_stream(spec, nkeys: int, total: int, seed: int, worker: int,
     ``rng.randrange`` after the chooser draw.  Insert indices are
     stored as ``-1``: they come from the runner's *shared* insert
     counter, which is runtime state.
+
+    Without inserts and scans (A, B, C, F, uniform, uniform-rw) the
+    stream is *separable*: ``rng`` draws only kinds and the chooser
+    only keys, so all kinds are drawn first and all keys in one
+    :meth:`take`.  A one-kind mix draws no kinds at all — ``random() <
+    1.0 <= share`` picks that kind every time, and nothing else reads
+    ``rng``.
     """
     key = ("ycsb", spec, nkeys, total, seed, worker,
            zipf_theta, latest_theta)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    if (VECTORIZE and _np is not None
-            and spec.distribution == "zipfian"
-            and spec.insert == 0 and spec.scan == 0
-            and zipf_theta >= 1.0):
-        return _cache_put(key, _ycsb_stream_vector(
-            spec, nkeys, total, seed, worker, zipf_theta))
     rng = random.Random(seed * 1000 + worker)
     chooser = make_ycsb_chooser(spec, nkeys, seed * 77 + worker,
                                 zipf_theta, latest_theta)
+    if spec.insert == 0 and spec.scan == 0:
+        shares = spec.kind_shares
+        if len(shares) == 1 and shares[0][1] >= 1.0:
+            kinds = array("b", [shares[0][0]]) * total
+        else:
+            kinds = array("b", map(draw_op_kind, repeat(rng, total),
+                                   repeat(spec, total)))
+        return _cache_put(key, OpStream(kinds, chooser.take(total)))
     is_latest = spec.distribution == "latest"
     kinds = array("b")
     indices = array("q")
@@ -226,58 +233,6 @@ def ycsb_stream(spec, nkeys: int, total: int, seed: int, worker: int,
             lengths.append(1 + rng.randrange(max_scan_len)
                            if kind == OP_SCAN else 0)
     return _cache_put(key, OpStream(kinds, indices, lengths))
-
-
-#: Memoized numpy views of the zipfian CDF and FNV scramble table,
-#: keyed (nkeys, theta).  Values mirror the list memos in
-#: :mod:`repro.workloads.distributions` element-for-element.
-_NP_TABLES: dict = {}
-
-
-def _np_zipf_tables(nkeys: int, theta: float):
-    key = (nkeys, theta)
-    cached = _NP_TABLES.get(key)
-    if cached is None:
-        from repro.workloads.distributions import scramble_table, zipf_cdf
-        cached = _NP_TABLES[key] = (
-            _np.asarray(zipf_cdf(nkeys, theta), dtype=_np.float64),
-            _np.asarray(scramble_table(nkeys), dtype=_np.int64))
-    return cached
-
-
-def _ycsb_stream_vector(spec, nkeys: int, total: int, seed: int,
-                        worker: int, zipf_theta: float) -> OpStream:
-    """Vectorized :func:`ycsb_stream` for the no-insert, no-scan,
-    CDF-zipfian case (YCSB A/B/C/F at the calibrated theta >= 1).
-
-    Byte-identical to the scalar path by construction:
-
-    * the op-kind walk keeps the *scalar* float subtraction chain of
-      :func:`draw_op_kind` on the same ``random.Random`` — re-deriving
-      kinds from cumulative thresholds would differ in ULP cases;
-    * chooser floats are drawn scalar from the chooser's own
-      ``random.Random`` (numpy's generator produces different
-      doubles), and only the deterministic transform is vectorized:
-      ``np.searchsorted(side="right")`` is bit-equivalent to
-      ``bisect_right`` on the same float64 CDF, and the scramble is a
-      pure table lookup.
-
-    ``tests/test_workloads.py`` asserts equality against the scalar
-    path for every eligible workload.
-    """
-    rng = random.Random(seed * 1000 + worker)
-    kinds = array("b", (draw_op_kind(rng, spec) for _ in range(total)))
-    # ScrambledZipfianGenerator(nkeys, theta, seed) seeds its CDF
-    # sampler's rng with exactly this value.
-    chooser_rng = random.Random(seed * 77 + worker)
-    u = _np.fromiter((chooser_rng.random() for _ in range(total)),
-                     dtype=_np.float64, count=total)
-    cdf, scramble = _np_zipf_tables(nkeys, zipf_theta)
-    ranks = _np.searchsorted(cdf, u, side="right")
-    _np.minimum(ranks, nkeys - 1, out=ranks)
-    indices = array("q")
-    indices.frombytes(scramble[ranks].tobytes())
-    return OpStream(kinds, indices, None)
 
 
 def twitter_stream(profile, nkeys: int, total: int, seed: int) -> OpStream:
@@ -310,19 +265,8 @@ def zipfian_indices(nkeys: int, theta: float, seed: int,
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    if (VECTORIZE and _np is not None and theta >= 1.0):
-        rng = random.Random(seed)
-        u = _np.fromiter((rng.random() for _ in range(count)),
-                         dtype=_np.float64, count=count)
-        cdf, scramble = _np_zipf_tables(nkeys, theta)
-        ranks = _np.searchsorted(cdf, u, side="right")
-        _np.minimum(ranks, nkeys - 1, out=ranks)
-        indices = array("q")
-        indices.frombytes(scramble[ranks].tobytes())
-        return _cache_put(key, indices)
-    from repro.workloads.distributions import ScrambledZipfianGenerator
-    gen = ScrambledZipfianGenerator(nkeys, theta=theta, seed=seed)
-    return _cache_put(key, array("q", (gen.next() for _ in range(count))))
+    return _cache_put(key, ScrambledZipfianGenerator(
+        nkeys, theta=theta, seed=seed).take(count))
 
 
 def uniform_indices(nkeys: int, seed: int, count: int) -> array:
@@ -331,13 +275,7 @@ def uniform_indices(nkeys: int, seed: int, count: int) -> array:
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    # Left scalar because vectorizing does not pay, not because it
-    # cannot be done: getrandbits(32 * K) yields the same K words as K
-    # calls of getrandbits(32), but decoding them (rejections included)
-    # in pure Python is no faster than this loop.
-    rng = random.Random(seed)
-    return _cache_put(key, array(
-        "q", (rng.randrange(nkeys) for _ in range(count))))
+    return _cache_put(key, UniformGenerator(nkeys, seed=seed).take(count))
 
 
 def key_strings(nkeys: int) -> list:
@@ -351,4 +289,4 @@ def key_strings(nkeys: int) -> list:
     if cached is not None:
         return cached
     from repro.workloads.ycsb import key_of
-    return _cache_put(key, [key_of(i) for i in range(nkeys)])
+    return _cache_put(key, list(map(key_of, range(nkeys))))

@@ -81,7 +81,9 @@ YCSB_WORKLOADS: dict[str, YcsbSpec] = {
 
 
 def key_of(index: int) -> str:
-    return f"user{index:012d}"
+    """``f"user{index:012d}"`` for every int, sign included, in about
+    two thirds of the f-string's time."""
+    return "user" + str(index).zfill(12)
 
 
 def load_items(nkeys: int) -> list[tuple]:

@@ -1,5 +1,6 @@
 """Small YCSB runs: every core workload mix, one to four client
-threads, with and without a warm-up window, replayed from a
+threads, with and without a warm-up window, at YCSB's default skew or
+the experiments' theta >= 1 (inverse-CDF sampler), replayed from a
 pre-generated stream or sampled on line."""
 
 from dataclasses import dataclass
@@ -18,13 +19,14 @@ class YcsbCase:
     nops: int
     warmup_ops: int
     seed: int
+    zipf_theta: float
     pregen: bool
 
     def runner(self, cls, db):
         return cls(db, YCSB_WORKLOADS[self.workload], nkeys=NKEYS,
                    nops=self.nops, nthreads=self.nthreads,
                    warmup_ops=self.warmup_ops, seed=self.seed,
-                   pregen=self.pregen)
+                   zipf_theta=self.zipf_theta, pregen=self.pregen)
 
 
 def ycsb_cases() -> st.SearchStrategy:
@@ -36,4 +38,5 @@ def ycsb_cases() -> st.SearchStrategy:
         nops=st.integers(0, 240),
         warmup_ops=st.sampled_from((0, 0, 7, 60)),
         seed=st.integers(0, 50),
+        zipf_theta=st.sampled_from((0.99, 1.1, 1.4)),
         pregen=st.booleans())

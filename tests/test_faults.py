@@ -507,6 +507,62 @@ class TestLsmDegradation:
         assert out["scan"] == []
         assert db.n_io_errors >= 2
 
+    def test_compaction_absorbs_a_timeout_on_its_first_read(self):
+        # Starting a compaction job reads each input's first page.  L0
+        # tables were just written through the cache, the bulk-loaded
+        # L1 tables were not: that first read goes to a device whose
+        # reads all hang past the request deadline for a while.
+        from repro.apps.lsm import DbOptions, LsmDb
+        machine = Machine()
+        cg = machine.new_cgroup("db", limit_pages=64)
+        db = LsmDb(machine, cg, options=DbOptions(memtable_entries=16,
+                                                  max_levels=1))
+        db.bulk_load([(f"key{i:04d}", i) for i in range(500)])
+        trigger = db.opts.l0_compaction_trigger
+
+        def fill(thread):
+            for i in range(16 * (trigger + 1)):
+                db.put(f"key{3 * i:04d}", -i)
+            return False
+
+        machine.spawn("fill", fill, cgroup=cg)
+        machine.run()
+        installed = [list(level) for level in db.levels]
+        assert len(installed[0]) > trigger
+        hang_until = machine.now_us + 100_000.0
+        machine.arm_faults(FaultPlan(
+            device=(DeviceFault(kind="stuck", prob=1.0, ops=("read",),
+                                end_us=hang_until,
+                                stuck_extra_us=10_000.0),),
+            request_deadline_us=3_000.0))
+        out = {}
+
+        def compact(thread):
+            if "first" not in out:
+                out["first"] = db.compaction_step()
+                out["errors"] = db.n_io_errors
+                out["levels"] = [list(level) for level in db.levels]
+                assert thread.clock_us < hang_until
+                thread.wait_until(hang_until)
+                return True
+            db.compaction_step()
+            if db.n_compactions == 0:
+                return True
+            out["values"] = [db.get(k) for k in ("key0003", "key0004")]
+            return False
+
+        machine.spawn("compact", compact, cgroup=cg)
+        machine.run()  # the timeout never reached the engine
+        assert out["first"] is True
+        assert out["errors"] == 1
+        assert out["levels"] == installed
+        assert machine.faults.fired["device_timeout"] >= 1
+        # A later step re-picked the same merge and completed it.
+        assert db.n_compactions == 1 and db.n_io_errors == 1
+        assert db.levels[0] == []
+        assert out["values"] == [-1, 4]
+        machine.check_invariants()
+
 
 # ----------------------------------------------------------------------
 # determinism

@@ -1,9 +1,16 @@
 """Workload generator tests: distributions, YCSB, Twitter, GET-SCAN."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm.format import RecordFormat
@@ -13,7 +20,7 @@ from repro.workloads.distributions import (CdfZipfianGenerator,
                                            LatestGenerator,
                                            ScrambledZipfianGenerator,
                                            UniformGenerator,
-                                           ZipfianGenerator)
+                                           ZipfianGenerator, zipf_cdf)
 from repro.workloads.getscan import GetScanWorkload
 from repro.workloads.twitter import (CLUSTERS, ClusterKeyStream,
                                      ClusterProfile, TwitterRunner)
@@ -77,6 +84,42 @@ class TestDistributions:
         samples = [gen.next() for _ in range(500)]
         assert max(samples) > 99  # window slid forward
         assert all(s >= 0 for s in samples)
+
+
+def generators(n: int, theta: float, seed: int) -> list:
+    """Every key generator at ``(n, theta, seed)`` (the YCSB sampler
+    only below theta 1, which is all it accepts)."""
+    made = [UniformGenerator(n, seed=seed),
+            CdfZipfianGenerator(n, theta, seed=seed),
+            ScrambledZipfianGenerator(n, theta, seed=seed),
+            LatestGenerator(n, theta, seed=seed)]
+    if theta < 1.0:
+        made.append(ZipfianGenerator(n, theta, seed=seed))
+    return made
+
+
+class TestTake:
+    """``take(count)`` — what the stream builders call — is ``count``
+    calls of ``next()``: the same keys, and the same RNG state after."""
+
+    @STANDARD_SETTINGS
+    @given(n=st.integers(3, 3000),
+           theta=st.sampled_from((0.5, 0.99, 1.0, 1.1, 1.4, 2.0)),
+           seed=st.integers(0, 2 ** 32), count=st.integers(0, 400))
+    def test_take_is_repeated_next(self, n, theta, seed, count):
+        for bulk, single in zip(generators(n, theta, seed),
+                                generators(n, theta, seed)):
+            taken = bulk.take(count)
+            assert taken.typecode == "q"
+            assert list(taken) == [single.next() for _ in range(count)]
+            assert bulk.next() == single.next()
+
+    @STANDARD_SETTINGS
+    @given(n=st.integers(1, 50000),
+           theta=st.floats(0.01, 4.0, allow_nan=False))
+    def test_cdf_ends_at_exactly_one(self, n, theta):
+        # random() < 1.0, so bisect_right never returns n: no clamp.
+        assert zipf_cdf(n, theta)[-1] == 1.0
 
 
 class TestYcsbSpecs:
@@ -278,6 +321,24 @@ class TestStreamPregen:
                          machine.now_us, cg.stats.snapshot()))
         assert outs[0] == outs[1]
 
+    @STANDARD_SETTINGS
+    @given(workload=st.sampled_from(
+               [name for name, spec in YCSB_WORKLOADS.items()
+                if len(spec.kind_shares) == 1
+                and spec.kind_shares[0][1] >= 1.0]),
+           seed=st.integers(0, 10 ** 6), worker=st.integers(0, 7),
+           total=st.integers(0, 500))
+    def test_one_kind_stream_is_the_kind_walk(self, workload, seed, worker,
+                                              total):
+        # The one-kind shortcut draws no kinds; the walk it skips would
+        # have picked the same kind every time.
+        spec = YCSB_WORKLOADS[workload]
+        stream = streams.ycsb_stream(spec, 300, total, seed, worker,
+                                     1.1, 1.4)
+        rng = random.Random(seed * 1000 + worker)
+        assert list(stream.kinds) == [streams.draw_op_kind(rng, spec)
+                                      for _ in range(total)]
+
     def test_streams_are_cached_and_shared(self):
         spec = YCSB_WORKLOADS["B"]
         a = streams.ycsb_stream(spec, 500, 200, 21, 0, 0.99, 1.4)
@@ -324,6 +385,32 @@ class TestStreamPregen:
             assert streams.cache_info()["entries"] == entries
         finally:
             streams.clear_cache()
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def test_simulator_runs_without_numpy():
+    # Installed or not, numpy must not be imported by the simulator.
+    # A fresh interpreter, so nothing another test imported counts.
+    code = textwrap.dedent("""
+        import sys
+        import repro
+        from repro.experiments import fig6, harness, parallel
+        from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
+        parallel.execute(fig6.plan(quick=True, policies=("lfu",),
+                                   workloads=("C",)), serial=True)
+        env = harness.make_db_env("default", cgroup_pages=64, nkeys=2000)
+        YcsbRunner(env.db, YCSB_WORKLOADS["A"], nkeys=2000, nops=400,
+                   nthreads=2, zipf_theta=1.1).run()
+        print(sorted(m for m in sys.modules if m.startswith("numpy")))
+    """)
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestGetScan:
