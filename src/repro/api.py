@@ -100,16 +100,6 @@ class MachineConfig:
         return machine
 
 
-def _resolve_spec(spec, quick: bool):
-    if isinstance(spec, str):
-        import importlib
-        module = importlib.import_module(f"repro.experiments.{spec}")
-        if not hasattr(module, "plan"):
-            raise ValueError(f"experiment {spec!r} has no plan()")
-        return module.plan(quick=quick)
-    return spec
-
-
 def run(spec: Union[str, object], *, mode: str = "full",
         policy: Optional[str] = None, faults=None, quick: bool = False,
         jobs: Optional[int] = None, serial: Optional[bool] = None,
@@ -134,6 +124,7 @@ def run(spec: Union[str, object], *, mode: str = "full",
     policy:
         Only run cells whose id matches this policy (grid cell ids are
         ``workload/policy``); any :func:`fnmatch` glob also works.
+        Matching nothing raises ``NoCellsSelectedError``.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` armed on every machine
         the cells build or restore, ahead of the observing planes (so
@@ -156,9 +147,11 @@ def run(spec: Union[str, object], *, mode: str = "full",
         :func:`repro.experiments.parallel.timeseries_jsonl`, analyze
         with :mod:`repro.obs.analyze`).  Needs the full engine.
     """
-    from repro.experiments.parallel import (DEFAULT_TIMEOUT_S, execute,
+    from repro.experiments.parallel import (DEFAULT_TIMEOUT_S,
+                                            _load_experiment, execute,
                                             filter_cells)
-    resolved = _resolve_spec(spec, quick)
+    resolved = (_load_experiment(spec).plan(quick=quick)
+                if isinstance(spec, str) else spec)
     if policy is not None:
         pattern = policy if any(ch in policy for ch in "*?[") \
             else f"*/{policy}"

@@ -31,6 +31,7 @@ from repro.policies import (make_arc_policy, make_fifo_policy,
                             make_userspace_dispatch_policy)
 from repro.policies.lhd import init_lhd, make_lhd_policy
 from repro.policies.userspace import spawn_drainer
+from repro.sim.engine import collector_paused
 from repro.workloads.ycsb import load_items
 
 #: Policies applicable to the generic (application-agnostic) sweeps.
@@ -242,24 +243,26 @@ def make_db_env(policy: str, cgroup_pages: int, nkeys: int,
     first if this is the sweep's first cell — instead of re-running the
     bulk load.  The restored graph is fresh and independent per call;
     payloads are byte-identical to a cold build
-    (``tests/test_snapshot.py``).
+    (``tests/test_snapshot.py``).  Either way the build runs under
+    :func:`~repro.sim.engine.collector_paused`.
     """
     if db_options is None:
         db_options = DbOptions(memtable_entries=512)
-    if snapshot:
-        kernel = "mglru" if policy == "mglru" else "default"
-        image = _env_image(kernel, cgroup_pages, nkeys, db_options,
-                           cgroup_name, mode)
-        machine, cgroup, db = _snapshot.restore(image)
-        for attach in _observers:
-            attach(machine)
-    else:
-        machine, cgroup, db = _preattach_env(
-            "mglru" if policy == "mglru" else "default", cgroup_pages,
-            nkeys, db_options, cgroup_name, mode)
-    ops = attach_policy(machine, cgroup, policy, cgroup_pages)
-    if compaction_thread:
-        db.spawn_compaction_thread()
+    kernel = "mglru" if policy == "mglru" else "default"
+    with collector_paused():
+        if snapshot:
+            image = _env_image(kernel, cgroup_pages, nkeys, db_options,
+                               cgroup_name, mode)
+            machine, cgroup, db = _snapshot.restore(image)
+            for attach in _observers:
+                attach(machine)
+        else:
+            machine, cgroup, db = _preattach_env(
+                kernel, cgroup_pages, nkeys, db_options, cgroup_name,
+                mode)
+        ops = attach_policy(machine, cgroup, policy, cgroup_pages)
+        if compaction_thread:
+            db.spawn_compaction_thread()
     return DbEnv(machine, cgroup, db, ops)
 
 

@@ -63,6 +63,7 @@ from typing import Optional
 from repro.experiments import harness
 from repro.experiments.harness import (CellSpec, ExperimentResult,
                                        ExperimentSpec)
+from repro.sim.engine import collector_paused
 
 #: How long the scheduler waits on worker pipes before re-checking
 #: per-cell deadlines (seconds of real time).
@@ -228,33 +229,13 @@ def apply_snapshot(spec: ExperimentSpec, snapshot) -> ExperimentSpec:
                           prepare=prepare)
 
 
-def _run_gc_paused(fn):
-    """Run ``fn()`` with the cyclic collector paused.
-
-    A cell allocates millions of short-lived objects; the generational
-    collector's periodic sweeps are pure wall-clock with zero effect on
-    the simulation (virtual time never observes the host clock), worth
-    ~5-10% of a serial sweep.  The machine graph is cyclic (folio ↔
-    list node, engine ↔ threads), so the dead graph is reclaimed by an
-    explicit collect at the cell boundary — cheap, because
-    :func:`execute` freezes the long-lived prepared caches out of the
-    collector first, leaving only this cell's leftovers to scan.
-    Collector state is restored even when the cell raises, and a
-    caller who already disabled GC is left alone.
-    """
-    if not gc.isenabled():
-        return fn()
-    gc.disable()
-    try:
-        return fn()
-    finally:
-        gc.enable()
-        gc.collect()
-
-
 def run_cell(cell: CellSpec, planes=None) -> tuple:
     """Execute one cell in this process; returns ``(payload,
     {plane: artifact})``.
+
+    The cell runs under :func:`~repro.sim.engine.collector_paused`: no
+    pass inside it, one collect before it (cheap: :func:`execute` froze
+    the prepared caches first).
 
     ``planes`` is :func:`requested_planes`' ``{plane: value}``.  Each
     one attaches, in table order, to every machine the cell builds or
@@ -274,9 +255,7 @@ def run_cell(cell: CellSpec, planes=None) -> tuple:
     All are deterministic, so serial and parallel, cold and restored
     runs of the same cell produce byte-identical artifacts.
     """
-    if not planes:
-        return _run_gc_paused(cell.execute), {}
-    attach, artifacts = [], {}
+    planes, attach, artifacts = planes or {}, [], {}
     if "faults" in planes:
         attach.append(
             lambda machine: machine.arm_faults(planes["faults"]))
@@ -300,8 +279,8 @@ def run_cell(cell: CellSpec, planes=None) -> tuple:
             sampler.finalize()
             return sampler.to_doc()
         artifacts["timeseries"] = frames
-    with harness.observing(*attach):
-        payload = _run_gc_paused(cell.execute)
+    with harness.observing(*attach), collector_paused():
+        payload = cell.execute()
     return payload, {plane: make() for plane, make in artifacts.items()}
 
 
@@ -365,6 +344,7 @@ class ExecutionReport:
 
 def _worker_main(conn, cell: CellSpec, planes: dict) -> None:
     """Child entry: run one cell, send one message, exit."""
+    gc.disable()  # the process exit frees the cell's machine
     try:
         conn.send(("ok", *run_cell(cell, planes)))
     except BaseException as exc:  # report, don't propagate: the parent
@@ -533,7 +513,7 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
         spec.prepare()
         # The prepared caches are immortal for the process lifetime;
         # freezing them out of the cyclic collector keeps the per-cell
-        # boundary collects (see _run_gc_paused) from rescanning
+        # boundary collects (see run_cell) from rescanning
         # megabytes of static streams and image payloads every cell —
         # and, for forked workers, stops collector scans from dirtying
         # the inherited copy-on-write pages.
@@ -612,11 +592,16 @@ def filter_cells(spec: ExperimentSpec, pattern: str) -> ExperimentSpec:
     selected = [cell for cell in spec.cells
                 if fnmatchcase(cell.cell_id, pattern)]
     if not selected:
-        raise ValueError(
+        raise NoCellsSelectedError(
             f"no cell of {spec.name!r} matches {pattern!r} "
             f"(cells: {', '.join(spec.cell_ids())})")
     return ExperimentSpec(spec.name, selected, _subset_merge,
                           meta=spec.meta, prepare=spec.prepare)
+
+
+class NoCellsSelectedError(ValueError):
+    """A ``--cells`` glob or ``policy=`` filter matched no cell of the
+    plan; the message lists the cells there are."""
 
 
 # ----------------------------------------------------------------------

@@ -39,13 +39,12 @@ runner's ``--mode replay``), but directly::
 
 from __future__ import annotations
 
-import gc
 import heapq
 from typing import Optional
 
 from repro.kernel.machine import Machine
 from repro.sim import engine as _engine_mod
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, collector_paused
 
 
 class ReplayEngine(Engine):
@@ -74,21 +73,10 @@ class ReplayEngine(Engine):
         if (until_us is not None or max_steps is not None
                 or self._tp_switch.enabled or self._tp_exit.enabled):
             return super().run(until_us=until_us, max_steps=max_steps)
-        # Folio <-> ListNode references form cycles, so miss-heavy
-        # cells allocate cyclic garbage at hundreds of thousands of
-        # objects per run and the collector's generation-0 passes cost
-        # ~10% of wall time.  Virtual time never observes the
-        # collector, so replay suspends it for the loop and runs one
-        # full collection afterwards.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # Folio <-> ListNode cycles: miss-heavy cells allocate cyclic
+        # garbage by the hundred thousand, so the loop runs GC-paused.
+        with collector_paused():
             self._run_trimmed()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect()
 
     def _run_trimmed(self) -> None:
         heap = self._heap

@@ -21,8 +21,10 @@ charge a folio to, the TID consulted by application-informed policies).
 from __future__ import annotations
 
 from repro.snapshot import SnapshotFriendly
+import gc
 import heapq
 import itertools
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 from repro.obs.trace import NULL_TRACEPOINT
@@ -30,6 +32,22 @@ from repro.obs.trace import NULL_TRACEPOINT
 #: The thread currently being stepped by an Engine, if any.  Kernel code
 #: reads this the way Linux reads ``current``.
 _current: Optional["SimThread"] = None
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic collector off, after one full
+    collection that frees the previous (cyclic) machine before the next
+    allocates; a no-op for a caller that already disabled it."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def current_thread() -> Optional["SimThread"]:

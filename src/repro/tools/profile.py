@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import importlib
+import gc
 import io
 import pstats
+import time
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 #: Sort keys accepted by ``--sort`` (pstats names).
@@ -58,14 +60,34 @@ def format_stats(stats: pstats.Stats, sort: str = "cumulative",
     return stream.getvalue()
 
 
+@contextmanager
+def collector_log():
+    """Yield ``[[passes, seconds]]`` per collector generation, filled
+    from ``gc.callbacks`` while the block runs."""
+    log, started = [[0, 0.0] for _ in range(3)], []
+
+    def on_pass(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(time.perf_counter())
+        else:
+            log[info["generation"]][0] += 1
+            log[info["generation"]][1] += time.perf_counter() - started.pop()
+    gc.callbacks.append(on_pass)
+    try:
+        yield log
+    finally:
+        gc.callbacks.remove(on_pass)
+
+
 def profile_experiment(name: str, quick: bool = False,
                        cell_id: Optional[str] = None,
                        include_prepare: bool = False):
     """Profile an experiment's cells in-process.
 
-    Uses the experiment's :func:`plan` so the profiled work is exactly
-    what the parallel runner would distribute; returns
-    ``(payloads, pstats.Stats)``.
+    Each cell of the experiment's :func:`plan` (``cell_id``: a glob)
+    runs through :func:`~repro.experiments.parallel.run_cell`, collector
+    paused, exactly as the parallel runner would run it; returns
+    ``(payloads, pstats.Stats, collector_log)``.
 
     The plan's ``prepare`` hook (pre-generated workload streams) runs
     *outside* the profiled region by default, matching the runner,
@@ -73,26 +95,22 @@ def profile_experiment(name: str, quick: bool = False,
     per-cell work; ``include_prepare=True`` profiles it too (useful
     when tuning the generators themselves).
     """
-    module = importlib.import_module(f"repro.experiments.{name}")
-    if not hasattr(module, "plan"):
-        raise ValueError(f"experiment {name!r} has no plan()")
-    spec = module.plan(quick=quick)
-    cells = spec.cells
+    from repro.experiments.parallel import (_load_experiment,
+                                            filter_cells, run_cell)
+    spec = _load_experiment(name).plan(quick=quick)
     if cell_id is not None:
-        cells = [c for c in cells if c.cell_id == cell_id]
-        if not cells:
-            known = ", ".join(spec.cell_ids())
-            raise ValueError(
-                f"no cell {cell_id!r} in {name}; cells: {known}")
+        spec = filter_cells(spec, cell_id)
     if spec.prepare is not None and not include_prepare:
         spec.prepare()
 
     def run_cells() -> dict:
         if spec.prepare is not None and include_prepare:
             spec.prepare()
-        return {c.cell_id: c.execute() for c in cells}
+        return {c.cell_id: run_cell(c)[0] for c in spec.cells}
 
-    return profile_callable(run_cells)
+    with collector_log() as log:
+        payloads, stats = profile_callable(run_cells)
+    return payloads, stats, log
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -102,7 +120,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("experiment",
                         help="experiment module name (fig6, table5, ...)")
     parser.add_argument("--cell", default=None,
-                        help="profile only this cell id (e.g. A/lfu)")
+                        help="profile only cells matching this glob "
+                             "(e.g. A/lfu)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced sizes")
     parser.add_argument("--sort", choices=SORT_KEYS,
@@ -118,10 +137,14 @@ def main(argv: Optional[list] = None) -> int:
                              "(snakeviz/pstats compatible)")
     args = parser.parse_args(argv)
 
-    _, stats = profile_experiment(args.experiment, quick=args.quick,
-                                  cell_id=args.cell,
-                                  include_prepare=args.include_prepare)
+    _, stats, log = profile_experiment(
+        args.experiment, quick=args.quick, cell_id=args.cell,
+        include_prepare=args.include_prepare)
     print(format_stats(stats, sort=args.sort, limit=args.top), end="")
+    print("collector: " + ", ".join(
+        f"gen{gen} {passes} passes {s:.3f} s"
+        for gen, (passes, s) in enumerate(log))
+        + f" (of {stats.total_tt:.3f} s profiled)")
     if args.output:
         stats.dump_stats(args.output)
         print(f"profile data written to {args.output}")

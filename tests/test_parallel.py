@@ -20,9 +20,10 @@ from repro.experiments import (ablations, admission, fig6, fig7, fig8,
                                fig9, fig10, fig11, table1, table3,
                                table4, table5)
 from repro.experiments.harness import CellSpec, ExperimentSpec
-from repro.experiments.parallel import (UnknownExperimentError,
-                                        _load_experiment, execute, main,
-                                        run_cell)
+from repro.experiments.parallel import (NoCellsSelectedError,
+                                        UnknownExperimentError,
+                                        _load_experiment, execute,
+                                        filter_cells, main, run_cell)
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -237,6 +238,45 @@ def test_unknown_experiment_is_typed_and_lists_the_known(name):
         assert known in message
     assert "harness" not in message.split("known experiments are")[1]
     assert _load_experiment("table3") is table3
+
+
+@pytest.mark.parametrize("name", ["nosuch", "harness"])
+@pytest.mark.parametrize("entry", ["api.run", "profile_experiment"])
+def test_every_entry_point_names_an_unknown_experiment(entry, name):
+    from repro import api
+    from repro.tools.profile import profile_experiment
+    run = {"api.run": api.run, "profile_experiment": profile_experiment}
+    with pytest.raises(UnknownExperimentError,
+                       match=f"unknown experiment {name!r}: known "
+                             f"experiments are .*fig6"):
+        run[entry](name)
+
+
+def test_empty_glob_selection_is_typed_and_lists_the_cells():
+    spec = fig6.plan(quick=True, policies=("default", "lfu"),
+                     workloads=("C",))
+    with pytest.raises(NoCellsSelectedError) as excinfo:
+        filter_cells(spec, "Z/*")
+    assert str(excinfo.value) == (
+        "no cell of 'fig6' matches 'Z/*' (cells: C/default, C/lfu)")
+
+
+def test_empty_policy_selection_is_typed_and_lists_the_cells():
+    from repro import api
+    spec = fig6.plan(quick=True, policies=("default", "lfu"),
+                     workloads=("C",))
+    with pytest.raises(NoCellsSelectedError) as excinfo:
+        api.run(spec, policy="nosuch")
+    assert str(excinfo.value) == (
+        "no cell of 'fig6' matches '*/nosuch' (cells: C/default, C/lfu)")
+
+
+def test_cli_turns_empty_selection_into_exit_status_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table3", "--cells", "nothing*"])
+    assert excinfo.value.code == 2
+    assert "no cell of 'table3' matches 'nothing*' (cells: " \
+        in capsys.readouterr().err
 
 
 def test_cli_turns_unknown_experiment_into_exit_status_2(capsys):
