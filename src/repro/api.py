@@ -39,11 +39,12 @@ Mode rules — one table,
   shared post-load machine image (:mod:`repro.snapshot`) instead of
   re-running the load — byte-identical tables.
 * ``faults``, ``trace``, ``breakdown`` and ``timeseries`` compose in
-  any combination, cold or restored, serial or ``jobs``.  The one rule:
-  ``faults``, ``breakdown`` and ``timeseries`` need the full engine —
-  an explicit ``mode="replay"`` raises a ``ValueError`` naming the
-  plane and the alternative, ``"auto"`` falls back and records why on
-  the report (``report.mode`` / ``.snapshot`` / ``.fallback_reason``).
+  any combination, cold or restored, serial or ``jobs``, on either
+  engine, with one rule: ``breakdown`` and ``timeseries`` need the
+  full engine — an explicit ``mode="replay"`` raises a ``ValueError``
+  naming the plane and the alternative, ``"auto"`` falls back and
+  records why on the report (``report.mode`` / ``.snapshot`` /
+  ``.fallback_reason``).
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ def run(spec: Union[str, object], *, mode: str = "full",
     mode:
         ``"full"`` (reference engine), ``"replay"`` (trace-replay fast
         path for cells that opt in — bit-identical payloads), or
-        ``"auto"`` (replay unless ``faults``/``breakdown``/
-        ``timeseries`` need the full engine).
+        ``"auto"`` (replay unless ``breakdown``/``timeseries`` need
+        the full engine).
     policy:
         Only run cells whose id matches this policy (grid cell ids are
         ``workload/policy``); any :func:`fnmatch` glob also works.
@@ -129,7 +130,7 @@ def run(spec: Union[str, object], *, mode: str = "full",
         A :class:`~repro.faults.plan.FaultPlan` armed on every machine
         the cells build or restore, ahead of the observing planes (so
         the injected windows appear in the frames' ``active_faults``
-        column).  Needs the full engine.
+        column).
     serial:
         Defaults to ``jobs is None`` — no explicit job count means
         in-process serial execution (the reference behaviour).

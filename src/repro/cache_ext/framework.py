@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from repro.cache_ext.lists import EvictionList
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
-from repro.cache_ext.registry import FolioRegistry, ReplayFolioRegistry
+from repro.cache_ext.registry import FolioRegistry
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.cgroup import MemCgroup
 from repro.kernel.folio import Folio
@@ -121,15 +121,8 @@ class CacheExtPolicy(ExtPolicyBase):
         self.memcg = memcg
         self.ops = ops
         self.name = ops.name
-        nbuckets = memcg.limit_pages or DEFAULT_REGISTRY_BUCKETS
-        # Replay-mode machines get the folio-carried registry layout:
-        # same answers, no hash buckets on the eviction hot loop (see
-        # repro.replay; enable_replay() forbids the watchdog-detach
-        # path that the fast layout cannot represent).
-        if machine.replay_mode:
-            self.registry = ReplayFolioRegistry(nbuckets)
-        else:
-            self.registry = FolioRegistry(nbuckets)
+        self.registry = FolioRegistry(
+            memcg.limit_pages or DEFAULT_REGISTRY_BUCKETS)
         # Hot-path bindings: these objects are stable for the life of
         # the attachment, and _charge runs on every hook and kfunc.
         self._memcg_stats = memcg.stats
@@ -319,11 +312,12 @@ class CacheExtPolicy(ExtPolicyBase):
 
     def _empty_lists(self) -> None:
         """Detach teardown: no folio keeps a dangling ext reference."""
+        unbind = self.registry.set_node
         for lst in self.lists:
             node = lst.pop_head()
             while node is not None:
                 if node.item is not None:
-                    node.item.ext_node = None
+                    unbind(node.item, None)
                 node = lst.pop_head()
 
     # ------------------------------------------------------------------
@@ -365,7 +359,6 @@ class CacheExtPolicy(ExtPolicyBase):
         node = self.registry.remove(folio)
         if node is not None and node.owner is not None:
             node.owner.remove(node)
-        folio.ext_node = None
 
     def _traced_hook(self, slot: str, fn, counted, folio: Folio) -> None:
         """One per-folio dispatch with a guard armed or a hook

@@ -139,7 +139,6 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
         if not registry.contains(folio):
             return _fail(policy, ENOENT, "list_add")
         node = ListNode(folio)
-        folio.ext_node = node
         registry.set_node(folio, node)
     owner = node.owner
     if owner is not None:

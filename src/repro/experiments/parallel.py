@@ -107,13 +107,13 @@ class _LookupCounter:
 #: :func:`resolve_execution` derives the explicit-conflict error and
 #: ``auto``'s fallback from it, and :func:`repro.api.run`,
 #: :func:`execute` and the CLI all go through that.  (Machine-level
-#: guards — ``enable_replay``, ``TimeseriesSampler.attach``,
-#: ``snapshot.capture``, ``Machine.arm_faults`` — inspect live state for
-#: callers who bypass the harness and stay where they are.)
+#: guards — ``TimeseriesSampler.attach`` and ``snapshot.capture`` —
+#: inspect live state for callers who bypass the harness and stay where
+#: they are.)
 PLANES = {
-    "faults":
-        "a fault plan can detach a policy through the watchdog, which "
-        "the replay registry layout cannot represent",
+    # Watchdog detaches and quarantine re-attaches run the same code on
+    # both engines (tests/test_replay.py holds the chaos grid equal).
+    "faults": None,
     # Tracepoints fire identically on both engines (ReplayEngine.run
     # hands a run with ``sched:*`` subscribers to the full loop).
     "trace": None,

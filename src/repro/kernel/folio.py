@@ -66,13 +66,12 @@ class Folio:
         #: even when a cache_ext policy is attached — the paper keeps the
         #: kernel structures authoritative and uses them for fallback).
         self.lru_node = None
-        #: Node on the attached cache_ext policy's eviction lists.
-        self.ext_node = None
-        #: Owning replay-mode registry, or None.  The replay fast path
-        #: (:class:`repro.cache_ext.registry.ReplayFolioRegistry`)
-        #: carries registry membership on the folio itself instead of
-        #: in hash buckets; full-mode registries never touch this.
+        #: The valid-folio registry that owns this folio's membership,
+        #: or None, and that registry's eviction-list node binding.
+        #: Only :class:`repro.cache_ext.registry.FolioRegistry` reads or
+        #: writes the pair.
         self.ext_reg = None
+        self.ext_node = None
 
     # ------------------------------------------------------------------
     def pin(self) -> None:

@@ -90,10 +90,8 @@ class Machine(SnapshotFriendly):
         #: Armed fault injector (:meth:`arm_faults`), or None — the
         #: default, costing each gated site one load and a branch.
         self.faults = None
-        #: True once :func:`repro.replay.enable_replay` has switched
-        #: this machine onto the trace-replay fast path (trimmed
-        #: scheduler loop, folio-carried registries).
-        #: Components built afterwards consult it to pick fast layouts.
+        #: True once :func:`repro.replay.enable_replay` has swapped in
+        #: the :class:`~repro.replay.ReplayEngine`.
         self.replay_mode = False
         #: Per-hook runtime budget for cache_ext policies, in CPU
         #: microseconds charged per dispatch (None = no budget).

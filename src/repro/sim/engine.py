@@ -242,7 +242,19 @@ class Engine(SnapshotFriendly):
             Safety valve for tests; raises ``RuntimeError`` as soon as
             running one more step would exceed the budget (i.e. at most
             ``max_steps`` steps ever execute).
+
+        With neither bound, and neither ``sched:switch`` nor
+        ``sched:exit`` subscribed, the run takes
+        :meth:`_run_unbounded`: the same dispatch order without the
+        bound and tracepoint tests.  The subscriber check happens once
+        per call, so a subscriber must attach before ``run()``; every
+        in-repo consumer does (trace sessions, samplers and collectors
+        attach first, and windowed tools pass ``until_us``).
         """
+        if (until_us is None and max_steps is None
+                and not self._tp_switch.enabled
+                and not self._tp_exit.enabled):
+            return self._run_unbounded()
         global _current
         steps = 0
         heap = self._heap
@@ -313,5 +325,43 @@ class Engine(SnapshotFriendly):
                 if heap and clock >= heap[0][0]:
                     # heappush + heappop, fused: the same (clock, seq)
                     # order from one sift instead of two.
+                    clock, _seq, thread = heappushpop(
+                        heap, (clock, next_seq(), thread))
+
+    def _run_unbounded(self) -> None:
+        """:meth:`run` with no deadline, no step budget and no
+        scheduler tracepoint: byte-for-byte its heap / seq / burst
+        arithmetic, minus the branches that cannot fire."""
+        global _current
+        heap = self._heap
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
+        next_seq = self._seq.__next__
+        while heap:
+            if self._live_nondaemon == 0:
+                return
+            clock, _seq, thread = heappop(heap)
+            while not thread.done:
+                self.now_us = clock
+                _current = thread
+                try:
+                    more = thread.step_fn(thread)
+                finally:
+                    _current = None
+                thread.steps += 1
+                if not more:
+                    thread.done = True
+                    thread.finish_us = thread.clock_us
+                    self._nr_done += 1
+                    if not thread.daemon:
+                        self._live_nondaemon -= 1
+                    self.now_us = max(self.now_us, thread.clock_us)
+                    self._maybe_compact()
+                    heap = self._heap
+                    break
+                clock = thread.clock_us
+                # Same burst test and fused re-queue as run(): ties go
+                # to the heap entry, only a strictly smaller clock
+                # keeps the burst.
+                if heap and clock >= heap[0][0]:
                     clock, _seq, thread = heappushpop(
                         heap, (clock, next_seq(), thread))

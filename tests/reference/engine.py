@@ -2,7 +2,7 @@
 
 Every step pops the smallest ``(clock, seq)`` entry, runs it and pushes
 it back: no burst, no fused re-queue.  :meth:`Engine.run` and
-:meth:`ReplayEngine._run_trimmed` must dispatch the same threads in the
+:meth:`Engine._run_unbounded` must dispatch the same threads in the
 same order at the same clocks (they consume fewer seq numbers, which
 only ever break ties between entries in push order).
 """

@@ -11,6 +11,7 @@ from tests.strategies.eviction import EvictionCase, eviction_cases
 from tests.strategies.lsm import (LsmOp, db_options, lsm_op_sequences,
                                   sorted_runs, table_probes)
 from tests.strategies.planes import PlaneCase, plane_cases
+from tests.strategies.registry import RegistryCase, registry_cases
 from tests.strategies.scoring import (ScoringCase, SimpleCase,
                                       scoring_cases, simple_cases)
 from tests.strategies.settings import (COMPOSITION_SETTINGS,
@@ -27,6 +28,7 @@ __all__ = [
     "EvictionCase",
     "LsmOp",
     "PlaneCase",
+    "RegistryCase",
     "ScoringCase",
     "SimpleCase",
     "YcsbCase",
@@ -36,6 +38,7 @@ __all__ = [
     "eviction_cases",
     "lsm_op_sequences",
     "plane_cases",
+    "registry_cases",
     "scoring_cases",
     "simple_cases",
     "sorted_runs",

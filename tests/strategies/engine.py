@@ -70,13 +70,13 @@ def engine_scenarios() -> st.SearchStrategy:
         max_steps=st.one_of(st.none(), st.integers(0, 40)))
 
 
-def play(engine, scenario: EngineScenario) -> tuple:
+def play(engine, scenario: EngineScenario, **drain) -> tuple:
     """Run ``scenario`` on ``engine``; returns everything a scheduler
     can be told apart by: the dispatch log ``(tid, step index, clock at
     dispatch)`` written by the step functions themselves (so it exists
     on loops that emit no ``sched:switch``), ``now_us`` after each run
     call, whether the budgeted call raised, and every thread's final
-    counters."""
+    counters.  ``drain`` is passed to the last ``run()``."""
     log, threads = [], []
 
     def spawn(plan: ThreadPlan, name: str, start_us):
@@ -106,7 +106,7 @@ def play(engine, scenario: EngineScenario) -> tuple:
         except RuntimeError:
             checkpoints.append("raised")
         checkpoints.append(engine.now_us)
-    engine.run()
+    engine.run(**drain)
     checkpoints.append(engine.now_us)
     return log, checkpoints, [
         (t.tid, t.name, t.steps, t.clock_us, t.cpu_us, t.finish_us, t.done)

@@ -15,8 +15,12 @@ import types
 
 import pytest
 
+from repro.cache_ext import kfuncs
 from repro.cache_ext.framework import CacheExtPolicy
 from repro.cache_ext.ops import CacheExtOps
+from repro.cache_ext.registry import FolioRegistry
+from repro.experiments import harness
+from repro.faults import QuarantineConfig
 from repro.kernel import Machine
 
 LAYERED = pathlib.Path(__file__).resolve().parent.parent \
@@ -89,6 +93,59 @@ def test_repro_imports_resolve(name):
                and node.value.id in bound
                and not hasattr(bound[node.value.id], node.attr)]
     assert not missing
+
+
+# ----------------------------------------------------------------------
+# What micro.py does to the valid-folio registry: a second registry
+# registers a live policy's folios and releases them again.
+# ----------------------------------------------------------------------
+def _cgroup_with_folios(machine, policy: str, limit_pages: int,
+                        n: int = 256):
+    cgroup = machine.new_cgroup(policy, limit_pages=limit_pages)
+    harness.attach_policy(machine, cgroup, policy, min(limit_pages, 4096))
+    file = machine.fs.create(f"{policy}/data")
+    for index in range(n):
+        file.store[index] = index
+    file.npages = n
+    return cgroup, [machine.page_cache.add_folio(file.mapping, index, cgroup)
+                    for index in range(n)]
+
+
+def test_a_second_registry_leaves_the_policy_its_folios():
+    machine = harness.build_machine("default")
+    cgroup, folios = _cgroup_with_folios(machine, "lfu", 1 << 20)
+    lfu_list = cgroup.ext_policy.lists[0].id
+    registry = FolioRegistry(4096)
+    for folio in folios:
+        registry.insert(folio)
+    for folio in folios:
+        registry.remove(folio)
+    assert [kfuncs.list_move(lfu_list, folio, True)
+            for folio in folios] == [0] * len(folios)
+    assert cgroup.stats.kfunc_errors == 0
+    machine.check_invariants()
+
+
+def test_quarantine_reattach_keeps_the_invariants():
+    machine = harness.build_machine("default")
+    quarantine = machine.enable_quarantine(
+        QuarantineConfig(base_backoff_us=0.0))
+    cgroup, folios = _cgroup_with_folios(machine, "lfu", 64, n=48)
+    detached = cgroup.ext_policy
+    detached._watchdog_detach(reason="test")
+    policy = quarantine.maybe_reattach(cgroup)
+    assert policy is not None and policy is cgroup.ext_policy
+    # The resident folios' slots still name the detached registry, so
+    # the new one holds every one of them in its side table.
+    assert all(folio.ext_reg is detached.registry for folio in folios)
+    assert len(policy.registry._held) == len(folios)
+    machine.check_invariants()
+    # Past the limit: the re-attached policy evicts through them.
+    mapping = folios[0].mapping
+    for index in range(48, 160):
+        machine.page_cache.add_folio(mapping, index, cgroup)
+    assert cgroup.stats.evictions > 0 and cgroup.stats.kfunc_errors == 0
+    machine.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,9 @@ from repro.kernel.address_space import AddressSpace
 from repro.kernel.cgroup import MemCgroup
 from repro.kernel.folio import PAGE_SIZE, Folio
 from repro.kernel.list import ListNode
+from tests.reference.registry import ReferenceRegistry
+from tests.strategies import STANDARD_SETTINGS, registry_cases
+from tests.strategies.registry import play
 
 
 def make_folios(n):
@@ -59,13 +62,6 @@ class TestRegistryBasics:
         reg = FolioRegistry(16)
         folio, = make_folios(1)
         assert not reg.set_node(folio, ListNode(folio))
-
-    def test_lock_acquisitions_distribute(self):
-        reg = FolioRegistry(8)
-        for folio in make_folios(64):
-            reg.insert(folio)
-        assert sum(reg.lock_acquisitions) >= 64
-        assert sum(1 for c in reg.lock_acquisitions if c > 0) > 1
 
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
@@ -121,3 +117,32 @@ def test_registry_matches_set_model(ops):
     assert len(reg) == len(model)
     for idx in range(20):
         assert reg.contains(folios[idx]) == (idx in model)
+
+
+class TestReferenceRegistry:
+    """The folio-slot registry against the kernel's bucketed layout
+    (tests/reference/registry.py)."""
+
+    @STANDARD_SETTINGS
+    @given(case=registry_cases())
+    def test_matches_the_bucketed_reference(self, case):
+        assert play(FolioRegistry, case) == play(ReferenceRegistry, case)
+
+    def test_second_registry_keeps_a_released_folio(self):
+        # The owner releases the folio's slots; the registry that holds
+        # it in its side table still refuses a second insert.
+        first, second = FolioRegistry(4), FolioRegistry(4)
+        folio, = make_folios(1)
+        first.insert(folio)
+        second.insert(folio)
+        first.remove(folio)
+        with pytest.raises(RuntimeError, match="duplicate"):
+            second.insert(folio)
+        assert second.contains(folio) and len(second) == 1
+
+    def test_lock_acquisitions_distribute(self):
+        reg = ReferenceRegistry(8)
+        for folio in make_folios(64):
+            reg.insert(folio)
+        assert sum(reg.lock_acquisitions) >= 64
+        assert sum(1 for c in reg.lock_acquisitions if c > 0) > 1

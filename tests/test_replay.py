@@ -5,22 +5,23 @@ is enforced here by running the same cell twice — once on the
 reference engine, once with ``mode="replay"`` — and requiring the
 *entire payload dict* to compare equal, floats included.  Coverage
 spans the three stream families (YCSB, Twitter clusters, GET-SCAN)
-and every attachable policy, plus ARC and SIEVE driven directly.
+and every attachable policy, plus ARC and SIEVE driven directly, and
+the quick chaos grid's fault plans.
 
 Scales are kept small: equality at any scale exercises the same code
 paths, and the full-scale cross-check lives in the benchmark suite.
 """
 
+import functools
 import warnings
 
 import pytest
 
 from repro import api, load_policy
-from repro.experiments import (ablations, admission, fig6, fig7, fig8,
-                               fig10, table5)
-from repro.experiments.harness import GENERIC_POLICY_NAMES
+from repro.experiments import (ablations, admission, chaos, fig6, fig7,
+                               fig8, fig10, table5)
+from repro.experiments.harness import GENERIC_POLICY_NAMES, make_db_env
 from repro.experiments.parallel import apply_mode, execute
-from repro.faults.plan import FaultPlan
 from repro.kernel.machine import Machine
 from repro.policies.arc import make_arc_policy
 from repro.policies.sieve import make_sieve_policy
@@ -172,29 +173,29 @@ class TestPlansOnFig6Cells:
         assert full.result.format_table() == fast.result.format_table()
 
 
+#: The quick chaos grid: every fault domain, watchdog detaches and
+#: quarantine re-attaches included (the buggy-policy cells).
+CHAOS_CELLS = chaos.plan(quick=True).cells
+
+
+class TestFaultPlanEquality:
+    @pytest.mark.parametrize("cell", CHAOS_CELLS,
+                             ids=[cell.cell_id for cell in CHAOS_CELLS])
+    def test_chaos_payloads_bit_identical(self, cell, monkeypatch):
+        full = cell.fn(**cell.kwargs)
+        monkeypatch.setattr(chaos, "make_db_env",
+                            functools.partial(make_db_env, mode="replay"))
+        assert cell.fn(**cell.kwargs) == full
+        if cell.kwargs["scenario"] == "buggy-policy":
+            assert full["quarantines"] > 0 and full["reattaches"] > 0
+
+
 class TestReplayRefusals:
     def test_refuses_after_spawn(self):
         machine = Machine()
         machine.spawn("t", lambda thread: False)
         with pytest.raises(ValueError, match="before any thread"):
             enable_replay(machine)
-
-    def test_refuses_armed_faults(self):
-        machine = Machine()
-        machine.arm_faults(FaultPlan(seed=3))
-        with pytest.raises(ValueError, match="incompatible"):
-            enable_replay(machine)
-
-    def test_refuses_hook_budget(self):
-        machine = Machine()
-        machine.hook_budget_us = 50.0
-        with pytest.raises(ValueError, match="incompatible"):
-            enable_replay(machine)
-
-    def test_arm_faults_refused_on_replay_machine(self):
-        machine = enable_replay(Machine())
-        with pytest.raises(ValueError, match="replay-mode machine"):
-            machine.arm_faults(FaultPlan(seed=3))
 
     def test_enable_replay_idempotent(self):
         machine = enable_replay(Machine())
@@ -218,7 +219,7 @@ class TestReplayRefusals:
 
     @pytest.mark.parametrize("name", ["sched:switch", "sched:exit"])
     def test_scheduler_tracepoints_fire_like_a_full_machine(self, name):
-        # The trimmed loop emits neither; a subscriber must make the
+        # The unbounded loop emits neither; a subscriber must make the
         # run fall back to the full loop, not go silently deaf.
         def events(mode):
             machine = api.MachineConfig(mode=mode).build()

@@ -382,10 +382,66 @@ class TestBurstScheduling:
     @given(scenario=engine_scenarios())
     def test_every_loop_schedules_like_the_reference(self, scenario):
         want = self._traced(ReferenceEngine, scenario)
+        # The general loop, forced by a sched:switch subscriber and
+        # again by an infinite deadline.
         assert self._traced(Engine, scenario) == want
-        # Untraced, so an unbounded run() takes the trimmed loop (a
-        # sched:switch subscriber would send it to Engine.run).
+        assert play(Engine(), scenario, until_us=float("inf")) == want
+        # Untraced and unbounded, the draining run() takes
+        # _run_unbounded, on both engines.
+        assert play(Engine(), scenario) == want
         assert play(ReplayEngine(), scenario) == want
+
+    @pytest.mark.parametrize("engine_cls", (Engine, ReplayEngine))
+    def test_unbounded_branch_only_when_nothing_can_see_it(self,
+                                                           engine_cls):
+        class Spy(engine_cls):
+            unbounded = 0
+
+            def _run_unbounded(self):
+                Spy.unbounded += 1
+                super()._run_unbounded()
+
+        def runs(**kwargs):
+            engine = Spy()
+            registry = TraceRegistry()
+            engine.attach_trace(registry)
+            make_counter_thread(engine, "a", 3, 1.0)
+            if kwargs.pop("subscribe", False):
+                registry.tracepoint("sched:exit").subscribe(lambda e: None)
+            before = Spy.unbounded
+            engine.run(**kwargs)
+            return Spy.unbounded - before
+
+        assert runs() == 1
+        assert runs(subscribe=True) == 0
+        assert runs(until_us=float("inf")) == 0
+        assert runs(max_steps=100) == 0
+
+    @pytest.mark.parametrize("engine_cls", (Engine, ReplayEngine))
+    def test_a_subscriber_attached_before_run_sees_every_switch(
+            self, engine_cls):
+        engine = engine_cls()
+        registry = TraceRegistry()
+        engine.attach_trace(registry)
+        threads = [make_counter_thread(engine, f"t{i}", 4 + i, 1.5 + i)
+                   for i in range(3)]
+        seen = []
+        registry.tracepoint("sched:switch").subscribe(seen.append)
+        engine.run()
+        # n working steps plus the finishing one, per thread.
+        assert len(seen) == sum(t.steps for t in threads) == 5 + 6 + 7
+        assert all(t.done for t in threads)
+
+    @pytest.mark.parametrize("engine_cls", (Engine, ReplayEngine))
+    def test_bounded_runs_honour_their_bounds(self, engine_cls):
+        engine = engine_cls()
+        t = make_counter_thread(engine, "a", 1000, 10.0)
+        engine.run(until_us=105.0)
+        assert not t.done and engine.now_us == pytest.approx(105.0)
+        steps = t.steps
+        with pytest.raises(RuntimeError, match="max_steps=7"):
+            engine.run(max_steps=7)
+        assert t.steps == steps + 7
 
     def test_burst_single_thread_heap_stays_idle(self):
         # A lone thread bursts to completion: the heap sees exactly one
