@@ -38,10 +38,12 @@ DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_core.json")
 
 #: One I/O-bound sweep (fig6), one scan-pathology run (fig9), one
 #: policy-with-userspace-maps run (admission), one CPU-overhead run
-#: (table4) and the design-constant / extension-policy table
-#: (ablations): together they cross every path physics can move on —
-#: eviction, hook dispatch, lists, maps, the LSM store, the engine loop.
-CORE_SUITE = ("fig6", "fig9", "admission", "table4", "ablations")
+#: (table4), the design-constant / extension-policy table (ablations)
+#: and the fault-injection grid (chaos): together they cross every path
+#: physics can move on — eviction, hook dispatch, lists, maps, the LSM
+#: store, the engine loop, and the block request under every device,
+#: policy and memory fault with the VFS's retries.
+CORE_SUITE = ("fig6", "fig9", "admission", "table4", "ablations", "chaos")
 
 SCHEMA = 2
 

@@ -1,8 +1,7 @@
 """One facade for building machines and running experiments.
 
 Before this module, driving the reproduction meant knowing several
-layers by name: ``Machine(...)`` plus post-construction pokes
-(``machine.fs.bulk_io_enabled``), ``harness.make_db_env`` for DB
+layers by name: ``Machine(...)``, ``harness.make_db_env`` for DB
 cells, ``<experiment>.plan()`` + ``parallel.execute(...)`` for sweeps,
 ``repro.replay.enable_replay`` for the fast path,
 ``machine.arm_faults`` for fault plans.  This module collapses that to
@@ -66,8 +65,6 @@ class MachineConfig:
     * ``disk`` — :class:`~repro.kernel.block.BlockDevice` kwargs, e.g.
       ``{"read_us": 95.0, "write_us": 30.0, "channels": 2}``;
     * ``costs`` — a :class:`~repro.sim.resources.CpuCosts` override;
-    * ``bulk_io_enabled`` — batched sequential reads in the VFS
-      (previously ``machine.fs.bulk_io_enabled = ...``);
     * ``mode`` — ``"full"`` or ``"replay"`` (the latter applies
       :func:`repro.replay.enable_replay` before anything else touches
       the machine);
@@ -80,7 +77,6 @@ class MachineConfig:
     kernel_policy: str = "default"
     disk: Optional[dict] = None
     costs: Optional[object] = None
-    bulk_io_enabled: bool = True
     mode: str = "full"
     cgroups: tuple = ()
 
@@ -95,7 +91,6 @@ class MachineConfig:
         if self.mode == "replay":
             from repro.replay import enable_replay
             enable_replay(machine)
-        machine.fs.bulk_io_enabled = self.bulk_io_enabled
         for name, limit_pages in self.cgroups:
             machine.new_cgroup(name, limit_pages=limit_pages)
         return machine

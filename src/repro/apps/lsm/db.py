@@ -242,8 +242,8 @@ class LsmDb(SnapshotFriendly):
         records its reads (:meth:`_get_tables`) and later ones re-issue
         the same ``read_page`` calls and return the same value, skipping
         the search work.  :meth:`_bump_version` drops every plan when
-        the table set changes.  Bypassed while faults are armed: error
-        paths must re-run the real lookup.
+        the table set changes.  Armed faults change nothing here: a
+        failed read raises out of either walk at the same call.
 
         On that first walk the table holding the key answers from its
         slot map, skipping searches that could only have found that
@@ -265,16 +265,13 @@ class LsmDb(SnapshotFriendly):
                 found, value = self.mem.get(key)
                 if found:
                     return value
-                fs = self.machine.fs
-                if fs._fault_mode:
-                    return self._get_tables(key)
                 plans = self._plans
                 plan = plans.get(key)
                 if plan is not None:
                     # Replay the recorded page faults — identical
                     # virtual-time charges, cache transitions and trace
                     # events — and skip the search CPU around them.
-                    read_page = fs.read_page
+                    read_page = self.machine.fs.read_page
                     for file, page in plan[0]:
                         read_page(file, page)
                     return plan[1]

@@ -4,9 +4,11 @@ Three cooperating pieces, all armed from
 :meth:`repro.kernel.machine.Machine.arm_faults`:
 
 * :class:`FaultInjector` — owns the plan, the per-category seeded RNGs
-  and the fired-fault counters, and implements the *device* fault path
-  (:meth:`FaultInjector.device_io` replaces the block device's inlined
-  read/write when faults are armed);
+  and the fired-fault counters, and perturbs the *device*: the block
+  device's one request path asks :meth:`FaultInjector.perturb` for a
+  request's service time, channel pool and EIO verdict, submits it as
+  any other request, and hands a failure to
+  :meth:`FaultInjector.failed` for accounting and its typed error;
 * :class:`PolicyGuard` — the per-policy hook guard: injects policy
   faults (stalls, kfunc misuse, candidate corruption) and enforces the
   per-hook runtime budget that extends the watchdog from
@@ -71,7 +73,8 @@ class FaultInjector:
         self.plan = plan
         self._device = plan.device
         self._policy_faults = plan.policy
-        self._deadline = plan.request_deadline_us
+        #: Per-request completion deadline (None = wait forever).
+        self.deadline_us = plan.request_deadline_us
         seed = plan.seed
         # Independent streams per fault category: adding policy faults
         # to a plan does not perturb which device requests fail.
@@ -102,26 +105,17 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # device faults
     # ------------------------------------------------------------------
-    def device_io(self, disk, thread: SimThread, op: str, npages: int,
-                  contiguous: bool) -> Optional[IoCompletion]:
-        """Service one block request under the armed device faults.
+    def perturb(self, disk, thread: SimThread, op: str,
+                service_us: float) -> tuple:
+        """Apply the armed device faults to one request's inputs.
 
-        Mirrors the fault-free path of
-        :class:`~repro.kernel.block.BlockDevice` exactly — service-time
-        formula, channel selection, stat bumps, span attribution and
-        tracepoints — then layers the plan's faults on top:
-
-        * latency windows multiply the service time;
-        * degraded-channel windows shrink the channel pool;
-        * stuck requests gain extra service time;
-        * EIO requests occupy their channel for the full service (the
-          device did the work, the transfer failed), the thread pays
-          wait + service, then :class:`EIO` is raised;
-        * with a per-request deadline armed, any request whose
-          completion would land past ``issue + deadline`` raises
-          :class:`ETIMEDOUT` *at* the deadline while the channel stays
-          busy until the true completion — a stuck request is not
-          cancelled, the submitter just stops waiting for it.
+        Returns ``(service_us, channels, fail)`` for
+        :meth:`~repro.kernel.block.BlockDevice._submit`: latency
+        windows multiply the service time and stuck requests add to
+        it, degraded-channel windows shrink the pool (``channels`` > 0;
+        0 is the whole device), and an EIO hit sets ``fail`` — the
+        request still occupies its channel and the thread pays wait +
+        service (the device did the work, the transfer failed).
         """
         now = thread.clock_us
         fail = False
@@ -144,106 +138,51 @@ class FaultInjector:
                 if _hit(rng, f.prob):
                     stuck_extra += f.stuck_extra_us
 
-        base = disk.read_us if op == "read" else disk.write_us
-        if npages == 1 and not contiguous:
-            service = base
-        else:
-            service = disk._service_us(base, npages, contiguous)
         if latency_mult != 1.0:
-            service *= latency_mult
+            service_us *= latency_mult
             self.fired["device_latency"] += 1
         if stuck_extra > 0.0:
-            service += stuck_extra
+            service_us += stuck_extra
             self.fired["device_stuck"] += 1
             self._emit_fault("device", "stuck", self._cgroup_name(thread),
                              op=op, extra_us=stuck_extra)
-
-        # Channel selection over the (possibly degraded) pool; same
-        # min()/index() tie-break as Disk._submit.
-        free_at = disk._free_at
+        channels = 0
         if channels_down > 0:
             self.fired["device_degrade"] += 1
-            pool = free_at[:max(1, disk.channels - channels_down)]
-            best = min(pool)
-            idx = pool.index(best)
-        else:
-            best = min(free_at)
-            idx = free_at.index(best)
-        issue_us = now
-        depth = sum(1 for t in free_at if t > issue_us)
-        start = issue_us if best <= issue_us else best
-        done = start + service
-        free_at[idx] = done
-        disk.stats.busy_us += service
+            channels = max(1, disk.channels - channels_down)
+        return service_us, channels, fail
 
-        deadline = self._deadline
-        if deadline is not None and done - issue_us > deadline:
-            # Timed out: the submitter unblocks at the deadline; the
-            # channel stays busy to the true completion.
-            t_end = issue_us + deadline
-            if t_end > thread.clock_us:
-                thread.clock_us = t_end
-            span = thread.span
-            if span is not None and span.section is None:
-                wait = min(start, t_end) - issue_us
-                if wait > 0.0:
-                    span.add("device_wait", wait)
-                svc = (t_end - issue_us) - wait
-                if svc > 0.0:
-                    span.add("device_service", svc)
-            disk.stats.errors += 1
+    def failed(self, disk, thread: SimThread, op: str, npages: int,
+               completion: IoCompletion, timed_out: bool) -> Exception:
+        """Account one failed request and return its typed error.
+
+        A request whose completion would land past the plan's
+        per-request deadline fails with :class:`ETIMEDOUT`, reported
+        at the deadline; otherwise the EIO hit is reported at
+        completion.  Either way the transfer never succeeded: it counts
+        in ``errors``, not in reads/writes.
+        """
+        disk.stats.errors += 1
+        cgname = self._cgroup_name(thread)
+        tp = self._tp_io_error
+        if timed_out:
+            deadline = self.deadline_us
             self.fired["device_timeout"] += 1
-            cgname = self._cgroup_name(thread)
-            tp = self._tp_io_error
             if tp.enabled:
-                tp.emit(t_end, cgname, thread.tid, op=op, pages=npages,
-                        error="ETIMEDOUT", deadline_us=deadline)
+                tp.emit(completion.issue_us + deadline, cgname, thread.tid,
+                        op=op, pages=npages, error="ETIMEDOUT",
+                        deadline_us=deadline)
             self._emit_fault("device", "timeout", cgname, op=op,
                              pages=npages)
-            raise ETIMEDOUT(
+            return ETIMEDOUT(
                 f"{op} of {npages} page(s) exceeded {deadline:.0f}us "
                 f"deadline")
-
-        # The thread blocks to completion (inlined wait_until), as on
-        # the fault-free path — also for EIO: the error is reported at
-        # completion time.
-        if done > thread.clock_us:
-            thread.clock_us = done
-        span = thread.span
-        if span is not None and span.section is None:
-            wait = start - issue_us
-            if wait > 0.0:
-                span.add("device_wait", wait)
-            span.add("device_service", service)
-
-        if fail:
-            disk.stats.errors += 1
-            self.fired["device_eio"] += 1
-            cgname = self._cgroup_name(thread)
-            tp = self._tp_io_error
-            if tp.enabled:
-                tp.emit(done, cgname, thread.tid, op=op, pages=npages,
-                        error="EIO")
-            self._emit_fault("device", "eio", cgname, op=op, pages=npages)
-            raise EIO(f"{op} of {npages} page(s) failed")
-
-        completion = IoCompletion(issue_us=issue_us, wait_us=start - issue_us,
-                                  service_us=service, done_us=done,
-                                  queue_depth=depth)
-        stats = disk.stats
-        cgroup = thread.cgroup
-        cgid = cgroup.id if cgroup is not None else 0
-        if op == "read":
-            stats.reads += 1
-            stats.read_pages += npages
-            disk.per_cgroup[cgid].read_pages += npages
-        else:
-            stats.writes += 1
-            stats.write_pages += npages
-            disk.per_cgroup[cgid].write_pages += npages
-        if disk._tp_issue.enabled or disk._tp_complete.enabled:
-            disk._trace_io(thread, op, npages, completion)
-        return completion
+        self.fired["device_eio"] += 1
+        if tp.enabled:
+            tp.emit(completion.done_us, cgname, thread.tid, op=op,
+                    pages=npages, error="EIO")
+        self._emit_fault("device", "eio", cgname, op=op, pages=npages)
+        return EIO(f"{op} of {npages} page(s) failed")
 
     @staticmethod
     def _cgroup_name(thread: SimThread) -> str:

@@ -76,9 +76,16 @@ class DeviceFault:
             raise ValueError(f"unknown device fault kind: {self.kind!r}")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"probability out of range: {self.prob}")
-
-    def active(self, now_us: float, op: str) -> bool:
-        return self.start_us <= now_us < self.end_us and op in self.ops
+        # Anything that would make a service time, a channel count or
+        # a window run backwards is a malformed plan, not a fault.
+        if self.start_us > self.end_us:
+            raise ValueError(f"start_us {self.start_us} after end_us "
+                             f"{self.end_us}")
+        if not set(self.ops) <= {"read", "write"}:
+            raise ValueError(f"ops must be 'read'/'write': {self.ops!r}")
+        for name in ("latency_mult", "channels_down", "stuck_extra_us"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"negative {name}: {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +192,10 @@ class FaultPlan:
         object.__setattr__(self, "device", tuple(self.device))
         object.__setattr__(self, "policy", tuple(self.policy))
         object.__setattr__(self, "memory", tuple(self.memory))
+        if self.request_deadline_us is not None \
+                and not self.request_deadline_us > 0.0:
+            raise ValueError(f"request_deadline_us must be positive: "
+                             f"{self.request_deadline_us}")
 
     def describe(self) -> dict:
         """JSON-safe summary (experiment metadata / trace payloads)."""

@@ -165,8 +165,8 @@ class Machine(SnapshotFriendly):
     def arm_faults(self, plan):
         """Arm a :class:`~repro.faults.plan.FaultPlan` on this machine.
 
-        Builds the injector, gates the block device and VFS onto their
-        fault paths, applies the plan's hook budget and quarantine
+        Builds the injector, hands it to the block device (which lets
+        it perturb every request), applies the plan's hook budget and quarantine
         config, retrofits guards onto already-attached policies, and
         spawns one daemon thread per memory fault.  Returns the
         :class:`~repro.faults.injector.FaultInjector` (its ``fired``
@@ -178,7 +178,6 @@ class Machine(SnapshotFriendly):
         injector = FaultInjector(self, plan)
         self.faults = injector
         self.disk._faults = injector
-        self.fs._fault_mode = True
         if plan.hook_budget_us is not None:
             self.hook_budget_us = plan.hook_budget_us
         if plan.quarantine is not None:

@@ -38,8 +38,8 @@ _file_ids = itertools.count(1)
 #: pages; we scale down with everything else).
 DEFAULT_RA_PAGES = 8
 #: Bounded-retry policy for transiently failing block requests (only
-#: consulted when a FaultPlan is armed): up to IO_MAX_RETRIES
-#: re-issues, exponential backoff starting at IO_BACKOFF_BASE_US.
+#: an armed FaultPlan makes one fail): up to IO_MAX_RETRIES re-issues,
+#: exponential backoff starting at IO_BACKOFF_BASE_US.
 IO_MAX_RETRIES = 3
 IO_BACKOFF_BASE_US = 50.0
 #: Hard cap on any readahead window, including custom policy hints
@@ -86,16 +86,6 @@ class SimFile(SnapshotFriendly):
 class Filesystem(SnapshotFriendly):
     """Machine-wide VFS: file namespace + page-cache-mediated I/O."""
 
-    #: When True (default), :meth:`read_range` takes the batched fast
-    #: path for cgroups without a cache_ext policy.  Clearing it forces
-    #: per-page semantics everywhere (debugging / equivalence tests).
-    bulk_io_enabled = True
-    #: Set by :meth:`repro.kernel.machine.Machine.arm_faults`.  When
-    #: True, device I/O goes through :meth:`_io_with_retry` (bounded
-    #: retry + error accounting); the fault-free hot path keeps its
-    #: direct disk calls behind one class-attribute load and branch.
-    _fault_mode = False
-
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self._files: dict[str, SimFile] = {}
@@ -130,10 +120,12 @@ class Filesystem(SnapshotFriendly):
             for index in indices:
                 tp.emit(ts, name, tid, hit=0, file=fid, index=index)
 
-    def _io_with_retry(self, op: str, thread, npages: int,
-                       contiguous: bool = False):
-        """Issue one block request with bounded retry (fault mode only).
+    def _retry(self, error: Exception, op: str, thread, npages: int,
+               contiguous: bool = False):
+        """Re-issue a block request whose first attempt raised ``error``.
 
+        Every site issues its first attempt directly and calls this
+        from its ``except`` clause, so fault-free I/O never enters it.
         Transient :class:`EIO`/:class:`ETIMEDOUT` completions are
         retried up to :data:`IO_MAX_RETRIES` times with exponential
         backoff (the backoff is virtual-time waiting, attributed as
@@ -144,35 +136,31 @@ class Filesystem(SnapshotFriendly):
         """
         disk = self.machine.disk
         disk_fn = disk.read if op == "read" else disk.write
-        if thread is not None and thread.cgroup is not None:
-            memcg = thread.cgroup
-        else:
-            memcg = self.machine.root_cgroup
+        memcg = thread.cgroup if thread.cgroup is not None \
+            else self.machine.root_cgroup
         mstats = memcg.stats
         stats = self.machine.page_cache.stats
         delay = IO_BACKOFF_BASE_US
         for attempt in range(IO_MAX_RETRIES + 1):
-            try:
-                return disk_fn(thread, npages, contiguous=contiguous)
-            except EIO:
-                mstats.io_errors += 1
-                stats.io_errors += 1
-                if attempt == IO_MAX_RETRIES:
-                    raise
-            except ETIMEDOUT:
-                mstats.io_timeouts += 1
-                stats.io_timeouts += 1
-                if attempt == IO_MAX_RETRIES:
-                    raise
-            mstats.io_retries += 1
-            stats.io_retries += 1
-            if thread is not None:
+            if attempt:
+                mstats.io_retries += 1
+                stats.io_retries += 1
                 span = thread.span
                 if span is not None and span.section is None:
                     span.add("device_wait", delay)
                 thread.wait_until(thread.clock_us + delay)
-            delay *= 2.0
-        raise AssertionError("unreachable")  # pragma: no cover
+                delay *= 2.0
+                try:
+                    return disk_fn(thread, npages, contiguous=contiguous)
+                except (EIO, ETIMEDOUT) as retry_error:
+                    error = retry_error
+            if isinstance(error, EIO):
+                mstats.io_errors += 1
+                stats.io_errors += 1
+            else:
+                mstats.io_timeouts += 1
+                stats.io_timeouts += 1
+        raise error
 
     # ------------------------------------------------------------------
     # namespace
@@ -269,38 +257,31 @@ class Filesystem(SnapshotFriendly):
                 # stream at sequential rates, as a real device would
                 # service them.
                 contiguous = index == f._last_direct_read + 1
-                if self._fault_mode:
-                    self._io_with_retry("read", current_thread(), 1,
-                                        contiguous=contiguous)
-                else:
-                    self.machine.disk.read(current_thread(), 1,
-                                           contiguous=contiguous)
+                thread = current_thread()
+                try:
+                    self.machine.disk.read(thread, 1, contiguous=contiguous)
+                except (EIO, ETIMEDOUT) as error:
+                    self._retry(error, "read", thread, 1, contiguous)
                 f._last_direct_read = index
                 return f.store.get(index)
 
             folio.pin_count += 1  # inlined folio.pin()
+            # Track inserted readahead folios: a read that fails after
+            # retries must not leave folios whose data never arrived in
+            # the cache.
             ra_folios = []
             try:
                 try:
-                    inserted = 1
-                    if self._fault_mode:
-                        # Track inserted readahead folios: a read that
-                        # fails after retries must not leave folios
-                        # whose data never arrived in the cache.
-                        for ra_index in ra_indices:
-                            raf = cache.add_folio(f.mapping, ra_index,
-                                                  memcg)
-                            if raf is not None:
-                                ra_folios.append(raf)
-                                inserted += 1
-                        self._io_with_retry("read", current_thread(),
-                                            inserted)
-                    else:
-                        for ra_index in ra_indices:
-                            if cache.add_folio(f.mapping, ra_index,
-                                               memcg) is not None:
-                                inserted += 1
-                        self.machine.disk.read(current_thread(), inserted)
+                    for ra_index in ra_indices:
+                        raf = cache.add_folio(f.mapping, ra_index, memcg)
+                        if raf is not None:
+                            ra_folios.append(raf)
+                    thread = current_thread()
+                    inserted = len(ra_folios) + 1
+                    try:
+                        self.machine.disk.read(thread, inserted)
+                    except (EIO, ETIMEDOUT) as error:
+                        self._retry(error, "read", thread, inserted)
                 finally:
                     # Inlined folio.unpin(), incl. its underflow guard.
                     if folio.pin_count <= 0:
@@ -328,11 +309,10 @@ class Filesystem(SnapshotFriendly):
         device as a single batched request.
 
         Opt-out: when the accessing cgroup has a cache_ext policy
-        attached — or :attr:`bulk_io_enabled` is cleared — the read
-        falls back to the per-page loop, so policies hooking
-        per-access callbacks (admission, readahead hints, per-folio
-        ``folio_accessed``) see every event exactly as ``read_page``
-        dispatches it.
+        attached, the read falls back to the per-page loop, so policies
+        hooking per-access callbacks (admission, readahead hints,
+        per-folio ``folio_accessed``) see every event exactly as
+        ``read_page`` dispatches it.
         """
         if npages <= 0:
             return []
@@ -353,7 +333,7 @@ class Filesystem(SnapshotFriendly):
             if _thread is not None and _thread.span is None:
                 span = self._spans.open(_thread, "vfs.read_range")
         try:
-            if not self.bulk_io_enabled or memcg.ext_policy is not None:
+            if memcg.ext_policy is not None:
                 return [self.read_page(f, idx)
                         for idx in range(start, start + npages)]
             return self._read_range_bulk(f, start, npages, cache, memcg)
@@ -444,23 +424,21 @@ class Filesystem(SnapshotFriendly):
         # read_page per index.
         add_folio = cache.add_folio
         mapping = f.mapping
-        if self._fault_mode:
-            inserted_folios = []
-            for index in missing:
-                fo = add_folio(mapping, index, memcg)
-                if fo is not None:
-                    inserted_folios.append(fo)
+        inserted = []
+        for index in missing:
+            folio = add_folio(mapping, index, memcg)
+            if folio is not None:
+                inserted.append(folio)
+        try:
             try:
-                self._io_with_retry("read", thread, nmiss)
-            except (EIO, ETIMEDOUT):
-                # Exhausted retries: the batch never arrived; drop the
-                # folios inserted for it (see read_page).
-                cache.remove_folios_no_shadow(inserted_folios)
-                raise
-        else:
-            for index in missing:
-                add_folio(mapping, index, memcg)
-            self.machine.disk.read(thread, nmiss)
+                self.machine.disk.read(thread, nmiss)
+            except (EIO, ETIMEDOUT) as error:
+                self._retry(error, "read", thread, nmiss)
+        except (EIO, ETIMEDOUT):
+            # Exhausted retries: the batch never arrived; drop the
+            # folios inserted for it (see read_page).
+            cache.remove_folios_no_shadow(inserted)
+            raise
         store_get = f.store.get
         return [store_get(index) for index in range(start, end)]
 
@@ -527,12 +505,12 @@ class Filesystem(SnapshotFriendly):
                 # disk, direct-I/O style (sequential continuation
                 # priced as such).
                 contiguous = index == f._last_direct_write + 1
-                if self._fault_mode:
-                    self._io_with_retry("write", current_thread(), 1,
-                                        contiguous=contiguous)
-                else:
-                    self.machine.disk.write(current_thread(), 1,
+                thread = current_thread()
+                try:
+                    self.machine.disk.write(thread, 1,
                                             contiguous=contiguous)
+                except (EIO, ETIMEDOUT) as error:
+                    self._retry(error, "write", thread, 1, contiguous)
                 f._last_direct_write = index
                 return
             folio.dirty = True
@@ -573,29 +551,28 @@ class Filesystem(SnapshotFriendly):
         if aspan is not None:
             sect = aspan.begin_section("fsync", thread.clock_us)
         try:
-            if self._fault_mode:
+            n = len(dirty)
+            try:
                 try:
-                    self._io_with_retry("write", thread, len(dirty))
-                except (EIO, ETIMEDOUT):
-                    # Writeback failed for good: folios stay dirty and
-                    # resident (nothing was lost, nothing was cleaned),
-                    # the caller gets the typed error.
-                    n = len(dirty)
-                    accessor = thread.cgroup if thread is not None \
-                        and thread.cgroup is not None \
-                        else self.machine.root_cgroup
-                    accessor.stats.writeback_errors += n
-                    cache.stats.writeback_errors += n
-                    raise
-            else:
-                self.machine.disk.write(thread, len(dirty))
+                    self.machine.disk.write(thread, n)
+                except (EIO, ETIMEDOUT) as error:
+                    self._retry(error, "write", thread, n)
+            except (EIO, ETIMEDOUT):
+                # Writeback failed for good: folios stay dirty and
+                # resident (nothing was lost, nothing was cleaned), the
+                # caller gets the typed error.
+                accessor = thread.cgroup if thread.cgroup is not None \
+                    else self.machine.root_cgroup
+                accessor.stats.writeback_errors += n
+                cache.stats.writeback_errors += n
+                raise
             by_memcg: dict = {}
             for folio in dirty:
                 folio.dirty = False
                 by_memcg[folio.memcg] = by_memcg.get(folio.memcg, 0) + 1
             for memcg, count in by_memcg.items():
                 memcg.stats.writebacks += count
-            cache.stats.writebacks += len(dirty)
+            cache.stats.writebacks += n
             tp = self._tp_writeback
             if tp.enabled:
                 ts, tid = cache._trace_point()
@@ -603,7 +580,7 @@ class Filesystem(SnapshotFriendly):
                 for folio in dirty:
                     tp.emit(ts, folio.memcg.name, tid, file=fid,
                             index=folio.index)
-            return len(dirty)
+            return n
         finally:
             if aspan is not None:
                 aspan.end_section(thread.clock_us, sect)

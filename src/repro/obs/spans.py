@@ -59,7 +59,7 @@ Two accounting mechanisms cover the kernel layers:
   clock delta across the region, minus whatever was explicitly
   attributed inside it (kfunc time), folds into the section's
   component.  Device I/O inside a section skips its explicit charge
-  (see ``Disk._submit``) so eviction writeback lands in
+  (see ``BlockDevice._submit``) so eviction writeback lands in
   ``reclaim_stall``, not ``device_*`` — the stall is what the request
   experienced.  Sections nest by save/restore.
 """
@@ -96,8 +96,8 @@ class Span:
         #: running total of everything in :attr:`comps` (kept alongside
         #: so section deltas need no re-summation).
         self.attributed = 0.0
-        #: active section component, or None.  ``Disk._submit`` checks
-        #: this to fold in-section device time into the section.
+        #: active section component, or None.  ``BlockDevice._submit``
+        #: checks this to fold in-section device time into the section.
         self.section: Optional[str] = None
         self._sect_open_us = 0.0
         self._sect_attr = 0.0

@@ -158,7 +158,7 @@ class _NullTracepoint(Tracepoint):
 
     Components that can exist without a machine (a bare
     :class:`~repro.sim.engine.Engine`, a standalone
-    :class:`~repro.sim.resources.Disk`) default their cached
+    :class:`~repro.kernel.block.BlockDevice`) default their cached
     tracepoints to this, so emitting code never needs a None check.
     """
 

@@ -13,6 +13,6 @@ that every run is deterministic and seed-reproducible.
 """
 
 from repro.sim.engine import Engine, SimThread, current_thread
-from repro.sim.resources import CpuCosts, Disk
+from repro.sim.resources import CpuCosts
 
-__all__ = ["Engine", "SimThread", "Disk", "CpuCosts", "current_thread"]
+__all__ = ["Engine", "SimThread", "CpuCosts", "current_thread"]

@@ -5,7 +5,8 @@ Re-exports the commonly used names::
     from tests.strategies import STANDARD_SETTINGS, lsm_op_sequences
 """
 
-from tests.strategies.block import BlockSchedule, block_schedules
+from tests.strategies.block import (BlockSchedule, FaultedSchedule,
+                                   block_schedules, faulted_schedules)
 from tests.strategies.engine import EngineScenario, engine_scenarios
 from tests.strategies.eviction import EvictionCase, eviction_cases
 from tests.strategies.lsm import (LsmOp, db_options, lsm_op_sequences,
@@ -26,6 +27,7 @@ __all__ = [
     "BlockSchedule",
     "EngineScenario",
     "EvictionCase",
+    "FaultedSchedule",
     "LsmOp",
     "PlaneCase",
     "RegistryCase",
@@ -36,6 +38,7 @@ __all__ = [
     "db_options",
     "engine_scenarios",
     "eviction_cases",
+    "faulted_schedules",
     "lsm_op_sequences",
     "plane_cases",
     "registry_cases",

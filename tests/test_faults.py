@@ -62,6 +62,25 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             PolicyFault(kind="hook_stall", prob=-0.1)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("latency_mult", dict(kind="latency", latency_mult=-2.0)),
+        ("channels_down", dict(kind="degrade", channels_down=-1)),
+        ("stuck_extra_us", dict(kind="stuck", prob=1.0,
+                                stuck_extra_us=-5.0)),
+        ("start_us", dict(kind="eio", start_us=500.0, end_us=100.0)),
+        ("ops", dict(kind="eio", ops=("read", "trim"))),
+    ])
+    def test_malformed_device_fault_rejected(self, field, kwargs):
+        # Each would make a service time, a channel pool or a window
+        # run backwards; the error names the field.
+        with pytest.raises(ValueError, match=field):
+            DeviceFault(**kwargs)
+
+    @pytest.mark.parametrize("deadline", [0.0, -100.0])
+    def test_nonpositive_deadline_rejected(self, deadline):
+        with pytest.raises(ValueError, match="request_deadline_us"):
+            FaultPlan(request_deadline_us=deadline)
+
     def test_memory_fault_needs_exactly_one_shrink(self):
         with pytest.raises(ValueError):
             MemoryFault(cgroup="t", at_us=0.0)

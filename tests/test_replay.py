@@ -245,10 +245,8 @@ class TestApiFacade:
         config = api.MachineConfig(
             kernel_policy="mglru",
             disk={"read_us": 50.0, "channels": 4},
-            bulk_io_enabled=False,
             cgroups=(("app", 128), ("side", 64)))
         machine = config.build()
-        assert machine.fs.bulk_io_enabled is False
         assert machine.disk.read_us == 50.0
         assert machine.cgroup("app").limit_pages == 128
         assert machine.cgroup("side").limit_pages == 64

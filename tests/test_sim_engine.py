@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given
 
+from repro.kernel.block import BlockDevice
 from repro.obs.trace import TraceRegistry, TraceSession
 from repro.replay import ReplayEngine
 from repro.sim.engine import Engine, current_thread
-from repro.sim.resources import Disk
 from tests.reference.engine import ReferenceEngine
 from tests.strategies import STANDARD_SETTINGS, engine_scenarios
 from tests.strategies.engine import play
@@ -518,7 +518,7 @@ class TestDaemonThreads:
 class TestDisk:
     def test_single_read_time(self):
         engine = Engine()
-        disk = Disk(read_us=100.0, channels=1)
+        disk = BlockDevice(read_us=100.0, channels=1)
 
         def step(thread):
             disk.read(thread, 1)
@@ -529,17 +529,17 @@ class TestDisk:
         assert t.clock_us == pytest.approx(100.0)
 
     def test_batched_read_discount(self):
-        disk = Disk(read_us=100.0, seq_factor=0.25)
+        disk = BlockDevice(read_us=100.0, seq_factor=0.25)
         assert disk._service_us(100.0, 4) == pytest.approx(175.0)
 
     def test_contiguous_pricing(self):
-        disk = Disk(read_us=100.0, seq_factor=0.25)
+        disk = BlockDevice(read_us=100.0, seq_factor=0.25)
         assert disk._service_us(100.0, 4, contiguous=True) == \
             pytest.approx(100.0)
 
     def test_contention_on_single_channel(self):
         engine = Engine()
-        disk = Disk(read_us=100.0, channels=1)
+        disk = BlockDevice(read_us=100.0, channels=1)
         finish = {}
 
         def make(name):
@@ -558,7 +558,7 @@ class TestDisk:
 
     def test_channels_allow_parallelism(self):
         engine = Engine()
-        disk = Disk(read_us=100.0, channels=2)
+        disk = BlockDevice(read_us=100.0, channels=2)
         finish = []
 
         def step(thread):
@@ -573,7 +573,7 @@ class TestDisk:
 
     def test_stats_accumulate(self):
         engine = Engine()
-        disk = Disk()
+        disk = BlockDevice()
 
         def step(thread):
             disk.read(thread, 3)
@@ -589,7 +589,7 @@ class TestDisk:
 
     def test_invalid_page_count(self):
         engine = Engine()
-        disk = Disk()
+        disk = BlockDevice()
 
         def step(thread):
             disk.read(thread, 0)
@@ -601,4 +601,4 @@ class TestDisk:
 
     def test_needs_at_least_one_channel(self):
         with pytest.raises(ValueError):
-            Disk(channels=0)
+            BlockDevice(channels=0)

@@ -326,8 +326,9 @@ class TestBulkReadRange:
         assert machine.disk.stats.reads > 1
 
     def test_bulk_io_disabled_falls_back(self):
+        # An attached cache_ext policy is what disables bulk I/O.
         machine, cg, f = make_fs()
-        machine.fs.bulk_io_enabled = False
+        cg.ext_policy = HintPolicy(None)
         run_in_thread(machine, cg,
                       lambda th: machine.fs.read_range(f, 0, 10))
         # Per-page loop: first two misses are single-page reads before
@@ -336,15 +337,21 @@ class TestBulkReadRange:
         assert cg.charged_pages == 10
 
     def test_bulk_matches_per_page_residency_and_charges(self):
-        def run(bulk):
+        def run(read):
             machine, cg, f = make_fs()
-            machine.fs.bulk_io_enabled = bulk
-            run_in_thread(machine, cg,
-                          lambda th: machine.fs.read_range(f, 0, 10))
+            run_in_thread(machine, cg, lambda th: read(machine.fs, f))
             return (sorted(folio.index for folio in f.mapping.folios()),
-                    cg.charged_pages, cg.stats.lookups)
+                    cg.charged_pages, cg.stats.lookups), machine.disk.stats
 
-        assert run(bulk=True) == run(bulk=False)
+        bulk, bulk_disk = run(lambda fs, f: fs.read_range(f, 0, 10))
+        per_page, per_page_disk = run(
+            lambda fs, f: [fs.read_page(f, i) for i in range(10)])
+        assert bulk == per_page
+        assert bulk[1] == 10
+        # One batched request against the per-page loop's single-page
+        # reads before readahead arms.
+        assert bulk_disk.reads == 1 < per_page_disk.reads
+        assert bulk_disk.read_pages == per_page_disk.read_pages == 10
 
     def test_read_range_past_eof_rejected(self):
         machine, cg, f = make_fs()
