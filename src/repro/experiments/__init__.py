@@ -1,14 +1,18 @@
 """Experiment harness: one module per table/figure in the paper.
 
-Every module exposes ``run(quick=False, ..., jobs=None) ->
-ExperimentResult`` and ``plan(quick=False, ...) -> ExperimentSpec``:
+Every module exposes ``plan(quick=False, ...) -> ExperimentSpec``:
 the plan decomposes the experiment into independent cells (one
 simulated machine each) that :mod:`repro.experiments.parallel` fans
 across worker processes, with a merge step that is a pure function of
-the cell payloads — serial (``jobs=None``) and parallel runs emit
-byte-identical tables.  ``quick=True`` shrinks sizes for CI smoke
-tests; the default sizes are what ``EXPERIMENTS.md`` reports.  All
-runs are deterministic (seeded RNGs + virtual time).
+the cell payloads — serial and parallel runs emit byte-identical
+tables.  A plan is run one way, :func:`parallel.execute
+<repro.experiments.parallel.execute>`: from code as
+``repro.api.run(fig6.plan(quick=True)).result``, from the shell as
+``python -m repro.experiments.parallel fig6 --quick``;
+``python -m repro.experiments.run_all`` runs every plan in turn.
+``quick=True`` shrinks sizes for CI smoke tests; the default sizes are
+what ``EXPERIMENTS.md`` reports.  All runs are deterministic (seeded
+RNGs + virtual time).
 
 ==============  =====================================================
 Module          Reproduces
@@ -25,6 +29,7 @@ Module          Reproduces
 ``table4``      Table 4 — no-op policy CPU overhead (fio)
 ``table5``      Table 5 — cache_ext MGLRU vs native MGLRU fidelity
 ``ablations``   beyond the paper — design constants, SIEVE and ARC
+``chaos``       beyond the paper — workloads under fault injection
 ==============  =====================================================
 """
 

@@ -101,14 +101,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
                     round(c["hook_cpu_us"], 1))
     out.notes.append(f"scale: {meta['params']}")
     return out
-
-
-def run(quick: bool = False, scale: Optional[dict] = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    return run_spec(plan(quick=quick, scale=scale), jobs=jobs,
-                    serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

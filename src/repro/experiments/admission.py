@@ -11,8 +11,6 @@ throughput is roughly unchanged because compaction is infrequent.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.harness import (CellSpec, ExperimentResult,
                                        ExperimentSpec, make_db_env,
                                        warm_db_env_snapshot)
@@ -108,14 +106,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
     out.notes.append(
         "paper: P99 -17% (2.61ms -> 2.16ms), throughput ~unchanged")
     return out
-
-
-def run(quick: bool = False, scale: dict = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

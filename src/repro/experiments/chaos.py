@@ -36,6 +36,7 @@ from typing import Iterable, Optional
 
 from repro.experiments.harness import (CellSpec, ExperimentResult,
                                        ExperimentSpec, make_db_env)
+from repro.experiments.parallel import execute
 from repro.faults import (DeviceFault, FaultPlan, MemoryFault,
                           PolicyFault, QuarantineConfig)
 from repro.workloads.twitter import CLUSTERS, TwitterRunner
@@ -267,17 +268,6 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
     return out
 
 
-def run(quick: bool = False,
-        scenarios: Iterable[str] = SCENARIOS,
-        workloads: Iterable[str] = DEFAULT_WORKLOADS,
-        scale: Optional[dict] = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, scenarios=scenarios, workloads=workloads,
-                scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Run workloads under deterministic fault injection")
@@ -298,8 +288,9 @@ def main(argv: Optional[list] = None) -> int:
         quick = True
         scenarios = ("baseline", "flaky-disk", "buggy-policy")
         workloads = ("A",)
-    table = run(quick=quick, scenarios=scenarios, workloads=workloads,
-                jobs=args.jobs).format_table()
+    spec = plan(quick=quick, scenarios=scenarios, workloads=workloads)
+    table = execute(spec, jobs=args.jobs,
+                    serial=args.jobs is None).result.format_table()
     print(table)
     if args.output:
         with open(args.output, "w") as fh:

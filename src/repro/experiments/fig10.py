@@ -141,15 +141,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
         "-18% SCAN throughput; fadvise options do not help; MGLRU "
         "worse than default")
     return out
-
-
-def run(quick: bool = False, variants: Iterable[tuple] = VARIANTS,
-        scale: dict = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, variants=variants, scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

@@ -17,7 +17,7 @@ number of corpus passes completed in the window (the paper's
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.apps.filesearch import FileSearcher, corpus_pages, \
     make_source_tree
@@ -115,15 +115,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
         "default/default baseline; global policies hurt the mismatched "
         "workload")
     return out
-
-
-def run(quick: bool = False, configs: Iterable[tuple] = CONFIGS,
-        scale: dict = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, configs=configs, scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

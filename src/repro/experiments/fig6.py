@@ -153,18 +153,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
         f"scale: {meta['params']} (paper: 100 GiB DB / 10 GiB cgroup, "
         f"same 10:1 ratio)")
     return out
-
-
-def run(quick: bool = False,
-        policies: Iterable[str] = GENERIC_POLICY_NAMES,
-        workloads: Iterable[str] = DEFAULT_WORKLOADS,
-        scale: Optional[dict] = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, policies=policies, workloads=workloads,
-                scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

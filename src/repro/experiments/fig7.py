@@ -13,7 +13,7 @@ relationship" claim predicts to be strongly negative.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.experiments import fig6
 from repro.experiments.harness import (GENERIC_POLICY_NAMES, CellSpec,
@@ -73,16 +73,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
             f"YCSB {workload}: throughput/disk-I/O Spearman rho = "
             f"{rho:.2f} (paper: inverse relationship, rho near -1)")
     return out
-
-
-def run(quick: bool = False,
-        policies: Iterable[str] = GENERIC_POLICY_NAMES,
-        workloads: Iterable[str] = ("A", "C"),
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, policies=policies, workloads=workloads)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

@@ -13,7 +13,7 @@ Takeaway 2: the winner column is not constant.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.experiments.harness import (CellSpec, ExperimentResult,
                                        ExperimentSpec, make_db_env,
@@ -98,18 +98,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
         "paper winners: 17->MGLRU, 18->MGLRU, 24->default (MGLRU "
         "OOMed), 34->LHD, 52->LFU; headline = no single winner")
     return out
-
-
-def run(quick: bool = False,
-        clusters: Iterable[int] = (17, 18, 24, 34, 52),
-        policies: Iterable[str] = POLICIES,
-        scale: dict = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, clusters=clusters, policies=policies,
-                scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

@@ -9,7 +9,7 @@ making it nearly 2x faster in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.apps.filesearch import FileSearcher, corpus_pages, \
     make_source_tree
@@ -76,16 +76,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
                     round(speedup, 2))
     out.notes.append("paper: MRU ~2x faster than default and MGLRU")
     return out
-
-
-def run(quick: bool = False,
-        policies: Iterable[str] = POLICIES,
-        scale: dict = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, policies=policies, scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

@@ -484,7 +484,7 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
     rebuilding it — byte-identical payloads again).  What was settled
     is recorded on the report.
     """
-    if timeseries in (False, None):
+    if timeseries is None or timeseries is False:
         timeseries = None
     elif timeseries is True:
         from repro.obs.timeseries import DEFAULT_SAMPLE_INTERVAL_US
@@ -528,11 +528,6 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
     report.result = spec.merge(spec.meta, payloads)
     report.wall_s = time.perf_counter() - t0
     return report
-
-
-def run_spec(spec: ExperimentSpec, **kwargs) -> ExperimentResult:
-    """Convenience wrapper returning just the merged table."""
-    return execute(spec, **kwargs).result
 
 
 # ----------------------------------------------------------------------
@@ -693,6 +688,9 @@ def main(argv: Optional[list] = None) -> int:
             parser.error(str(exc))
     if args.sample_interval_us is not None and args.timeseries is None:
         parser.error("--sample-interval-us needs --timeseries PATH")
+    if args.sample_interval_us is not None and args.sample_interval_us <= 0:
+        parser.error("--sample-interval-us must be positive: "
+                     f"{args.sample_interval_us}")
     timeseries = None
     if args.timeseries is not None:
         timeseries = (args.sample_interval_us

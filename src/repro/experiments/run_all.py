@@ -21,7 +21,7 @@ import time
 from repro.experiments import (ablations, admission, fig6, fig7, fig8,
                                fig9, fig10, fig11, table1, table3,
                                table4, table5)
-from repro.experiments.parallel import default_jobs
+from repro.experiments.parallel import default_jobs, execute
 
 #: Execution order: cheap first, so early output appears quickly.
 MODULES = (table3, table4, fig9, admission, ablations, table1, fig10,
@@ -37,8 +37,9 @@ def run_all(quick: bool = False, out_path: str | None = None,
         started = time.time()
         name = mod.__name__.rsplit(".", 1)[-1]
         try:
-            result = mod.run(quick=quick, jobs=jobs)
-            block = result.format_table()
+            report = execute(mod.plan(quick=quick), jobs=jobs,
+                             serial=jobs is None)
+            block = report.result.format_table()
         except Exception as exc:  # keep going; report at the end
             failures += 1
             block = f"== {name} FAILED ==\n{type(exc).__name__}: {exc}"

@@ -14,8 +14,6 @@ We reproduce the same four rows: three KV workloads on the LSM store
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.filesearch import FileSearcher, corpus_pages, \
     make_source_tree
 from repro.experiments.harness import (CellSpec, ExperimentResult,
@@ -146,14 +144,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
                 "seconds")
     out.notes.append("paper: -16.6% / -17.8% / -20.6% / -4.7%")
     return out
-
-
-def run(quick: bool = False, scale: dict = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, scale=scale)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

@@ -14,8 +14,6 @@ MGLRU (the table's note names whichever the counted rows say).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.harness import (CellSpec, ExperimentResult,
                                        ExperimentSpec)
 from repro.experiments.loc import count_policy_loc
@@ -78,14 +76,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
         f"{max(bpf_loc, key=bpf_loc.get)} largest here (paper: "
         "admission filter, MGLRU)")
     return out
-
-
-def run(quick: bool = False,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

@@ -13,7 +13,7 @@ policy, plus the registry memory-overhead bounds of §6.3.1.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.cache_ext.registry import BUCKET_BYTES, ENTRY_BYTES
 from repro.apps.fio import FioJob
@@ -82,14 +82,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
     out.notes.append("paper: overhead 0.17%-1.66%; registry memory "
                      "0.4% empty / 1.2% full")
     return out
-
-
-def run(quick: bool = False, sizes: Iterable[tuple] = None,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, sizes=sizes)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

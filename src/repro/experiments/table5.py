@@ -13,7 +13,7 @@ where they run and what hook overhead they pay.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.experiments import fig6
 from repro.experiments.harness import (CellSpec, ExperimentResult,
@@ -61,14 +61,3 @@ def _merge(meta: dict, payloads: dict) -> ExperimentResult:
         f"harmonic mean relative performance: "
         f"{harmonic_mean(ratios):.3f} (paper: 0.99)")
     return out
-
-
-def run(quick: bool = False, workloads: Iterable[str] = WORKLOADS,
-        jobs: Optional[int] = None) -> ExperimentResult:
-    from repro.experiments.parallel import run_spec
-    spec = plan(quick=quick, workloads=workloads)
-    return run_spec(spec, jobs=jobs, serial=jobs is None)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runs
-    print(run().format_table())

@@ -17,8 +17,7 @@ from repro.kernel.cgroup import MemCgroup
 from repro.kernel.errors import InvariantViolation
 from repro.kernel.page_cache import PageCache
 from repro.kernel.vfs import Filesystem
-from repro.obs.metrics import CgroupMetrics, MachineMetrics, \
-    snapshot_cgroup, snapshot_machine
+from repro.obs.metrics import MachineMetrics, snapshot_machine
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TraceRegistry
 from repro.sim.engine import Engine, SimThread
@@ -232,29 +231,10 @@ class Machine(SnapshotFriendly):
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def attach_timeseries(self, interval_us: Optional[float] = None):
-        """Attach a continuous telemetry sampler to this machine.
-
-        Returns the armed :class:`repro.obs.timeseries.TimeseriesSampler`
-        (call ``finalize()`` after the run, then export).  Convenience
-        for the direct-Machine API; experiment sweeps should use
-        ``--timeseries`` / ``api.run(timeseries=...)`` instead.
-        """
-        from repro.obs.timeseries import (DEFAULT_SAMPLE_INTERVAL_US,
-                                          TimeseriesSampler)
-        if interval_us is None:
-            interval_us = DEFAULT_SAMPLE_INTERVAL_US
-        return TimeseriesSampler(interval_us).attach(self)
-
     def metrics(self) -> MachineMetrics:
         """One typed snapshot of the whole machine (stats + I/O +
         per-cgroup policy health); see :mod:`repro.obs.metrics`."""
         return snapshot_machine(self)
-
-    def cgroup_metrics(self, cgroup) -> CgroupMetrics:
-        if isinstance(cgroup, str):
-            cgroup = self.cgroup(cgroup)
-        return snapshot_cgroup(self, cgroup)
 
     # ------------------------------------------------------------------
     # invariants

@@ -19,7 +19,7 @@ better, and this package is how:
   into named components, aggregated per cgroup/policy/kind;
 * :mod:`repro.obs.timeseries` — the continuous telemetry plane:
   deterministic fixed-interval frames of per-machine and per-cgroup
-  metrics over virtual time, with JSONL/npz export;
+  metrics over virtual time, with a JSONL export;
 * :mod:`repro.obs.analyze` — offline phase/warm-up/brownout episode
   detection over those frames;
 * :mod:`repro.obs.guard` — the <5% disabled-tracing overhead guard.
@@ -38,8 +38,7 @@ from repro.obs.spans import COMPONENTS, Span, SpanRecorder
 from repro.obs.timeseries import (DEFAULT_SAMPLE_INTERVAL_US, FRAME_COLUMNS,
                                   LookupTimeline, MetricFrameBuffer,
                                   TimeseriesSampler, frame_totals,
-                                  read_frames_jsonl, write_frames_jsonl,
-                                  write_frames_npz)
+                                  read_frames_jsonl, write_frames_jsonl)
 from repro.obs.trace import (NULL_TRACEPOINT, TraceEvent, Tracepoint,
                              TraceRegistry, TraceSession, read_jsonl)
 
@@ -54,5 +53,5 @@ __all__ = [
     "SpanAggregator", "SpanStats", "format_breakdown",
     "TimeseriesSampler", "MetricFrameBuffer", "LookupTimeline",
     "DEFAULT_SAMPLE_INTERVAL_US", "FRAME_COLUMNS", "frame_totals",
-    "read_frames_jsonl", "write_frames_jsonl", "write_frames_npz",
+    "read_frames_jsonl", "write_frames_jsonl",
 ]

@@ -58,10 +58,6 @@ class CgroupMetrics:
     policy: Optional[PolicyMetrics] = None
 
     @property
-    def io_total_pages(self) -> int:
-        return self.io_read_pages + self.io_write_pages
-
-    @property
     def hits(self) -> int:
         return self.stats["hits"]
 

@@ -16,7 +16,7 @@ plane that answers it:
   :meth:`~TimeseriesSampler.finalize`.
 * :class:`MetricFrameBuffer` — the compact columnar store behind each
   sampled machine (one list per column, one row per (frame, scope)),
-  with JSONL and ``.npz`` exports.
+  with a JSONL export.
 * :class:`LookupTimeline` — the event-driven hit-ratio-over-time
   collector.
 
@@ -129,7 +129,7 @@ class MetricFrameBuffer:
     One list per column of :data:`FRAME_COLUMNS`; a frame appends one
     row per scope (the machine row first, then every cgroup in
     creation order).  Lists of primitives keep the buffer compact and
-    make the JSONL/npz exports trivial.
+    make the JSONL export trivial.
     """
 
     __slots__ = ("columns", "n_frames")
@@ -402,10 +402,6 @@ class TimeseriesSampler:
         returns the number of rows written."""
         return write_frames_jsonl({cell: self.to_doc()}, path_or_file)
 
-    def write_npz(self, path: str) -> None:
-        """Export as a compressed ``.npz`` (requires numpy)."""
-        write_frames_npz({"": self.to_doc()}, path)
-
 
 # ----------------------------------------------------------------------
 # artifact I/O
@@ -487,29 +483,6 @@ def read_frames_jsonl(path_or_file) -> tuple:
     finally:
         if close:
             fh.close()
-
-
-def write_frames_npz(docs: dict, path: str) -> None:
-    """Columnar ``.npz`` export (one array per column plus cell/machine
-    tags).  Gated on numpy being importable, per the repo's
-    no-new-dependencies rule."""
-    try:
-        import numpy as np
-    except ImportError as exc:  # pragma: no cover - env without numpy
-        raise RuntimeError(
-            "npz export needs numpy; use the JSONL export instead"
-        ) from exc
-    cells, machines = [], []
-    data: dict[str, list] = {c: [] for c in FRAME_COLUMNS}
-    for cell, mi, row in _doc_rows(docs):
-        cells.append(cell)
-        machines.append(mi)
-        for c in FRAME_COLUMNS:
-            data[c].append(row[c])
-    arrays = {"cell": np.array(cells), "machine": np.array(machines)}
-    for c in FRAME_COLUMNS:
-        arrays[c] = np.array(data[c])
-    np.savez_compressed(path, **arrays)
 
 
 def frame_totals(rows, scope: str = "machine", cell: Optional[str] = None,

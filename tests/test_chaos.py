@@ -11,10 +11,12 @@ purely observational even while faults are being injected.
 from __future__ import annotations
 
 import multiprocessing
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import chaos
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.parallel import execute
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -154,3 +156,35 @@ def test_span_invariant_holds_under_faults():
     total_dur = sum(s.dur_us for s in agg.stats.values())
     total_comp = sum(sum(s.comps.values()) for s in agg.stats.values())
     assert total_comp == pytest.approx(total_dur, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# the CLI gate
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("note,status", [
+    ("all scenarios within degradation budgets", 0),
+    ("BUDGET VIOLATIONS: A/flaky-disk (0.10 < 0.40)", 1),
+])
+@pytest.mark.parametrize("flags,jobs,serial", [
+    ([], None, True),
+    (["--jobs", "2"], 2, False),
+])
+def test_cli_exit_status_follows_the_budget(flags, jobs, serial, note,
+                                            status, monkeypatch, tmp_path,
+                                            capsys):
+    calls = []
+
+    def fake_execute(spec, jobs=None, serial=False):
+        calls.append((spec.cell_ids(), jobs, serial))
+        result = ExperimentResult("Chaos grid", headers=["workload"])
+        result.add_row("A")
+        result.notes.append(note)
+        return SimpleNamespace(result=result)
+
+    monkeypatch.setattr(chaos, "execute", fake_execute)
+    out = tmp_path / "chaos.txt"
+    assert chaos.main(["--smoke", *flags, "-o", str(out)]) == status
+    assert calls == [(["A/baseline", "A/flaky-disk", "A/buggy-policy"],
+                      jobs, serial)]
+    assert note in capsys.readouterr().out
+    assert note in out.read_text()

@@ -11,6 +11,7 @@ are recorded in EXPERIMENTS.md from full-scale runs.
 
 import pytest
 
+from repro import api
 from repro.experiments import (ablations, admission, fig6, fig7, fig8,
                                fig9, fig10, fig11, table1, table3,
                                table4, table5)
@@ -65,7 +66,7 @@ class TestAttachPolicy:
 
 class TestTable1:
     def test_rows_and_direction(self):
-        res = table1.run(quick=True)
+        res = api.run(table1.plan(quick=True)).result
         assert res.column("workload") == ["YCSB A", "YCSB C", "Uniform",
                                           "Search"]
         # The KV rows must show degradation (negative percentages).
@@ -79,7 +80,7 @@ class TestTable1:
 class TestFig6:
     @pytest.fixture(scope="class")
     def tput(self):
-        res = fig6.run(quick=True, workloads=("C", "D"))
+        res = api.run(fig6.plan(quick=True, workloads=("C", "D"))).result
         return lambda workload, policy: res.find_rows(
             workload=workload, policy=policy)[0]["ops_per_sec"]
 
@@ -100,8 +101,8 @@ class TestFig6:
         assert max(d_values) / min(d_values) < 1.4
 
     def test_all_columns_present(self):
-        res = fig6.run(quick=True, workloads=("C",),
-                       policies=("default",))
+        res = api.run(fig6.plan(quick=True, workloads=("C",),
+                                policies=("default",))).result
         row = res.row_dict(0)
         assert set(row) == {"workload", "policy", "ops_per_sec",
                             "p99_read_us", "hit_ratio", "disk_pages"}
@@ -118,8 +119,8 @@ class TestFig7:
             [r["disk_pages"] for r in rows])
 
     def test_inverse_relationship(self):
-        res = fig7.run(quick=True, workloads=("C",),
-                       policies=self.POLICIES)
+        res = api.run(fig7.plan(quick=True, workloads=("C",),
+                                policies=self.POLICIES)).result
         rows = res.find_rows(workload="C")
         by_policy = {r["policy"]: r for r in rows}
         # MRU reads far more disk and achieves less throughput.
@@ -136,7 +137,8 @@ class TestFig7:
         monkeypatch.setattr(fig6, "FULL_SCALE", {
             "nkeys": 20000, "cgroup_pages": 500, "nops": 8000,
             "warmup_ops": 6000, "nthreads": 8, "zipf_theta": 1.1})
-        res = fig7.run(workloads=("A",), policies=self.POLICIES)
+        res = api.run(fig7.plan(workloads=("A",),
+                                policies=self.POLICIES)).result
         assert self.rho(res, "A") < -0.5
 
     def test_spearman_helper(self):
@@ -148,7 +150,7 @@ class TestFig7:
 
 class TestFig8:
     def test_no_single_winner(self):
-        res = fig8.run(quick=True)
+        res = api.run(fig8.plan(quick=True)).result
         assert len(res.rows) == 5 * len(fig8.POLICIES)
         assert all(r[2] > 0 for r in res.rows)
         winners, spreads = {}, {}
@@ -166,7 +168,7 @@ class TestFig8:
 
 class TestFig9:
     def test_mru_wins_file_search(self):
-        res = fig9.run(quick=True)
+        res = api.run(fig9.plan(quick=True)).result
         rows = {r[0]: r for r in res.rows}
         assert rows["mru"][1] < rows["default"][1]  # faster
         assert rows["mru"][1] < rows["mglru"][1]
@@ -176,19 +178,19 @@ class TestFig9:
 
 class TestFig10:
     def test_get_scan_policy_improves_gets(self):
-        res = fig10.run(quick=True, variants=(
+        res = api.run(fig10.plan(quick=True, variants=(
             ("default", "default", None),
-            ("cache_ext-get-scan", "get-scan", None)))
+            ("cache_ext-get-scan", "get-scan", None)))).result
         rows = {r[0]: r for r in res.rows}
         assert rows["cache_ext-get-scan"][1] > rows["default"][1]
 
     def test_fadvise_does_not_match_the_policy(self):
         # None of the three thresholds holds at quick scale; all hold
         # at this one.
-        rows = by_label(fig10.run(scale={
+        rows = by_label(api.run(fig10.plan(scale={
             "nkeys": 20000, "cgroup_pages": 500, "n_gets": 20000,
             "scan_len": 4000, "get_threads": 4, "scan_threads": 2,
-            "zipf_theta": 1.5}))
+            "zipf_theta": 1.5})).result)
         get_scan = rows["cache_ext-get-scan"]["get_ops_per_sec"]
         # The application-informed policy lifts GET throughput well
         # above the default (paper: +70%) ...
@@ -203,7 +205,7 @@ class TestFig10:
 
 class TestAdmission:
     def test_filter_reduces_tail_latency(self):
-        res = admission.run(quick=True)
+        res = api.run(admission.plan(quick=True)).result
         rows = {r[0]: r for r in res.rows}
         assert rows["admission-filter"][3] > 0  # rejects happened
         # P99 improves (paper: -17%) and throughput does not regress.
@@ -213,7 +215,7 @@ class TestAdmission:
 
 class TestFig11:
     def test_tailored_configuration_wins_both(self):
-        res = fig11.run(quick=True)
+        res = api.run(fig11.plan(quick=True)).result
         rows = {r[0]: r for r in res.rows}
         tailored = rows["tailored lfu+mru"]
         base = rows["default/default"]
@@ -231,7 +233,7 @@ class TestFig11:
 
 class TestTable3:
     def test_loc_ordering_matches_paper(self):
-        res = table3.run()
+        res = api.run(table3.plan()).result
         loc = {r[0]: r[1] for r in res.rows}
         assert min(loc, key=loc.get) == "admission-filter"
         assert max(loc, key=loc.get) in ("mglru-bpf", "lhd")
@@ -244,14 +246,14 @@ class TestTable3:
         assert loc["fifo"] < loc["s3fifo"] < loc["mglru-bpf"]
 
     def test_paper_columns_included(self):
-        res = table3.run()
+        res = api.run(table3.plan()).result
         row = res.row_dict(0)
         assert row["paper_bpf_loc"] == 35
 
 
 class TestTable4:
     def test_noop_overhead_is_small(self):
-        res = table4.run(quick=True)
+        res = api.run(table4.plan(quick=True)).result
         # Paper: at most 1.7% CPU per I/O; a modest margin for the
         # simulator's coarser cost model.
         for overhead in res.column("overhead_pct"):
@@ -262,8 +264,9 @@ class TestTable4:
 
 class TestTable5:
     def test_bpf_port_tracks_native(self):
-        res = table5.run(quick=True, workloads=("A", "B", "C", "uniform",
-                                                "uniform-rw"))
+        res = api.run(table5.plan(
+            quick=True,
+            workloads=("A", "B", "C", "uniform", "uniform-rw"))).result
         # Paper: per-workload 0.96-1.06, harmonic mean 0.99.  The port
         # shares the algorithm, so relative throughput stays near 1.
         ratios = res.column("relative")
@@ -277,7 +280,7 @@ class TestAblations:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        return by_label(ablations.run())
+        return by_label(api.run(ablations.plan()).result)
 
     def test_batching_amortizes_hook_crossings(self, rows):
         # batch=1 burns far more hook CPU than the paper's 32.

@@ -9,17 +9,22 @@ re-execution rather than to wrong or missing cells.
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
+import pkgutil
 import signal
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro import experiments
 from repro.experiments import (ablations, admission, fig6, fig7, fig8,
-                               fig9, fig10, fig11, table1, table3,
-                               table4, table5)
-from repro.experiments.harness import CellSpec, ExperimentSpec
+                               fig9, fig10, fig11, run_all, table1,
+                               table3, table4, table5)
+from repro.experiments.harness import (CellSpec, ExperimentResult,
+                                       ExperimentSpec)
 from repro.experiments.parallel import (NoCellsSelectedError,
                                         UnknownExperimentError,
                                         _load_experiment, execute,
@@ -285,3 +290,68 @@ def test_cli_turns_unknown_experiment_into_exit_status_2(capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "unknown experiment 'nosuch'" in err and "fig6" in err
+
+
+# ----------------------------------------------------------------------
+# run_all: every plan, in order, through execute
+# ----------------------------------------------------------------------
+def _stub_execute(calls: list):
+    """An ``execute`` that records ``(plan name, jobs, serial)`` and
+    returns a one-row table instead of running any cell."""
+    def fake(spec, jobs=None, serial=False):
+        calls.append((spec.name, jobs, serial))
+        result = ExperimentResult(spec.name, headers=["cells"])
+        result.add_row(len(spec.cells))
+        return SimpleNamespace(result=result)
+    return fake
+
+
+RUN_ALL_NAMES = [mod.__name__.rsplit(".", 1)[-1] for mod in run_all.MODULES]
+
+
+@pytest.mark.parametrize("flags,jobs,serial", [
+    (["--serial"], None, True),
+    (["--jobs", "3"], 3, False),
+])
+def test_run_all_executes_every_plan_in_order(flags, jobs, serial,
+                                              monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(run_all, "execute", _stub_execute(calls))
+    out = tmp_path / "all.txt"
+    assert run_all.main(["--quick", *flags, "-o", str(out)]) == 0
+    assert calls == [(name, jobs, serial) for name in RUN_ALL_NAMES]
+    text = out.read_text()
+    for name in RUN_ALL_NAMES:
+        assert f"== {name} ==" in text
+        assert f"[{name}: " in text
+
+
+def test_run_all_counts_a_failing_plan_and_keeps_going(monkeypatch,
+                                                       tmp_path):
+    calls = []
+    monkeypatch.setattr(run_all, "execute", _stub_execute(calls))
+
+    def broken(quick=False):
+        raise RuntimeError("no plan today")
+
+    monkeypatch.setattr(fig9, "plan", broken)
+    monkeypatch.setattr(table1, "plan", broken)
+    out = tmp_path / "all.txt"
+    assert run_all.main(["--quick", "--serial", "-o", str(out)]) == 2
+    assert [name for name, _, _ in calls] == [
+        name for name in RUN_ALL_NAMES if name not in ("fig9", "table1")]
+    text = out.read_text()
+    for name in ("fig9", "table1"):
+        assert f"== {name} FAILED ==\nRuntimeError: no plan today" in text
+    for name in RUN_ALL_NAMES:
+        assert f"[{name}: " in text
+
+
+def test_run_all_covers_every_plan():
+    planned = {info.name for info in pkgutil.iter_modules(experiments.__path__)
+               if hasattr(importlib.import_module(
+                   f"repro.experiments.{info.name}"), "plan")}
+    # chaos is the fault-grid gate with its own CLI (exit 1 on a
+    # budget violation), not a table of the paper.
+    assert planned - set(RUN_ALL_NAMES) == {"chaos"}
+    assert len(RUN_ALL_NAMES) == len(set(RUN_ALL_NAMES))

@@ -27,7 +27,9 @@ import pytest
 from repro import api
 from repro.experiments import fig6
 from repro.experiments.harness import make_db_env
-from repro.experiments.parallel import execute, timeseries_jsonl
+from repro.experiments.parallel import execute
+from repro.experiments.parallel import main as parallel_main
+from repro.experiments.parallel import timeseries_jsonl
 from repro.faults.plan import DeviceFault, FaultPlan
 from repro.kernel.machine import Machine
 from repro.obs import analyze, guard
@@ -153,6 +155,25 @@ class TestRefusals:
     def test_nonpositive_interval_refused(self):
         with pytest.raises(ValueError):
             TimeseriesSampler(0.0)
+
+    @pytest.mark.parametrize("interval", [0, 0.0, -1])
+    def test_execute_refuses_a_nonpositive_interval(self, interval):
+        # 0 == False: a zero interval must not read as "telemetry off".
+        spec = fig6.plan(quick=True, policies=("mru",), workloads=("C",))
+        with pytest.raises(ValueError,
+                           match="sample interval must be positive"):
+            execute(spec, serial=True, timeseries=interval)
+
+    def test_cli_refuses_a_zero_interval(self, tmp_path, capsys):
+        frames = tmp_path / "f.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            parallel_main(["fig6", "--quick", "--serial", "--cells",
+                           "C/mru", "--timeseries", str(frames),
+                           "--sample-interval-us", "0"])
+        assert excinfo.value.code == 2
+        assert "--sample-interval-us must be positive: 0.0" \
+            in capsys.readouterr().err
+        assert not frames.exists()
 
 
 class TestFaultLocalization:
