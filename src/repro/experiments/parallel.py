@@ -80,27 +80,6 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-class _LookupCounter:
-    """Counts ``cache:lookup`` hit/miss events on every machine a cell
-    builds — the trace-derived cross-check of the table's hit ratios."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def attach(self, machine) -> None:
-        machine.trace.tracepoint("cache:lookup").subscribe(self._on_lookup)
-
-    def _on_lookup(self, event) -> None:
-        if event.data.get("hit"):
-            self.hits += 1
-        else:
-            self.misses += 1
-
-    def counts(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses}
-
-
 #: Each instrumentation plane, in the order :func:`run_cell` attaches
 #: them, mapped to *why it needs the full engine* (``None``: it runs on
 #: either).  The one source of every request-level refusal:
@@ -260,9 +239,13 @@ def run_cell(cell: CellSpec, planes=None) -> tuple:
         attach.append(
             lambda machine: machine.arm_faults(planes["faults"]))
     if "trace" in planes:
-        counter = _LookupCounter()
-        attach.append(counter.attach)
-        artifacts["trace"] = counter.counts
+        # The trace-derived cross-check of the table's hit ratios.
+        from repro.obs.collectors import CgroupViews
+        lookups = CgroupViews("cache:lookup")
+        attach.append(lookups.attach)
+        artifacts["trace"] = lambda: {
+            "hits": sum(v.hits for v in lookups.views.values()),
+            "misses": sum(v.misses for v in lookups.views.values())}
     if "breakdown" in planes:
         from repro.obs.attr import SpanAggregator
         aggregator = SpanAggregator()
@@ -275,10 +258,10 @@ def run_cell(cell: CellSpec, planes=None) -> tuple:
         sampler = TimeseriesSampler(planes["timeseries"])
         attach.append(sampler.attach)
 
-        def frames() -> dict:
+        def timeseries_doc() -> dict:
             sampler.finalize()
             return sampler.to_doc()
-        artifacts["timeseries"] = frames
+        artifacts["timeseries"] = timeseries_doc
     with harness.observing(*attach), collector_paused():
         payload = cell.execute()
     return payload, {plane: make() for plane, make in artifacts.items()}

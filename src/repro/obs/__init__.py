@@ -10,8 +10,9 @@ better, and this package is how:
   near-zero-cost disabled dispatch, :class:`TraceSession` buffering +
   JSONL round-trip (the ftrace ring buffer analogue);
 * :mod:`repro.obs.collectors` — bpftrace-style aggregation:
-  log2 :class:`Histogram`, per-cgroup I/O latency, inter-reference
-  distance, hit-ratio-over-time;
+  log2 :class:`Histogram`, :class:`CgroupViews` (the one fold of
+  trace events into per-cgroup, per-window counters every trace tool
+  reads), inter-reference distance;
 * :mod:`repro.obs.metrics` — one-call typed snapshots surfaced as
   ``Machine.metrics()`` / ``MemCgroup.metrics()``;
 * :mod:`repro.obs.spans` / :mod:`repro.obs.attr` — span-based latency
@@ -29,29 +30,29 @@ to its real-kernel analogue.
 """
 
 from repro.obs.attr import SpanAggregator, SpanStats, format_breakdown
-from repro.obs.collectors import (Collector, EventCounter, Histogram,
-                                  InterReferenceCollector,
-                                  IoLatencyCollector, WindowedSeries)
+from repro.obs.collectors import (CgroupView, CgroupViews, Collector,
+                                  EventCounter, Histogram,
+                                  InterReferenceCollector)
 from repro.obs.metrics import (CgroupMetrics, MachineMetrics, PolicyMetrics,
                                snapshot_cgroup, snapshot_machine)
 from repro.obs.spans import COMPONENTS, Span, SpanRecorder
 from repro.obs.timeseries import (DEFAULT_SAMPLE_INTERVAL_US, FRAME_COLUMNS,
-                                  LookupTimeline, MetricFrameBuffer,
-                                  TimeseriesSampler, frame_totals,
-                                  read_frames_jsonl, write_frames_jsonl)
+                                  MetricFrameBuffer, TimeseriesSampler,
+                                  frame_totals, read_frames_jsonl,
+                                  write_frames_jsonl)
 from repro.obs.trace import (NULL_TRACEPOINT, TraceEvent, Tracepoint,
                              TraceRegistry, TraceSession, read_jsonl)
 
 __all__ = [
     "Tracepoint", "TraceRegistry", "TraceSession", "TraceEvent",
     "NULL_TRACEPOINT", "read_jsonl",
-    "Collector", "EventCounter", "Histogram", "WindowedSeries",
-    "IoLatencyCollector", "InterReferenceCollector",
+    "Collector", "EventCounter", "Histogram", "CgroupView", "CgroupViews",
+    "InterReferenceCollector",
     "MachineMetrics", "CgroupMetrics", "PolicyMetrics",
     "snapshot_machine", "snapshot_cgroup",
     "COMPONENTS", "Span", "SpanRecorder",
     "SpanAggregator", "SpanStats", "format_breakdown",
-    "TimeseriesSampler", "MetricFrameBuffer", "LookupTimeline",
+    "TimeseriesSampler", "MetricFrameBuffer",
     "DEFAULT_SAMPLE_INTERVAL_US", "FRAME_COLUMNS", "frame_totals",
     "read_frames_jsonl", "write_frames_jsonl",
 ]

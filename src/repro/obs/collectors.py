@@ -8,20 +8,23 @@ a :class:`~repro.obs.trace.TraceSession` is active.
 
 * :class:`Histogram` — log2-bucketed, like bpftrace ``hist()``;
 * :class:`EventCounter` — per-tracepoint event counts;
-* :class:`IoLatencyCollector` — per-cgroup I/O latency histograms
-  (``biolatency`` over the simulated block device);
+* :class:`CgroupViews` — the one fold of page-cache, block, cache_ext,
+  fault and span events into a :class:`CgroupView` per cgroup and
+  virtual-time window.  ``cachetop``, ``cachestat``, ``biolatency``,
+  ``faultstat`` and the harness's ``trace`` plane all read it; it is
+  also the hit-ratio-over-time signal when only a trace is available
+  (the page cache "doesn't expose system-wide hit-rate metrics",
+  §6.1.1);
 * :class:`InterReferenceCollector` — per-cgroup inter-reference
   distance (accesses between successive touches of the same page),
   the locality profile cache-policy papers plot.
-
-The event-driven hit-ratio-over-time collector lives with the
-telemetry plane: :class:`repro.obs.timeseries.LookupTimeline`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, fields
 from fnmatch import fnmatchcase
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.obs.trace import TraceEvent
 
@@ -112,50 +115,6 @@ class Histogram:
         return f"Histogram(count={self.count}, buckets={len(self.buckets)})"
 
 
-class WindowedSeries:
-    """Fixed-window time series of (numerator, denominator) pairs.
-
-    Feeds the "X over time" collectors: each sample lands in the
-    virtual-time window containing its timestamp; :meth:`series`
-    returns one point per non-empty window.  Windows are aligned to
-    multiples of ``window_us`` so identical runs bucket identically.
-
-    Window boundaries are **half-open**: window ``k`` covers
-    ``[k * window_us, (k + 1) * window_us)``, so a sample timestamped
-    exactly at a boundary belongs to the *following* window
-    (``int(ts // window)``).  The sampler frames in
-    :mod:`repro.obs.timeseries` use the same ``[t, t + interval)``
-    convention; ``tests/test_timeseries.py`` pins both.
-    """
-
-    __slots__ = ("window_us", "_windows")
-
-    def __init__(self, window_us: float) -> None:
-        if window_us <= 0:
-            raise ValueError(f"window must be positive: {window_us}")
-        self.window_us = window_us
-        self._windows: dict[int, list] = {}
-
-    def add(self, ts_us: float, num: float = 1.0, den: float = 1.0) -> None:
-        index = int(ts_us // self.window_us)
-        slot = self._windows.get(index)
-        if slot is None:
-            self._windows[index] = [num, den]
-        else:
-            slot[0] += num
-            slot[1] += den
-
-    def series(self) -> list[tuple]:
-        """``(window_start_us, numerator, denominator)`` per window."""
-        return [(index * self.window_us, num, den)
-                for index, (num, den) in sorted(self._windows.items())]
-
-    def ratios(self) -> list[tuple]:
-        """``(window_start_us, num/den)`` per window (den>0 only)."""
-        return [(start, num / den) for start, num, den in self.series()
-                if den > 0]
-
-
 class Collector:
     """Base class: declares tracepoints, folds events.
 
@@ -223,29 +182,6 @@ class EventCounter(Collector):
         return sum(self.counts.values())
 
 
-class IoLatencyCollector(Collector):
-    """Per-cgroup log2 histogram of block I/O latency (µs).
-
-    The ``biolatency`` of the simulator: subscribes to
-    ``block:io_complete`` (whose payload carries queueing + service
-    time) and keys one :class:`Histogram` per issuing cgroup.
-    """
-
-    tracepoints = ("block:io_complete",)
-
-    def __init__(self) -> None:
-        self.per_cgroup: dict[str, Histogram] = {}
-
-    def handle(self, event: TraceEvent) -> None:
-        hist = self.per_cgroup.get(event.cgroup)
-        if hist is None:
-            hist = self.per_cgroup[event.cgroup] = Histogram()
-        hist.record(event.data.get("latency_us", 0))
-
-    def hist(self, cgroup: str) -> Histogram:
-        return self.per_cgroup.get(cgroup, Histogram())
-
-
 class InterReferenceCollector(Collector):
     """Per-cgroup inter-reference distance histogram.
 
@@ -280,3 +216,166 @@ class InterReferenceCollector(Collector):
     def hist(self, cgroup: str) -> Histogram:
         return self.per_cgroup.get(cgroup, Histogram())
 
+
+
+@dataclass
+class CgroupView:
+    """Counters folded from one cgroup's trace events (one window)."""
+
+    name: str
+    lookups: int = 0
+    hits: int = 0
+    inserts: int = 0
+    evicts: int = 0
+    refaults: int = 0
+    activations: int = 0
+    writebacks: int = 0
+    admission_rejects: int = 0
+    fallback_evictions: int = 0
+    kfunc_errors: int = 0
+    watchdog_detaches: int = 0
+    quarantines: int = 0
+    reattaches: int = 0
+    io_errors: int = 0
+    io_read_pages: int = 0
+    io_write_pages: int = 0
+    hook_cpu_us: float = 0.0
+    #: Block I/O latency, queueing delay and service time (µs).
+    io_latency: Histogram = field(default_factory=Histogram)
+    io_wait: Histogram = field(default_factory=Histogram)
+    io_service: Histogram = field(default_factory=Histogram)
+    #: Injected faults by domain, and by ``domain:kind``.
+    faults: dict = field(default_factory=dict)
+    fault_kinds: dict = field(default_factory=dict)
+    # Latency-attribution aggregates (span:close events, when the
+    # trace was recorded with spans enabled).
+    span_count: int = 0
+    span_dur_us: float = 0.0
+    device_wait_us: float = 0.0
+    device_service_us: float = 0.0
+    reclaim_stall_us: float = 0.0
+
+    @property
+    def misses(self) -> int:
+        return self.lookups - self.hits
+
+    @property
+    def hit_ratio(self) -> float:
+        if self.lookups == 0:
+            return 0.0
+        return self.hits / self.lookups
+
+    @property
+    def unhealthy(self) -> bool:
+        return bool(self.fallback_evictions or self.kfunc_errors
+                    or self.watchdog_detaches)
+
+    def merge(self, *others: "CgroupView") -> "CgroupView":
+        """Add every counter of ``others`` into this view; returns
+        ``self`` (``CgroupView("*").merge(*views)`` is a machine-wide
+        sum)."""
+        for other in others:
+            for f in fields(self)[1:]:  # every field but the name
+                mine = getattr(self, f.name)
+                theirs = getattr(other, f.name)
+                if isinstance(mine, Histogram):
+                    mine.merge(theirs)
+                elif isinstance(mine, dict):
+                    for key, n in theirs.items():
+                        mine[key] = mine.get(key, 0) + n
+                else:
+                    setattr(self, f.name, mine + theirs)
+        return self
+
+
+#: Tracepoints a view counts one per event, and the field counting them.
+_COUNTED = {
+    "cache:insert": "inserts", "cache:evict": "evicts",
+    "cache:refault": "refaults", "cache:activation": "activations",
+    "cache:writeback": "writebacks",
+    "cache:admission_reject": "admission_rejects",
+    "cache_ext:fallback_eviction": "fallback_evictions",
+    "cache_ext:kfunc_error": "kfunc_errors",
+    "cache_ext:watchdog_detach": "watchdog_detaches",
+    "cache_ext:quarantine": "quarantines",
+    "cache_ext:reattach": "reattaches", "block:io_error": "io_errors",
+}
+
+
+class CgroupViews(Collector):
+    """One :class:`CgroupView` per ``(window, cgroup)``.
+
+    Subscribes to ``patterns`` (default ``"*"``, as
+    :class:`EventCounter`).  With ``window_us``, windows are
+    **half-open**: window ``k`` covers ``[k * window_us, (k + 1) *
+    window_us)``, so an event timestamped exactly on a boundary lands
+    in the *following* window — the convention of the sampler frames
+    in :mod:`repro.obs.timeseries`.  Without it every event lands in
+    window 0.
+    """
+
+    tracepoints = ("*",)
+
+    def __init__(self, *patterns: str,
+                 window_us: Optional[float] = None) -> None:
+        if window_us is not None and not window_us > 0:
+            raise ValueError(f"window must be positive: {window_us}")
+        if patterns:
+            self.tracepoints = patterns
+        self.window_us = window_us
+        #: ``(window index, cgroup)`` -> view.
+        self.views: dict[tuple, CgroupView] = {}
+
+    def handle(self, event: TraceEvent) -> None:
+        window = (0 if self.window_us is None
+                  else int(event.ts_us // self.window_us))
+        view = self.views.get((window, event.cgroup))
+        if view is None:
+            view = self.views[window, event.cgroup] = CgroupView(event.cgroup)
+        name = event.name
+        data = event.data
+        if name == "cache:lookup":
+            view.lookups += 1
+            view.hits += data.get("hit", 0)
+        elif name in _COUNTED:
+            attr = _COUNTED[name]
+            setattr(view, attr, getattr(view, attr) + 1)
+        elif name == "cache_ext:hook_exit":
+            view.hook_cpu_us += data.get("cpu_us", 0.0)
+        elif name == "span:close":
+            view.span_count += 1
+            view.span_dur_us += data.get("dur_us", 0.0)
+            view.device_wait_us += data.get("device_wait", 0.0)
+            view.device_service_us += data.get("device_service", 0.0)
+            view.reclaim_stall_us += data.get("reclaim_stall", 0.0)
+        elif name == "block:io_complete":
+            pages = data.get("pages", 0)
+            if data.get("op") == "write":
+                view.io_write_pages += pages
+            else:
+                view.io_read_pages += pages
+            view.io_latency.record(data.get("latency_us", 0))
+            view.io_wait.record(data.get("wait_us", 0))
+            view.io_service.record(data.get("service_us", 0))
+        elif name == "fault:inject":
+            domain = data.get("domain", "?")
+            kind = f"{domain}:{data.get('kind', '?')}"
+            view.faults[domain] = view.faults.get(domain, 0) + 1
+            view.fault_kinds[kind] = view.fault_kinds.get(kind, 0) + 1
+
+    def windows(self) -> list[tuple]:
+        """``(window_start_us, {cgroup: view})`` per non-empty window,
+        in time order (one window starting at 0.0 when unwindowed)."""
+        grouped: dict[int, dict] = {}
+        for window, cgroup in sorted(self.views, key=lambda key: key[0]):
+            grouped.setdefault(window, {})[cgroup] = self.views[window, cgroup]
+        width = self.window_us or 0.0
+        return [(window * width, views) for window, views in grouped.items()]
+
+    def cgroups(self) -> dict[str, CgroupView]:
+        """``{cgroup: view}`` over the whole run (windows merged)."""
+        merged: dict[str, CgroupView] = {}
+        for _start, views in self.windows():
+            for cgroup, view in views.items():
+                merged.setdefault(cgroup, CgroupView(cgroup)).merge(view)
+        return merged

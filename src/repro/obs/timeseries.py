@@ -17,8 +17,10 @@ plane that answers it:
 * :class:`MetricFrameBuffer` — the compact columnar store behind each
   sampled machine (one list per column, one row per (frame, scope)),
   with a JSONL export.
-* :class:`LookupTimeline` — the event-driven hit-ratio-over-time
-  collector.
+
+The event-driven counterpart — hit ratio over time from a recorded
+trace, with no engine to tick a sampler in — is
+:class:`repro.obs.collectors.CgroupViews` with a ``window_us``.
 
 Determinism contract (asserted in ``tests/test_timeseries.py`` and by
 ``python -m repro.obs.guard --timeseries``):
@@ -53,7 +55,7 @@ import json
 from typing import Optional
 
 from repro.kernel.stats import CacheStats
-from repro.obs.collectors import Collector, Histogram, WindowedSeries
+from repro.obs.collectors import Histogram
 from repro.obs.trace import TraceEvent
 
 #: Default frame width: 10 virtual milliseconds.
@@ -512,44 +514,3 @@ def frame_totals(rows, scope: str = "machine", cell: Optional[str] = None,
         n += 1
     return {"frames": n, "totals": totals, "last": last}
 
-
-# ----------------------------------------------------------------------
-# event-driven hit-ratio timeline (absorbed from collectors)
-# ----------------------------------------------------------------------
-class LookupTimeline(Collector):
-    """Per-cgroup hit ratio over virtual time, in fixed half-open
-    windows ``[k*window, (k+1)*window)``.
-
-    The event-driven sibling of :class:`TimeseriesSampler`: it derives
-    the same hit-ratio-over-time signal from ``cache:lookup`` events
-    when only a trace is available (no engine to tick a sampler in).
-    This is the metric the real page cache cannot give you ("the page
-    cache doesn't expose system-wide hit-rate metrics", §6.1.1).
-    """
-
-    tracepoints = ("cache:lookup",)
-
-    def __init__(self, window_us: float = 100_000.0) -> None:
-        self.window_us = window_us
-        self.per_cgroup: dict[str, WindowedSeries] = {}
-
-    def handle(self, event: TraceEvent) -> None:
-        series = self.per_cgroup.get(event.cgroup)
-        if series is None:
-            series = self.per_cgroup[event.cgroup] = \
-                WindowedSeries(self.window_us)
-        series.add(event.ts_us, num=event.data.get("hit", 0), den=1)
-
-    def series(self, cgroup: str) -> list[tuple]:
-        """``(window_start_us, hit_ratio)`` points for one cgroup."""
-        ws = self.per_cgroup.get(cgroup)
-        return ws.ratios() if ws is not None else []
-
-    def overall(self, cgroup: str) -> Optional[float]:
-        """Whole-run hit ratio for one cgroup (None if unseen)."""
-        ws = self.per_cgroup.get(cgroup)
-        if ws is None:
-            return None
-        hits = sum(num for _start, num, _den in ws.series())
-        lookups = sum(den for _start, _num, den in ws.series())
-        return hits / lookups if lookups else 0.0

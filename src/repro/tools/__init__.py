@@ -13,23 +13,26 @@
   histograms.  Also a CLI: ``python -m repro.tools.biolatency``.
 * :mod:`repro.tools.cachestat` — machine-wide hit/miss/churn rates per
   virtual-time window.  Also a CLI: ``python -m repro.tools.cachestat``.
+* :mod:`repro.tools.faultstat` — injected faults, I/O errors and
+  policy quarantines per virtual-time window.  Also a CLI:
+  ``python -m repro.tools.faultstat``.
 * :mod:`repro.tools.funclatency` — per-(policy, hook) latency
   histograms for the eBPF policy runtime.  Also a CLI:
   ``python -m repro.tools.funclatency``.
 
 Every trace-consuming tool runs either offline (a JSONL trace file) or
-live (``--live`` runs a quick fig6-sized cell with the collector
-attached).
+live (``--live`` runs a quick fig6-sized cell — ``faultstat``: a quick
+chaos cell — with the collector attached).  ``cachetop``,
+``biolatency``, ``cachestat`` and ``faultstat`` all read one fold,
+:class:`repro.obs.collectors.CgroupViews`; only ``funclatency`` keys
+by (policy, hook) instead of cgroup.
 """
 
 _CACHESIM = ("replay_trace", "simulate_policies", "TraceReport")
 _CACHETOP = ("summarize", "format_views", "CgroupView")
-_BIOLATENCY = ("BioLatencyCollector", "format_biolatency")
-_CACHESTAT = ("CacheStatCollector", "format_cachestat")
 _FUNCLATENCY = ("FuncLatencyCollector", "format_funclatency")
 
-__all__ = list(_CACHESIM + _CACHETOP + _BIOLATENCY + _CACHESTAT
-               + _FUNCLATENCY)
+__all__ = list(_CACHESIM + _CACHETOP + _FUNCLATENCY)
 
 
 def __getattr__(name):
@@ -41,12 +44,6 @@ def __getattr__(name):
     if name in _CACHETOP:
         from repro.tools import cachetop
         return getattr(cachetop, name)
-    if name in _BIOLATENCY:
-        from repro.tools import biolatency
-        return getattr(biolatency, name)
-    if name in _CACHESTAT:
-        from repro.tools import cachestat
-        return getattr(cachestat, name)
     if name in _FUNCLATENCY:
         from repro.tools import funclatency
         return getattr(funclatency, name)

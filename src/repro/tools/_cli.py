@@ -1,8 +1,10 @@
 """What the trace-consuming CLIs share: loading an artifact, the
-``--live`` fig6 cell, and the ``__main__`` footer."""
+``--window-ms`` type, the ``--live`` cell and the ``__main__`` footer."""
 
 from __future__ import annotations
 
+import argparse
+import math
 import sys
 from typing import Callable, Optional
 
@@ -26,6 +28,16 @@ def load_trace(tool: str, path: str) -> Optional[list]:
     ``None`` as :func:`load`."""
     return load(tool, TraceSession.load,
                 sys.stdin if path == "-" else path)
+
+
+def window_ms(text: str) -> float:
+    """``--window-ms``: a positive, finite number of virtual ms (else
+    the parser exits 2 with a usage error)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite: {text}")
+    return value
 
 
 def add_live_arguments(parser) -> None:

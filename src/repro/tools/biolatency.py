@@ -20,43 +20,21 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
-from repro.obs.collectors import Collector, Histogram
-from repro.obs.trace import TraceEvent
+from repro.obs.collectors import CgroupViews
 from repro.tools import _cli
 
 
-class BioLatencyCollector(Collector):
-    """Per-cgroup queue/service histograms over ``block:io_complete``."""
-
-    tracepoints = ("block:io_complete",)
-
-    def __init__(self) -> None:
-        #: cgroup -> (queue Histogram, service Histogram), µs.
-        self.per_cgroup: dict[str, tuple] = {}
-        self.total_ios = 0
-
-    def handle(self, event: TraceEvent) -> None:
-        pair = self.per_cgroup.get(event.cgroup)
-        if pair is None:
-            pair = self.per_cgroup[event.cgroup] = (Histogram(), Histogram())
-        queue, service = pair
-        queue.record(event.data.get("wait_us", 0))
-        service.record(event.data.get("service_us", 0))
-        self.total_ios += 1
-
-
-def format_biolatency(collector: BioLatencyCollector) -> str:
-    if not collector.per_cgroup:
-        return "(no block I/O observed)"
+def format_biolatency(views: CgroupViews) -> str:
     chunks = []
-    for cgroup in sorted(collector.per_cgroup):
-        queue, service = collector.per_cgroup[cgroup]
-        chunks.append(
-            f"cgroup {cgroup}: {queue.count} I/Os\n"
-            f"queue delay (us), mean {queue.mean:.1f}\n{queue.format()}\n"
-            f"service time (us), mean {service.mean:.1f}\n"
-            f"{service.format()}")
-    return "\n\n".join(chunks)
+    for cgroup, view in sorted(views.cgroups().items()):
+        queue, service = view.io_wait, view.io_service
+        if queue.count:
+            chunks.append(
+                f"cgroup {cgroup}: {queue.count} I/Os\n"
+                f"queue delay (us), mean {queue.mean:.1f}\n{queue.format()}\n"
+                f"service time (us), mean {service.mean:.1f}\n"
+                f"{service.format()}")
+    return "\n\n".join(chunks) if chunks else "(no block I/O observed)"
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -67,11 +45,11 @@ def main(argv: Optional[list] = None) -> int:
     _cli.add_live_arguments(parser)
     args = parser.parse_args(argv)
 
-    collector = _cli.collect("biolatency", parser, args,
-                             BioLatencyCollector())
-    if collector is None:
+    views = _cli.collect("biolatency", parser, args,
+                         CgroupViews("block:io_complete"))
+    if views is None:
         return 1
-    print(format_biolatency(collector))
+    print(format_biolatency(views))
     return 0
 
 

@@ -32,103 +32,16 @@ to the frame covering one virtual-time instant.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.obs.collectors import Histogram
+from repro.obs.collectors import CgroupView, CgroupViews
 from repro.obs.trace import TraceEvent, TraceSession
 from repro.tools import _cli
 
 
-@dataclass
-class CgroupView:
-    """Aggregated trace counters for one cgroup."""
-
-    name: str
-    lookups: int = 0
-    hits: int = 0
-    inserts: int = 0
-    evicts: int = 0
-    refaults: int = 0
-    activations: int = 0
-    writebacks: int = 0
-    admission_rejects: int = 0
-    fallback_evictions: int = 0
-    kfunc_errors: int = 0
-    watchdog_detaches: int = 0
-    io_read_pages: int = 0
-    io_write_pages: int = 0
-    hook_cpu_us: float = 0.0
-    io_latency: Histogram = field(default_factory=Histogram)
-    # Latency-attribution aggregates (span:close events, when the
-    # trace was recorded with spans enabled).
-    span_count: int = 0
-    span_dur_us: float = 0.0
-    device_wait_us: float = 0.0
-    device_service_us: float = 0.0
-    reclaim_stall_us: float = 0.0
-
-    @property
-    def misses(self) -> int:
-        return self.lookups - self.hits
-
-    @property
-    def hit_ratio(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    @property
-    def unhealthy(self) -> bool:
-        return bool(self.fallback_evictions or self.kfunc_errors
-                    or self.watchdog_detaches)
-
-
-def summarize(events: Iterable[TraceEvent]) -> dict:
+def summarize(events: Iterable[TraceEvent]) -> dict[str, CgroupView]:
     """Fold a trace into one :class:`CgroupView` per cgroup."""
-    views: dict[str, CgroupView] = {}
-    for event in events:
-        view = views.get(event.cgroup)
-        if view is None:
-            view = views[event.cgroup] = CgroupView(event.cgroup)
-        name = event.name
-        if name == "cache:lookup":
-            view.lookups += 1
-            view.hits += event.data.get("hit", 0)
-        elif name == "cache:insert":
-            view.inserts += 1
-        elif name == "cache:evict":
-            view.evicts += 1
-        elif name == "cache:refault":
-            view.refaults += 1
-        elif name == "cache:activation":
-            view.activations += 1
-        elif name == "cache:writeback":
-            view.writebacks += 1
-        elif name == "cache:admission_reject":
-            view.admission_rejects += 1
-        elif name == "cache_ext:fallback_eviction":
-            view.fallback_evictions += 1
-        elif name == "cache_ext:kfunc_error":
-            view.kfunc_errors += 1
-        elif name == "cache_ext:watchdog_detach":
-            view.watchdog_detaches += 1
-        elif name == "cache_ext:hook_exit":
-            view.hook_cpu_us += event.data.get("cpu_us", 0.0)
-        elif name == "span:close":
-            view.span_count += 1
-            view.span_dur_us += event.data.get("dur_us", 0.0)
-            view.device_wait_us += event.data.get("device_wait", 0.0)
-            view.device_service_us += event.data.get("device_service", 0.0)
-            view.reclaim_stall_us += event.data.get("reclaim_stall", 0.0)
-        elif name == "block:io_complete":
-            pages = event.data.get("pages", 0)
-            if event.data.get("op") == "write":
-                view.io_write_pages += pages
-            else:
-                view.io_read_pages += pages
-            view.io_latency.record(event.data.get("latency_us", 0))
-    return views
+    return CgroupViews().replay(events).cgroups()
 
 
 def format_views(views: dict, ts_us: Optional[float] = None) -> str:
@@ -167,29 +80,6 @@ def format_views(views: dict, ts_us: Optional[float] = None) -> str:
                 f"kfunc_errors={v.kfunc_errors} "
                 f"watchdog_detaches={v.watchdog_detaches}")
     return "\n".join(lines)
-
-
-def frames(events: list, window_us: float):
-    """Yield ``(window_end_us, views)`` per virtual-time window.
-
-    Views are per-window deltas (what a live cachetop refresh shows),
-    not cumulative totals.
-    """
-    if window_us <= 0:
-        raise ValueError(f"window must be positive: {window_us}")
-    pending: list[TraceEvent] = []
-    boundary: Optional[float] = None
-    for event in sorted(events, key=lambda e: e.ts_us):
-        if boundary is None:
-            boundary = (int(event.ts_us // window_us) + 1) * window_us
-        while event.ts_us >= boundary:
-            if pending:
-                yield boundary, summarize(pending)
-                pending = []
-            boundary += window_us
-        pending.append(event)
-    if pending and boundary is not None:
-        yield boundary, summarize(pending)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +282,7 @@ def main(argv: Optional[list] = None) -> int:
         description="Per-cgroup page-cache summaries from a JSONL trace")
     parser.add_argument("trace", nargs="?",
                         help="JSONL trace file ('-' for stdin)")
-    parser.add_argument("--window-ms", type=float, default=0.0,
+    parser.add_argument("--window-ms", type=_cli.window_ms, default=None,
                         help="render one frame per virtual-time window")
     parser.add_argument("--latency", action="store_true",
                         help="also print per-cgroup I/O latency histograms")
@@ -430,10 +320,13 @@ def main(argv: Optional[list] = None) -> int:
         print("(empty trace)")
         return 0
 
-    if args.window_ms > 0:
-        blocks = [format_views(views, ts_us=end)
-                  for end, views in frames(events, args.window_ms * 1000.0)]
-        print("\n\n".join(blocks))
+    if args.window_ms is not None:
+        # Per-window deltas, labelled with the window's end (a refresh).
+        width = args.window_ms * 1000.0
+        frames = CgroupViews(window_us=width).replay(
+            sorted(events, key=lambda e: e.ts_us)).windows()
+        print("\n\n".join(format_views(views, ts_us=start + width)
+                           for start, views in frames))
     else:
         print(format_views(summarize(events)))
     if args.latency:

@@ -31,81 +31,46 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
-from repro.obs.collectors import Collector
-from repro.obs.trace import TraceEvent, TraceSession
+from repro.obs.collectors import CgroupView, CgroupViews
 from repro.tools import _cli
 
 DEFAULT_WINDOW_MS = 20.0
 
 
-class FaultStatCollector(Collector):
-    """Per-window fault/degradation counters."""
-
-    tracepoints = ("fault:inject", "block:io_error",
-                   "cache_ext:watchdog_detach", "cache_ext:quarantine",
-                   "cache_ext:reattach")
-
-    def __init__(self, window_us: float = DEFAULT_WINDOW_MS * 1000.0) -> None:
-        if window_us <= 0:
-            raise ValueError(f"window must be positive: {window_us}")
-        self.window_us = window_us
-        #: window index -> [device, policy, memory, io_errors,
-        #: detaches, quarantines, reattaches].
-        self.windows: dict[int, list] = {}
-        #: ``domain:kind`` -> total count across the run.
-        self.by_kind: dict[str, int] = {}
-
-    def _slot(self, ts_us: float) -> list:
-        index = int(ts_us // self.window_us)
-        slot = self.windows.get(index)
-        if slot is None:
-            slot = self.windows[index] = [0, 0, 0, 0, 0, 0, 0]
-        return slot
-
-    def handle(self, event: TraceEvent) -> None:
-        name = event.name
-        slot = self._slot(event.ts_us)
-        if name == "fault:inject":
-            domain = event.data.get("domain", "?")
-            kind = event.data.get("kind", "?")
-            key = f"{domain}:{kind}"
-            self.by_kind[key] = self.by_kind.get(key, 0) + 1
-            if domain == "device":
-                slot[0] += 1
-            elif domain == "policy":
-                slot[1] += 1
-            else:
-                slot[2] += 1
-        elif name == "block:io_error":
-            slot[3] += 1
-        elif name == "cache_ext:watchdog_detach":
-            slot[4] += 1
-        elif name == "cache_ext:quarantine":
-            slot[5] += 1
-        elif name == "cache_ext:reattach":
-            slot[6] += 1
-
-    def rows(self) -> list[tuple]:
-        """``(window_start_us, device, policy, memory, io_errors,
-        detaches, quarantines, reattaches)`` rows."""
-        return [(index * self.window_us, *counts)
-                for index, counts in sorted(self.windows.items())]
+#: What ``faultstat`` subscribes to.
+TRACEPOINTS = ("fault:inject", "block:io_error", "cache_ext:watchdog_detach",
+               "cache_ext:quarantine", "cache_ext:reattach")
 
 
-def format_faultstat(collector: FaultStatCollector) -> str:
-    rows = collector.rows()
-    if not rows:
+def window_rows(views: CgroupViews) -> list[tuple]:
+    """``(window_start_us, device, policy, memory, io_errors, detaches,
+    quarantines, reattaches)`` rows, summed over cgroups; every domain
+    but device and policy counts as memory."""
+    out = []
+    for start_us, group in views.windows():
+        v = CgroupView("*").merge(*group.values())
+        device = v.faults.get("device", 0)
+        policy = v.faults.get("policy", 0)
+        out.append((start_us, device, policy,
+                    sum(v.faults.values()) - device - policy, v.io_errors,
+                    v.watchdog_detaches, v.quarantines, v.reattaches))
+    return out
+
+
+def format_faultstat(views: CgroupViews) -> str:
+    table = window_rows(views)
+    if not table:
         return "(no fault events observed)"
     lines = [f"{'TIME_MS':>10s} {'DEVICE':>7s} {'POLICY':>7s} "
              f"{'MEMORY':>7s} {'IO_ERR':>7s} {'DETACH':>7s} "
              f"{'QUARAN':>7s} {'REATT':>7s}"]
-    for start_us, dev, pol, mem, ioerr, det, quar, reat in rows:
+    for start_us, dev, pol, mem, ioerr, det, quar, reat in table:
         lines.append(f"{start_us / 1000.0:>10.1f} {dev:>7d} {pol:>7d} "
                      f"{mem:>7d} {ioerr:>7d} {det:>7d} {quar:>7d} "
                      f"{reat:>7d}")
-    total = sum(sum(r[1:4]) for r in rows)
-    kinds = ", ".join(f"{k}={v}" for k, v in
-                      sorted(collector.by_kind.items()))
+    total = sum(sum(r[1:4]) for r in table)
+    by_kind = CgroupView("*").merge(*views.views.values()).fault_kinds
+    kinds = ", ".join(f"{k}={v}" for k, v in sorted(by_kind.items()))
     lines.append(f"overall: {total} faults injected"
                  + (f" ({kinds})" if kinds else ""))
     return "\n".join(lines)
@@ -171,38 +136,13 @@ def format_frames_view(meta: dict, rows: list, **analyze_kwargs) -> str:
     return "\n".join(lines)
 
 
-def run_live(scenario: str, workload: str,
-             window_us: float) -> FaultStatCollector:
-    """Run one quick-scale chaos cell with the collector attached."""
-    from repro.experiments import chaos
-    from repro.experiments.harness import make_db_env
-
-    params = dict(chaos.QUICK_SCALE)
-    horizon = params.pop("horizon_us")
-    if workload.startswith("tw"):
-        horizon *= chaos.TWITTER_HORIZON_MULT
-    env = make_db_env(chaos.POLICY,
-                      cgroup_pages=params["cgroup_pages"],
-                      nkeys=params["nkeys"], compaction_thread=True)
-    plan = chaos.scenario_plan(scenario, horizon)
-    if plan is not None:
-        env.machine.arm_faults(plan)
-    collector = FaultStatCollector(window_us)
-    session = TraceSession(env.machine, collectors=[collector],
-                           buffer=False)
-    session.start()
-    chaos._run_workload(env, workload, params)
-    session.stop()
-    return collector
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Injected faults and degradation events per "
                     "virtual-time window")
     parser.add_argument("trace", nargs="?",
                         help="JSONL trace file ('-' for stdin)")
-    parser.add_argument("--window-ms", type=float,
+    parser.add_argument("--window-ms", type=_cli.window_ms,
                         default=DEFAULT_WINDOW_MS,
                         help=f"window size in virtual ms "
                              f"(default: {DEFAULT_WINDOW_MS:.0f})")
@@ -233,9 +173,15 @@ def main(argv: Optional[list] = None) -> int:
     else:
         frames_view = None
 
-    window_us = args.window_ms * 1000.0
+    views = CgroupViews(*TRACEPOINTS, window_us=args.window_ms * 1000.0)
     if args.live:
-        collector = run_live(args.scenario, args.workload, window_us)
+        from repro.experiments import chaos, harness
+        params = dict(chaos.QUICK_SCALE)
+        horizon = params.pop("horizon_us")
+        if args.workload.startswith("tw"):
+            horizon *= chaos.TWITTER_HORIZON_MULT
+        with harness.observing(views.attach):
+            chaos.cell(args.workload, args.scenario, horizon, **params)
     else:
         if not args.trace:
             parser.error("a trace file is required "
@@ -243,8 +189,8 @@ def main(argv: Optional[list] = None) -> int:
         events = _cli.load_trace("faultstat", args.trace)
         if events is None:
             return 1
-        collector = FaultStatCollector(window_us).replay(events)
-    print(format_faultstat(collector))
+        views.replay(events)
+    print(format_faultstat(views))
     if frames_view is not None:
         print()
         print(frames_view)

@@ -18,10 +18,9 @@ from repro.ebpf.maps import ArrayMap
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
 from repro.kernel.machine import KERNEL_TRACEPOINTS
-from repro.obs import (NULL_TRACEPOINT, EventCounter, Histogram,
-                       InterReferenceCollector, IoLatencyCollector,
-                       LookupTimeline, TraceEvent, Tracepoint,
-                       TraceRegistry, TraceSession)
+from repro.obs import (NULL_TRACEPOINT, CgroupViews, EventCounter,
+                       Histogram, InterReferenceCollector, TraceEvent,
+                       Tracepoint, TraceRegistry, TraceSession)
 from repro.policies.fifo import FifoPolicy, make_fifo_policy
 from repro.policies.mru import MruPolicy, make_mru_policy
 
@@ -258,20 +257,21 @@ class TestExactHitRatio:
 class TestCollectors:
     def test_io_latency_collector_sees_every_completion(self):
         machine, cg, f = make_env(limit=16)
-        collector = IoLatencyCollector()
+        collector = CgroupViews("block:io_complete")
         with TraceSession(machine, collectors=[collector], buffer=False):
             run_reads(machine, f, cg, range(64))
-        hist = collector.hist("t")
+        hist = collector.cgroups()["t"].io_latency
         assert hist.count > 0
         assert hist.mean > 0
 
     def test_hit_ratio_timeline_overall_matches_stats(self):
         machine, cg, f = make_env(limit=16)
-        timeline = LookupTimeline(window_us=50.0)
+        timeline = CgroupViews("cache:lookup", window_us=50.0)
         with TraceSession(machine, collectors=[timeline], buffer=False):
             run_reads(machine, f, cg, [i % 24 for i in range(200)])
-        assert timeline.overall("t") == cg.stats.hit_ratio
-        series = timeline.series("t")
+        assert timeline.cgroups()["t"].hit_ratio == cg.stats.hit_ratio
+        series = [(start, views["t"].hit_ratio)
+                  for start, views in timeline.windows()]
         assert len(series) > 1  # the run spans multiple windows
 
     def test_inter_reference_distances(self):

@@ -33,9 +33,10 @@ from repro.experiments.parallel import timeseries_jsonl
 from repro.faults.plan import DeviceFault, FaultPlan
 from repro.kernel.machine import Machine
 from repro.obs import analyze, guard
-from repro.obs.collectors import WindowedSeries
-from repro.obs.timeseries import (LookupTimeline, TimeseriesSampler,
-                                  frame_totals, read_frames_jsonl)
+from repro.obs.collectors import CgroupViews
+from repro.obs.timeseries import (TimeseriesSampler, frame_totals,
+                                  read_frames_jsonl)
+from repro.obs.trace import TraceEvent
 from repro.replay import enable_replay
 from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
 
@@ -241,7 +242,7 @@ class TestFaultLocalization:
 
 class TestCollectorsCompat:
     def test_lookup_timeline_windows_and_overall(self):
-        timeline = LookupTimeline(window_us=50_000.0)
+        timeline = CgroupViews("cache:lookup", window_us=50_000.0)
         assert timeline.window_us == 50_000.0
 
         class Event:
@@ -254,20 +255,28 @@ class TestCollectorsCompat:
 
         for ts, hit in ((0.0, 1), (10_000.0, 0), (60_000.0, 1)):
             timeline.handle(Event(ts, hit))
-        assert timeline.series("app") == [(0.0, 0.5), (50_000.0, 1.0)]
-        assert timeline.overall("app") == 2 / 3
+        assert [(start, views["app"].hit_ratio)
+                for start, views in timeline.windows()] == \
+            [(0.0, 0.5), (50_000.0, 1.0)]
+        assert timeline.cgroups()["app"].hit_ratio == 2 / 3
 
     def test_windowed_series_boundaries_are_half_open(self):
-        series = WindowedSeries(window_us=100.0)
-        series.add(0.0, num=1.0)
-        series.add(99.999, num=1.0)   # still window 0
-        series.add(100.0, num=5.0)    # exactly on a boundary -> window 1
-        series.add(199.999, num=5.0)  # still window 1
-        series.add(200.0, num=9.0)    # -> window 2
-        assert series.series() == [(0.0, 2.0, 2.0),
-                                   (100.0, 10.0, 2.0),
-                                   (200.0, 9.0, 1.0)]
-        assert series.ratios() == [(0.0, 1.0), (100.0, 5.0), (200.0, 9.0)]
+        series = CgroupViews("cache:lookup", window_us=100.0)
+
+        def add(ts_us, num):
+            series.handle(TraceEvent("cache:lookup", ts_us, "app", 1,
+                                     {"hit": num}))
+        add(0.0, num=1.0)
+        add(99.999, num=1.0)   # still window 0
+        add(100.0, num=5.0)    # exactly on a boundary -> window 1
+        add(199.999, num=5.0)  # still window 1
+        add(200.0, num=9.0)    # -> window 2
+        assert [(start, views["app"].hits, views["app"].lookups)
+                for start, views in series.windows()] == \
+            [(0.0, 2.0, 2.0), (100.0, 10.0, 2.0), (200.0, 9.0, 1.0)]
+        assert [(start, views["app"].hit_ratio)
+                for start, views in series.windows()] == \
+            [(0.0, 1.0), (100.0, 5.0), (200.0, 9.0)]
 
 
 class TestGuardAndTools:

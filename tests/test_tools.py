@@ -1,13 +1,20 @@
 """Trace-simulator tool tests."""
 
+import importlib
 import json
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.obs.collectors import CgroupViews, Histogram
 from repro.obs.trace import TraceEvent
 from repro.tools import cachesim
 from repro.tools.cachesim import (format_reports, parse_trace,
                                   replay_trace, simulate_policies)
+from tests.strategies import STANDARD_SETTINGS
 
 
 def ev(name, ts_us=0.0, cgroup="app", tid=1, **data):
@@ -136,24 +143,23 @@ def _io_events():
 
 class TestBioLatency:
     def test_replay_splits_queue_and_service(self):
-        from repro.tools.biolatency import BioLatencyCollector
-        collector = BioLatencyCollector().replay(_io_events())
-        assert collector.total_ios == 3
-        assert sorted(collector.per_cgroup) == ["a", "b"]
-        queue, service = collector.per_cgroup["a"]
+        views = CgroupViews("block:io_complete").replay(_io_events())
+        per_cgroup = views.cgroups()
+        assert sum(v.io_wait.count for v in per_cgroup.values()) == 3
+        assert sorted(per_cgroup) == ["a", "b"]
+        queue, service = per_cgroup["a"].io_wait, per_cgroup["a"].io_service
         assert queue.count == 2
         assert queue.total == 40
         assert service.total == 310
 
     def test_format(self):
-        from repro.tools.biolatency import (BioLatencyCollector,
-                                            format_biolatency)
+        from repro.tools.biolatency import format_biolatency
         text = format_biolatency(
-            BioLatencyCollector().replay(_io_events()))
+            CgroupViews("block:io_complete").replay(_io_events()))
         assert "cgroup a: 2 I/Os" in text
         assert "queue delay" in text
         assert "service time" in text
-        assert format_biolatency(BioLatencyCollector()) == \
+        assert format_biolatency(CgroupViews("block:io_complete")) == \
             "(no block I/O observed)"
 
     def test_cli(self, tmp_path, capsys):
@@ -190,28 +196,28 @@ def _cache_events():
 
 class TestCacheStat:
     def test_window_bucketing(self):
-        from repro.tools.cachestat import CacheStatCollector
-        collector = CacheStatCollector(window_us=1000.0)
-        collector.replay(_cache_events())
-        assert collector.rows() == [
+        from repro.tools.cachestat import TRACEPOINTS, window_rows
+        views = CgroupViews(*TRACEPOINTS, window_us=1000.0)
+        views.replay(_cache_events())
+        assert window_rows(views) == [
             (0.0, 2, 1, 1, 0),
             (1000.0, 0, 2, 1, 1),
         ]
 
     def test_invalid_window_rejected(self):
-        from repro.tools.cachestat import CacheStatCollector
+        from repro.tools.cachestat import TRACEPOINTS
         with pytest.raises(ValueError, match="positive"):
-            CacheStatCollector(window_us=0.0)
+            CgroupViews(*TRACEPOINTS, window_us=0.0)
 
     def test_format(self):
-        from repro.tools.cachestat import (CacheStatCollector,
-                                           format_cachestat)
-        collector = CacheStatCollector(1000.0)
-        collector.replay(_cache_events())
-        text = format_cachestat(collector)
+        from repro.tools.cachestat import TRACEPOINTS, format_cachestat
+        views = CgroupViews(*TRACEPOINTS, window_us=1000.0)
+        views.replay(_cache_events())
+        text = format_cachestat(views)
         assert "HITS" in text
         assert "overall: 5 lookups, 40.00% hit ratio" in text
-        assert format_cachestat(CacheStatCollector(1000.0)) == \
+        assert format_cachestat(
+            CgroupViews(*TRACEPOINTS, window_us=1000.0)) == \
             "(no cache events observed)"
 
     def test_cli(self, tmp_path, capsys):
@@ -309,10 +315,116 @@ class TestCachetopSpanColumns:
 class TestToolPackageExports:
     def test_lazy_reexports(self):
         import repro.tools as tools
-        for name in ("BioLatencyCollector", "format_biolatency",
-                     "CacheStatCollector", "format_cachestat",
-                     "FuncLatencyCollector", "format_funclatency",
-                     "summarize", "format_views"):
+        for name in ("CgroupView", "FuncLatencyCollector",
+                     "format_funclatency", "summarize", "format_views"):
             assert callable(getattr(tools, name))
-        with pytest.raises(AttributeError):
-            tools.no_such_tool
+        # The per-tool folds are gone: every tool reads CgroupViews.
+        for name in ("no_such_tool", "BioLatencyCollector",
+                     "CacheStatCollector"):
+            with pytest.raises(AttributeError):
+                getattr(tools, name)
+
+
+# ----------------------------------------------------------------------
+# the CgroupViews fold every trace tool reads
+# ----------------------------------------------------------------------
+#: Quarter-µs payloads: float sums are exact in any order, so windowed
+#: and unwindowed folds must agree bit-for-bit.
+_quarters = st.integers(0, 4000).map(lambda n: n / 4)
+
+
+@st.composite
+def _events(draw):
+    name = draw(st.sampled_from((
+        "cache:lookup", "cache:insert", "cache:evict", "cache:refault",
+        "cache:activation", "cache:writeback", "cache:admission_reject",
+        "cache_ext:fallback_eviction", "cache_ext:kfunc_error",
+        "cache_ext:watchdog_detach", "cache_ext:quarantine",
+        "cache_ext:reattach", "cache_ext:hook_exit", "span:close",
+        "block:io_complete", "block:io_error", "fault:inject",
+        "sched:switch")))
+    data = {"hit": draw(st.integers(0, 1)), "cpu_us": draw(_quarters),
+            "dur_us": draw(_quarters), "device_wait": draw(_quarters),
+            "device_service": draw(_quarters),
+            "reclaim_stall": draw(_quarters),
+            "pages": draw(st.integers(1, 8)),
+            "op": draw(st.sampled_from(("read", "write"))),
+            "latency_us": draw(_quarters), "wait_us": draw(_quarters),
+            "service_us": draw(_quarters),
+            "domain": draw(st.sampled_from(("device", "policy", "memory"))),
+            "kind": draw(st.sampled_from(("eio", "stall")))}
+    return ev(name, draw(_quarters), cgroup=draw(st.sampled_from("abc")),
+              **data)
+
+
+def _as_values(view):
+    """A view's fields as plain values (histograms by content)."""
+    values = {}
+    for f in fields(view):
+        value = getattr(view, f.name)
+        if isinstance(value, Histogram):
+            value = (value.buckets, value.count, value.total)
+        values[f.name] = value
+    return values
+
+
+class TestCgroupViewsFold:
+    @STANDARD_SETTINGS
+    @given(events=st.lists(_events(), max_size=60),
+           window_us=st.integers(1, 2000).map(lambda n: n / 4))
+    def test_merged_windows_equal_the_unwindowed_view(self, events,
+                                                      window_us):
+        whole = CgroupViews().replay(events).cgroups()
+        windowed = CgroupViews(window_us=window_us).replay(events)
+        merged = windowed.cgroups()
+        assert sorted(merged) == sorted(whole)
+        for cgroup, view in whole.items():
+            assert _as_values(merged[cgroup]) == _as_values(view)
+        starts = [start for start, _views in windowed.windows()]
+        assert starts == sorted(set(starts))
+        assert all(start % window_us == 0 for start in starts)
+
+    @STANDARD_SETTINGS
+    @given(window_us=st.integers(1, 2000).map(lambda n: n / 4),
+           k=st.integers(1, 1000))
+    def test_boundary_event_lands_in_the_next_window(self, window_us, k):
+        boundary = k * window_us
+        views = CgroupViews(window_us=window_us).replay([
+            ev("cache:lookup", math.nextafter(boundary, 0.0), hit=1),
+            ev("cache:lookup", boundary, hit=0)])
+        assert [(start, group["app"].hits, group["app"].lookups)
+                for start, group in views.windows()] == \
+            [(boundary - window_us, 1, 1), (boundary, 0, 1)]
+
+
+@pytest.mark.parametrize("tool", ["cachestat", "faultstat", "cachetop"])
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_non_positive_window_ms_is_a_usage_error(tool, window, tmp_path,
+                                                 capsys):
+    main = importlib.import_module(f"repro.tools.{tool}").main
+    trace = tmp_path / "cache.jsonl"
+    write_jsonl(trace, _cache_events())
+    with pytest.raises(SystemExit) as exc:
+        main([str(trace), "--window-ms", window])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+class TestLiveTools:
+    """Each ``--live`` path runs one quick cell (well under a second)."""
+
+    @pytest.mark.parametrize("tool,expected", [
+        ("cachestat", "overall:"), ("biolatency", "queue delay"),
+        ("funclatency", "policy mru, hook")])
+    def test_live_cell(self, tool, expected, capsys):
+        main = importlib.import_module(f"repro.tools.{tool}").main
+        assert main(["--live"]) == 0
+        out = capsys.readouterr().out
+        assert expected in out and "(no " not in out
+
+    def test_faultstat_live_runs_the_chaos_cell(self, capsys):
+        from repro.tools.faultstat import main
+        assert main(["--live", "--scenario", "buggy-policy"]) == 0
+        out = capsys.readouterr().out
+        assert "TIME_MS" in out
+        assert "faults injected (policy:hook_stall=" in out
