@@ -12,7 +12,7 @@ plan's seed and the machine's virtual time only.  No wall clock, no
 process-global state — two machines armed with the same plan and driven
 by the same workload make identical fault decisions, so serial and
 parallel experiment runs stay byte-identical (the property
-``repro.obs.guard --faults`` enforces).
+``python -m repro.obs.guard faults`` enforces).
 
 Fault taxonomy (mirrors the failure modes the stack must degrade
 through rather than crash on):

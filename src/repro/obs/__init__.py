@@ -23,7 +23,8 @@ better, and this package is how:
   metrics over virtual time, with a JSONL export;
 * :mod:`repro.obs.analyze` — offline phase/warm-up/brownout episode
   detection over those frames;
-* :mod:`repro.obs.guard` — the <5% disabled-tracing overhead guard.
+* :mod:`repro.obs.guard` — the four plane checks (disabled-tracing
+  overhead, breakdown, timeseries, faults) on the harness's own cells.
 
 See DESIGN.md ("Observability") for the mapping from each tracepoint
 to its real-kernel analogue.

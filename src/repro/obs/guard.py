@@ -1,111 +1,53 @@
-"""Overhead guard: disabled tracepoints must stay out of the hot path.
+"""Guard checks: instrumentation costs nothing off and changes nothing on.
 
-The observability layer promises that instrumented call sites cost one
-attribute load plus one branch when no consumer is attached — the
-simulator analogue of a patched-out static-key tracepoint.  This module
-*enforces* that promise on a Figure-6-sized run (``repro.experiments.fig6``
-quick scale: LSM store + YCSB under a cache_ext policy):
+Each check is a request — a plan of the harness's own cells, run
+in-process through :func:`repro.experiments.parallel.execute` with a
+plane switched on or off — plus the laws its runs must obey.  The first
+law of every check is that all its runs give one
+:func:`~repro.experiments.parallel.filter_cells` raw-payload table:
+every payload field, bit for bit, no wall clock.
 
-1. **Baseline** — run the cell twice with tracing disabled (the
-   default).  The two runs must produce bit-identical virtual-time
-   results (throughput, P99, hit ratio, disk pages): emission gates may
-   never perturb simulated time.
-2. **Count** — run the same cell once with an
-   :class:`~repro.obs.collectors.EventCounter` subscribed to ``"*"``.
-   Every event that fires when everything is enabled corresponds to one
-   ``tp.enabled`` check on the disabled baseline, so the counter's
-   total is ``N``, the number of disabled-path executions.
-3. **Microbenchmark** — time the disabled call-site pattern (cached
-   tracepoint attribute load + branch) in a tight loop to get ``c``,
-   the per-check cost.  The loop overhead is deliberately *included*,
-   making ``c`` an upper bound.
-4. **Verdict** — the tracing subsystem's added cost on the baseline is
-   at most ``N * c``; require ``N * c / T < threshold`` (default 5%)
-   where ``T`` is the baseline wall time.
+* ``overhead`` — the quick fig6 cell (``--policy``/``--workload``,
+  default ``C/mru``) runs plain twice, then once under
+  ``harness.observing(EventCounter("*").attach)``.  Each counted event
+  is one ``tp.enabled`` check a plain run paid, so with ``N`` events,
+  ``c`` per check (:func:`disabled_check_cost_ns`) and ``T`` the faster
+  plain cell's wall time, disabled tracing costs at most ``N*c/T`` —
+  an analytic bound: few-percent A/B wall diffs are CI noise.
+* ``breakdown`` — plain vs ``breakdown=True``: spans recorded, and the
+  aggregate components sum to the aggregate duration (to float
+  accumulation error; ``tests/test_spans.py`` holds each span bitwise).
+* ``timeseries`` — plain twice vs ``timeseries=2000.0`` µs twice: frames
+  byte-identical across the sampled runs, frame totals reproducing the
+  payload (hit ratio bitwise, read + write pages == ``disk_pages``), and
+  the sampled/plain wall ratio under a structural-regression bound.
+* ``faults`` — the quick chaos cells of workload A under ``flaky-disk``
+  and ``buggy-policy`` (plus the baseline) run twice; every armed
+  scenario fires (injection is a pure function of seed and virtual time).
 
-The estimate is used instead of an A/B wall-clock diff because the
-un-instrumented build no longer exists to race against, and wall-clock
-diffs at the few-percent level are noise-dominated on shared CI
-machines; ``N * c`` bounds the added work analytically.
-
-Run it::
-
-    python -m repro.obs.guard            # PASS/FAIL, exit code 0/1
-    python -m repro.obs.guard --json     # machine-readable report
+Run ``python -m repro.obs.guard [CHECK ...] [--json]`` (all four by
+default; exit 1 if any law breaks).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
+from typing import Optional
 
+from repro.experiments import harness
 from repro.obs.collectors import EventCounter
-from repro.obs.trace import TraceSession, Tracepoint
+from repro.obs.trace import Tracepoint
+from repro.workloads.ycsb import YCSB_WORKLOADS
 
 #: Maximum tolerated estimated overhead of disabled tracepoints.
-DEFAULT_THRESHOLD = 0.05
+DEFAULT_THRESHOLD = 0.046
 
-
-def run_cell(policy: str = "mru", workload: str = "C",
-             counter: EventCounter = None, scale: dict = None,
-             collectors=(), sampler=None) -> dict:
-    """One fig6-style (policy, workload) cell; returns measurements.
-
-    With ``counter`` (or any ``collectors``) given, a collector-only
-    :class:`TraceSession` (no buffering) is active for the measured
-    window, so the consumers see every event the enabled registry
-    dispatches.  With ``sampler`` (a
-    :class:`~repro.obs.timeseries.TimeseriesSampler`) given, it is
-    attached to the cell's machine before the run and finalized after,
-    so its frames cover the measured window.
-    """
-    from repro.experiments.fig6 import QUICK_SCALE
-    from repro.experiments.harness import make_db_env
-    from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
-
-    params = dict(QUICK_SCALE)
-    if scale:
-        params.update(scale)
-    env = make_db_env(policy, cgroup_pages=params["cgroup_pages"],
-                      nkeys=params["nkeys"], compaction_thread=True)
-    if sampler is not None:
-        sampler.attach(env.machine)
-    runner = YcsbRunner(env.db, YCSB_WORKLOADS[workload],
-                        nkeys=params["nkeys"], nops=params["nops"],
-                        nthreads=params["nthreads"],
-                        warmup_ops=params["warmup_ops"],
-                        zipf_theta=params["zipf_theta"])
-    active = list(collectors)
-    if counter is not None:
-        active.append(counter)
-    session = None
-    if active:
-        session = TraceSession(env.machine, collectors=active,
-                               buffer=False)
-        session.start()
-    t0 = time.perf_counter()
-    result = runner.run()
-    wall_s = time.perf_counter() - t0
-    if session is not None:
-        session.stop()
-    if sampler is not None:
-        sampler.finalize()
-    metrics = env.machine.metrics()
-    return {
-        "wall_s": wall_s,
-        # Virtual-time results: must be bit-identical across runs.
-        "ops_per_sec": result.throughput,
-        "p99_read_us": result.p99_read_us,
-        "hit_ratio": metrics.cgroup(env.cgroup.name).hit_ratio,
-        "disk_pages": metrics.disk["total_pages"],
-    }
-
-
-def virtual_signature(measurement: dict) -> dict:
-    """The deterministic (virtual-time) part of a measurement."""
-    return {k: v for k, v in measurement.items() if k != "wall_s"}
+#: Maximum tolerated sampled/plain wall ratio of the timeseries check.
+TIMESERIES_THRESHOLD = 2.8
 
 
 def disabled_check_cost_ns(iters: int = 200_000, repeats: int = 5) -> float:
@@ -136,329 +78,182 @@ def disabled_check_cost_ns(iters: int = 200_000, repeats: int = 5) -> float:
     return best / iters * 1e9
 
 
-def run_guard(policy: str = "mru", workload: str = "C",
-              threshold: float = DEFAULT_THRESHOLD,
-              scale: dict = None) -> dict:
-    """Full guard procedure; returns a report dict with ``passed``."""
-    base1 = run_cell(policy, workload, scale=scale)
-    base2 = run_cell(policy, workload, scale=scale)
-    deterministic = virtual_signature(base1) == virtual_signature(base2)
+def fig6_cell(policy: str = "mru", workload: str = "C", scale=None):
+    """The quick fig6 plan narrowed to its ``workload/policy`` cell."""
+    from repro.experiments import fig6, parallel
+    spec = fig6.plan(quick=True, policies=(policy,), workloads=(workload,),
+                     scale=scale)
+    return parallel.filter_cells(spec, f"{workload}/{policy}")
 
+
+def chaos_cells(policy: str = "mru", workload: str = "C", scale=None):
+    """The quick chaos plan's workload-A cells; the grid fixes its own
+    policy and workload, so ``policy`` and ``workload`` are unused."""
+    from repro.experiments import chaos, parallel
+    spec = chaos.plan(quick=True, scenarios=("flaky-disk", "buggy-policy"),
+                      workloads=("A",), scale=scale)
+    return parallel.filter_cells(spec, "A/*")
+
+
+def payloads(report) -> dict:
+    """``{cell_id: payload}`` read back from the compared table."""
+    return {cell_id: json.loads(text) for cell_id, text in report.result.rows}
+
+
+def _wall_s(reports) -> float:
+    return min(r.timings[0].wall_s for r in reports)
+
+
+def _overhead(run, threshold: float) -> tuple:
+    plain = [run(), run()]
     counter = EventCounter("*")
-    counted = run_cell(policy, workload, counter=counter, scale=scale)
-    n_events = counter.total
-
+    with harness.observing(counter.attach):
+        run()
     cost_ns = disabled_check_cost_ns()
-    wall_s = min(base1["wall_s"], base2["wall_s"])
-    overhead = (n_events * cost_ns * 1e-9) / wall_s if wall_s > 0 else 0.0
-
-    return {
-        "policy": policy,
-        "workload": workload,
-        "baseline_wall_s": [base1["wall_s"], base2["wall_s"]],
-        "virtual_results": virtual_signature(base1),
-        "deterministic": deterministic,
-        "enabled_wall_s": counted["wall_s"],
-        "n_events": n_events,
-        "event_counts": dict(sorted(counter.counts.items())),
-        "disabled_check_ns": cost_ns,
-        "estimated_overhead": overhead,
-        "threshold": threshold,
-        "passed": deterministic and overhead < threshold,
-    }
+    overhead = counter.total * cost_ns * 1e-9 / _wall_s(plain)
+    return ({"plain_wall_s": [round(r.timings[0].wall_s, 4) for r in plain],
+             "events": counter.total,
+             "event_counts": dict(sorted(counter.counts.items())),
+             "disabled_check_ns": round(cost_ns, 2),
+             "estimated_overhead": round(overhead, 5)},
+            {f"N*c/T < {threshold:.1%}": overhead < threshold})
 
 
-def run_spans_check(policy: str = "mru", workload: str = "C",
-                    scale: dict = None) -> dict:
-    """Assert spans are purely observational on a fig6-sized run.
-
-    Runs the cell once with spans disabled and once with a
-    :class:`~repro.obs.attr.SpanAggregator` attached (which enables
-    span recording), and requires:
-
-    1. the virtual-time results are bit-identical — opening, annotating
-       and closing spans never advances any clock;
-    2. spans actually fired (the instrumentation is alive);
-    3. the aggregate per-component totals reproduce the aggregate
-       duration (the per-event bitwise invariant is asserted in
-       ``tests/test_spans.py``; across thousands of events the *sums*
-       only agree to float accumulation error, so this check uses a
-       relative tolerance).
-    """
-    from repro.obs.attr import SpanAggregator
-
-    base = run_cell(policy, workload, scale=scale)
-    agg = SpanAggregator()
-    spanned = run_cell(policy, workload, scale=scale, collectors=[agg])
-    identical = virtual_signature(base) == virtual_signature(spanned)
-
-    total_dur = sum(s.dur_us for s in agg.stats.values())
-    total_comp = sum(sum(s.comps.values()) for s in agg.stats.values())
-    sum_error = abs(total_comp - total_dur)
-    sums_ok = sum_error <= 1e-6 * max(1.0, total_dur)
-
-    return {
-        "policy": policy,
-        "workload": workload,
-        "virtual_results": virtual_signature(base),
-        "spans_identical": identical,
-        "total_spans": agg.total_spans,
-        "span_kinds": sorted({key[2] for key in agg.stats}),
-        "total_dur_us": total_dur,
-        "total_components_us": total_comp,
-        "sum_error_us": sum_error,
-        "passed": identical and agg.total_spans > 0 and sums_ok,
-    }
+def _breakdown(run, threshold: float) -> tuple:
+    run()
+    (cell,) = run(breakdown=True).breakdown.values()
+    stats = cell["summary"]
+    dur = sum(s["dur_us"] for s in stats.values())
+    comps = sum(sum(s["components"].values()) for s in stats.values())
+    return ({"spans": sum(s["count"] for s in stats.values()),
+             "span_kinds": sorted({k.rsplit("/", 1)[1] for k in stats}),
+             "dur_us": round(dur, 3), "components_us": round(comps, 3)},
+            {"spans recorded": bool(stats),
+             "components sum to durations":
+                 abs(comps - dur) <= 1e-6 * max(1.0, dur)})
 
 
-def run_timeseries_check(policy: str = "mru", workload: str = "C",
-                         scale: dict = None,
-                         interval_us: float = 2_000.0,
-                         overhead_threshold: float = 3.0) -> dict:
-    """Assert the telemetry sampler is free when off and honest when on.
-
-    Mirrors :func:`run_spans_check` for :mod:`repro.obs.timeseries`:
-
-    1. **bit-identity** — a run with the sampler attached must produce
-       the same virtual-time results as a run without it (the sampler
-       only waits and reads; disabled mode runs zero sampler code, so
-       this is the whole perturbation surface);
-    2. **liveness + determinism** — frames were recorded, and two
-       sampled runs serialize byte-identically;
-    3. **exact totals** — summing the frames' integer counters
-       reproduces the run's end-of-run measurements (hit ratio from
-       summed hits/lookups bit-exactly, disk pages exactly): no
-       double counting across frame boundaries;
-    4. **bounded enabled overhead** — the sampled run's wall time stays
-       within ``overhead_threshold`` x the best unsampled run.  The
-       bound is generous because the dominant enabled cost is span
-       recording (the sampler's latency quantiles subscribe to
-       ``span:close``), and because the signal is a structural
-       regression, not CI noise.
-    """
-    import io
-
-    from repro.obs.timeseries import (TimeseriesSampler, frame_totals,
-                                      read_frames_jsonl)
-
-    base1 = run_cell(policy, workload, scale=scale)
-    base2 = run_cell(policy, workload, scale=scale)
-
-    def sampled_run():
-        sampler = TimeseriesSampler(interval_us)
-        measurement = run_cell(policy, workload, scale=scale,
-                               sampler=sampler)
-        buf = io.StringIO()
-        sampler.write_jsonl(buf, cell=f"{workload}/{policy}")
-        return measurement, sampler.frames_recorded, buf.getvalue()
-
-    sampled, frames, artifact1 = sampled_run()
-    _again, _frames2, artifact2 = sampled_run()
-
-    identical = virtual_signature(base1) == virtual_signature(sampled)
-    deterministic = artifact1 == artifact2
-
-    _meta, rows = read_frames_jsonl(io.StringIO(artifact1))
-    machine_tot = frame_totals(rows, scope="machine")["totals"]
-    app_tot = frame_totals(rows, scope="app")["totals"]
-    lookups = app_tot["lookups"]
-    frames_hit_ratio = app_tot["hits"] / lookups if lookups else 0.0
-    frames_disk_pages = (machine_tot["io_read_pages"]
-                         + machine_tot["io_write_pages"])
-    totals_match = (frames_hit_ratio == sampled["hit_ratio"]
-                    and frames_disk_pages == sampled["disk_pages"])
-
-    base_wall = min(base1["wall_s"], base2["wall_s"])
-    overhead_ratio = (sampled["wall_s"] / base_wall
-                      if base_wall > 0 else 1.0)
-
-    return {
-        "policy": policy,
-        "workload": workload,
-        "interval_us": interval_us,
-        "virtual_results": virtual_signature(base1),
-        "timeseries_identical": identical,
-        "frames": frames,
-        "frames_deterministic": deterministic,
-        "frames_hit_ratio": frames_hit_ratio,
-        "frames_disk_pages": frames_disk_pages,
-        "totals_match": totals_match,
-        "base_wall_s": [base1["wall_s"], base2["wall_s"]],
-        "enabled_wall_s": sampled["wall_s"],
-        "overhead_ratio": overhead_ratio,
-        "overhead_threshold": overhead_threshold,
-        "passed": (identical and deterministic and frames > 0
-                   and totals_match
-                   and overhead_ratio < overhead_threshold),
-    }
+def _timeseries(run, threshold: float) -> tuple:
+    from repro.experiments.parallel import timeseries_jsonl
+    from repro.obs.timeseries import frame_totals, read_frames_jsonl
+    plain = [run(), run()]
+    sampled = [run(timeseries=2_000.0) for _ in range(2)]
+    frames = [timeseries_jsonl(r) for r in sampled]
+    _meta, rows = read_frames_jsonl(io.StringIO(frames[0]))
+    app = frame_totals(rows, scope="app")["totals"]
+    machine = frame_totals(rows, scope="machine")
+    hit_ratio = app["hits"] / app["lookups"] if app["lookups"] else 0.0
+    disk_pages = (machine["totals"]["io_read_pages"]
+                  + machine["totals"]["io_write_pages"])
+    (payload,) = payloads(sampled[0]).values()
+    ratio = _wall_s(sampled) / _wall_s(plain)
+    return ({"frames": machine["frames"], "frames_hit_ratio": hit_ratio,
+             "frames_disk_pages": disk_pages, "wall_ratio": round(ratio, 3)},
+            {"frames recorded, byte-identical":
+                 machine["frames"] > 0 and frames[0] == frames[1],
+             "frame totals == payload":
+                 hit_ratio == payload["hit_ratio"]
+                 and disk_pages == payload["disk_pages"],
+             f"wall ratio < {threshold:.2f}x": ratio < threshold})
 
 
-def run_faults_check(scenarios=("flaky-disk", "buggy-policy"),
-                     workload: str = "A") -> dict:
-    """Assert fault injection is deterministic on chaos-sized runs.
-
-    Runs one quick-scale chaos cell per scenario twice and requires the
-    two payloads — throughput, hit ratio, error/retry/quarantine
-    counters and the injector's fired-fault record — to be
-    byte-identical, with at least one fault actually fired.  This is
-    the single-process half of the determinism contract; the
-    serial-vs-parallel half is asserted in ``tests/test_chaos.py``.
-    """
-    from repro.experiments import chaos
-
-    params = dict(chaos.QUICK_SCALE)
-    horizon = params.pop("horizon_us")
-    checks = []
-    for scenario in scenarios:
-        first = chaos.cell(workload, scenario, horizon, **params)
-        second = chaos.cell(workload, scenario, horizon, **params)
-        fired = sum(first["fired"].values())
-        checks.append({
-            "scenario": scenario,
-            "identical": first == second,
-            "fired": dict(first["fired"]),
-            "n_fired": fired,
-            "payload": first,
-        })
-    return {
-        "workload": workload,
-        "checks": checks,
-        "passed": all(c["identical"] and c["n_fired"] > 0
-                      for c in checks),
-    }
+def _faults(run, threshold: float) -> tuple:
+    run()
+    fired = {cell_id: payload["fired"]
+             for cell_id, payload in payloads(run()).items()
+             if not cell_id.endswith("/baseline")}
+    return {"fired": fired}, {"every scenario fired": all(fired.values())}
 
 
-def format_faults_report(report: dict) -> str:
-    lines = [f"fault guard: chaos-sized cells "
-             f"(workload={report['workload']})"]
-    for c in report["checks"]:
-        verdict = ("identical" if c["identical"]
-                   else "DIVERGED  <-- determinism broken")
-        lines.append(f"  {c['scenario']:<14} run1 == run2: {verdict}; "
-                     f"{c['n_fired']:,} faults fired "
-                     f"({', '.join(sorted(c['fired']))})")
+#: Every check, named after the :data:`~repro.experiments.parallel.PLANES`
+#: entry it guards where there is one: ``(request(policy, workload, scale)
+#: -> plan, law(run, threshold) -> (measurements, {law: holds}), default
+#: threshold)``; ``run(**planes)`` is one serial ``execute`` of the plan.
+CHECKS = {
+    "overhead": (fig6_cell, _overhead, DEFAULT_THRESHOLD),
+    "breakdown": (fig6_cell, _breakdown, None),
+    "timeseries": (fig6_cell, _timeseries, TIMESERIES_THRESHOLD),
+    "faults": (chaos_cells, _faults, None),
+}
+
+
+def run_check(name: str, policy: str = "mru", workload: str = "C",
+              threshold: Optional[float] = None, scale=None) -> dict:
+    """Run one check of :data:`CHECKS`; returns its report, with
+    ``passed`` true iff every law holds."""
+    from repro.experiments.parallel import execute
+    request, law, default = CHECKS[name]
+    spec, runs = request(policy, workload, scale), []
+
+    def run(**planes):
+        runs.append(execute(spec, serial=True, **planes))
+        return runs[-1]
+
+    measured, laws = law(run, default if threshold is None else threshold)
+    laws = {"tables equal": all(r.result.rows == runs[0].result.rows
+                                for r in runs), **laws}
+    return {"check": name, "plan": spec.name, "cells": spec.cell_ids(),
+            **measured, "laws": laws, "passed": all(laws.values())}
+
+
+def format_report(report: dict) -> str:
+    lines = [f"{report['check']} guard: {report['plan']} "
+             f"{', '.join(report['cells'])}"]
+    for key, value in report.items():
+        if key not in ("check", "plan", "cells", "laws", "passed",
+                       "event_counts"):
+            lines.append(f"  {key:<20}: {value}")
+    for law, holds in report["laws"].items():
+        lines.append(f"  {'ok  ' if holds else 'FAIL'} {law}")
     lines.append("PASS" if report["passed"] else "FAIL")
     return "\n".join(lines)
 
 
-def format_timeseries_report(report: dict) -> str:
-    lines = [
-        f"timeseries guard: fig6-sized run "
-        f"(policy={report['policy']}, workload={report['workload']}, "
-        f"interval={report['interval_us']:.0f}us)",
-        f"  virtual results identical : "
-        f"{'yes' if report['timeseries_identical'] else 'NO  <-- sampler perturbed time'}",
-        f"  frames recorded           : {report['frames']:,} "
-        f"({'byte-identical reruns' if report['frames_deterministic'] else 'NON-DETERMINISTIC  <-- frames diverged'})",
-        f"  frame totals vs metrics   : "
-        f"{'exact' if report['totals_match'] else 'MISMATCH  <-- double counting'}"
-        f" (hit {report['frames_hit_ratio']:.4f}, "
-        f"{report['frames_disk_pages']:,} disk pages)",
-        f"  enabled/disabled wall     : {report['overhead_ratio']:.2f}x"
-        f"  (threshold {report['overhead_threshold']:.1f}x)",
-        "PASS" if report["passed"] else "FAIL",
-    ]
-    return "\n".join(lines)
+def add_cell_arguments(parser, help_suffix: str = "") -> None:
+    """``--policy`` / ``--workload``: the fig6 quick cell, checked
+    against the harness's policy names and YCSB's workload names."""
+    parser.add_argument("--policy", default="mru",
+                        choices=harness.GENERIC_POLICY_NAMES,
+                        help=f"policy{help_suffix} (default: mru)")
+    parser.add_argument("--workload", default="C", choices=YCSB_WORKLOADS,
+                        help=f"YCSB workload{help_suffix} (default: C)")
 
 
-def format_spans_report(report: dict) -> str:
-    lines = [
-        f"span guard: fig6-sized run "
-        f"(policy={report['policy']}, workload={report['workload']})",
-        f"  virtual results identical : "
-        f"{'yes' if report['spans_identical'] else 'NO  <-- spans perturbed time'}",
-        f"  spans recorded            : {report['total_spans']:,} "
-        f"({', '.join(report['span_kinds'])})",
-        f"  sum(components) vs sum(dur): "
-        f"{report['total_components_us']:.1f} / "
-        f"{report['total_dur_us']:.1f} us "
-        f"(err {report['sum_error_us']:.3g} us)",
-        "PASS" if report["passed"] else "FAIL",
-    ]
-    return "\n".join(lines)
-
-
-def format_report(report: dict) -> str:
-    wall = report["baseline_wall_s"]
-    lines = [
-        f"overhead guard: fig6-sized run "
-        f"(policy={report['policy']}, workload={report['workload']})",
-        f"  baseline wall time        : "
-        f"{wall[0]:.2f} s / {wall[1]:.2f} s (two runs)",
-        f"  virtual results identical : "
-        f"{'yes' if report['deterministic'] else 'NO  <-- determinism broken'}",
-        f"  events when enabled (N)   : {report['n_events']:,}",
-        f"  disabled check cost (c)   : {report['disabled_check_ns']:.1f} ns",
-        f"  estimated overhead N*c/T  : {report['estimated_overhead']:.3%}"
-        f"  (threshold {report['threshold']:.1%})",
-        "PASS" if report["passed"] else "FAIL",
-    ]
-    return "\n".join(lines)
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1): {text}")
+    return value
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Assert disabled tracepoints add <5%% overhead to a "
-                    "fig6-sized run.")
-    parser.add_argument("--policy", default="mru",
-                        help="cache_ext policy to run (default: mru)")
-    parser.add_argument("--workload", default="C",
-                        help="YCSB workload (default: C)")
-    parser.add_argument("--threshold", type=float,
+        description="Check that instrumentation planes cost nothing when "
+                    "off and perturb nothing when on.")
+    parser.add_argument("checks", nargs="*", metavar="CHECK",
+                        help=f"checks to run (default: all of "
+                             f"{', '.join(CHECKS)})")
+    add_cell_arguments(parser, " of the fig6 cell")
+    parser.add_argument("--threshold", type=_fraction,
                         default=DEFAULT_THRESHOLD,
-                        help="max tolerated overhead fraction "
-                             "(default: 0.05)")
+                        help=f"max tolerated overhead fraction, in (0, 1) "
+                             f"(default: {DEFAULT_THRESHOLD})")
     parser.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-    parser.add_argument("--spans", action="store_true",
-                        help="check span-based latency attribution "
-                             "instead: enabled vs disabled runs must be "
-                             "bit-identical and components must sum to "
-                             "durations")
-    parser.add_argument("--faults", action="store_true",
-                        help="check fault-injection determinism "
-                             "instead: two runs of a fault-armed chaos "
-                             "cell must be byte-identical, with faults "
-                             "actually fired")
-    parser.add_argument("--timeseries", action="store_true",
-                        help="check the telemetry sampler instead: "
-                             "sampled vs unsampled runs must be "
-                             "bit-identical, frames must be "
-                             "deterministic with totals exactly "
-                             "matching end-of-run metrics, and enabled "
-                             "overhead must stay bounded")
+                        help="emit the reports as JSON")
     args = parser.parse_args(argv)
+    for name in args.checks:
+        if name not in CHECKS:
+            parser.error(f"unknown check {name!r} "
+                         f"(choose from {', '.join(CHECKS)})")
 
-    if args.timeseries:
-        report = run_timeseries_check(args.policy, args.workload)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_timeseries_report(report))
-        return 0 if report["passed"] else 1
-
-    if args.faults:
-        report = run_faults_check()
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_faults_report(report))
-        return 0 if report["passed"] else 1
-
-    if args.spans:
-        report = run_spans_check(args.policy, args.workload)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_spans_report(report))
-        return 0 if report["passed"] else 1
-
-    report = run_guard(args.policy, args.workload, threshold=args.threshold)
+    reports = [run_check(name, args.policy, args.workload,
+                         args.threshold if name == "overhead" else None)
+               for name in args.checks or CHECKS]
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(reports, indent=2, sort_keys=True))
     else:
-        print(format_report(report))
-    return 0 if report["passed"] else 1
+        print("\n\n".join(format_report(r) for r in reports))
+    return 0 if all(r["passed"] for r in reports) else 1
 
 
 if __name__ == "__main__":

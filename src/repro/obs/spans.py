@@ -47,7 +47,7 @@ same pattern ``repro.obs.guard`` budgets for every other tracepoint —
 and annotation sites cost one ``thread.span`` load plus a branch.
 Spans never advance any clock: results with spans enabled are
 bit-identical to results with spans disabled (asserted by
-``python -m repro.obs.guard --spans``).
+``python -m repro.obs.guard breakdown``).
 
 Two accounting mechanisms cover the kernel layers:
 

@@ -23,7 +23,7 @@ trace, with no engine to tick a sampler in — is
 :class:`repro.obs.collectors.CgroupViews` with a ``window_us``.
 
 Determinism contract (asserted in ``tests/test_timeseries.py`` and by
-``python -m repro.obs.guard --timeseries``):
+``python -m repro.obs.guard timeseries``):
 
 1. **Non-perturbation** — attaching the sampler never changes any
    virtual-time result.  The sampler thread uses a reserved negative
@@ -44,7 +44,7 @@ Determinism contract (asserted in ``tests/test_timeseries.py`` and by
    the cell observer in both paths, against identical zero baselines).
 
 Latency quantiles come from the span plane: the sampler subscribes to
-``span:close`` (proven purely observational by ``guard --spans``) and
+``span:close`` (proven purely observational by ``guard breakdown``) and
 folds each frame's device-wait/device-service samples into per-frame
 log2 histograms, reporting approximate p50/p99 as bucket upper bounds.
 """

@@ -16,7 +16,7 @@ module reproduces that contract for the simulator:
 
   Nothing — not even the payload dict — is built unless a consumer is
   attached, which is what keeps the whole subsystem out of the hot
-  path (the ``repro.obs.guard`` benchmark enforces <5% overhead).
+  path (``python -m repro.obs.guard overhead`` bounds its cost).
 
 * a :class:`TraceRegistry` is the per-:class:`~repro.kernel.machine.Machine`
   namespace of tracepoints (``/sys/kernel/tracing/events`` in kernel

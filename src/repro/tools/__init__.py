@@ -21,8 +21,9 @@
   ``python -m repro.tools.funclatency``.
 
 Every trace-consuming tool runs either offline (a JSONL trace file) or
-live (``--live`` runs a quick fig6-sized cell — ``faultstat``: a quick
-chaos cell — with the collector attached).  ``cachetop``,
+live (``--live`` runs the quick fig6 plan's cell — ``faultstat``: the
+quick chaos plan's cell — with the collector attached through
+``harness.observing``).  ``cachetop``,
 ``biolatency``, ``cachestat`` and ``faultstat`` all read one fold,
 :class:`repro.obs.collectors.CgroupViews`; only ``funclatency`` keys
 by (policy, hook) instead of cgroup.

@@ -8,6 +8,7 @@ import math
 import sys
 from typing import Callable, Optional
 
+from repro.obs import guard
 from repro.obs.collectors import Collector
 from repro.obs.trace import TraceSession
 
@@ -41,30 +42,34 @@ def window_ms(text: str) -> float:
 
 
 def add_live_arguments(parser) -> None:
-    """``--live`` / ``--policy`` / ``--workload``: run a quick fig6-sized
+    """``--live`` / ``--policy`` / ``--workload``: run the quick fig6
     cell instead of reading a trace."""
     parser.add_argument("--live", action="store_true",
                         help="run a quick fig6-sized cell instead of "
                              "reading a trace")
-    parser.add_argument("--policy", default="mru",
-                        help="policy for --live (default: mru)")
-    parser.add_argument("--workload", default="C",
-                        help="YCSB workload for --live (default: C)")
+    guard.add_cell_arguments(parser, " for --live")
 
 
 def collect(tool: str, parser, args,
             collector: Collector) -> Optional[Collector]:
-    """Fill ``collector`` the way ``args`` ask: attached to a live
-    fig6-sized cell, or replayed over the trace file.  ``None`` after
+    """Fill ``collector`` the way ``args`` ask: attached to the quick
+    fig6 cell, or replayed over the trace file.  ``None`` after
     reporting an unreadable trace (see :func:`load_trace`)."""
     if args.live:
-        from repro.obs.guard import run_cell
-        run_cell(args.policy, args.workload, collectors=[collector])
+        observe(collector, guard.fig6_cell(args.policy, args.workload))
         return collector
     if not args.trace:
         parser.error("a trace file is required (or --live)")
     events = load_trace(tool, args.trace)
     return None if events is None else collector.replay(events)
+
+
+def observe(collector: Collector, spec) -> None:
+    """Run ``spec`` in-process with ``collector`` attached to every
+    machine its cells build."""
+    from repro.experiments import harness, parallel
+    with harness.observing(collector.attach):
+        parallel.execute(spec, serial=True)
 
 
 def run(main: Callable[[], int]) -> None:

@@ -31,8 +31,12 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
+from repro.experiments import chaos
+from repro.experiments.parallel import filter_cells
 from repro.obs.collectors import CgroupView, CgroupViews
 from repro.tools import _cli
+from repro.workloads.twitter import CLUSTERS
+from repro.workloads.ycsb import YCSB_WORKLOADS
 
 DEFAULT_WINDOW_MS = 20.0
 
@@ -150,9 +154,13 @@ def main(argv: Optional[list] = None) -> int:
                         help="run a quick chaos cell instead of "
                              "reading a trace")
     parser.add_argument("--scenario", default="flaky-disk",
+                        choices=chaos.SCENARIOS,
                         help="chaos scenario for --live "
                              "(default: flaky-disk)")
     parser.add_argument("--workload", default="A",
+                        choices=tuple(YCSB_WORKLOADS)
+                        + tuple(f"tw{c}" for c in CLUSTERS),
+                        metavar="WORKLOAD",
                         help="workload for --live: a YCSB letter or "
                              "twNN (default: A)")
     parser.add_argument("--frames", metavar="FRAMES",
@@ -175,13 +183,10 @@ def main(argv: Optional[list] = None) -> int:
 
     views = CgroupViews(*TRACEPOINTS, window_us=args.window_ms * 1000.0)
     if args.live:
-        from repro.experiments import chaos, harness
-        params = dict(chaos.QUICK_SCALE)
-        horizon = params.pop("horizon_us")
-        if args.workload.startswith("tw"):
-            horizon *= chaos.TWITTER_HORIZON_MULT
-        with harness.observing(views.attach):
-            chaos.cell(args.workload, args.scenario, horizon, **params)
+        spec = chaos.plan(quick=True, scenarios=(args.scenario,),
+                          workloads=(args.workload,))
+        _cli.observe(views, filter_cells(
+            spec, f"{args.workload}/{args.scenario}"))
     else:
         if not args.trace:
             parser.error("a trace file is required "

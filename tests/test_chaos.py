@@ -112,8 +112,8 @@ def test_serial_parallel_equivalence():
 
 
 def test_guard_faults_check_passes():
-    from repro.obs.guard import run_faults_check
-    report = run_faults_check(scenarios=("flaky-disk",))
+    from repro.obs.guard import run_check
+    report = run_check("faults", scale=SMALL)
     assert report["passed"], report
 
 

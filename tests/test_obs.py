@@ -479,12 +479,97 @@ class TestCachetop:
         assert selftest(verbose=False) == 0
 
 
+#: A small fig6 cell for the guard's checks (well under a second).
+GUARD_SCALE = {"nkeys": 2000, "cgroup_pages": 96, "nops": 1000,
+               "warmup_ops": 400, "nthreads": 2}
+
+
 class TestOverheadGuardPieces:
     def test_disabled_check_cost_is_sub_microsecond(self):
         from repro.obs.guard import disabled_check_cost_ns
         assert disabled_check_cost_ns(iters=20_000, repeats=2) < 1000
 
     def test_virtual_signature_excludes_wall_clock(self):
-        from repro.obs.guard import virtual_signature
-        sig = virtual_signature({"wall_s": 1.0, "hit_ratio": 0.5})
-        assert sig == {"hit_ratio": 0.5}
+        from repro.experiments.parallel import execute
+        from repro.obs.guard import fig6_cell, payloads
+        report = execute(fig6_cell(scale=GUARD_SCALE), serial=True)
+        assert report.timings[0].wall_s > 0
+        (payload,) = payloads(report).values()
+        assert sorted(payload) == ["disk_pages", "hit_ratio",
+                                   "p99_read_us", "throughput"]
+        assert "wall" not in report.result.format_table()
+
+
+class TestGuardChecksCanFail:
+    """One seeded defect per check: the check FAILs and its report
+    names the broken law."""
+
+    @staticmethod
+    def assert_fails(report, law):
+        from repro.obs.guard import format_report
+        assert not report["passed"]
+        assert [name for name, holds in report["laws"].items()
+                if not holds] == [law]
+        text = format_report(report)
+        assert f"FAIL {law}" in text and text.endswith("FAIL")
+
+    def test_overhead_fails_below_the_estimate(self):
+        from repro.obs.guard import run_check
+        report = run_check("overhead", threshold=1e-9, scale=GUARD_SCALE)
+        self.assert_fails(report, "N*c/T < 0.0%")
+
+    def test_breakdown_fails_on_an_inflated_component(self, monkeypatch):
+        from repro.obs.attr import SpanStats
+        from repro.obs.guard import run_check
+        fold = SpanStats.fold
+
+        def inflated(self, data):
+            fold(self, data)
+            self.comps["cpu"] = self.comps.get("cpu", 0.0) + 1.0
+        monkeypatch.setattr(SpanStats, "fold", inflated)
+        report = run_check("breakdown", scale=GUARD_SCALE)
+        self.assert_fails(report, "components sum to durations")
+
+    def test_timeseries_fails_on_a_doubled_frame_counter(self, monkeypatch):
+        from repro.obs.guard import run_check
+        from repro.obs.timeseries import TimeseriesSampler
+        to_doc = TimeseriesSampler.to_doc
+
+        def doubled(self):
+            doc = to_doc(self)
+            cols = doc["machines"][0]["columns"]
+            i = next(i for i, (scope, pages) in enumerate(
+                zip(cols["scope"], cols["io_read_pages"]))
+                if scope == "machine" and pages)
+            cols["io_read_pages"][i] *= 2
+            return doc
+        monkeypatch.setattr(TimeseriesSampler, "to_doc", doubled)
+        report = run_check("timeseries", threshold=25.0, scale=GUARD_SCALE)
+        self.assert_fails(report, "frame totals == payload")
+
+    def test_faults_fails_when_a_scenario_fires_nothing(self, monkeypatch):
+        from repro.experiments import chaos
+        from repro.faults.plan import DeviceFault, FaultPlan
+        from repro.obs.guard import run_check
+        monkeypatch.setattr(
+            chaos, "scenario_plan", lambda scenario, horizon_us, seed=1:
+            FaultPlan(seed=seed, device=(DeviceFault(kind="eio"),)))
+        report = run_check("faults", scale=dict(GUARD_SCALE,
+                                                horizon_us=20_000.0))
+        self.assert_fails(report, "every scenario fired")
+
+
+class TestGuardCli:
+    @pytest.mark.parametrize("argv,message", [
+        (["--policy", "bogus"], "choose from 'default'"),
+        (["--workload", "Z"], "choose from 'A'"),
+        (["--threshold", "-1"], "must be in (0, 1)"),
+        (["--threshold", "7"], "must be in (0, 1)"),
+        (["nope"], "choose from overhead, breakdown, timeseries, faults"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, argv, message, capsys):
+        from repro.obs.guard import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

@@ -313,13 +313,13 @@ class TestAggregation:
 # ----------------------------------------------------------------------
 class TestSpansGuard:
     def test_run_spans_check_passes(self):
-        from repro.obs.guard import format_spans_report, run_spans_check
-        report = run_spans_check(scale=SMALL_KV)
-        assert report["spans_identical"]
-        assert report["total_spans"] > 0
+        from repro.obs.guard import format_report, run_check
+        report = run_check("breakdown", scale=SMALL_KV)
+        assert report["laws"]["tables equal"]
+        assert report["spans"] > 0
         assert "lsm.get" in report["span_kinds"]
         assert report["passed"]
-        assert "PASS" in format_spans_report(report)
+        assert "PASS" in format_report(report)
 
 
 # ----------------------------------------------------------------------

@@ -107,12 +107,12 @@ class TestExactTotals:
 
 class TestNonPerturbation:
     def test_sampled_run_is_bit_identical_to_unsampled(self):
-        base = guard.run_cell(scale=SCALE)
-        sampler = TimeseriesSampler(2_000.0)
-        sampled = guard.run_cell(scale=SCALE, sampler=sampler)
-        assert sampler.frames_recorded > 0
-        assert guard.virtual_signature(base) \
-            == guard.virtual_signature(sampled)
+        spec = guard.fig6_cell(scale=SCALE)
+        base = execute(spec, serial=True)
+        sampled = execute(spec, serial=True, timeseries=2_000.0)
+        (doc,) = sampled.timeseries.values()
+        assert sum(m["n_frames"] for m in doc["machines"]) > 0
+        assert base.result.rows == sampled.result.rows
 
 
 class TestArtifactDeterminism:
@@ -281,11 +281,10 @@ class TestCollectorsCompat:
 
 class TestGuardAndTools:
     def test_guard_timeseries_check_passes(self):
-        report = guard.run_timeseries_check(scale=SCALE,
-                                            overhead_threshold=25.0)
-        assert report["timeseries_identical"]
-        assert report["frames_deterministic"]
-        assert report["totals_match"]
+        report = guard.run_check("timeseries", scale=SCALE, threshold=25.0)
+        assert report["laws"]["tables equal"]
+        assert report["laws"]["frames recorded, byte-identical"]
+        assert report["laws"]["frame totals == payload"]
         assert report["frames"] > 0
         assert report["passed"]
 

@@ -422,6 +422,20 @@ class TestLiveTools:
         out = capsys.readouterr().out
         assert expected in out and "(no " not in out
 
+    @pytest.mark.parametrize("tool,argv,message", [
+        ("cachestat", ["--policy", "bogus"], "choose from 'default'"),
+        ("biolatency", ["--workload", "Z"], "choose from 'A'"),
+        ("faultstat", ["--scenario", "nope"], "choose from 'baseline'"),
+        ("faultstat", ["--workload", "tw0"], "choose from 'A'"),
+    ])
+    def test_bad_live_arguments_are_usage_errors(self, tool, argv,
+                                                 message, capsys):
+        main = importlib.import_module(f"repro.tools.{tool}").main
+        with pytest.raises(SystemExit) as exc:
+            main(["--live", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_faultstat_live_runs_the_chaos_cell(self, capsys):
         from repro.tools.faultstat import main
         assert main(["--live", "--scenario", "buggy-policy"]) == 0
