@@ -38,12 +38,15 @@ DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_core.json")
 
 #: One I/O-bound sweep (fig6), one scan-pathology run (fig9), one
 #: policy-with-userspace-maps run (admission), one CPU-overhead run
-#: (table4), the design-constant / extension-policy table (ablations)
-#: and the fault-injection grid (chaos): together they cross every path
-#: physics can move on — eviction, hook dispatch, lists, maps, the LSM
-#: store, the engine loop, and the block request under every device,
-#: policy and memory fault with the VFS's retries.
-CORE_SUITE = ("fig6", "fig9", "admission", "table4", "ablations", "chaos")
+#: (table4), the design-constant / extension-policy table (ablations),
+#: the fault-injection grid (chaos) and the two-cgroup isolation run
+#: cut off by an engine deadline (fig11): together they cross every
+#: path physics can move on — eviction, hook dispatch, lists, maps, the
+#: LSM store, the engine loop, the block request under every device,
+#: policy and memory fault with the VFS's retries, and a YCSB stream
+#: read only as far as a fixed window reaches.
+CORE_SUITE = ("fig6", "fig9", "admission", "table4", "ablations", "chaos",
+              "fig11")
 
 SCHEMA = 2
 
@@ -77,9 +80,10 @@ def run_experiment(name: str, quick: bool, jobs: Optional[int]) -> dict:
     result = execute(spec, jobs=jobs, serial=jobs is None).result
     table = result.format_table()
     ops = _column_map(result, "ops_per_sec")
-    if not ops:  # time/CPU-denominated experiments
+    if not ops:  # time/CPU-denominated or two-cgroup experiments
         ops = _column_map(result, "noop_cpu_us_per_op") \
-            or _column_map(result, "seconds")
+            or _column_map(result, "seconds") \
+            or _column_map(result, "ycsb_ops_per_sec")
     return {
         "cells": len(spec.cells),
         "rows": len(result.rows),

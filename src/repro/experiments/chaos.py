@@ -132,22 +132,25 @@ def scenario_plan(scenario: str, horizon_us: float,
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def _run_workload(env, workload: str, params: dict):
+def _runner(workload: str, params: dict) -> tuple:
+    """``(runner class, its arguments after the store)``: a Twitter
+    cluster for ``tw<N>``, else a YCSB mix.  The arguments are also
+    the class's ``prepare_streams`` arguments."""
     if workload.startswith("tw"):
-        cluster = int(workload[2:])
-        runner = TwitterRunner(env.db, CLUSTERS[cluster],
-                               nkeys=params["nkeys"],
-                               nops=params["nops"],
-                               warmup_ops=params["warmup_ops"],
-                               seed=params.get("seed", 11))
-    else:
-        runner = YcsbRunner(env.db, YCSB_WORKLOADS[workload],
-                            nkeys=params["nkeys"], nops=params["nops"],
-                            seed=params.get("seed", 42),
-                            nthreads=params["nthreads"],
-                            warmup_ops=params["warmup_ops"],
-                            zipf_theta=params["zipf_theta"])
-    return runner.run()
+        return TwitterRunner, dict(
+            profile=CLUSTERS[int(workload[2:])], nkeys=params["nkeys"],
+            nops=params["nops"], warmup_ops=params["warmup_ops"],
+            seed=params.get("seed", 11))
+    return YcsbRunner, dict(
+        spec=YCSB_WORKLOADS[workload], nkeys=params["nkeys"],
+        nops=params["nops"], seed=params.get("seed", 42),
+        nthreads=params["nthreads"], warmup_ops=params["warmup_ops"],
+        zipf_theta=params["zipf_theta"])
+
+
+def _run_workload(env, workload: str, params: dict):
+    runner_cls, args = _runner(workload, params)
+    return runner_cls(env.db, **args).run()
 
 
 def cell(workload: str, scenario: str, horizon_us: float,
@@ -212,19 +215,8 @@ def plan(quick: bool = False,
 
     def prepare() -> None:
         for w in workloads:
-            if w.startswith("tw"):
-                TwitterRunner.prepare_streams(
-                    CLUSTERS[int(w[2:])], nkeys=params["nkeys"],
-                    nops=params["nops"],
-                    warmup_ops=params["warmup_ops"],
-                    seed=params.get("seed", 11))
-            else:
-                YcsbRunner.prepare_streams(
-                    YCSB_WORKLOADS[w], nkeys=params["nkeys"],
-                    nops=params["nops"], nthreads=params["nthreads"],
-                    seed=params.get("seed", 42),
-                    warmup_ops=params["warmup_ops"],
-                    zipf_theta=params["zipf_theta"])
+            runner_cls, args = _runner(w, params)
+            runner_cls.prepare_streams(**args)
 
     return ExperimentSpec("chaos", cells, _merge,
                           meta={"params": params,

@@ -56,18 +56,27 @@ def run_one(policy: str, workload: str, nkeys: int, cgroup_pages: int,
     the sweep-level image cache (:mod:`repro.snapshot`) instead of
     re-running the bulk load — again bit-identical.
     """
+    env = make_db_env(policy, cgroup_pages=cgroup_pages, nkeys=nkeys,
+                      compaction_thread=True, mode=mode,
+                      snapshot=snapshot)
+    runner = YcsbRunner(env.db, **_runner_args(
+        workload, nkeys, nops, warmup_ops, nthreads, zipf_theta, seed))
+    result = runner.run()
+    return result, env
+
+
+def _runner_args(workload: str, nkeys: int, nops: int, warmup_ops: int = 0,
+                 nthreads: int = 8, zipf_theta: float = 1.1,
+                 seed: int = 42, **_cell) -> dict:
+    """:class:`YcsbRunner`'s arguments after the store for one
+    workload's cells (the cell's other parameters are ignored):
+    scan-heavy E runs :data:`SCAN_OPS_DIVISOR` times fewer ops."""
     spec = YCSB_WORKLOADS[workload]
     if spec.scan > 0:
         nops = max(nops // SCAN_OPS_DIVISOR, 200)
         warmup_ops = warmup_ops // SCAN_OPS_DIVISOR
-    env = make_db_env(policy, cgroup_pages=cgroup_pages, nkeys=nkeys,
-                      compaction_thread=True, mode=mode,
-                      snapshot=snapshot)
-    runner = YcsbRunner(env.db, spec, nkeys=nkeys, nops=nops, seed=seed,
-                        nthreads=nthreads, warmup_ops=warmup_ops,
-                        zipf_theta=zipf_theta)
-    result = runner.run()
-    return result, env
+    return dict(spec=spec, nkeys=nkeys, nops=nops, nthreads=nthreads,
+                seed=seed, warmup_ops=warmup_ops, zipf_theta=zipf_theta)
 
 
 def _payload(result, env) -> dict:
@@ -97,22 +106,12 @@ def make_prepare(params: dict, workloads: Iterable[str]):
     materializes each (workload, scale) stream once in the parent so
     serial runs share it and the parallel runner's forked workers
     inherit it copy-on-write (shipping the spec, not the data).
-    Mirrors :func:`run_one`'s parameter derivation.
     """
     workloads = list(workloads)
 
     def prepare() -> None:
         for workload in workloads:
-            spec = YCSB_WORKLOADS[workload]
-            nops, warmup_ops = params["nops"], params["warmup_ops"]
-            if spec.scan > 0:
-                nops = max(nops // SCAN_OPS_DIVISOR, 200)
-                warmup_ops = warmup_ops // SCAN_OPS_DIVISOR
-            YcsbRunner.prepare_streams(
-                spec, nkeys=params["nkeys"], nops=nops,
-                nthreads=params["nthreads"],
-                seed=params.get("seed", 42), warmup_ops=warmup_ops,
-                zipf_theta=params["zipf_theta"])
+            YcsbRunner.prepare_streams(**_runner_args(workload, **params))
 
     return prepare
 

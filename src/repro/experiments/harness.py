@@ -104,6 +104,9 @@ _FACTORIES = {
     "prefetch": (make_prefetch_policy, ("map_entries",)),
 }
 
+#: Every name :func:`attach_policy` accepts.
+POLICY_NAMES = KERNEL_POLICIES + tuple(_FACTORIES)
+
 
 def attach_policy(machine: Machine, cgroup: MemCgroup, policy: str,
                   cgroup_pages: int) -> Optional[CacheExtOps]:
@@ -118,7 +121,7 @@ def attach_policy(machine: Machine, cgroup: MemCgroup, policy: str,
     if policy not in _FACTORIES:
         raise ValueError(
             f"unknown policy {policy!r}; choose from: "
-            + ", ".join(KERNEL_POLICIES + tuple(_FACTORIES)))
+            + ", ".join(POLICY_NAMES))
     sizes = {"map_entries": max(4 * cgroup_pages, 1024),
              "ghost_entries": max(cgroup_pages, 256),
              "cache_pages": cgroup_pages}

@@ -29,11 +29,13 @@ engine.
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Optional
 
-from repro.experiments.harness import attach_policy
+from repro.experiments.harness import POLICY_NAMES, attach_policy
 from repro.kernel import Machine
+from repro.tools import _cli
 
 
 @dataclass
@@ -66,13 +68,25 @@ def parse_trace(lines: Iterable[str]) -> list[tuple]:
         parts = line.split()
         try:
             if len(parts) == 1:
-                out.append((0, int(parts[0]), False))
+                access = (0, int(parts[0]), False)
             else:
                 is_write = len(parts) > 2 and parts[2].lower() == "w"
-                out.append((int(parts[0]), int(parts[1]), is_write))
+                access = (int(parts[0]), int(parts[1]), is_write)
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {line!r}") from exc
+        if access[1] < 0:
+            raise ValueError(
+                f"trace line {lineno}: negative page index in {line!r}")
+        out.append(access)
     return out
+
+
+def read_trace(path: str) -> list[tuple]:
+    """:func:`parse_trace` over ``path`` (``-`` reads stdin)."""
+    if path == "-":
+        return parse_trace(sys.stdin)
+    with open(path) as source:
+        return parse_trace(source)
 
 
 def replay_trace(trace: list[tuple], policy: str,
@@ -154,18 +168,18 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--readahead", action="store_true",
                         help="enable kernel readahead during replay")
     args = parser.parse_args(argv)
-
-    import sys
-    source: TextIO
-    if args.trace == "-":
-        source = sys.stdin
-        trace = parse_trace(source)
-    else:
-        with open(args.trace) as source:
-            trace = parse_trace(source)
+    if args.cache_pages <= 0:
+        parser.error(f"--cache-pages must be positive: {args.cache_pages}")
+    policies = args.policies.split(",")
+    for name in policies:
+        if name not in POLICY_NAMES:
+            parser.error(f"unknown policy {name!r}; choose from: "
+                         + ", ".join(POLICY_NAMES))
+    trace = _cli.load("cachesim", read_trace, args.trace)
+    if trace is None:
+        return 1
     if not trace:
         parser.error("empty trace")
-    policies = args.policies.split(",")
     reports = simulate_policies(trace, policies,
                                 args.cache_pages, args.readahead)
     print(format_reports(reports))
@@ -173,4 +187,4 @@ def main(argv: Optional[list] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(main())
+    _cli.run(main)

@@ -17,7 +17,6 @@ scan path: ``None`` (plain), ``"dontneed"``, ``"noreuse"``,
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -25,8 +24,6 @@ from repro.apps.lsm.db import LsmDb
 from repro.kernel.stats import LatencyRecorder
 from repro.kernel.vfs import FAdvice
 from repro.workloads import streams
-from repro.workloads.distributions import ScrambledZipfianGenerator
-from repro.workloads.streams import STREAM_PREGEN_MAX
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import SimThread
@@ -59,6 +56,11 @@ class GetScanResult:
         return self.get_latency.p99
 
 
+def _scan_count(n_gets: int, scan_fraction: float) -> int:
+    """Scans in one run: ``scan_fraction`` of the GETs, at least one."""
+    return max(1, round(n_gets * scan_fraction))
+
+
 class GetScanWorkload:
     """Drives the mixed workload against an open LSM store."""
 
@@ -68,28 +70,27 @@ class GetScanWorkload:
                  scan_len: int = 1500,
                  fadvise_mode: Optional[str] = None,
                  zipf_theta: float = 1.2,
-                 seed: int = 5,
-                 pregen: Optional[bool] = None) -> None:
+                 seed: int = 5) -> None:
         """``zipf_theta`` defaults higher than the YCSB runs: the
         paper's workload "exhibits good cache locality for GETs", i.e.
         the GET working set fits the cgroup when scans don't pollute
-        it — which is exactly what the policy protects.  ``pregen``
-        forces the pre-generated-stream replay path on or off (default:
-        replay when the streams fit ``STREAM_PREGEN_MAX``); both paths
-        produce byte-identical results."""
+        it — which is exactly what the policy protects.  Each thread
+        replays its key stream from :meth:`prepare_streams`."""
         if fadvise_mode not in (None, "dontneed", "noreuse", "sequential"):
             raise ValueError(f"bad fadvise_mode: {fadvise_mode}")
+        streams.check_sizes(get_threads=get_threads,
+                            scan_threads=scan_threads, n_gets=n_gets)
         self.zipf_theta = zipf_theta
         self.db = db
         self.nkeys = nkeys
         self.n_gets = n_gets
         self.get_threads = get_threads
         self.scan_threads = scan_threads
-        self.n_scans = max(1, round(n_gets * scan_fraction))
+        self.scan_fraction = scan_fraction
+        self.n_scans = _scan_count(n_gets, scan_fraction)
         self.scan_len = scan_len
         self.fadvise_mode = fadvise_mode
         self.seed = seed
-        self.pregen = pregen
         self.result = GetScanResult()
         self.scan_tids: list[int] = []
 
@@ -97,22 +98,24 @@ class GetScanWorkload:
     def prepare_streams(nkeys: int, n_gets: int, get_threads: int = 4,
                         scan_threads: int = 2,
                         scan_fraction: float = 0.0005,
-                        zipf_theta: float = 1.2, seed: int = 5) -> None:
-        """Warm the shared stream cache for one workload configuration
-        (see :meth:`YcsbRunner.prepare_streams`).  Mirrors
-        :meth:`spawn`'s per-thread op-count derivation."""
-        n_scans = max(1, round(n_gets * scan_fraction))
+                        zipf_theta: float = 1.2, seed: int = 5) -> tuple:
+        """``(get_keys, scan_starts)``: each GET thread's key indices
+        and each scan thread's start indices, taken from the shared
+        cache or built into it (see :meth:`YcsbRunner.prepare_streams`).
+        """
+        streams.check_sizes(get_threads=get_threads,
+                            scan_threads=scan_threads, n_gets=n_gets)
         per_get_thread = n_gets // get_threads
-        per_scan_thread = max(1, n_scans // scan_threads)
+        per_scan_thread = max(1, _scan_count(n_gets, scan_fraction)
+                              // scan_threads)
         streams.key_strings(nkeys)
-        if per_get_thread <= STREAM_PREGEN_MAX:
-            for worker in range(get_threads):
-                streams.zipfian_indices(nkeys, zipf_theta,
-                                        seed * 31 + worker,
-                                        per_get_thread)
-        for worker in range(scan_threads):
-            streams.uniform_indices(nkeys, seed * 97 + worker,
-                                    per_scan_thread)
+        return ([streams.zipfian_indices(nkeys, zipf_theta,
+                                         seed * 31 + worker,
+                                         per_get_thread)
+                 for worker in range(get_threads)],
+                [streams.uniform_indices(nkeys, seed * 97 + worker,
+                                         per_scan_thread)
+                 for worker in range(scan_threads)])
 
     # ------------------------------------------------------------------
     def _apply_sequential_advice(self) -> None:
@@ -127,35 +130,23 @@ class GetScanWorkload:
             self._apply_sequential_advice()
         result = self.result
         machine = self.db.machine
-        per_get_thread = self.n_gets // self.get_threads
         scan_advice = self.fadvise_mode if self.fadvise_mode in (
             "dontneed", "noreuse") else None
         keys = streams.key_strings(self.nkeys)
-        pregen = (self.pregen if self.pregen is not None
-                  else per_get_thread <= STREAM_PREGEN_MAX)
+        get_keys, scan_starts = self.prepare_streams(
+            self.nkeys, self.n_gets, self.get_threads, self.scan_threads,
+            self.scan_fraction, self.zipf_theta, self.seed)
 
-        for worker in range(self.get_threads):
-            if pregen:
-                get_indices = streams.zipfian_indices(
-                    self.nkeys, self.zipf_theta,
-                    self.seed * 31 + worker, per_get_thread)
-                chooser = None
-            else:
-                get_indices = None
-                chooser = ScrambledZipfianGenerator(
-                    self.nkeys, theta=self.zipf_theta,
-                    seed=self.seed * 31 + worker)
+        for worker, get_indices in enumerate(get_keys):
             pos = [0]
 
-            def get_step(thread: "SimThread", chooser=chooser,
-                         get_indices=get_indices, pos=pos) -> bool:
+            def get_step(thread: "SimThread", get_indices=get_indices,
+                         count=len(get_indices), pos=pos) -> bool:
                 i = pos[0]
-                if i >= per_get_thread:
+                if i >= count:
                     return False
                 thread.advance(machine.costs.app_op_us)
-                index = (get_indices[i] if get_indices is not None
-                         else chooser.next())
-                key = keys[index]
+                key = keys[get_indices[i]]
                 start = thread.clock_us
                 if self.db.get(key) is None:
                     result.missing_keys += 1
@@ -169,7 +160,6 @@ class GetScanWorkload:
             machine.spawn(f"get-{worker}", get_step,
                           cgroup=self.db.cgroup)
 
-        per_scan_thread = max(1, self.n_scans // self.scan_threads)
         gets_per_scan = max(1, int(self.n_gets
                                    / max(self.n_scans, 1)))
 
@@ -177,21 +167,12 @@ class GetScanWorkload:
         #: with GETs at this granularity, like a real cursor would.
         chunk = 64
 
-        for worker in range(self.scan_threads):
-            if pregen:
-                scan_starts = streams.uniform_indices(
-                    self.nkeys, self.seed * 97 + worker,
-                    per_scan_thread)
-                rng = None
-            else:
-                scan_starts = None
-                rng = random.Random(self.seed * 97 + worker)
+        for worker, starts in enumerate(scan_starts):
             state = {"done": 0, "cursor": None, "left": 0,
                      "started_at": 0.0}
 
-            def scan_step(thread: "SimThread", rng=rng, state=state,
-                          scan_starts=scan_starts,
-                          worker=worker) -> bool:
+            def scan_step(thread: "SimThread", state=state,
+                          starts=starts, worker=worker) -> bool:
                 cursor = state["cursor"]
                 if cursor is not None:
                     # Continue the in-flight scan, one chunk at a time.
@@ -211,7 +192,7 @@ class GetScanWorkload:
                         result.scan_elapsed_us = max(
                             result.scan_elapsed_us, thread.clock_us)
                     return True
-                if state["done"] >= per_scan_thread:
+                if state["done"] >= len(starts):
                     return False
                 # Release scan k once the GET side has earned it (or
                 # has finished entirely — never deadlock on pacing).
@@ -221,10 +202,7 @@ class GetScanWorkload:
                     # GETs are behind; idle briefly without busy-wait.
                     thread.wait_until(thread.clock_us + 200.0)
                     return True
-                start_index = (scan_starts[state["done"]]
-                               if scan_starts is not None
-                               else rng.randrange(self.nkeys))
-                start_key = keys[start_index]
+                start_key = keys[starts[state["done"]]]
                 state["cursor"] = self.db.scan_iter(start_key,
                                                     advice=scan_advice)
                 state["left"] = self.scan_len

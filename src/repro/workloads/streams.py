@@ -16,18 +16,14 @@ compact ``array`` buffers and memoizes them process-wide:
   buffers copy-on-write and ship only the stream *spec* (the cell's
   kwargs), never the data.
 
-Pre-generation reproduces the exact RNG draw order of the original
-on-line samplers (same ``random.Random`` seeds, same call sequence),
-so replayed runs are byte-identical to the pre-existing behaviour —
-``tests/test_workloads.py`` asserts replay == on-line for each runner,
-and each generator's ``take`` == repeated ``next``.  Everything here
-is the standard library: the bulk builds are chains of C-level
-iterators (``map``, ``islice``, ``repeat``) over the same RNG calls.
-
-Streams whose length exceeds :data:`STREAM_PREGEN_MAX` are not
-materialized; runners fall back to on-line sampling (fig11 spawns a
-10M-op YCSB runner and cuts it off with an engine deadline — buffering
-that would cost far more than it saves).
+Every runner replays its stream: streams reproduce the exact draw
+order of the on-line samplers ``tests/reference/`` keeps (same
+``random.Random`` seeds, same call sequence), and
+``tests/test_workloads.py`` asserts replay == on-line for each runner.
+The bulk builds are chains of C-level iterators (``map``, ``islice``,
+``repeat``) over the same RNG calls.  A YCSB stream is built a
+:data:`STREAM_CHUNK` at a time as it is read (fig11's runner asks for
+10M ops and an engine deadline stops it after about 10k per thread).
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from __future__ import annotations
 import random
 from array import array
 from itertools import repeat
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.workloads.distributions import (LatestGenerator,
                                            ScrambledZipfianGenerator,
@@ -45,10 +41,10 @@ from repro.workloads.distributions import (LatestGenerator,
 OP_READ, OP_UPDATE, OP_INSERT, OP_SCAN, OP_RMW = range(5)
 OP_NAMES = ("read", "update", "insert", "scan", "rmw")
 
-#: Streams longer than this (ops per stream) are never materialized;
-#: callers fall back to on-line sampling.  Bounds memory at ~9 MiB
-#: per distinct stream.
-STREAM_PREGEN_MAX = 1_000_000
+#: Ops a YCSB stream builds at a time.  Above every plan's per-worker
+#: total but fig11's (the largest, 8,750, is full-scale fig6 and
+#: chaos), so only fig11's streams are ever partly built.
+STREAM_CHUNK = 1 << 14
 
 #: Total bytes of materialized stream data kept resident.  The cache
 #: is FIFO-bounded by *bytes* (not entry count — one fig11-scale
@@ -102,6 +98,16 @@ def _cache_put(key, value):
     return value
 
 
+def _cache_regrow(key, value, before: int) -> None:
+    """Account a resident ``value`` that grew in place from ``before``
+    bytes: re-inserted as the newest entry, so the cap still holds."""
+    global _cache_bytes
+    if _CACHE.get(key) is value:
+        del _CACHE[key]
+        _cache_bytes -= before
+        _cache_put(key, value)
+
+
 def clear_cache() -> None:
     """Drop every memoized stream (test isolation hook)."""
     global _cache_bytes
@@ -118,40 +124,65 @@ def cache_info() -> dict:
 
 
 class OpStream:
-    """One materialized operation stream.
+    """One operation stream of ``total`` ops, built up to ``len(self)``.
 
     ``kinds[i]`` is an ``OP_*`` code; ``indices[i]`` the pre-drawn key
     index (``-1`` for inserts, whose index is runtime state — the
     shared insert counter); ``lengths`` carries scan lengths and is
-    ``None`` for streams that cannot contain scans.
+    ``None`` for streams that cannot contain scans.  :meth:`grow`
+    extends the arrays in place from ``chunks``, which appends a chunk
+    per step and yields the built length.
     """
 
-    __slots__ = ("kinds", "indices", "lengths")
+    __slots__ = ("kinds", "indices", "lengths", "total", "_chunks", "_key")
 
     def __init__(self, kinds: array, indices: array,
-                 lengths: Optional[array] = None) -> None:
+                 lengths: Optional[array] = None, total: Optional[int] = None,
+                 chunks: Iterable[int] = (), key=None) -> None:
         self.kinds = kinds
         self.indices = indices
         self.lengths = lengths
+        self.total = len(kinds) if total is None else total
+        self._chunks = iter(chunks)
+        self._key = key
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     @property
     def nbytes(self) -> int:
-        total = (self.kinds.buffer_info()[1] * self.kinds.itemsize
-                 + self.indices.buffer_info()[1] * self.indices.itemsize)
-        if self.lengths is not None:
-            total += (self.lengths.buffer_info()[1]
-                      * self.lengths.itemsize)
-        return total
+        return sum(len(a) * a.itemsize
+                   for a in (self.kinds, self.indices, self.lengths)
+                   if a is not None)
+
+    def grow(self, needed: int) -> int:
+        """Build chunks until ``needed`` ops exist (or all ``total``);
+        returns the built length.  The cache's byte count follows."""
+        built = len(self.kinds)
+        if built < needed:
+            before = self.nbytes
+            for built in self._chunks:
+                if built >= needed:
+                    break
+            _cache_regrow(self._key, self, before)
+        return built
+
+
+def check_sizes(**sizes: int) -> None:
+    """Refuse a runner's ``*threads`` count below 1 or other count
+    below 0 (a division by zero, or a run of nothing)."""
+    for name, value in sizes.items():
+        least = 1 if name.endswith("threads") else 0
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 # ----------------------------------------------------------------------
-# Shared draw helpers (single source of truth for pregen + on-line)
+# Draw helpers (shared with the on-line samplers in tests/reference)
 # ----------------------------------------------------------------------
 def draw_op_kind(rng: random.Random, spec) -> int:
-    """One YCSB op-kind draw; *the* float walk both paths must share.
+    """One YCSB op-kind draw; *the* float walk the streams and the
+    on-line references share.
 
     ``spec.kind_shares`` leaves out zero shares only: ``r < 0.0`` never
     holds and ``r - 0.0`` is exact, so the chain's floats are unchanged."""
@@ -181,21 +212,16 @@ def make_ycsb_chooser(spec, nkeys: int, seed: int,
 # ----------------------------------------------------------------------
 def ycsb_stream(spec, nkeys: int, total: int, seed: int, worker: int,
                 zipf_theta: float, latest_theta: float) -> OpStream:
-    """The op stream one YCSB worker thread replays (warmup included).
+    """The op stream one YCSB worker thread replays (warmup included),
+    built to its first chunk (see :meth:`OpStream.grow`).
 
-    Reproduces the draw order of the on-line path exactly: one
-    ``rng.random()`` per op (kind), a chooser draw for non-inserts, a
+    Reproduces the on-line draw order exactly: one ``rng.random()``
+    per op (kind), a chooser draw for non-inserts, a
     ``LatestGenerator.advance()`` per insert, and a scan-length
     ``rng.randrange`` after the chooser draw.  Insert indices are
     stored as ``-1``: they come from the runner's *shared* insert
-    counter, which is runtime state.
-
-    Without inserts and scans (A, B, C, F, uniform, uniform-rw) the
-    stream is *separable*: ``rng`` draws only kinds and the chooser
-    only keys, so all kinds are drawn first and all keys in one
-    :meth:`take`.  A one-kind mix draws no kinds at all — ``random() <
-    1.0 <= share`` picks that kind every time, and nothing else reads
-    ``rng``.
+    counter, which is runtime state.  Each chunk resumes the same
+    ``rng`` and chooser, so where chunks end cannot change a draw.
     """
     key = ("ycsb", spec, nkeys, total, seed, worker,
            zipf_theta, latest_theta)
@@ -205,34 +231,57 @@ def ycsb_stream(spec, nkeys: int, total: int, seed: int, worker: int,
     rng = random.Random(seed * 1000 + worker)
     chooser = make_ycsb_chooser(spec, nkeys, seed * 77 + worker,
                                 zipf_theta, latest_theta)
-    if spec.insert == 0 and spec.scan == 0:
-        shares = spec.kind_shares
-        if len(shares) == 1 and shares[0][1] >= 1.0:
-            kinds = array("b", [shares[0][0]]) * total
-        else:
-            kinds = array("b", map(draw_op_kind, repeat(rng, total),
-                                   repeat(spec, total)))
-        return _cache_put(key, OpStream(kinds, chooser.take(total)))
-    is_latest = spec.distribution == "latest"
-    kinds = array("b")
-    indices = array("q")
+    kinds, indices = array("b"), array("q")
     lengths = array("l") if spec.scan > 0 else None
+    stream = OpStream(kinds, indices, lengths, total,
+                      _ycsb_chunks(spec, total, rng, chooser,
+                                   kinds, indices, lengths), key)
+    stream.grow(1)
+    return _cache_put(key, stream)
+
+
+def _ycsb_chunks(spec, total: int, rng: random.Random, chooser,
+                 kinds: array, indices: array, lengths: Optional[array]):
+    """Append ``total`` ops to the arrays a chunk at a time; yields
+    the built length after each chunk.
+
+    Without inserts and scans (A, B, C, F, uniform, uniform-rw) a
+    chunk is *separable*: ``rng`` draws only kinds and the chooser only
+    keys, so the chunk's kinds are drawn first and its keys in one
+    :meth:`take`.  A one-kind mix draws no kinds at all — ``random() <
+    1.0 <= share`` picks that kind every time, and nothing else reads
+    ``rng``.
+    """
+    shares = spec.kind_shares
+    separable = spec.insert == 0 and spec.scan == 0
+    one_kind = len(shares) == 1 and shares[0][1] >= 1.0
+    is_latest = spec.distribution == "latest"
     max_scan_len = spec.max_scan_len
-    for _ in range(total):
-        kind = draw_op_kind(rng, spec)
-        kinds.append(kind)
-        if kind == OP_INSERT:
-            indices.append(-1)
-            if is_latest:
-                chooser.advance()
-            if lengths is not None:
-                lengths.append(0)
-            continue
-        indices.append(chooser.next())
-        if lengths is not None:
-            lengths.append(1 + rng.randrange(max_scan_len)
-                           if kind == OP_SCAN else 0)
-    return _cache_put(key, OpStream(kinds, indices, lengths))
+    built = 0
+    while built < total:
+        count = min(STREAM_CHUNK, total - built)
+        if separable:
+            kinds.extend(array("b", [shares[0][0]]) * count if one_kind
+                         else map(draw_op_kind, repeat(rng, count),
+                                  repeat(spec, count)))
+            indices.extend(chooser.take(count))
+        else:
+            for _ in range(count):
+                kind = draw_op_kind(rng, spec)
+                kinds.append(kind)
+                if kind == OP_INSERT:
+                    indices.append(-1)
+                    if is_latest:
+                        chooser.advance()
+                    if lengths is not None:
+                        lengths.append(0)
+                    continue
+                indices.append(chooser.next())
+                if lengths is not None:
+                    lengths.append(1 + rng.randrange(max_scan_len)
+                                   if kind == OP_SCAN else 0)
+        built += count
+        yield built
 
 
 def twitter_stream(profile, nkeys: int, total: int, seed: int) -> OpStream:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.apps.lsm.db import LsmDb
 from repro.apps.lsm.format import fnv1a
@@ -38,7 +38,7 @@ from repro.kernel.stats import LatencyRecorder
 from repro.workloads import streams
 from repro.workloads.distributions import CdfZipfianGenerator, \
     ZipfianGenerator
-from repro.workloads.streams import STREAM_PREGEN_MAX
+from repro.workloads.streams import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import SimThread
@@ -185,50 +185,45 @@ class TwitterRunner:
 
     def __init__(self, db: LsmDb, profile: ClusterProfile, nkeys: int,
                  nops: int, seed: int = 11, warmup_ops: int = 0,
-                 nthreads: int = 4,
-                 pregen: Optional[bool] = None) -> None:
+                 nthreads: int = 4) -> None:
         """``warmup_ops`` run before the measured window (steady-state
         surrogate, as in the YCSB runner); threads share one stream.
 
         The stream's op sequence does not depend on how the engine
         interleaves the client threads (each step consumes exactly one
-        op from shared state), so by default it is materialized once
-        per (profile, nkeys, total, seed) and shared across cells; the
-        on-line path remains for oversized runs (``pregen`` forces
-        either).  Both produce byte-identical results.
+        op from shared state), so it is built once per (profile,
+        nkeys, total, seed) by :meth:`prepare_streams` and shared
+        across cells.
         """
+        streams.check_sizes(nthreads=nthreads, nops=nops,
+                            warmup_ops=warmup_ops)
         self.db = db
         self.profile = profile
         self.nkeys = nkeys
         self.seed = seed
-        self.stream = ClusterKeyStream(profile, nkeys, seed=seed)
         self.nops = nops
         self.warmup_ops = warmup_ops
         self.nthreads = nthreads
-        self.pregen = pregen
         self.result = TwitterResult(profile.name)
 
     @staticmethod
     def prepare_streams(profile: ClusterProfile, nkeys: int, nops: int,
-                        warmup_ops: int = 0, seed: int = 11) -> None:
-        """Warm the shared stream cache for one runner configuration
-        (see :meth:`YcsbRunner.prepare_streams`)."""
-        total = warmup_ops + nops
+                        warmup_ops: int = 0, seed: int = 11) -> OpStream:
+        """The op stream every thread of one runner configuration
+        shares, warm-up included (see
+        :meth:`YcsbRunner.prepare_streams`)."""
+        streams.check_sizes(nops=nops, warmup_ops=warmup_ops)
         streams.key_strings(nkeys)
-        if total <= STREAM_PREGEN_MAX:
-            streams.twitter_stream(profile, nkeys, total, seed)
+        return streams.twitter_stream(profile, nkeys, warmup_ops + nops,
+                                      seed)
 
     def run(self) -> TwitterResult:
-        total = self.warmup_ops + self.nops
+        ops_stream = self.prepare_streams(self.profile, self.nkeys,
+                                          self.nops, self.warmup_ops,
+                                          self.seed)
+        op_kinds, op_indices = ops_stream.kinds, ops_stream.indices
+        total = ops_stream.total
         warmup = self.warmup_ops
-        pregen = (self.pregen if self.pregen is not None
-                  else total <= STREAM_PREGEN_MAX)
-        if pregen:
-            ops_stream = streams.twitter_stream(
-                self.profile, self.nkeys, total, self.seed)
-            op_kinds, op_indices = ops_stream.kinds, ops_stream.indices
-        else:
-            op_kinds = op_indices = None
         keys = streams.key_strings(self.nkeys)
         state = {"pos": 0}
         result = self.result
@@ -240,12 +235,8 @@ class TwitterRunner:
                 return False
             state["pos"] = i + 1
             warm = i < warmup
-            if op_kinds is not None:
-                update = op_kinds[i]  # OP_UPDATE == 1, OP_READ == 0
-                index = op_indices[i]
-            else:
-                kind, index = self.stream.next_op()
-                update = kind == "update"
+            update = op_kinds[i]  # OP_UPDATE == 1, OP_READ == 0
+            index = op_indices[i]
             thread.advance(self.db.machine.costs.app_op_us)
             key = keys[index]
             if not update:

@@ -25,17 +25,14 @@ reports throughput in operations per simulated second.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.apps.lsm.db import LsmDb
 from repro.kernel.stats import LatencyRecorder
 from repro.workloads import streams
-from repro.workloads.distributions import LatestGenerator
 from repro.workloads.streams import (OP_INSERT, OP_NAMES, OP_READ,
-                                     OP_SCAN, OP_UPDATE,
-                                     STREAM_PREGEN_MAX)
+                                     OP_SCAN, OP_UPDATE, OpStream)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import SimThread
@@ -120,8 +117,7 @@ class YcsbRunner:
                  nops: int, nthreads: int = 1, seed: int = 42,
                  warmup_ops: int = 0,
                  zipf_theta: float = 0.99,
-                 latest_theta: float = 1.4,
-                 pregen: Optional[bool] = None) -> None:
+                 latest_theta: float = 1.4) -> None:
         """``warmup_ops`` are executed and *discarded* before the
         measured window opens — the steady-state equivalent of the
         paper's long runs, letting frequency-learning policies (LFU,
@@ -135,13 +131,11 @@ class YcsbRunner:
         runs effectively in-memory ("cached entirely in-memory",
         §6.1.1), which requires a tight offset distribution here.
 
-        ``pregen`` forces the pre-generated-stream replay path on or
-        off; the default picks replay whenever the per-worker stream
-        fits :data:`~repro.workloads.streams.STREAM_PREGEN_MAX` (fig11
-        spawns deliberately oversized runs that an engine deadline
-        cuts off — those sample on line).  Both paths produce
-        byte-identical results.
+        Each worker replays its stream from :meth:`prepare_streams`,
+        built only as far as the run reads it.
         """
+        streams.check_sizes(nthreads=nthreads, nops=nops,
+                            warmup_ops=warmup_ops)
         self.db = db
         self.spec = spec
         self.nkeys = nkeys
@@ -151,34 +145,18 @@ class YcsbRunner:
         self.warmup_ops = warmup_ops
         self.zipf_theta = zipf_theta
         self.latest_theta = latest_theta
-        self.pregen = pregen
         self.result = YcsbResult(spec.name)
         self._insert_counter = [nkeys]
         self._keys = streams.key_strings(nkeys)
 
-    def _step(self, worker: int, total: int, warmup: int, pregen: bool):
-        """Step function for one worker: ``total`` ops, the first
-        ``warmup`` of them discarded.
-
-        Ops come from the worker's pre-generated stream, or are drawn
-        on line in the order :func:`streams.ycsb_stream` documents
-        (streams too long to pre-generate); one op body serves both.
-        """
+    def _step(self, stream: OpStream, warmup: int):
+        """Step function for one worker: replays ``stream``, the first
+        ``warmup`` ops discarded, growing it as it reads past what is
+        built."""
         spec = self.spec
-        if pregen:
-            stream = streams.ycsb_stream(spec, self.nkeys, total,
-                                         self.seed, worker,
-                                         self.zipf_theta, self.latest_theta)
-            kinds, indices, lengths = (stream.kinds, stream.indices,
-                                       stream.lengths)
-        else:
-            kinds = None
-            rng = random.Random(self.seed * 1000 + worker)
-            chooser = streams.make_ycsb_chooser(
-                spec, self.nkeys, self.seed * 77 + worker,
-                self.zipf_theta, self.latest_theta)
-            is_latest = isinstance(chooser, LatestGenerator)
-            max_scan_len = spec.max_scan_len
+        kinds, indices, lengths = stream.kinds, stream.indices, stream.lengths
+        total = stream.total
+        built = len(kinds)
         db = self.db
         app_op_us = db.machine.costs.app_op_us
         keys = self._keys
@@ -190,26 +168,20 @@ class YcsbRunner:
         window_start = [0.0]
 
         def step(thread: "SimThread") -> bool:
+            nonlocal built
             i = pos[0]
-            if i >= total:
-                return False
+            if i >= built:
+                if i >= total:
+                    return False
+                built = stream.grow(i + 1)
             pos[0] = i + 1
             # Lazy decode: an index only for non-inserts (an insert's
             # comes from the shared counter), a length only for scans.
-            if kinds is not None:
-                kind = kinds[i]
-                if kind != OP_INSERT:
-                    index = indices[i]
-                    if kind == OP_SCAN:
-                        scan_len = lengths[i]
-            else:
-                kind = streams.draw_op_kind(rng, spec)
-                if kind != OP_INSERT:
-                    index = chooser.next()
-                    if kind == OP_SCAN:
-                        scan_len = 1 + rng.randrange(max_scan_len)
-                elif is_latest:
-                    chooser.advance()
+            kind = kinds[i]
+            if kind != OP_INSERT:
+                index = indices[i]
+                if kind == OP_SCAN:
+                    scan_len = lengths[i]
             measured = i >= warmup
             result = self.result if measured else discard
             counts = result.op_counts
@@ -268,37 +240,34 @@ class YcsbRunner:
     def prepare_streams(spec: YcsbSpec, nkeys: int, nops: int,
                         nthreads: int = 1, seed: int = 42,
                         warmup_ops: int = 0, zipf_theta: float = 0.99,
-                        latest_theta: float = 1.4) -> None:
-        """Warm the shared stream cache for one runner configuration.
+                        latest_theta: float = 1.4) -> tuple:
+        """``(warmup, streams)``: each worker's warm-up op count and op
+        stream, taken from the shared cache or built into it.
 
-        Called by experiment ``prepare`` hooks before cells run (and
-        before the parallel runner forks), with the same parameters the
-        cells will pass to :class:`YcsbRunner`; a no-op for streams too
-        long to pre-generate.
+        :meth:`spawn` derives its workers' streams here, and experiment
+        ``prepare`` hooks call it with the cells' parameters before the
+        cells run (and before the parallel runner forks).
         """
-        per_thread = nops // nthreads
-        warmup_per_thread = warmup_ops // nthreads
-        total = warmup_per_thread + per_thread
+        streams.check_sizes(nthreads=nthreads, nops=nops,
+                            warmup_ops=warmup_ops)
+        warmup = warmup_ops // nthreads
+        total = warmup + nops // nthreads
         streams.key_strings(nkeys)
-        if total > STREAM_PREGEN_MAX:
-            return
-        for worker in range(nthreads):
-            streams.ycsb_stream(spec, nkeys, total, seed, worker,
-                                zipf_theta, latest_theta)
+        return warmup, [streams.ycsb_stream(spec, nkeys, total, seed,
+                                            worker, zipf_theta,
+                                            latest_theta)
+                        for worker in range(nthreads)]
 
     def spawn(self) -> list:
         """Start client threads; returns them (engine must be run)."""
-        per_thread = self.nops // self.nthreads
-        warmup_per_thread = self.warmup_ops // self.nthreads
-        total = warmup_per_thread + per_thread
-        pregen = (self.pregen if self.pregen is not None
-                  else total <= STREAM_PREGEN_MAX)
+        warmup, worker_streams = self.prepare_streams(
+            self.spec, self.nkeys, self.nops, self.nthreads, self.seed,
+            self.warmup_ops, self.zipf_theta, self.latest_theta)
         return [
-            self.db.machine.spawn(
-                f"ycsb-{self.spec.name}-{worker}",
-                self._step(worker, total, warmup_per_thread, pregen),
-                cgroup=self.db.cgroup)
-            for worker in range(self.nthreads)]
+            self.db.machine.spawn(f"ycsb-{self.spec.name}-{worker}",
+                                  self._step(stream, warmup),
+                                  cgroup=self.db.cgroup)
+            for worker, stream in enumerate(worker_streams)]
 
     def run(self) -> YcsbResult:
         self.spawn()

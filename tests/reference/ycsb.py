@@ -1,11 +1,11 @@
 """``YcsbRunner`` with the op drawn and executed by plain methods.
 
-``YcsbRunner._step`` decodes (or draws) an op and runs the op body in
-one closure; this is the readable trio it replaced — ``_do_op``
+``YcsbRunner._step`` decodes an op from its stream and runs the op
+body in one closure; this is the readable trio it replaced — ``_do_op``
 executes one already-drawn op, ``_run_op`` draws one on line, and the
 step discards warm-up ops by swapping ``self.result`` for a throwaway.
-It always samples on line, so it is also what a replayed
-pre-generated stream must stay equal to.
+It samples on line, so it is also what a replayed stream must stay
+equal to.
 """
 
 import random

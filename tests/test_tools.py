@@ -125,6 +125,51 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sieve" in out
 
+    def test_missing_trace_file_exits_1(self, tmp_path, capsys):
+        from repro.tools.cachesim import main
+        assert main([str(tmp_path / "absent.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cachesim: ") and "absent.txt" in err
+
+    def test_malformed_line_exits_1(self, tmp_path, capsys):
+        from repro.tools.cachesim import main
+        trace_file = tmp_path / "trace.txt"
+        trace_file.write_text("abc\n")
+        assert main([str(trace_file)]) == 1
+        assert capsys.readouterr().err == "cachesim: trace line 1: 'abc'\n"
+
+    def test_negative_page_names_the_line(self, tmp_path, capsys):
+        from repro.tools.cachesim import main
+        with pytest.raises(ValueError, match="trace line 2: negative"):
+            parse_trace(["0 1", "0 -3"])
+        trace_file = tmp_path / "trace.txt"
+        trace_file.write_text("0 -3\n")
+        assert main([str(trace_file)]) == 1
+        assert "trace line 1: negative page index in '0 -3'" \
+            in capsys.readouterr().err
+
+    def test_nonpositive_cache_pages_is_a_usage_error(self, tmp_path,
+                                                      capsys):
+        from repro.tools.cachesim import main
+        trace_file = tmp_path / "trace.txt"
+        trace_file.write_text("1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(trace_file), "--cache-pages", "0"])
+        assert exit_info.value.code == 2
+        assert "--cache-pages must be positive" in capsys.readouterr().err
+
+    def test_unknown_policy_is_a_usage_error(self, tmp_path, capsys):
+        from repro.experiments.harness import POLICY_NAMES
+        from repro.tools.cachesim import main
+        trace_file = tmp_path / "trace.txt"
+        trace_file.write_text("1\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(trace_file), "--policies", "lfu,bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown policy 'bogus'; choose from: " \
+            + ", ".join(POLICY_NAMES) in err
+
 
 # ----------------------------------------------------------------------
 # biolatency

@@ -26,6 +26,8 @@ from repro.workloads.twitter import (CLUSTERS, ClusterKeyStream,
                                      ClusterProfile, TwitterRunner)
 from repro.workloads.ycsb import (YCSB_WORKLOADS, YcsbRunner, YcsbSpec,
                                   key_of, load_items)
+from tests.reference.getscan import ReferenceGetScanWorkload
+from tests.reference.twitter import ReferenceTwitterRunner
 from tests.reference.ycsb import ReferenceYcsbRunner
 from tests.strategies import STANDARD_SETTINGS, ycsb_cases
 from tests.strategies.ycsb import NKEYS
@@ -252,14 +254,16 @@ class TestTwitter:
 
 
 class TestYcsbStepMatchesReference:
-    """One step decodes or draws an op and runs it; the reference
-    draws with ``_run_op`` and executes with ``_do_op``."""
+    """One step decodes an op from the worker's stream and runs it;
+    the reference draws with ``_run_op`` and executes with
+    ``_do_op``."""
 
     @staticmethod
     def _observe(cls, case):
         machine, cg, db = small_db_env(nkeys=NKEYS, limit=48)
         runner = case.runner(cls, db)
-        result = runner.run()
+        with case.chunking():
+            result = runner.run()
         return (result.ops, result.op_counts, result.elapsed_us,
                 result.missing_keys, result.read_latency.samples_us,
                 runner._insert_counter[0], machine.now_us,
@@ -272,47 +276,53 @@ class TestYcsbStepMatchesReference:
             == self._observe(ReferenceYcsbRunner, case)
 
 
+def _ycsb_observation(cls, workload):
+    machine, cg, db = small_db_env()
+    runner = cls(db, YCSB_WORKLOADS[workload], nkeys=2000, nops=600,
+                 nthreads=3, warmup_ops=150, seed=13)
+    result = runner.run()
+    return (result.ops, result.op_counts, result.elapsed_us,
+            result.missing_keys, result.read_latency.p99,
+            runner._insert_counter[0], machine.now_us,
+            cg.stats.snapshot())
+
+
 class TestStreamPregen:
-    """The pre-generated replay path must be byte-identical to the
-    on-line sampling path it replaced — same op sequence, same virtual
-    timings, same cgroup counters."""
+    """Replaying a stream must be byte-identical to sampling each op
+    on line (``tests/reference/``) — same op sequence, same virtual
+    timings, same cgroup counters — wherever the stream's chunks
+    end."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # 250 ops per YCSB worker: three whole chunks and a partial one.
+        monkeypatch.setattr(streams, "STREAM_CHUNK", 64)
+        streams.clear_cache()
+        yield
+        streams.clear_cache()
 
     @pytest.mark.parametrize("workload", ["A", "D", "E", "uniform-rw"])
-    def test_ycsb_replay_matches_online(self, workload):
-        outs = []
-        for pregen in (False, True):
-            machine, cg, db = small_db_env()
-            runner = YcsbRunner(db, YCSB_WORKLOADS[workload],
-                                nkeys=2000, nops=600, nthreads=3,
-                                warmup_ops=150, seed=13, pregen=pregen)
-            result = runner.run()
-            outs.append((result.ops, result.op_counts,
-                         result.elapsed_us, result.missing_keys,
-                         result.read_latency.p99,
-                         runner._insert_counter[0],
-                         machine.now_us, cg.stats.snapshot()))
-        assert outs[0] == outs[1]
+    def test_ycsb_replay_matches_online(self, workload, small_chunks):
+        assert _ycsb_observation(YcsbRunner, workload) \
+            == _ycsb_observation(ReferenceYcsbRunner, workload)
 
-    def test_twitter_replay_matches_online(self):
+    def test_twitter_replay_matches_online(self, small_chunks):
         outs = []
-        for pregen in (False, True):
+        for cls in (ReferenceTwitterRunner, TwitterRunner):
             machine, cg, db = small_db_env()
-            result = TwitterRunner(db, CLUSTERS[34], nkeys=2000,
-                                   nops=600, warmup_ops=150, seed=3,
-                                   pregen=pregen).run()
+            result = cls(db, CLUSTERS[34], nkeys=2000, nops=600,
+                         warmup_ops=150, seed=3).run()
             outs.append((result.ops, result.elapsed_us,
                          result.missing_keys, result.read_latency.p99,
                          machine.now_us, cg.stats.snapshot()))
         assert outs[0] == outs[1]
 
-    def test_getscan_replay_matches_online(self):
+    def test_getscan_replay_matches_online(self, small_chunks):
         outs = []
-        for pregen in (False, True):
+        for cls in (ReferenceGetScanWorkload, GetScanWorkload):
             machine, cg, db = small_db_env(nkeys=2000, limit=256)
-            result = GetScanWorkload(db, nkeys=2000, n_gets=600,
-                                     get_threads=2, scan_threads=1,
-                                     scan_len=80, seed=9,
-                                     pregen=pregen).run()
+            result = cls(db, nkeys=2000, n_gets=600, get_threads=2,
+                         scan_threads=1, scan_len=80, seed=9).run()
             outs.append((result.gets, result.scans,
                          result.get_elapsed_us, result.scan_elapsed_us,
                          result.get_latency.p99,
@@ -320,6 +330,59 @@ class TestStreamPregen:
                          result.missing_keys,
                          machine.now_us, cg.stats.snapshot()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("workload", sorted(YCSB_WORKLOADS))
+    def test_grown_stream_is_the_whole_stream(self, workload,
+                                              monkeypatch):
+        # 7-op chunks end everywhere a draw could straddle them; 95
+        # ops end on a partial chunk.
+        spec = YCSB_WORKLOADS[workload]
+        args = (spec, 300, 95, 4, 1, 1.1, 1.4)
+        streams.clear_cache()
+        whole = streams.ycsb_stream(*args)
+        assert len(whole) == 95
+        streams.clear_cache()
+        monkeypatch.setattr(streams, "STREAM_CHUNK", 7)
+        grown = streams.ycsb_stream(*args)
+        assert len(grown) == 7
+        assert grown.grow(30) == 35
+        assert grown.grow(96) == 95
+        streams.clear_cache()
+        assert (grown.kinds, grown.indices, grown.lengths) \
+            == (whole.kinds, whole.indices, whole.lengths)
+
+    def test_second_runner_reads_past_the_first(self, small_chunks):
+        # Two runners share one cached stream per worker.  The first
+        # stops at an engine deadline partway through; the second
+        # must read the chunks the first grew, then grow the rest.
+        machine, cg, db = small_db_env()
+        YcsbRunner(db, YCSB_WORKLOADS["D"], nkeys=2000, nops=600,
+                   nthreads=3, warmup_ops=150, seed=13).spawn()
+        machine.run(until_us=2_000.0)
+        partial = streams.ycsb_stream(YCSB_WORKLOADS["D"], 2000, 250, 13,
+                                      0, 0.99, 1.4)
+        assert 64 < len(partial) < 250
+        assert _ycsb_observation(YcsbRunner, "D") \
+            == _ycsb_observation(ReferenceYcsbRunner, "D")
+        assert len(partial) == 250
+
+    def test_cache_bytes_follow_growth(self, monkeypatch):
+        monkeypatch.setattr(streams, "STREAM_CHUNK", 10)
+        streams.clear_cache()
+        try:
+            streams.key_strings(300)
+            grown = streams.ycsb_stream(YCSB_WORKLOADS["E"], 300, 95, 3,
+                                        0, 0.99, 1.4)
+            streams.ycsb_stream(YCSB_WORKLOADS["C"], 300, 40, 3, 0,
+                                0.99, 1.4)
+            assert grown.grow(95) == 95
+            info = streams.cache_info()
+            assert info["entries"] == 3
+            assert info["bytes"] == sum(map(streams._value_bytes,
+                                            streams._CACHE.values()))
+            assert info["bytes"] > 300 * len(key_of(0)) + 95 * 17
+        finally:
+            streams.clear_cache()
 
     @STANDARD_SETTINGS
     @given(workload=st.sampled_from(
@@ -385,6 +448,29 @@ class TestStreamPregen:
             assert streams.cache_info()["entries"] == entries
         finally:
             streams.clear_cache()
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: YcsbRunner(None, YCSB_WORKLOADS["C"], 100, 10, nthreads=0),
+     "nthreads"),
+    (lambda: YcsbRunner(None, YCSB_WORKLOADS["C"], 100, -1), "nops"),
+    (lambda: YcsbRunner(None, YCSB_WORKLOADS["C"], 100, 10,
+                        warmup_ops=-1), "warmup_ops"),
+    (lambda: TwitterRunner(None, CLUSTERS[52], 100, 10, nthreads=0),
+     "nthreads"),
+    (lambda: TwitterRunner(None, CLUSTERS[52], 100, -1), "nops"),
+    (lambda: TwitterRunner(None, CLUSTERS[52], 100, 10, warmup_ops=-1),
+     "warmup_ops"),
+    (lambda: GetScanWorkload(None, 100, 10, get_threads=0), "get_threads"),
+    (lambda: GetScanWorkload(None, 100, 10, scan_threads=0),
+     "scan_threads"),
+    (lambda: GetScanWorkload(None, 100, -1), "n_gets"),
+])
+def test_runner_sizes_are_checked(make, field):
+    # No thread would divide by zero or report 0 ops/s; no negative
+    # count would silently run nothing.
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        make()
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
