@@ -32,7 +32,7 @@ from repro.kernel.cgroup import MemCgroup
 from repro.kernel.folio import Folio
 from repro.kernel.page_cache import ExtPolicyBase
 from repro.sim import engine as _engine
-from repro.sim.engine import current_thread
+from repro.sim.engine import current_thread, trace_stamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.machine import Machine
@@ -91,7 +91,6 @@ def _per_folio_hook(slot: str, which: int):
                 if span is not None:
                     span.add("kfunc", us)
             self._memcg_stats.hook_cpu_us += us
-            self._cache_stats.hook_cpu_us += us
             if fn is not None:
                 # Inlined _run_prog (same dispatch, invocation bump and
                 # watchdog handling, one frame cheaper).
@@ -126,7 +125,6 @@ class CacheExtPolicy(ExtPolicyBase):
         # Hot-path bindings: these objects are stable for the life of
         # the attachment, and _charge runs on every hook and kfunc.
         self._memcg_stats = memcg.stats
-        self._cache_stats = machine.page_cache.stats
         self._costs = machine.costs
         # The per-folio hooks' programs are fixed for the life of the
         # attachment (struct_ops registers them once), so each slot's
@@ -171,7 +169,6 @@ class CacheExtPolicy(ExtPolicyBase):
         if thread is not None:
             thread.advance(us)
         self._memcg_stats.hook_cpu_us += us
-        self._cache_stats.hook_cpu_us += us
 
     def charge(self, us: float) -> None:
         """Charge ``us`` of hook or kfunc CPU (``costs.bpf_hook_us`` /
@@ -185,12 +182,6 @@ class CacheExtPolicy(ExtPolicyBase):
     # ------------------------------------------------------------------
     # tracing
     # ------------------------------------------------------------------
-    def _trace_point(self) -> tuple:
-        thread = current_thread()
-        if thread is not None:
-            return thread.clock_us, thread.tid
-        return self.machine.engine.now_us, 0
-
     def _hook_entry(self, slot: str):
         """Emit ``cache_ext:hook_entry``; returns the hook-CPU baseline
         consumed by the matching :meth:`_hook_exit` (``None`` when both
@@ -207,7 +198,7 @@ class CacheExtPolicy(ExtPolicyBase):
         if guard is None and not trace_on:
             return None
         if trace_on:
-            ts, tid = self._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             tp = self._tp_hook_entry
             if tp.enabled:
                 tp.emit(ts, self.memcg.name, tid, slot=slot,
@@ -228,7 +219,7 @@ class CacheExtPolicy(ExtPolicyBase):
         used = self._memcg_stats.hook_cpu_us - cpu_base
         tp = self._tp_hook_exit
         if tp.enabled:
-            ts, tid = self._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             tp.emit(ts, self.memcg.name, tid, slot=slot, policy=self.name,
                     cpu_us=used)
         guard = self._guard
@@ -236,19 +227,17 @@ class CacheExtPolicy(ExtPolicyBase):
                 and used > guard.budget_us and self.attached:
             self.budget_overruns += 1
             self.memcg.stats.budget_overruns += 1
-            self.machine.page_cache.stats.budget_overruns += 1
             self._watchdog_detach(reason="budget")
 
     def note_kfunc_error(self, code: int, kfunc: str) -> None:
         """Record one kfunc error return: bumps the per-policy counter
-        (kept for backwards compatibility), the cgroup and machine
-        ``kfunc_errors`` stats, and emits ``cache_ext:kfunc_error``."""
+        (kept for backwards compatibility), the cgroup's
+        ``kfunc_errors`` stat, and emits ``cache_ext:kfunc_error``."""
         self.kfunc_errors += 1
         self.memcg.stats.kfunc_errors += 1
-        self.machine.page_cache.stats.kfunc_errors += 1
         tp = self._tp_kfunc_error
         if tp.enabled:
-            ts, tid = self._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             tp.emit(ts, self.memcg.name, tid, kfunc=kfunc, code=code,
                     policy=self.name)
 
@@ -276,7 +265,6 @@ class CacheExtPolicy(ExtPolicyBase):
 
     def _program_faulted(self, exc: Exception) -> None:
         self.memcg.stats.ext_policy_faults += 1
-        self.machine.page_cache.stats.ext_policy_faults += 1
         self._watchdog_detach(reason=type(exc).__name__)
 
     def _watchdog_detach(self, reason: str = "fault") -> None:
@@ -285,10 +273,9 @@ class CacheExtPolicy(ExtPolicyBase):
             self.memcg.ext_policy = None
         self.attached = False
         self.memcg.stats.watchdog_detaches += 1
-        self.machine.page_cache.stats.watchdog_detaches += 1
         tp = self._tp_watchdog
         if tp.enabled:
-            ts, tid = self._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             tp.emit(ts, self.memcg.name, tid, policy=self.name,
                     reason=reason)
         handle = getattr(self, "_struct_ops_handle", None)

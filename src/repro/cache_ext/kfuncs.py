@@ -130,7 +130,6 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
         if span is not None:
             span.add("kfunc", us)
     policy._memcg_stats.hook_cpu_us += us
-    policy._cache_stats.hook_cpu_us += us
     # Create (or reuse) the folio's single node; a folio unknown to
     # the policy's registry is the input-validation failure.
     registry = policy.registry
@@ -175,7 +174,6 @@ def list_del(folio) -> int:
         if span is not None:
             span.add("kfunc", us)
     policy._memcg_stats.hook_cpu_us += us
-    policy._cache_stats.hook_cpu_us += us
     node = policy.registry.get_node(folio)
     if node is None or node.owner is None:
         return _fail(policy, ENOENT, "list_del")
@@ -258,7 +256,6 @@ def _iter_charge(policy, thread, prog, n: int, us: float) -> None:
         if span is not None:
             span.add("kfunc", total)
     policy._memcg_stats.hook_cpu_us += total
-    policy._cache_stats.hook_cpu_us += total
     if prog is not None:
         prog.invocations += n
 

@@ -31,7 +31,7 @@ from random import Random
 from typing import TYPE_CHECKING, Optional
 
 from repro.kernel.errors import EIO, ETIMEDOUT
-from repro.sim.engine import SimThread, current_thread
+from repro.sim.engine import SimThread, current_thread, trace_stamp
 from repro.sim.resources import IoCompletion
 
 from repro.faults.plan import FaultPlan, QuarantineConfig
@@ -89,17 +89,11 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _trace_point(self) -> tuple:
-        thread = current_thread()
-        if thread is not None:
-            return thread.clock_us, thread.tid
-        return self.machine.engine.now_us, 0
-
     def _emit_fault(self, domain: str, kind: str, cgroup: str,
                     **fields) -> None:
         tp = self._tp_fault
         if tp.enabled:
-            ts, tid = self._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             tp.emit(ts, cgroup, tid, domain=domain, kind=kind, **fields)
 
     # ------------------------------------------------------------------
@@ -279,7 +273,6 @@ class FaultInjector:
                 # The host absorbs the OOM: counted, not crashed.
                 self.fired["memory_oom"] += 1
                 memcg.stats.reclaim_failures += 1
-                machine.page_cache.stats.reclaim_failures += 1
 
 
 class PolicyGuard:
@@ -338,17 +331,9 @@ class QuarantineManager:
         self._held: dict = {}
         #: cgroup name -> lifetime watchdog-detach count.
         self.detach_counts: dict = {}
-        #: cgroup name -> successful re-attach count.
-        self.reattach_counts: dict = {}
         trace = machine.trace
         self._tp_quarantine = trace.tracepoint("cache_ext:quarantine")
         self._tp_reattach = trace.tracepoint("cache_ext:reattach")
-
-    def _now_tid(self) -> tuple:
-        thread = current_thread()
-        if thread is not None:
-            return thread.clock_us, thread.tid
-        return self.machine.engine.now_us, 0
 
     def admit(self, policy, reason: str) -> None:
         """Take custody of a just-detached policy's ops."""
@@ -357,7 +342,7 @@ class QuarantineManager:
         n = self.detach_counts.get(name, 0) + 1
         self.detach_counts[name] = n
         cfg = self.config
-        now, tid = self._now_tid()
+        now, tid = trace_stamp(self.machine.engine)
         if cfg.max_reattaches is not None \
                 and n > cfg.max_reattaches:
             # Out of second chances: the detach is permanent.
@@ -371,7 +356,6 @@ class QuarantineManager:
         eligible = now + backoff
         self._held[name] = (policy.ops, reason, eligible)
         memcg.stats.quarantines += 1
-        self.machine.page_cache.stats.quarantines += 1
         tp = self._tp_quarantine
         if tp.enabled:
             tp.emit(now, name, tid, policy=policy.name, reason=reason,
@@ -387,7 +371,7 @@ class QuarantineManager:
         if held is None:
             return None
         ops, reason, eligible = held
-        now, tid = self._now_tid()
+        now, tid = trace_stamp(self.machine.engine)
         if now < eligible:
             return None
         del self._held[memcg.name]
@@ -405,13 +389,10 @@ class QuarantineManager:
             shell.name = ops.name
             self.admit(shell, "reattach_failed")
             return None
-        n = self.reattach_counts.get(memcg.name, 0) + 1
-        self.reattach_counts[memcg.name] = n
         memcg.stats.reattaches += 1
-        self.machine.page_cache.stats.reattaches += 1
         tp = self._tp_reattach
         if tp.enabled:
-            now, tid = self._now_tid()
+            now, tid = trace_stamp(self.machine.engine)
             tp.emit(now, memcg.name, tid, policy=ops.name,
-                    after=reason, attempt=n)
+                    after=reason, attempt=memcg.stats.reattaches)
         return policy

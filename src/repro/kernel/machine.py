@@ -16,6 +16,7 @@ from repro.kernel.block import BlockDevice
 from repro.kernel.cgroup import MemCgroup
 from repro.kernel.errors import InvariantViolation
 from repro.kernel.page_cache import PageCache
+from repro.kernel.stats import CacheStats
 from repro.kernel.vfs import Filesystem
 from repro.obs.metrics import MachineMetrics, snapshot_machine
 from repro.obs.spans import SpanRecorder
@@ -231,6 +232,16 @@ class Machine(SnapshotFriendly):
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
+    def cache_stats(self) -> CacheStats:
+        """The machine-wide page-cache counters: every cgroup's summed
+        now, in creation order (root first).  Each event is counted
+        once, on the cgroup it charged, and totals are taken when read
+        (the memcg rstat model)."""
+        total = CacheStats()
+        for memcg in self._cgroups.values():
+            total.add(memcg.stats)
+        return total
+
     def metrics(self) -> MachineMetrics:
         """One typed snapshot of the whole machine (stats + I/O +
         per-cgroup policy health); see :mod:`repro.obs.metrics`."""
@@ -245,7 +256,7 @@ class Machine(SnapshotFriendly):
 
         * a cgroup's charge equals its resident folio count and does
           not exceed its limit;
-        * ``lookups == hits + misses``, per cgroup and machine-wide;
+        * ``lookups == hits + misses``, per cgroup and on their sum;
         * an attached cache_ext policy's registry holds exactly the
           cgroup's resident folios, and no folio sits on two of its
           eviction lists.
@@ -267,7 +278,7 @@ class Machine(SnapshotFriendly):
                 f"{who}: lookups {stats.lookups} != hits {stats.hits} "
                 f"+ misses {stats.misses}")
 
-        lookups_add_up("machine", self.page_cache.stats)
+        lookups_add_up("machine", self.cache_stats())
         for cg in self._cgroups.values():
             who = f"cgroup {cg.name}"
             folios = resident.get(cg, ())

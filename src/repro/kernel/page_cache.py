@@ -30,9 +30,8 @@ from repro.kernel.errors import EBUSY, EIO, ENOMEM, ETIMEDOUT
 from repro.kernel.folio import Folio
 from repro.kernel.mglru import MgLruPolicy
 from repro.kernel.shadow import make_shadow, refault_should_activate
-from repro.kernel.stats import CacheStats
 from repro.sim import engine as _engine
-from repro.sim.engine import current_thread
+from repro.sim.engine import current_thread, trace_stamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.machine import Machine
@@ -98,7 +97,6 @@ class PageCache(SnapshotFriendly):
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
-        self.stats = CacheStats()
         # Cached tracepoints (repro.obs): the hot-path pattern is one
         # attribute load + branch per event site when tracing is off.
         trace = machine.trace
@@ -128,13 +126,6 @@ class PageCache(SnapshotFriendly):
         if thread is not None and thread.cgroup is not None:
             return thread.cgroup
         return self.machine.root_cgroup
-
-    def _trace_point(self) -> tuple:
-        """(virtual ts, tid) for a trace event at the current site."""
-        thread = current_thread()
-        if thread is not None:
-            return thread.clock_us, thread.tid
-        return self.machine.engine.now_us, 0
 
     @staticmethod
     def make_kernel_policy(kind: str, memcg: MemCgroup) -> KernelPolicy:
@@ -171,14 +162,11 @@ class PageCache(SnapshotFriendly):
             accessor = thread.cgroup
         else:
             accessor = self.machine.root_cgroup
-        # Stats objects are bound once per call: the access path runs
+        # The stats object is bound once per call: the access path runs
         # once per operation and the attribute chains add up.
         astats = accessor.stats
         astats.hits += 1
         astats.lookups += 1
-        stats = self.stats
-        stats.hits += 1
-        stats.lookups += 1
         tp = self._tp_lookup
         if tp.enabled:
             if thread is not None:
@@ -233,10 +221,9 @@ class PageCache(SnapshotFriendly):
         ext = memcg.ext_policy
         if ext is not None and not ext.admit(mapping, index):
             memcg.stats.admission_rejects += 1
-            self.stats.admission_rejects += 1
             tp = self._tp_admission_reject
             if tp.enabled:
-                ts, tid = self._trace_point()
+                ts, tid = trace_stamp(self.machine.engine)
                 tp.emit(ts, memcg.name, tid, file=mapping.file_id,
                         index=index)
             return None
@@ -246,15 +233,13 @@ class PageCache(SnapshotFriendly):
         folio.inserted_at = self.machine.engine.now_us
 
         mstats = memcg.stats
-        stats = self.stats
         refault_activate = False
         shadow = mapping.take_shadow(index)
         if shadow is not None and shadow.memcg_id == memcg.id:
             mstats.refaults += 1
-            stats.refaults += 1
             tp = self._tp_refault
             if tp.enabled:
-                ts, tid = self._trace_point()
+                ts, tid = trace_stamp(self.machine.engine)
                 tp.emit(ts, memcg.name, tid, file=mapping.file_id,
                         index=index)
             kernel_policy = memcg.kernel_policy
@@ -263,10 +248,9 @@ class PageCache(SnapshotFriendly):
             refault_activate = refault_should_activate(shadow, memcg)
             if refault_activate:
                 mstats.activations += 1
-                stats.activations += 1
                 tp = self._tp_activation
                 if tp.enabled:
-                    ts, tid = self._trace_point()
+                    ts, tid = trace_stamp(self.machine.engine)
                     tp.emit(ts, memcg.name, tid, file=mapping.file_id,
                             index=index)
 
@@ -285,10 +269,9 @@ class PageCache(SnapshotFriendly):
         if ext is not None:
             ext.folio_added(folio)
         mstats.insertions += 1
-        stats.insertions += 1
         tp = self._tp_insert
         if tp.enabled:
-            ts, tid = self._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             tp.emit(ts, memcg.name, tid, file=mapping.file_id, index=index,
                     charged=memcg.charged_pages)
         if thread is not None:
@@ -381,9 +364,7 @@ class PageCache(SnapshotFriendly):
         if ext is not None:
             proposals = ext.propose_candidates(nr)
             mstats = memcg.stats
-            stats = self.stats
             mstats.ext_candidates += len(proposals)
-            stats.ext_candidates += len(proposals)
             # The kernel-side safety checks of §4.4, with the thread,
             # registry switch and per-check CPU cost bound once per
             # batch instead of once per proposed folio.  A candidate
@@ -408,7 +389,6 @@ class PageCache(SnapshotFriendly):
                         and folio.memcg is memcg
                         and folio.pin_count == 0):
                     mstats.ext_invalid_candidates += 1
-                    stats.ext_invalid_candidates += 1
                     continue
                 if folio.id in seen:
                     continue
@@ -436,14 +416,13 @@ class PageCache(SnapshotFriendly):
         Writeback, shadow entry, unmap, both policies' notification,
         uncharge and the CPU charge happen folio by folio, in that
         order, so disk queueing and virtual time are those of a
-        per-folio loop; stats objects, tracepoints, the disk, the
+        per-folio loop; the cgroup's stats, tracepoints, the disk, the
         kernel policy and the CPU-cost constants are bound once per
         batch.  :meth:`evict_folio` is a batch of one.
         """
         disk_write = self.machine.disk.write
         thread = current_thread()
         mstats = memcg.stats
-        stats = self.stats
         kernel_policy = memcg.kernel_policy
         eviction_tier = kernel_policy.eviction_tier
         kp_removed = kernel_policy.folio_removed
@@ -466,13 +445,11 @@ class PageCache(SnapshotFriendly):
                     # resident, reclaim moves on to the next candidate
                     # (the kernel's PG_error + redirty path).
                     mstats.writeback_errors += 1
-                    stats.writeback_errors += 1
                     continue
                 folio.dirty = False
                 mstats.writebacks += 1
-                stats.writebacks += 1
                 if tp_writeback.enabled:
-                    ts, tid = self._trace_point()
+                    ts, tid = trace_stamp(self.machine.engine)
                     tp_writeback.emit(ts, memcg.name, tid,
                                       file=mapping.file_id,
                                       index=folio.index)
@@ -504,9 +481,8 @@ class PageCache(SnapshotFriendly):
             memcg.charged_pages -= 1
             memcg.eviction_clock += 1
             mstats.evictions += 1
-            stats.evictions += 1
             if tp_evict.enabled:
-                ts, tid = self._trace_point()
+                ts, tid = trace_stamp(self.machine.engine)
                 tp_evict.emit(ts, memcg.name, tid, file=file_id,
                               index=index, active=1 if active else 0,
                               charged=memcg.charged_pages)
@@ -517,9 +493,8 @@ class PageCache(SnapshotFriendly):
             evicted += 1
             if ext is not None and pos >= fallback_from:
                 mstats.fallback_evictions += 1
-                stats.fallback_evictions += 1
                 if tp_fallback.enabled:
-                    ts, tid = self._trace_point()
+                    ts, tid = trace_stamp(self.machine.engine)
                     tp_fallback.emit(ts, memcg.name, tid, policy=ext.name,
                                      file=file_id, index=index)
         return evicted

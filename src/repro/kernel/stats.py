@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 @dataclass
 class CacheStats(SnapshotFriendly):
-    """Counters kept per cgroup and aggregated machine-wide."""
+    """Counters kept per cgroup; machine-wide totals are the cgroups'
+    counters summed on read (:meth:`add`, ``Machine.cache_stats``)."""
 
     lookups: int = 0
     hits: int = 0

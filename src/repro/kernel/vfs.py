@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.errors import EBADF, EINVAL, EIO, ETIMEDOUT
-from repro.sim.engine import current_thread
+from repro.sim.engine import current_thread, trace_stamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.machine import Machine
@@ -100,21 +100,18 @@ class Filesystem(SnapshotFriendly):
         self._tp_span = trace.tracepoint("span:close")
         self._spans = machine.spans
 
-    def _account_misses(self, cache, memcg, f: SimFile, indices) -> None:
+    def _account_misses(self, memcg, f: SimFile, indices) -> None:
         """Miss accounting — the single source of truth shared by
         :meth:`read_page`, :meth:`write_page` and the batched range
-        path: bump the accessing cgroup's and the global lookup/miss
-        counters once for the whole batch, then trace each miss."""
+        path: bump the accessing cgroup's lookup/miss counters once for
+        the whole batch, then trace each miss."""
         n = len(indices)
         mstats = memcg.stats
         mstats.misses += n
         mstats.lookups += n
-        stats = cache.stats
-        stats.misses += n
-        stats.lookups += n
         tp = self._tp_lookup
         if tp.enabled:
-            ts, tid = cache._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             name = memcg.name
             fid = f.file_id
             for index in indices:
@@ -130,21 +127,18 @@ class Filesystem(SnapshotFriendly):
         retried up to :data:`IO_MAX_RETRIES` times with exponential
         backoff (the backoff is virtual-time waiting, attributed as
         ``device_wait`` unless an enclosing span section absorbs it);
-        every error and retry is counted against the accessing cgroup
-        and machine-wide.  On exhaustion the last error propagates,
-        typed, to the caller.
+        every error and retry is counted against the accessing cgroup.
+        On exhaustion the last error propagates, typed, to the caller.
         """
         disk = self.machine.disk
         disk_fn = disk.read if op == "read" else disk.write
         memcg = thread.cgroup if thread.cgroup is not None \
             else self.machine.root_cgroup
         mstats = memcg.stats
-        stats = self.machine.page_cache.stats
         delay = IO_BACKOFF_BASE_US
         for attempt in range(IO_MAX_RETRIES + 1):
             if attempt:
                 mstats.io_retries += 1
-                stats.io_retries += 1
                 span = thread.span
                 if span is not None and span.section is None:
                     span.add("device_wait", delay)
@@ -156,10 +150,8 @@ class Filesystem(SnapshotFriendly):
                     error = retry_error
             if isinstance(error, EIO):
                 mstats.io_errors += 1
-                stats.io_errors += 1
             else:
                 mstats.io_timeouts += 1
-                stats.io_timeouts += 1
         raise error
 
     # ------------------------------------------------------------------
@@ -238,7 +230,7 @@ class Filesystem(SnapshotFriendly):
             # Miss: bring the page (plus any readahead) in from the
             # device.
             memcg = cache._current_cgroup()
-            self._account_misses(cache, memcg, f, (index,))
+            self._account_misses(memcg, f, (index,))
 
             # Readahead probe: with no ext policy attached the
             # heuristic's cheap rejection (random access, readahead
@@ -374,16 +366,12 @@ class Filesystem(SnapshotFriendly):
 
         nmiss = len(missing)
         mstats = memcg.stats
-        stats = cache.stats
         mstats.lookups += npages
-        stats.lookups += npages
         mstats.hits += nhits
-        stats.hits += nhits
         mstats.misses += nmiss
-        stats.misses += nmiss
         tp = cache._tp_lookup
         if tp.enabled:
-            ts, tid = cache._trace_point()
+            ts, tid = trace_stamp(self.machine.engine)
             name = memcg.name
             fid = f.file_id
             for offset, folio in enumerate(page_states):
@@ -498,7 +486,7 @@ class Filesystem(SnapshotFriendly):
                 return
 
             memcg = cache._current_cgroup()
-            self._account_misses(cache, memcg, f, (index,))
+            self._account_misses(memcg, f, (index,))
             folio = cache.add_folio(f.mapping, index, memcg)
             if folio is None:
                 # Admission filter rejected the write: go straight to
@@ -564,7 +552,6 @@ class Filesystem(SnapshotFriendly):
                 accessor = thread.cgroup if thread.cgroup is not None \
                     else self.machine.root_cgroup
                 accessor.stats.writeback_errors += n
-                cache.stats.writeback_errors += n
                 raise
             by_memcg: dict = {}
             for folio in dirty:
@@ -572,10 +559,9 @@ class Filesystem(SnapshotFriendly):
                 by_memcg[folio.memcg] = by_memcg.get(folio.memcg, 0) + 1
             for memcg, count in by_memcg.items():
                 memcg.stats.writebacks += count
-            cache.stats.writebacks += n
             tp = self._tp_writeback
             if tp.enabled:
-                ts, tid = cache._trace_point()
+                ts, tid = trace_stamp(self.machine.engine)
                 fid = f.file_id
                 for folio in dirty:
                     tp.emit(ts, folio.memcg.name, tid, file=fid,

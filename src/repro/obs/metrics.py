@@ -9,6 +9,10 @@ as a hit-rate proxy (§6.1.1).  :func:`snapshot_machine` /
 snapshot: cache counters, per-cgroup block I/O, and the attached
 policy's health (kfunc errors, watchdog detaches) that previously
 failed silent.
+
+Cache counters live on the cgroups only.  The machine snapshot's
+``stats`` and ``hit_ratio`` are their sum, taken when the snapshot is
+(:meth:`~repro.kernel.machine.Machine.cache_stats`).
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ class CgroupMetrics:
 
 @dataclass(frozen=True)
 class MachineMetrics:
-    """Machine-wide snapshot plus one :class:`CgroupMetrics` each."""
+    """Machine-wide snapshot plus one :class:`CgroupMetrics` each;
+    ``stats`` is the sum of the cgroups' ``stats``."""
 
     now_us: float
     hit_ratio: float
@@ -122,10 +127,11 @@ def snapshot_cgroup(machine: "Machine",
 def snapshot_machine(machine: "Machine") -> MachineMetrics:
     """Build the machine-wide snapshot (``Machine.metrics()``)."""
     disk = machine.disk.stats
+    stats = machine.cache_stats()
     return MachineMetrics(
         now_us=machine.engine.now_us,
-        hit_ratio=machine.page_cache.stats.hit_ratio,
-        stats=machine.page_cache.stats.snapshot(),
+        hit_ratio=stats.hit_ratio,
+        stats=stats.snapshot(),
         disk={"reads": disk.reads, "writes": disk.writes,
               "read_pages": disk.read_pages,
               "write_pages": disk.write_pages,

@@ -38,7 +38,9 @@ Determinism contract (asserted in ``tests/test_timeseries.py`` and by
    exactly (float columns like ``hook_cpu_us`` agree to accumulation
    error).  No double counting: each counter update lands in exactly
    one frame — the one open when the step that performed it was
-   scheduled.
+   scheduled — and on exactly one cgroup; the machine row's counter
+   columns are the sum of the frame's cgroup rows, as the machine's
+   counters are the sum of its cgroups'.
 3. **Reproducibility** — frames are byte-identical serial vs
    ``--jobs`` and cold vs snapshot-restored (the sampler attaches via
    the cell observer in both paths, against identical zero baselines).
@@ -70,9 +72,10 @@ SAMPLER_TID = -1
 FRAME_FORMAT = "repro.obs.timeseries"
 FRAME_VERSION = 1
 
-#: Per-scope counter deltas: the full CacheStats field set (machine
-#: row: page-cache-wide; cgroup rows: that cgroup's counters).  Field
-#: order is the dataclass definition order — stable and explicit.
+#: Per-scope counter deltas: the full CacheStats field set (cgroup
+#: rows: that cgroup's counters; machine row: the sum of the frame's
+#: cgroup rows).  Field order is the dataclass definition order —
+#: stable and explicit.
 STAT_COLUMNS = tuple(CacheStats.__dataclass_fields__)
 
 #: Per-scope block-I/O page deltas (machine row: device totals; cgroup
@@ -170,10 +173,8 @@ class _MachineStream:
         # Telescoping baselines.  At attach every counter is zero in
         # both the cold and the snapshot-restored build path (the bulk
         # load never enters the engine), which is what makes frame
-        # sums equal the end-of-run metrics exactly; snapshotting the
-        # actual state instead of assuming zeros keeps the diffs
-        # correct even for hypothetical nonzero starts.
-        self._prev_mstats = machine.page_cache.stats.snapshot()
+        # sums equal the end-of-run metrics exactly; a cgroup's first
+        # row diffs against zero, the disk's against its state here.
         d = machine.disk.stats
         self._prev_disk = {"reads": d.reads, "writes": d.writes,
                            "read_pages": d.read_pages,
@@ -223,7 +224,8 @@ class _MachineStream:
         per_cgroup_io = machine.disk.per_cgroup
 
         # Cgroup rows are assembled first so the machine row can carry
-        # the resident-pages sum and minimum health; appended after it.
+        # their counter and resident-pages sums and the minimum health;
+        # appended after it.
         cgroup_rows = []
         resident = 0
         min_health = 1.0
@@ -261,8 +263,6 @@ class _MachineStream:
             self._prev_cgroup[name] = stats
             self._prev_io[name] = (io_r, io_w)
 
-        mstats = machine.page_cache.stats.snapshot()
-        prev_m = self._prev_mstats
         disk = machine.disk.stats
         prev_d = self._prev_disk
         faults = machine.faults
@@ -295,15 +295,15 @@ class _MachineStream:
             "device_service_p99_us":
                 _hist_quantile(self._service_hist, 0.99),
         }
+        # Machine.cache_stats over the frame: its rows summed, root first.
         for f in STAT_COLUMNS:
-            machine_row[f] = mstats[f] - prev_m[f]
+            machine_row[f] = sum(row[f] for row in cgroup_rows)
 
         self.buffer.append_row(machine_row)
         for row in cgroup_rows:
             self.buffer.append_row(row)
         self.buffer.n_frames += 1
 
-        self._prev_mstats = mstats
         self._prev_disk = {"reads": disk.reads, "writes": disk.writes,
                            "read_pages": disk.read_pages,
                            "write_pages": disk.write_pages,

@@ -60,6 +60,16 @@ def current_thread() -> Optional["SimThread"]:
     return _current
 
 
+def trace_stamp(engine: "Engine") -> tuple:
+    """``(virtual ts, tid)`` for a trace event emitted now: the running
+    thread's clock and tid, or ``engine``'s clock and tid 0 outside
+    any thread."""
+    thread = _current
+    if thread is not None:
+        return thread.clock_us, thread.tid
+    return engine.now_us, 0
+
+
 class SimThread:
     """A simulated kernel task.
 

@@ -99,7 +99,9 @@ def replay_trace(trace: list[tuple], policy: str,
     cgroup = machine.new_cgroup("trace", limit_pages=cache_pages)
     attach_policy(machine, cgroup, policy, cache_pages)
 
-    # Materialize the trace's file universe.
+    # Size the trace's files.  No page contents are stored: nothing
+    # reads them, and a store entry per index would cost memory and
+    # time in the largest index rather than in the trace's length.
     files = {}
     for file_id, page, _w in trace:
         f = files.get(file_id)
@@ -107,10 +109,7 @@ def replay_trace(trace: list[tuple], policy: str,
             f = machine.fs.create(f"trace/file-{file_id}")
             f.ra_enabled = readahead
             files[file_id] = f
-        if page >= f.npages:
-            for idx in range(f.npages, page + 1):
-                f.store[idx] = idx
-            f.npages = page + 1
+        f.npages = max(f.npages, page + 1)
 
     def step(thread, it=iter(trace)):
         access = next(it, None)

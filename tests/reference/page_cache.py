@@ -9,7 +9,7 @@ object, tracepoint and cost at the point of use.
 
 from repro.kernel.errors import EBUSY, EIO, ETIMEDOUT
 from repro.kernel.shadow import make_shadow
-from repro.sim.engine import current_thread
+from repro.sim.engine import current_thread, trace_stamp
 
 
 def reference_evict_folio(cache, folio, memcg) -> bool:
@@ -30,14 +30,12 @@ def reference_evict_folio(cache, folio, memcg) -> bool:
             except (EIO, ETIMEDOUT):
                 # Writeback failed: leave the folio dirty+resident.
                 memcg.stats.writeback_errors += 1
-                cache.stats.writeback_errors += 1
                 return False
             folio.dirty = False
             memcg.stats.writebacks += 1
-            cache.stats.writebacks += 1
             tp = cache._tp_writeback
             if tp.enabled:
-                ts, tid = cache._trace_point()
+                ts, tid = trace_stamp(cache.machine.engine)
                 tp.emit(ts, memcg.name, tid,
                         file=folio.mapping.file_id,
                         index=folio.index)
@@ -56,10 +54,9 @@ def reference_evict_folio(cache, folio, memcg) -> bool:
         memcg.uncharge()
         memcg.eviction_clock += 1
         memcg.stats.evictions += 1
-        cache.stats.evictions += 1
         tp = cache._tp_evict
         if tp.enabled:
-            ts, tid = cache._trace_point()
+            ts, tid = trace_stamp(cache.machine.engine)
             tp.emit(ts, memcg.name, tid, file=file_id, index=index,
                     active=1 if active else 0,
                     charged=memcg.charged_pages)

@@ -145,7 +145,7 @@ def observe(case: EvictionCase, evict) -> dict:
     return dict(
         outcome, before=before,
         clock=(thread.clock_us, thread.cpu_us, machine.now_us),
-        stats=cg.stats.snapshot(), machine_stats=cache.stats.snapshot(),
+        stats=cg.stats.snapshot(), machine_stats=machine.metrics().stats,
         disk=machine.disk.stats,
         charged=cg.charged_pages, eviction_clock=cg.eviction_clock,
         resident=folio.mapping is not None, dirty=folio.dirty,

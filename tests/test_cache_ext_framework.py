@@ -251,7 +251,7 @@ class TestDispatchResolution:
         read_n(machine, f, cg, [0, 1, 0, 1, 2])  # 3 adds + 2 hits
         want = pytest.approx(5 * machine.costs.bpf_hook_us)
         assert cg.stats.hook_cpu_us == want
-        assert machine.page_cache.stats.hook_cpu_us == want
+        assert machine.metrics().stats["hook_cpu_us"] == want
 
     def test_budget_armed_after_attach_applies_to_next_dispatch(self):
         machine, cg, f = make_env()
@@ -364,7 +364,7 @@ class TestGatedEqualsTraced:
         return {
             "clock_us": thread.clock_us, "cpu_us": thread.cpu_us,
             "hook_cpu_us": (cg.stats.hook_cpu_us,
-                            machine.page_cache.stats.hook_cpu_us),
+                            machine.metrics().stats["hook_cpu_us"]),
             "invocations": {which: getattr(prog, "invocations", None)
                             for which, prog in env.progs.items()},
             "calls": env.calls,

@@ -228,6 +228,9 @@ def test_a_broken_law_is_named():
     cg.stats.hits += 1
     with pytest.raises(InvariantViolation) as raised:
         machine.check_invariants()
+    # The machine's counters are its cgroups' sum, so a cgroup's
+    # broken counter law breaks the machine-wide one too.
     assert str(raised.value).splitlines()[1:] == [
+        "  machine: lookups 0 != hits 1 + misses 0",
         "  cgroup t: lookups 0 != hits 1 + misses 0",
         "  cgroup t: charge 1 != resident 0"]

@@ -16,7 +16,9 @@ from repro.cache_ext.ops import CacheExtOps, PolicyBuilder
 from repro.ebpf.errors import VerificationError
 from repro.ebpf.maps import ArrayMap
 from repro.ebpf.runtime import bpf_program
+from repro.experiments.chaos import scenario_plan
 from repro.kernel import Machine
+from repro.kernel.errors import EIO
 from repro.kernel.machine import KERNEL_TRACEPOINTS
 from repro.obs import (NULL_TRACEPOINT, CgroupViews, EventCounter,
                        Histogram, InterReferenceCollector, TraceEvent,
@@ -405,7 +407,7 @@ class TestErrorSurfacing:
         with TraceSession(machine, "cache_ext:kfunc_error") as session:
             run_reads(machine, f, cg, range(5))
         assert cg.stats.kfunc_errors == 5
-        assert machine.page_cache.stats.kfunc_errors == 5
+        assert machine.metrics().stats["kfunc_errors"] == 5
         assert cg.stats.snapshot()["kfunc_errors"] == 5
         assert len(session.events) == 5
         event = session.events[0]
@@ -461,6 +463,53 @@ class TestMetricsApi:
         run_reads(machine, f, cg, range(32, 64))
         assert cg.metrics().lookups == before.lookups + 32
         assert before.lookups == 32  # frozen at snapshot time
+
+    def test_machine_stats_are_the_cgroups_sum(self):
+        """Cache counters live on the cgroups; the machine's are their
+        sum, root's and a cgroup created mid-run's included, with a
+        policy attached, reclaim running and device faults firing."""
+        machine = Machine()
+        a = machine.new_cgroup("a", limit_pages=16)
+        b = machine.new_cgroup("b", limit_pages=16)
+        machine.attach(b, MruPolicy())
+        machine.arm_faults(scenario_plan("flaky-disk", horizon_us=1e6))
+        f = machine.fs.create("data")
+        f.npages = 256
+        f.ra_enabled = False
+
+        def reader(n, stride, late_at=None):
+            def step(thread, it=iter(range(n))):
+                i = next(it, None)
+                if i is None:
+                    return False
+                if i == late_at:
+                    late = machine.new_cgroup("late", limit_pages=8)
+                    machine.spawn("late", reader(300, 5), cgroup=late)
+                try:
+                    machine.fs.read_page(f, i * stride % 256)
+                except EIO:
+                    pass  # retries exhausted: still counted
+                return True
+            return step
+
+        machine.spawn("a", reader(600, 7), cgroup=a)
+        machine.spawn("b", reader(600, 3), cgroup=b)
+        machine.spawn("root", reader(300, 11, late_at=150))
+        machine.run()
+
+        cgroups = machine.cgroups()
+        assert [cg.name for cg in cgroups] == ["root", "a", "b", "late"]
+        assert all(cg.stats.lookups and cg.stats.misses for cg in cgroups)
+        metrics = machine.metrics()
+        total = metrics.stats
+        assert total["evictions"] and total["io_errors"]
+        for name, value in total.items():
+            if isinstance(value, int):
+                assert value == sum(getattr(cg.stats, name)
+                                    for cg in cgroups), name
+        assert total["hook_cpu_us"] == b.stats.hook_cpu_us > 0
+        assert metrics.hit_ratio == total["hits"] / total["lookups"]
+        assert not hasattr(machine.page_cache, "stats")
 
 
 class TestCachetop:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.kernel.vfs import Filesystem
 from repro.obs.collectors import CgroupViews, Histogram
 from repro.obs.trace import TraceEvent
 from repro.tools import cachesim
@@ -99,6 +100,25 @@ class TestReplay:
         replay_trace([(0, 0, False)], "s3fifo", cache_pages=cache_pages)
         ops, = attached
         assert ops.user_maps["ghost"].max_entries == ghost_entries
+
+    def test_large_page_index_stores_nothing(self, monkeypatch):
+        # Cost follows the trace's length, not its largest page index:
+        # a read-only trace never writes a page store (a guarded store
+        # fails on the first entry instead of filling 10^9 of them).
+        class NoStore(dict):
+            def __setitem__(self, index, value):
+                raise AssertionError(f"page {index} stored")
+
+        create = Filesystem.create
+
+        def create_unstored(fs, name):
+            f = create(fs, name)
+            f.store = NoStore()
+            return f
+
+        monkeypatch.setattr(Filesystem, "create", create_unstored)
+        report = replay_trace([(0, 10**9, False)], "lfu", 64)
+        assert (report.accesses, report.hits, report.misses) == (1, 0, 1)
 
     def test_invalid_cache_size(self):
         with pytest.raises(ValueError):
