@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.kernel.stats import left_sum
 from repro.sim.engine import SimThread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -113,5 +114,5 @@ class FioJob:
             for i in range(self.nthreads)]
         machine.run()
         result.elapsed_us = max(t.finish_us for t in threads)
-        result.cpu_us = sum(t.cpu_us for t in threads)
+        result.cpu_us = left_sum(t.cpu_us for t in threads)
         return result

@@ -63,9 +63,23 @@ def _contains_float(const: Any) -> bool:
     return False
 
 
-def _is_true_division(argrepr: str) -> bool:
-    """BINARY_OP argrepr for true division is '/' or '/=' (not '//')."""
-    return argrepr.rstrip("=") == "/"
+#: Every jump opcode of the running interpreter.  Loop checks go by
+#: target, not by name: 3.10 closes a loop with ``JUMP_ABSOLUTE`` or a
+#: ``POP_JUMP_IF_*``, 3.11+ with the ``JUMP_BACKWARD`` family.
+_JUMP_OPS = frozenset(dis.hasjrel + dis.hasjabs)
+
+
+def _is_true_division(insn: dis.Instruction) -> bool:
+    """``/`` or ``/=`` (not ``//``): 3.10's own opcodes, or 3.11+'s
+    ``BINARY_OP`` with that argrepr."""
+    if insn.opname == "BINARY_OP":
+        return insn.argrepr.rstrip("=") == "/"
+    return insn.opname in ("BINARY_TRUE_DIVIDE", "INPLACE_TRUE_DIVIDE")
+
+
+def _is_backward_jump(insn: dis.Instruction) -> bool:
+    """A jump whose target is at or before itself closes a loop."""
+    return insn.opcode in _JUMP_OPS and insn.argval <= insn.offset
 
 
 def _global_kind_ok(value: Any) -> bool:
@@ -112,13 +126,11 @@ def verify_code(code: types.CodeType, fn_globals: dict,
         if insn.opname in _BANNED_OPS:
             findings.append(
                 f"{_BANNED_OPS[insn.opname]} (at offset {insn.offset})")
-        elif "JUMP_BACKWARD" in insn.opname and not allow_loops:
-            # JUMP_BACKWARD and the POP_JUMP_BACKWARD_IF_* family all
-            # close loops.
+        elif not allow_loops and _is_backward_jump(insn):
             findings.append(
                 f"backward jump at offset {insn.offset}: loops require "
                 f"@bpf_program(allow_loops=True) and bounded iteration")
-        elif insn.opname == "BINARY_OP" and _is_true_division(insn.argrepr):
+        elif _is_true_division(insn):
             findings.append(
                 f"true division at offset {insn.offset} produces floats; "
                 f"use // integer division")

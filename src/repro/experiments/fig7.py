@@ -19,6 +19,7 @@ from repro.experiments import fig6
 from repro.experiments.harness import (GENERIC_POLICY_NAMES, CellSpec,
                                        ExperimentResult, ExperimentSpec,
                                        prepare_db_env_snapshot)
+from repro.kernel.stats import left_sum
 
 
 def spearman_rank_correlation(xs: list, ys: list) -> float:
@@ -34,7 +35,7 @@ def spearman_rank_correlation(xs: list, ys: list) -> float:
     n = len(xs)
     if n < 2:
         return 0.0
-    d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
+    d2 = left_sum((a - b) ** 2 for a, b in zip(rx, ry))
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 

@@ -19,6 +19,7 @@ from repro.experiments import fig6
 from repro.experiments.harness import (CellSpec, ExperimentResult,
                                        ExperimentSpec,
                                        prepare_db_env_snapshot)
+from repro.kernel.stats import left_sum
 
 WORKLOADS = ("A", "B", "C", "D", "E", "F", "uniform", "uniform-rw")
 
@@ -27,7 +28,7 @@ def harmonic_mean(values: list) -> float:
     vals = [v for v in values if v > 0]
     if not vals:
         return 0.0
-    return len(vals) / sum(1.0 / v for v in vals)
+    return len(vals) / left_sum(1.0 / v for v in vals)
 
 
 def plan(quick: bool = False,

@@ -8,8 +8,23 @@ hit/miss counters because the simulator can.
 
 from __future__ import annotations
 
-from repro.snapshot import SnapshotFriendly
+from array import array
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import add
+
+from repro.snapshot import SnapshotFriendly
+
+
+def left_sum(values):
+    """``sum(values)`` as one left-to-right add per item, on every Python.
+
+    CPython 3.12 made ``sum()`` over floats compensated, which rounds
+    differently from 3.11's plain adds; every float sum that feeds a
+    simulated number goes through here so the numbers do not depend on
+    the interpreter.  Integers still sum exactly, to an ``int``.
+    """
+    return reduce(add, values, 0)
 
 
 @dataclass
@@ -87,10 +102,11 @@ class LatencyRecorder:
 
     The paper reports P99 read latency for the YCSB and GET-SCAN
     experiments; this recorder keeps raw samples (the experiments are
-    small enough that reservoirs are unnecessary).
+    small enough that reservoirs are unnecessary), as machine doubles
+    in an ``array('d')``: eight bytes a sample, not a boxed float.
     """
 
-    samples_us: list = field(default_factory=list)
+    samples_us: array = field(default_factory=partial(array, "d"))
 
     def record(self, us: float) -> None:
         self.samples_us.append(us)
@@ -120,4 +136,4 @@ class LatencyRecorder:
     def mean(self) -> float:
         if not self.samples_us:
             return 0.0
-        return sum(self.samples_us) / len(self.samples_us)
+        return left_sum(self.samples_us) / len(self.samples_us)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.kernel.stats import CacheStats
+from repro.kernel.stats import CacheStats, left_sum
 from repro.obs.collectors import Histogram
 from repro.obs.trace import TraceEvent
 
@@ -297,7 +297,7 @@ class _MachineStream:
         }
         # Machine.cache_stats over the frame: its rows summed, root first.
         for f in STAT_COLUMNS:
-            machine_row[f] = sum(row[f] for row in cgroup_rows)
+            machine_row[f] = left_sum(row[f] for row in cgroup_rows)
 
         self.buffer.append_row(machine_row)
         for row in cgroup_rows:

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from itertools import islice, repeat
 
 from repro.apps.lsm.format import fnv1a
+from repro.kernel.stats import left_sum
 
 
 class _KeyGenerator:
@@ -72,7 +73,7 @@ class ZipfianGenerator(_KeyGenerator):
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        return left_sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def next(self) -> int:
         u = self._rng.random()
@@ -93,16 +94,20 @@ _CDF_CACHE: dict[tuple, list] = {}
 #: Process-wide FNV scramble tables keyed by n: table[rank] =
 #: fnv1a(str(rank)) % n.  Ranks drawn by either zipfian sampler lie in
 #: [0, n), so one table answers every scramble for that keyspace —
-#: replacing a str + encode + two CRC32 passes per draw with a list
+#: replacing a str + encode + two CRC32 passes per draw with an array
 #: index.
-_SCRAMBLE_CACHE: dict[int, list] = {}
+_SCRAMBLE_CACHE: dict[int, array] = {}
 
 
-def scramble_table(n: int) -> list:
+def scramble_table(n: int) -> array:
+    """The scramble table for keyspace ``n`` (memoized), as an
+    ``array('q')``: eight bytes a rank.  It is filled from a generator,
+    with no list in between, then copied once, which drops the 1/16
+    spare room an array keeps while it grows."""
     table = _SCRAMBLE_CACHE.get(n)
     if table is None:
-        table = _SCRAMBLE_CACHE[n] = [fnv1a(str(rank)) % n
-                                      for rank in range(n)]
+        table = _SCRAMBLE_CACHE[n] = array("q", array(
+            "q", (fnv1a(str(rank)) % n for rank in range(n))))
     return table
 
 
@@ -112,7 +117,9 @@ def zipf_cdf(n: int, theta: float) -> list:
 
     The last entry is ``acc / acc``, which is exactly ``1.0``; since
     ``random()`` is below 1.0, ``bisect_right`` over this list always
-    lands in ``[0, n)``.
+    lands in ``[0, n)``.  It stays a list of floats: over an
+    ``array('d')``, ``bisect_right`` boxes a float per probe, which
+    made a cold YCSB stream build about 20 % slower.
     """
     cached = _CDF_CACHE.get((n, theta))
     if cached is None:

@@ -162,7 +162,8 @@ class YcsbRunner:
         keys = self._keys
         nkeys = self.nkeys
         insert_counter = self._insert_counter
-        #: Warmup ops record into this one reused sink.
+        #: Warmup ops count into this one reused sink; their read
+        #: latencies are not kept at all.
         discard = YcsbResult(spec.name)
         pos = [0]
         window_start = [0.0]
@@ -209,8 +210,9 @@ class YcsbRunner:
                 if kind == OP_READ:
                     start = thread.clock_us
                     value = db.get(key)
-                    result.read_latency.samples_us.append(
-                        thread.clock_us - start)
+                    if measured:
+                        result.read_latency.samples_us.append(
+                            thread.clock_us - start)
                     if value is None:
                         result.missing_keys += 1
                 elif kind == OP_UPDATE:
@@ -220,8 +222,9 @@ class YcsbRunner:
                 else:  # rmw
                     start = thread.clock_us
                     value = db.get(key)
-                    result.read_latency.samples_us.append(
-                        thread.clock_us - start)
+                    if measured:
+                        result.read_latency.samples_us.append(
+                            thread.clock_us - start)
                     if value is None:
                         result.missing_keys += 1
                     db.put(key, ("rmw", counter))

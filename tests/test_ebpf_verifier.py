@@ -113,6 +113,14 @@ class TestRejections:
 
         assert any("division" in f for f in self._findings(bad))
 
+    def test_inplace_true_division(self):
+        @bpf_program
+        def bad(a, b):
+            a /= b
+            return a
+
+        assert any("division" in f for f in self._findings(bad))
+
     def test_floor_division_allowed(self):
         @bpf_program
         def ok(a, b):

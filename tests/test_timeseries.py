@@ -34,8 +34,8 @@ from repro.faults.plan import DeviceFault, FaultPlan
 from repro.kernel.machine import Machine
 from repro.obs import analyze, guard
 from repro.obs.collectors import CgroupViews
-from repro.obs.timeseries import (TimeseriesSampler, frame_totals,
-                                  read_frames_jsonl)
+from repro.obs.timeseries import (STAT_COLUMNS, TimeseriesSampler,
+                                  frame_totals, read_frames_jsonl)
 from repro.obs.trace import TraceEvent
 from repro.replay import enable_replay
 from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
@@ -96,6 +96,23 @@ class TestExactTotals:
         # reconstruct the reported hit ratio.
         assert t["hits"] / t["lookups"] == cg.hit_ratio
         assert t["io_read_pages"] == cg.io_read_pages
+
+    def test_machine_row_is_its_cgroup_rows_added_in_order(self):
+        # One add per cgroup row, root first: the float column's bits
+        # are the same on every interpreter (repro.kernel.stats.left_sum).
+        _metrics, _app, sampler = sampled_cell()
+        _meta, rows = sampler_rows(sampler)
+        frames: dict = {}
+        for row in rows:
+            frames.setdefault(row["t_us"], []).append(row)
+        assert len(frames) > 5
+        for machine_row, *cgroup_rows in frames.values():
+            assert machine_row["scope"] == "machine"
+            for column in STAT_COLUMNS:
+                acc = 0
+                for row in cgroup_rows:
+                    acc += row[column]
+                assert repr(machine_row[column]) == repr(acc), column
 
     def test_charged_pages_gauge_is_last_not_summed(self):
         metrics, app, sampler = sampled_cell()

@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -15,17 +17,19 @@ from hypothesis import strategies as st
 from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm.format import RecordFormat
 from repro.kernel import Machine
-from repro.workloads import streams
+from repro.workloads import distributions, streams
 from repro.workloads.distributions import (CdfZipfianGenerator,
                                            LatestGenerator,
                                            ScrambledZipfianGenerator,
                                            UniformGenerator,
-                                           ZipfianGenerator, zipf_cdf)
+                                           ZipfianGenerator,
+                                           scramble_table, zipf_cdf)
 from repro.workloads.getscan import GetScanWorkload
 from repro.workloads.twitter import (CLUSTERS, ClusterKeyStream,
                                      ClusterProfile, TwitterRunner)
-from repro.workloads.ycsb import (YCSB_WORKLOADS, YcsbRunner, YcsbSpec,
-                                  key_of, load_items)
+from repro.workloads.ycsb import (YCSB_WORKLOADS, YcsbResult, YcsbRunner,
+                                  YcsbSpec, key_of, load_items)
+from tests.reference import distributions as reference_tables
 from tests.reference.getscan import ReferenceGetScanWorkload
 from tests.reference.twitter import ReferenceTwitterRunner
 from tests.reference.ycsb import ReferenceYcsbRunner
@@ -124,6 +128,42 @@ class TestTake:
         assert zipf_cdf(n, theta)[-1] == 1.0
 
 
+class TestScrambleTableMatchesReference:
+    """The scramble table is an ``array('q')`` of the list body's
+    ranks, and the scrambled sampler draws the same keys from it."""
+
+    @STANDARD_SETTINGS
+    @given(n=st.integers(1, 3000),
+           theta=st.sampled_from((0.5, 0.99, 1.0, 1.1, 1.4, 2.0)),
+           seed=st.integers(0, 2 ** 32), count=st.integers(0, 400))
+    def test_table_and_draws_equal_the_list(self, n, theta, seed, count):
+        table = scramble_table(n)
+        assert table.typecode == "q"
+        assert list(table) == reference_tables.scramble_table(n)
+        scrambled = ScrambledZipfianGenerator(n, theta, seed)
+        on_list = ScrambledZipfianGenerator(n, theta, seed)
+        on_list._scramble = reference_tables.scramble_table(n)
+        assert scrambled.take(count) == array("q", on_list._draws(count))
+
+
+class TestScrambleTableFootprint:
+    """A scramble rank is one machine word: at most 8 bytes each plus a
+    constant, where a list of boxed ints costs about 40."""
+
+    def test_eight_bytes_per_entry(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_SCRAMBLE_CACHE", {})
+        n = 40_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = scramble_table(n)
+            cost = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n
+        assert cost <= 8 * n + 4096, cost / n
+
+
 class TestYcsbSpecs:
     def test_all_specs_sum_to_one(self):
         assert set(YCSB_WORKLOADS) == {"A", "B", "C", "D", "E", "F",
@@ -196,6 +236,30 @@ class TestYcsbRunner:
                             nops=300, warmup_ops=300).run()
         assert result.ops == 300
         assert len(result.read_latency) == 300
+
+    def test_warmup_reads_keep_no_samples(self):
+        machine, cg, db = small_db_env()
+        runner = YcsbRunner(db, YCSB_WORKLOADS["F"], nkeys=2000, nops=300,
+                            nthreads=3, warmup_ops=600, seed=13)
+        threads = runner.spawn()
+        machine.run()
+        recorders = [cell.cell_contents.read_latency
+                     for thread in threads
+                     for cell in thread.step_fn.__closure__
+                     if isinstance(cell.cell_contents, YcsbResult)]
+        assert len(recorders) == 3  # one warm-up sink per worker
+        assert [len(r) for r in recorders] == [0, 0, 0]
+        result = runner.result
+        assert isinstance(result.read_latency.samples_us, array)
+        assert len(result.read_latency) == (
+            result.op_counts["read"] + result.op_counts["rmw"])
+        machine, cg, db = small_db_env()
+        reference = ReferenceYcsbRunner(
+            db, YCSB_WORKLOADS["F"], nkeys=2000, nops=300, nthreads=3,
+            warmup_ops=600, seed=13).run()
+        assert result.read_latency.samples_us \
+            == reference.read_latency.samples_us
+        assert result.p99_read_us == reference.p99_read_us
 
     def test_multithreaded_runner(self):
         machine, cg, db = small_db_env()
