@@ -49,6 +49,10 @@ _BANNED_OPS = {
     "DELETE_GLOBAL": "global deletes are not allowed in BPF programs",
     "MAKE_FUNCTION": "nested functions/lambdas/comprehensions are not "
                      "allowed in BPF programs",
+    # 3.12+ inlines a comprehension (PEP 709): no nested code object,
+    # but this opcode saves and restores its loop variable.
+    "LOAD_FAST_AND_CLEAR": "nested functions/lambdas/comprehensions are "
+                           "not allowed in BPF programs",
     "YIELD_VALUE": "generators are not allowed in BPF programs",
     "RETURN_GENERATOR": "generators are not allowed in BPF programs",
     "RAISE_VARARGS": "BPF programs cannot raise",

@@ -221,14 +221,15 @@ def run_cell(cell: CellSpec, planes=None) -> tuple:
     restores (:func:`harness.observing`):
 
     * ``faults`` arms its :class:`~repro.faults.plan.FaultPlan` first,
-      so the injected windows land in the frames and spans behind it
-      (no artifact);
+      so the injected windows land in every plane behind it (no
+      artifact);
     * ``trace`` counts lookups on the real tracepoint dispatch path;
     * ``breakdown`` attaches a :class:`~repro.obs.attr.SpanAggregator`
       — which *enables* span recording — and files its JSON-safe
       summary plus collapsed-stack text;
     * ``timeseries`` (a sample interval in virtual µs) attaches a
-      :class:`~repro.obs.timeseries.TimeseriesSampler` and files its
+      :class:`~repro.obs.timeseries.TimeseriesSampler` — which reads
+      counters and ``block:io_complete``, never spans — and files its
       columnar frame document.
 
     All are deterministic, so serial and parallel, cold and restored

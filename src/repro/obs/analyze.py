@@ -16,10 +16,10 @@ families, cross-correlated against the recorded fault timeline
   Candidate boundaries are suppressed to local maxima so one drift
   reports one episode, not ``window`` of them.
 * ``degradation`` — brownout episodes: frames whose device service
-  metric (busy-µs per transferred page, falling back to the span
-  p50 when a frame moved no pages) exceeds ``degrade_factor`` x a
-  robust baseline (median of the lowest quarter of positive values —
-  immune to open-ended faults skewing the overall median).  Each
+  metric (busy-µs per transferred page; zero when a frame moved no
+  pages) exceeds ``degrade_factor`` x a robust baseline (median of
+  the lowest quarter of positive values — immune to open-ended
+  faults skewing the overall median).  Each
   episode records whether it overlaps an injected fault window
   (``fault_overlap``), which is how the chaos acceptance check
   localizes a brownout to within one sample interval.
@@ -132,12 +132,12 @@ def detect_phase_changes(frames: list, ratios: list,
 
 def _service_metric(row: dict) -> float:
     """Per-frame device service signal: busy-µs per transferred page
-    (continuous, fault-factor-proportional), span p50 when no pages
-    moved this frame."""
+    (continuous, fault-factor-proportional); 0.0 when no pages moved
+    this frame, which then also completed no request."""
     pages = row.get("io_read_pages", 0) + row.get("io_write_pages", 0)
     if pages > 0:
         return row.get("disk_busy_us", 0.0) / pages
-    return row.get("device_service_p50_us", 0.0)
+    return 0.0
 
 
 def detect_degradation(machine_rows: list,
@@ -154,10 +154,10 @@ def detect_degradation(machine_rows: list,
     frames at all (organic degradation, or faults armed for the whole
     run) it falls back to the cheapest quartile of all frames.
 
-    Idle frames (no pages transferred and no span quantile, so the
-    service metric is zero) carry no evidence either way: they neither
-    extend an episode nor terminate it — only a frame that actually
-    measured healthy service closes an open episode.
+    Idle frames (no pages transferred, so no block request completed
+    and the service metric is zero) carry no evidence either way: they
+    neither extend an episode nor terminate it — only a frame that
+    actually measured healthy service closes an open episode.
     """
     metrics = [_service_metric(row) for row in machine_rows]
     clean = sorted(m for row, m in zip(machine_rows, metrics)

@@ -45,10 +45,13 @@ Determinism contract (asserted in ``tests/test_timeseries.py`` and by
    ``--jobs`` and cold vs snapshot-restored (the sampler attaches via
    the cell observer in both paths, against identical zero baselines).
 
-Latency quantiles come from the span plane: the sampler subscribes to
-``span:close`` (proven purely observational by ``guard breakdown``) and
-folds each frame's device-wait/device-service samples into per-frame
+Latency quantiles come from the block layer, as BCC's biolatency reads
+``block_rq_complete``: the sampler subscribes to ``block:io_complete``
+and folds each request's queueing wait and service time into per-frame
 log2 histograms, reporting approximate p50/p99 as bucket upper bounds.
+The request that emits a completion is the one that counts its pages,
+so a frame that moved no pages has all-zero quantiles.  Per-request
+span columns are the breakdown plane's (``--breakdown``), not frames'.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ DEFAULT_SAMPLE_INTERVAL_US = 10_000.0
 SAMPLER_TID = -1
 
 FRAME_FORMAT = "repro.obs.timeseries"
-FRAME_VERSION = 1
+FRAME_VERSION = 2
 
 #: Per-scope counter deltas: the full CacheStats field set (cgroup
 #: rows: that cgroup's counters; machine row: the sum of the frame's
@@ -82,9 +85,6 @@ STAT_COLUMNS = tuple(CacheStats.__dataclass_fields__)
 #: rows: pages issued by that cgroup's threads).
 IO_COLUMNS = ("io_read_pages", "io_write_pages")
 
-#: Per-scope span-plane deltas (requests closed during the frame).
-SPAN_COLUMNS = ("span_count", "span_dur_us", "reclaim_stall_us")
-
 #: Instantaneous gauges read at the frame's closing boundary.  On the
 #: machine row ``charged_pages`` is total resident pages (the sum over
 #: cgroups — charging is flat, see MemCgroup.charge) and ``health`` the
@@ -93,7 +93,7 @@ GAUGE_COLUMNS = ("charged_pages", "health")
 
 #: Machine-row-only columns (zero on cgroup rows): device request
 #: deltas, the queue-depth gauge, fault-plane visibility and per-frame
-#: device latency quantiles from span components.
+#: device latency quantiles from block completions.
 MACHINE_COLUMNS = ("disk_reads", "disk_writes", "disk_busy_us",
                    "disk_errors", "queue_depth", "active_faults",
                    "faults_fired",
@@ -102,13 +102,13 @@ MACHINE_COLUMNS = ("disk_reads", "disk_writes", "disk_busy_us",
 
 #: Columns whose per-frame values are deltas (summable over frames);
 #: everything else is identity or a gauge.
-DELTA_COLUMNS = (STAT_COLUMNS + IO_COLUMNS + SPAN_COLUMNS
+DELTA_COLUMNS = (STAT_COLUMNS + IO_COLUMNS
                  + ("disk_reads", "disk_writes", "disk_busy_us",
                     "disk_errors", "faults_fired"))
 
 #: Full column order of one frame row.
 FRAME_COLUMNS = (("t_us", "dur_us", "scope") + STAT_COLUMNS + IO_COLUMNS
-                 + SPAN_COLUMNS + GAUGE_COLUMNS + MACHINE_COLUMNS)
+                 + GAUGE_COLUMNS + MACHINE_COLUMNS)
 
 
 def _hist_quantile(hist: Histogram, q: float) -> float:
@@ -161,7 +161,7 @@ class MetricFrameBuffer:
 
 
 class _MachineStream:
-    """Sampler state for one machine: baselines, span accumulators and
+    """Sampler state for one machine: baselines, latency histograms and
     the frame buffer."""
 
     def __init__(self, machine, interval_us: float) -> None:
@@ -183,12 +183,11 @@ class _MachineStream:
         self._prev_cgroup: dict[str, dict] = {}
         self._prev_io: dict[str, tuple] = {}
         self._prev_fired = 0
-        # Per-frame span accumulators, reset at each close.
-        self._span_scope: dict[str, list] = {}
+        # Per-frame latency histograms, reset at each close.
         self._wait_hist = Histogram()
         self._service_hist = Histogram()
-        self._span_tp = machine.trace.tracepoint("span:close")
-        self._span_tp.subscribe(self._on_span)
+        self._io_tp = machine.trace.tracepoint("block:io_complete")
+        self._io_tp.subscribe(self._on_io)
         machine.engine.spawn(
             "obs:timeseries", self._step, cgroup=machine.root_cgroup,
             tid=SAMPLER_TID, start_us=interval_us, daemon=True)
@@ -199,20 +198,10 @@ class _MachineStream:
         thread.wait_until(thread.clock_us + self.interval_us)
         return True
 
-    def _on_span(self, event: TraceEvent) -> None:
+    def _on_io(self, event: TraceEvent) -> None:
         data = event.data
-        slot = self._span_scope.get(event.cgroup)
-        if slot is None:
-            slot = self._span_scope[event.cgroup] = [0, 0.0, 0.0]
-        slot[0] += 1
-        slot[1] += data.get("dur_us", 0.0)
-        slot[2] += data.get("reclaim_stall", 0.0)
-        wait = data.get("device_wait")
-        if wait is not None:
-            self._wait_hist.record(wait)
-        service = data.get("device_service")
-        if service is not None:
-            self._service_hist.record(service)
+        self._wait_hist.record(data["wait_us"])
+        self._service_hist.record(data["service_us"])
 
     # -- frame assembly ------------------------------------------------
     def close_frame(self, now_us: float) -> None:
@@ -220,7 +209,6 @@ class _MachineStream:
             return
         machine = self.machine
         t_us, dur_us = self.last_boundary, now_us - self.last_boundary
-        span_scope = self._span_scope
         per_cgroup_io = machine.disk.per_cgroup
 
         # Cgroup rows are assembled first so the machine row can carry
@@ -251,11 +239,6 @@ class _MachineStream:
             else:
                 for f in STAT_COLUMNS:
                     row[f] = stats[f] - prev[f]
-            spans = span_scope.get(name)
-            if spans is not None:
-                row["span_count"] = spans[0]
-                row["span_dur_us"] = spans[1]
-                row["reclaim_stall_us"] = spans[2]
             cgroup_rows.append(row)
             resident += memcg.charged_pages
             if health < min_health:
@@ -267,18 +250,10 @@ class _MachineStream:
         prev_d = self._prev_disk
         faults = machine.faults
         fired = (sum(faults.fired.values()) if faults is not None else 0)
-        span_total = [0, 0.0, 0.0]
-        for slot in span_scope.values():
-            span_total[0] += slot[0]
-            span_total[1] += slot[1]
-            span_total[2] += slot[2]
         machine_row = {
             "t_us": t_us, "dur_us": dur_us, "scope": "machine",
             "io_read_pages": disk.read_pages - prev_d["read_pages"],
             "io_write_pages": disk.write_pages - prev_d["write_pages"],
-            "span_count": span_total[0],
-            "span_dur_us": span_total[1],
-            "reclaim_stall_us": span_total[2],
             "charged_pages": resident,
             "health": min_health,
             "disk_reads": disk.reads - prev_d["reads"],
@@ -310,7 +285,6 @@ class _MachineStream:
                            "busy_us": disk.busy_us,
                            "errors": disk.errors}
         self._prev_fired = fired
-        self._span_scope = {}
         self._wait_hist = Histogram()
         self._service_hist = Histogram()
         self.last_boundary = now_us
@@ -339,7 +313,7 @@ class _MachineStream:
         if self.finalized:
             return
         self.close_frame(self.machine.engine.now_us)
-        self._span_tp.unsubscribe(self._on_span)
+        self._io_tp.unsubscribe(self._on_io)
         self.finalized = True
 
 
@@ -381,7 +355,7 @@ class TimeseriesSampler:
 
     def finalize(self) -> None:
         """Close each machine's tail partial frame and detach from the
-        span tracepoint.  Idempotent."""
+        block tracepoint.  Idempotent."""
         for stream in self.streams:
             stream.finalize()
 

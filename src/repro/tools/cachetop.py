@@ -110,11 +110,10 @@ def format_frame(cell: str, t_us: float, rows: list) -> str:
 
     Same column layout as :func:`format_views`, but fed from
     :mod:`repro.obs.timeseries` frame rows (per-frame counter deltas)
-    instead of raw trace events.  Frames carry no per-request latency
-    histogram, so the LAT_US column is replaced by the frame's reclaim
-    stall (RSTALL); the machine-scope row is rendered as a trailer
-    with the device gauges (queue depth, active faults, service
-    quantiles) that have no per-cgroup equivalent.
+    instead of raw trace events.  Frames carry no per-cgroup latency,
+    so the LAT_US column is dropped; the machine-scope row is rendered
+    as a trailer with the device gauges (queue depth, active faults,
+    service quantiles) that have no per-cgroup equivalent.
     """
     machine_row = None
     cgroup_rows = []
@@ -130,7 +129,7 @@ def format_frame(cell: str, t_us: float, rows: list) -> str:
     lines = [title + " ---",
              f"{'CGROUP':<14s} {'LOOKUPS':>8s} {'HITS':>8s} {'HIT%':>7s} "
              f"{'INSERT':>7s} {'EVICT':>7s} {'REFLT':>6s} "
-             f"{'IO_RD':>7s} {'IO_WR':>7s} {'RSTALL':>8s}"]
+             f"{'IO_RD':>7s} {'IO_WR':>7s}"]
     for row in sorted(cgroup_rows, key=lambda r: r["scope"]):
         lookups = row.get("lookups", 0)
         hits = row.get("hits", 0)
@@ -140,8 +139,7 @@ def format_frame(cell: str, t_us: float, rows: list) -> str:
             f"{100.0 * ratio:>6.2f}% {row.get('insertions', 0):>7d} "
             f"{row.get('evictions', 0):>7d} {row.get('refaults', 0):>6d} "
             f"{row.get('io_read_pages', 0):>7d} "
-            f"{row.get('io_write_pages', 0):>7d} "
-            f"{row.get('reclaim_stall_us', 0.0):>8.1f}")
+            f"{row.get('io_write_pages', 0):>7d}")
         unhealthy = (row.get("fallback_evictions", 0)
                      or row.get("kfunc_errors", 0)
                      or row.get("watchdog_detaches", 0))

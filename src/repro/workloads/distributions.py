@@ -68,8 +68,12 @@ class ZipfianGenerator(_KeyGenerator):
         self._zetan = self._zeta(n, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
+        # At n == 2, zeta2 == zetan and YCSB's eta divides by zero.
+        # There only the last ulps of u fall past rank 1, where an eta
+        # of 1.0 still draws rank 1; at n == 1, u * zetan < 1 always.
         self._eta = ((1.0 - (2.0 / n) ** (1.0 - theta))
-                     / (1.0 - self._zeta2 / self._zetan))
+                     / (1.0 - self._zeta2 / self._zetan)
+                     if n > 2 else 1.0)
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:

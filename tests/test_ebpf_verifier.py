@@ -172,6 +172,15 @@ class TestRejections:
 
         assert self._findings(bad)
 
+    def test_comprehension_rejected_with_loops_allowed(self):
+        # 3.12+ inlines the comprehension (PEP 709): no nested code
+        # object and no MAKE_FUNCTION, only its LOAD_FAST_AND_CLEAR.
+        @bpf_program(allow_loops=True)
+        def bad(n):
+            return len([i for i in range(n)])
+
+        assert any("comprehensions" in f for f in self._findings(bad))
+
     def test_unknown_builtin_rejected(self):
         @bpf_program
         def bad(xs):

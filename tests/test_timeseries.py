@@ -31,6 +31,7 @@ from repro.experiments.parallel import execute
 from repro.experiments.parallel import main as parallel_main
 from repro.experiments.parallel import timeseries_jsonl
 from repro.faults.plan import DeviceFault, FaultPlan
+from repro.kernel.block import BlockDevice
 from repro.kernel.machine import Machine
 from repro.obs import analyze, guard
 from repro.obs.collectors import CgroupViews
@@ -83,6 +84,16 @@ class TestExactTotals:
             == metrics.disk["total_pages"]
         assert t["disk_reads"] == metrics.disk["reads"]
         assert t["disk_writes"] == metrics.disk["writes"]
+        # The request that counts pages is the one that completes: a
+        # frame that moved none has nothing to take a quantile of
+        # (TestBlockQuantiles builds one).
+        for row in rows:
+            if row["scope"] != "machine":
+                continue
+            moved = row["io_read_pages"] + row["io_write_pages"] > 0
+            assert (row["device_service_p50_us"] > 0) == moved, row["t_us"]
+            if not moved:
+                assert all(row[q] == 0.0 for q in QUANTILE_COLUMNS)
 
     def test_app_cgroup_counters_and_hit_ratio(self):
         metrics, app, sampler = sampled_cell()
@@ -120,6 +131,46 @@ class TestExactTotals:
         totals = frame_totals(rows, scope=app)
         assert totals["last"]["charged_pages"] \
             == metrics.cgroup(app).charged_pages
+
+
+QUANTILE_COLUMNS = ("device_wait_p50_us", "device_wait_p99_us",
+                    "device_service_p50_us", "device_service_p99_us")
+
+
+class TestBlockQuantiles:
+    """Frame quantiles fold ``block:io_complete``, per request."""
+
+    def test_sampler_leaves_span_recording_off(self):
+        machine = Machine()
+        sampler = TimeseriesSampler().attach(machine)
+        assert not machine.trace.tracepoint("span:close").enabled
+        assert machine.trace.tracepoint("block:io_complete").enabled
+        sampler.finalize()
+        assert not machine.trace.tracepoint("block:io_complete").enabled
+
+    def test_queued_reader_sets_the_wait_quantiles(self):
+        # One channel, 100 us a page: two readers issuing at t = 0 wait
+        # 0 and 100 us, each served 100 us (log2 bucket [64, 127]); a
+        # third reads alone at 1.2 ms, leaving [0.5, 1) ms idle.
+        machine = Machine(disk=BlockDevice(read_us=100.0, channels=1))
+        sampler = TimeseriesSampler(500.0).attach(machine)
+
+        def read_once(thread):
+            machine.disk.read(thread, 1)
+            return False
+
+        for start_us in (0.0, 0.0, 1_200.0):
+            machine.engine.spawn("reader", read_once, start_us=start_us,
+                                 cgroup=machine.root_cgroup)
+        machine.engine.run()
+        sampler.finalize()
+        _meta, rows = sampler_rows(sampler)
+        frames = [(r["t_us"], r["io_read_pages"],
+                   *(r[q] for q in QUANTILE_COLUMNS))
+                  for r in rows if r["scope"] == "machine"]
+        assert frames == [(0.0, 2, 0.0, 127.0, 127.0, 127.0),
+                          (500.0, 0, 0.0, 0.0, 0.0, 0.0),
+                          (1_000.0, 1, 0.0, 0.0, 127.0, 127.0)]
 
 
 class TestNonPerturbation:

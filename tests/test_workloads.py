@@ -11,7 +11,7 @@ from array import array
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.apps.lsm import DbOptions, LsmDb
@@ -125,7 +125,11 @@ class TestTake:
            theta=st.floats(0.01, 4.0, allow_nan=False))
     def test_cdf_ends_at_exactly_one(self, n, theta):
         # random() < 1.0, so bisect_right never returns n: no clamp.
-        assert zipf_cdf(n, theta)[-1] == 1.0
+        # A fresh memo per example: up to 50,000 boxed floats each
+        # would otherwise stay cached for the rest of the session.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distributions, "_CDF_CACHE", {})
+            assert zipf_cdf(n, theta)[-1] == 1.0
 
 
 class TestScrambleTableMatchesReference:
@@ -136,6 +140,8 @@ class TestScrambleTableMatchesReference:
     @given(n=st.integers(1, 3000),
            theta=st.sampled_from((0.5, 0.99, 1.0, 1.1, 1.4, 2.0)),
            seed=st.integers(0, 2 ** 32), count=st.integers(0, 400))
+    # n == 2 makes YCSB's eta divide by zero; its sampler never reads it.
+    @example(n=2, theta=0.99, seed=0, count=50)
     def test_table_and_draws_equal_the_list(self, n, theta, seed, count):
         table = scramble_table(n)
         assert table.typecode == "q"
