@@ -11,9 +11,10 @@ that the *application* knows which of its threads do disposable I/O:
    background compaction threads; folios they fault in are never
    admitted to the cache at all (direct-I/O-style service).
 
-Both sweeps go through the one-call facade, :func:`repro.api.run`
-(these cells fill BPF TID maps from live threads mid-run, so they use
-the full engine rather than ``mode="replay"``).
+Both sweeps go through the one-call facade, :func:`repro.api.run`,
+on the reference full engine; ``mode="replay"`` prints the same
+tables, since the replay engine runs the same loop, TID-map updates
+from live threads included.
 
 Run it::
 

@@ -7,9 +7,9 @@ this is the "empirically choose the best policy for your workload"
 workflow the paper advocates (§6.1.2).
 
 The sweep goes through the one-call facade, :func:`repro.api.run`, on
-the trace-replay fast path (``mode="replay"``): a policy sweep only
-needs the counters, and replay produces them bit-identically to the
-full engine at a fraction of the wall time.
+the trace-replay engine (``mode="replay"``): a policy sweep only needs
+the counters, and replay produces them bit-identically to the full
+engine, which now runs the same loop at the same speed.
 
 Run it::
 

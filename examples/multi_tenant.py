@@ -9,8 +9,9 @@ Two applications share one machine and one disk:
 We run them concurrently in two cgroups for a fixed window under four
 configurations and show that only the *tailored* per-cgroup setup —
 cache_ext's whole reason for per-cgroup struct_ops — improves both.
-The sweep goes through :func:`repro.api.run` (windowed multi-tenant
-cells need the full engine, so no ``mode="replay"`` here).
+The sweep goes through :func:`repro.api.run`.  Its cells run to an
+engine deadline, a bounded run that either engine serves with the
+same loop, so they do not opt into ``mode="replay"``.
 
 Run it::
 

@@ -28,8 +28,7 @@ Example::
         kernel_policy="mglru", disk={"read_us": 95.0, "channels": 2},
         cgroups=(("app", 1000),)).build()
 
-Mode rules — one table,
-:data:`repro.experiments.parallel.PLANES`, settled by
+Execution settings, settled by
 :func:`~repro.experiments.parallel.resolve_execution`:
 
 * ``mode="replay"`` runs replay-capable cells on the trace-replay
@@ -39,11 +38,8 @@ Mode rules — one table,
   re-running the load — byte-identical tables.
 * ``faults``, ``trace``, ``breakdown`` and ``timeseries`` compose in
   any combination, cold or restored, serial or ``jobs``, on either
-  engine, with one rule: ``breakdown`` and ``timeseries`` need the
-  full engine — an explicit ``mode="replay"`` raises a ``ValueError``
-  naming the plane and the alternative, ``"auto"`` falls back and
-  records why on the report (``report.mode`` / ``.snapshot`` /
-  ``.fallback_reason``).
+  engine, with byte-identical artifacts; the report records what was
+  settled (``report.mode`` / ``.snapshot``).
 """
 
 from __future__ import annotations
@@ -113,10 +109,9 @@ def run(spec: Union[str, object], *, mode: str = "full",
         through ``repro.experiments.<name>.plan(quick=quick)``, or a
         prepared :class:`~repro.experiments.harness.ExperimentSpec`.
     mode:
-        ``"full"`` (reference engine), ``"replay"`` (trace-replay fast
-        path for cells that opt in — bit-identical payloads), or
-        ``"auto"`` (replay unless ``breakdown``/``timeseries`` need
-        the full engine).
+        ``"full"`` (reference engine) or ``"replay"`` (trace-replay
+        fast path for cells that opt in — bit-identical payloads);
+        ``"auto"`` is another spelling of ``"replay"``.
     policy:
         Only run cells whose id matches this policy (grid cell ids are
         ``workload/policy``); any :func:`fnmatch` glob also works.
@@ -141,7 +136,7 @@ def run(spec: Union[str, object], *, mode: str = "full",
         cadence), or a sample interval in virtual µs.  Frames land in
         ``report.timeseries`` (export with
         :func:`repro.experiments.parallel.timeseries_jsonl`, analyze
-        with :mod:`repro.obs.analyze`).  Needs the full engine.
+        with :mod:`repro.obs.analyze`).
     """
     from repro.experiments.parallel import (DEFAULT_TIMEOUT_S,
                                             _load_experiment, execute,

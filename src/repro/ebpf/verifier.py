@@ -4,9 +4,14 @@ Real cache_ext policies survive the kernel's eBPF verifier; policy code
 here is plain Python, so we enforce the same *class* of restrictions
 statically, by walking the function's bytecode with :mod:`dis`:
 
-* **no floating point** — float constants and true division are
+* **no floating point** — float constants, true division and ``**``
+  with anything but a non-negative integer constant exponent are
   rejected (this is why the LHD policy scales hit densities by a large
   integer constant, §5.2);
+* **no dunder attributes** — loading, storing or deleting a
+  ``__name__``-style attribute (``x.__truediv__``,
+  ``ctx.__class__.__init__.__globals__``) is rejected: it reaches
+  operators and objects around every other check;
 * **no unbounded loops** — backward jumps are rejected unless the
   program is declared with ``@bpf_program(allow_loops=True)``; even
   then, iteration over eviction lists must go through the
@@ -81,6 +86,32 @@ def _is_true_division(insn: dis.Instruction) -> bool:
     return insn.opname in ("BINARY_TRUE_DIVIDE", "INPLACE_TRUE_DIVIDE")
 
 
+def _is_power(insn: dis.Instruction) -> bool:
+    """``**`` or ``**=``: 3.10's own opcodes, or 3.11+'s ``BINARY_OP``
+    with that argrepr."""
+    if insn.opname == "BINARY_OP":
+        return insn.argrepr.rstrip("=") == "**"
+    return insn.opname in ("BINARY_POWER", "INPLACE_POWER")
+
+
+def _is_natural_constant(insn: Optional[dis.Instruction]) -> bool:
+    """Does ``insn`` push a non-negative integer constant?"""
+    return (insn is not None
+            and insn.opname in ("LOAD_CONST", "LOAD_SMALL_INT")
+            and isinstance(insn.argval, int) and insn.argval >= 0)
+
+
+#: Opcodes that name an attribute, on 3.10 (``LOAD_METHOD``) through
+#: 3.12+ (``LOAD_SUPER_ATTR``).
+_ATTR_OPS = frozenset({"LOAD_ATTR", "LOAD_METHOD", "LOAD_SUPER_ATTR",
+                       "STORE_ATTR", "DELETE_ATTR"})
+
+
+def _is_dunder_attr(insn: dis.Instruction) -> bool:
+    return (insn.opname in _ATTR_OPS and insn.argval.startswith("__")
+            and insn.argval.endswith("__"))
+
+
 def _is_backward_jump(insn: dis.Instruction) -> bool:
     """A jump whose target is at or before itself closes a loop."""
     return insn.opcode in _JUMP_OPS and insn.argval <= insn.offset
@@ -126,7 +157,7 @@ def verify_code(code: types.CodeType, fn_globals: dict,
                 "nested code object (no inner functions, lambdas or "
                 "comprehensions in BPF programs)")
 
-    for insn in instructions:
+    for prev, insn in zip([None] + instructions, instructions):
         if insn.opname in _BANNED_OPS:
             findings.append(
                 f"{_BANNED_OPS[insn.opname]} (at offset {insn.offset})")
@@ -138,6 +169,14 @@ def verify_code(code: types.CodeType, fn_globals: dict,
             findings.append(
                 f"true division at offset {insn.offset} produces floats; "
                 f"use // integer division")
+        elif _is_power(insn) and not _is_natural_constant(prev):
+            findings.append(
+                f"power at offset {insn.offset} without a non-negative "
+                f"integer constant exponent can produce floats")
+        elif _is_dunder_attr(insn):
+            findings.append(
+                f"dunder attribute {insn.argval!r} at offset "
+                f"{insn.offset} is not allowed in BPF programs")
         elif insn.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
             name = insn.argval
             findings.extend(

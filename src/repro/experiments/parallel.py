@@ -28,10 +28,10 @@ table in the parent.  Three properties make this safe:
 The instrumentation planes (faults, trace, breakdown, timeseries)
 compose: :func:`run_cell` attaches every requested one to the cell's
 machines through :func:`harness.observing` and returns what they
-produced as one ``{plane: artifact}`` mapping.  Which engine (``mode``:
-full / replay) a run uses is settled in one place:
-:func:`resolve_execution` checks the request against :data:`PLANES`,
-and the answer is recorded on the :class:`ExecutionReport`.
+produced as one ``{plane: artifact}`` mapping.  Every plane runs on
+either engine (``mode``: full / replay), cold or restored, with
+byte-identical artifacts; :func:`resolve_execution` settles the
+spellings, and the answer is recorded on the :class:`ExecutionReport`.
 
 Usage::
 
@@ -80,49 +80,27 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-#: Each instrumentation plane, in the order :func:`run_cell` attaches
-#: them, mapped to *why it needs the full engine* (``None``: it runs on
-#: either).  The one source of every request-level refusal:
-#: :func:`resolve_execution` derives the explicit-conflict error and
-#: ``auto``'s fallback from it, and :func:`repro.api.run`,
-#: :func:`execute` and the CLI all go through that.  (Machine-level
-#: guards — ``TimeseriesSampler.attach`` and ``snapshot.capture`` —
-#: inspect live state for callers who bypass the harness and stay where
-#: they are.)
-PLANES = {
-    # Watchdog detaches and quarantine re-attaches run the same code on
-    # both engines (tests/test_replay.py holds the chaos grid equal).
-    "faults": None,
-    # Tracepoints fire identically on both engines (ReplayEngine.run
-    # hands a run with ``sched:*`` subscribers to the full loop).
-    "trace": None,
-    "breakdown":
-        "latency attribution's contracts — components sum to durations, "
-        "spans never perturb time — are asserted on the full engine only",
-    "timeseries":
-        "the sampler's contracts — exact totals, zero perturbation, "
-        "byte-identical frames — are asserted on the full engine only",
-}
+#: The instrumentation planes, in the order :func:`run_cell` attaches
+#: them.  Every plane runs on either engine, cold or restored: the
+#: replay engine runs the full engine's own unbounded loop.
+PLANES = ("faults", "trace", "breakdown", "timeseries")
 
 
 def requested_planes(**values) -> dict:
     """``{plane: value}`` for the planes switched on in ``values``
-    (neither ``None`` nor ``False``), in table order."""
+    (neither ``None`` nor ``False``), in attach order."""
     return {plane: values[plane] for plane in PLANES
             if values.get(plane) is not None
             and values[plane] is not False}
 
 
-def resolve_execution(mode: str, snapshot="off", planes=()) -> tuple:
-    """Settle ``(mode, snapshot)`` against the requested planes.
+def resolve_execution(mode: str, snapshot="off") -> tuple:
+    """Settle the spellings of ``(mode, snapshot)``.
 
-    Returns ``(mode, snapshot, reason)`` with ``mode`` one of
-    ``"full"``/``"replay"``, ``snapshot`` ``"on"``/``"off"`` (``"auto"``
-    is a spelling of ``"on"``: every plane runs on a restored machine)
-    and ``reason`` a sentence when ``mode="auto"`` fell back (else
-    ``None``).  An explicit ``mode="replay"`` with a plane that needs
-    the full engine raises a ``ValueError`` naming the plane and the
-    working alternative.
+    Returns ``(mode, snapshot)`` with ``mode`` one of
+    ``"full"``/``"replay"`` (``"auto"`` is a spelling of ``"replay"``)
+    and ``snapshot`` ``"on"``/``"off"`` (``"auto"`` is a spelling of
+    ``"on"``).  An unknown spelling raises a ``ValueError``.
     """
     if mode not in ("full", "replay", "auto"):
         raise ValueError(f"unknown execution mode {mode!r}")
@@ -130,18 +108,7 @@ def resolve_execution(mode: str, snapshot="off", planes=()) -> tuple:
                 "auto": "on"}.get(snapshot, snapshot)
     if snapshot not in ("off", "on"):
         raise ValueError(f"unknown snapshot setting {snapshot!r}")
-    full = [p for p in PLANES if p in planes and PLANES[p]]
-    if full and mode == "replay":
-        raise ValueError(
-            f"mode='replay' cannot honor {full[0]}, which needs the "
-            f"full engine: {PLANES[full[0]]}; use mode='full' or "
-            f"mode='auto'")
-    reason = None
-    if mode == "auto":
-        mode = "full" if full else "replay"
-        if full:
-            reason = f"auto: {', '.join(full)} needs the full engine"
-    return mode, snapshot, reason
+    return ("full" if mode == "full" else "replay"), snapshot
 
 
 def apply_mode(spec: ExperimentSpec, mode: str) -> ExperimentSpec:
@@ -151,14 +118,13 @@ def apply_mode(spec: ExperimentSpec, mode: str) -> ExperimentSpec:
     * ``"replay"`` — every cell that declares ``supports_replay``
       executes with ``mode="replay"`` (the trace-replay fast path,
       :mod:`repro.replay`); cells that don't opt in run full.
-    * ``"auto"`` — replay: no planes are in sight here, and callers
-      that know them (:func:`execute`) pass a settled mode.
+    * ``"auto"`` — another spelling of ``"replay"``.
 
     Payloads are bit-identical across full/replay/snapshot for opted-in
     cells (enforced by ``tests/test_replay.py``), so the merge result
     never depends on the choice.
     """
-    mode, _, _ = resolve_execution(mode)
+    mode, _ = resolve_execution(mode)
     if mode == "full":
         return spec
     cells = [dataclasses.replace(
@@ -185,7 +151,7 @@ def apply_snapshot(spec: ExperimentSpec, snapshot) -> ExperimentSpec:
     stream pre-generation: serial cells share the one capture, forked
     workers inherit the bytes copy-on-write.
     """
-    _, snapshot, _ = resolve_execution("full", snapshot)
+    _, snapshot = resolve_execution("full", snapshot)
     if snapshot == "off":
         return spec
     cells = [dataclasses.replace(
@@ -300,17 +266,13 @@ class ExecutionReport:
     wall_s: float = 0.0
     jobs: int = 1
     #: What :func:`resolve_execution` settled on for this run:
-    #: ``"full"``/``"replay"``, ``"on"``/``"off"``, and the sentence
-    #: explaining an ``"auto"`` fallback (``None`` when nothing fell
-    #: back).
+    #: ``"full"``/``"replay"`` and ``"on"``/``"off"``.
     mode: str = "full"
     snapshot: str = "off"
-    fallback_reason: Optional[str] = None
 
     def format_timings(self) -> str:
-        why = f" ({self.fallback_reason})" if self.fallback_reason else ""
         lines = [f"[{len(self.timings)} cells, jobs={self.jobs}, "
-                 f"mode={self.mode}, snapshot={self.snapshot}{why}, "
+                 f"mode={self.mode}, snapshot={self.snapshot}, "
                  f"wall {self.wall_s:.1f}s]"]
         for t in sorted(self.timings, key=lambda t: -t.wall_s):
             note = f"  ({t.mode})" if t.mode != "worker" else ""
@@ -461,8 +423,8 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
     the cells build or restore, ahead of the observing planes.  ``mode``
     selects the execution engine per :func:`apply_mode` (``"replay"`` /
     ``"auto"`` route opted-in cells through the trace-replay fast
-    path, with bit-identical payloads), settled against the requested
-    planes by :func:`resolve_execution`; ``snapshot`` selects
+    path, with bit-identical payloads and artifacts, whatever planes
+    ride them); ``snapshot`` selects
     sweep-level machine snapshots per :func:`apply_snapshot`
     (opted-in cells restore the shared post-load image instead of
     rebuilding it — byte-identical payloads again).  What was settled
@@ -480,14 +442,13 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
                 f"sample interval must be positive: {timeseries}")
     planes = requested_planes(faults=faults, trace=trace,
                               breakdown=breakdown, timeseries=timeseries)
-    mode, snapshot, reason = resolve_execution(mode, snapshot, planes)
+    mode, snapshot = resolve_execution(mode, snapshot)
     spec = apply_snapshot(apply_mode(spec, mode), snapshot)
     if jobs is None:
         jobs = default_jobs()
     can_fork = "fork" in multiprocessing.get_all_start_methods()
     report = ExecutionReport(result=None, jobs=1 if serial else jobs,
-                             mode=mode, snapshot=snapshot,
-                             fallback_reason=reason)
+                             mode=mode, snapshot=snapshot)
     t0 = time.perf_counter()
     if spec.prepare is not None:
         # Warm shared caches (pre-generated workload streams, machine
@@ -626,9 +587,7 @@ def main(argv: Optional[list] = None) -> int:
                         help="execution engine: 'replay' runs "
                              "replay-capable cells on the trace-replay "
                              "fast path (bit-identical payloads); "
-                             "'auto' picks replay unless "
-                             "--breakdown/--timeseries need the full "
-                             "engine")
+                             "'auto' is another spelling of 'replay'")
     parser.add_argument("--snapshot", choices=("off", "on", "auto"),
                         default="off",
                         help="sweep-level machine snapshots: 'on' "
@@ -680,10 +639,7 @@ def main(argv: Optional[list] = None) -> int:
         timeseries = (args.sample_interval_us
                       if args.sample_interval_us is not None else True)
     try:
-        resolve_execution(
-            args.mode, args.snapshot,
-            requested_planes(trace=args.trace, breakdown=args.breakdown,
-                             timeseries=timeseries))
+        resolve_execution(args.mode, args.snapshot)
     except ValueError as exc:
         parser.error(str(exc))
     report = execute(spec, jobs=args.jobs, serial=args.serial,

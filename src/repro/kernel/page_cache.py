@@ -169,10 +169,7 @@ class PageCache(SnapshotFriendly):
         astats.lookups += 1
         tp = self._tp_lookup
         if tp.enabled:
-            if thread is not None:
-                ts, tid = thread.clock_us, thread.tid
-            else:
-                ts, tid = self.machine.engine.now_us, 0
+            ts, tid = trace_stamp(self.machine.engine)
             tp.emit(ts, accessor.name, tid, hit=1,
                     file=folio.mapping.file_id, index=folio.index)
         if thread is not None:

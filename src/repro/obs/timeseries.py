@@ -42,8 +42,9 @@ Determinism contract (asserted in ``tests/test_timeseries.py`` and by
    columns are the sum of the frame's cgroup rows, as the machine's
    counters are the sum of its cgroups'.
 3. **Reproducibility** — frames are byte-identical serial vs
-   ``--jobs`` and cold vs snapshot-restored (the sampler attaches via
-   the cell observer in both paths, against identical zero baselines).
+   ``--jobs``, cold vs snapshot-restored and full vs replay engine (the
+   sampler attaches via the cell observer in every path, against
+   identical zero baselines).
 
 Latency quantiles come from the block layer, as BCC's biolatency reads
 ``block_rq_complete``: the sampler subscribes to ``block:io_complete``
@@ -330,9 +331,7 @@ class TimeseriesSampler:
         sampler.write_jsonl("frames.jsonl")
 
     or let the parallel runner / :func:`repro.api.run` drive it via
-    ``--timeseries`` / ``timeseries=True``.  Refuses replay-mode
-    machines: the determinism contract above is asserted on the full
-    engine only (``mode="full"`` keeps telemetry).
+    ``--timeseries`` / ``timeseries=True``.
     """
 
     def __init__(self,
@@ -344,12 +343,6 @@ class TimeseriesSampler:
         self.streams: list[_MachineStream] = []
 
     def attach(self, machine) -> "TimeseriesSampler":
-        if getattr(machine, "replay_mode", False):
-            raise ValueError(
-                "timeseries sampling needs the full engine: its "
-                "exact-totals / zero-perturbation / byte-identical "
-                "contracts are not asserted on replay-mode machines "
-                "(use mode='full' or 'auto')")
         self.streams.append(_MachineStream(machine, self.interval_us))
         return self
 

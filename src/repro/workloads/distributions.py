@@ -86,8 +86,12 @@ class ZipfianGenerator(_KeyGenerator):
             return 0
         if uz < 1.0 + 0.5 ** self.theta:
             return 1
-        return int(self.n * (self._eta * u - self._eta + 1.0)
+        # YCSB's ZipfianGenerator.nextLong does the same arithmetic.
+        # With a small eta, the top ulps of u round the base to exactly
+        # 1.0 and the rank to n, one past the keyspace: clamp it.
+        rank = int(self.n * (self._eta * u - self._eta + 1.0)
                    ** self._alpha)
+        return rank if rank < self.n else self.n - 1
 
 
 #: Process-wide zipfian CDF memo keyed by (n, theta).  The CDF is a

@@ -1,8 +1,8 @@
 """Whole requests to the experiment runner: a subset of the
-instrumentation planes, a fault scenario, a sample interval, cold or
-restored builds, in-process or forked, over one or two tiny fig6 or
-ablation cells whose payload also carries the machine's end-of-run
-counters."""
+instrumentation planes, a fault scenario, a sample interval, either
+engine, cold or restored builds, in-process or forked, over one or two
+tiny fig6 or ablation cells whose payload also carries the machine's
+end-of-run counters."""
 
 import dataclasses
 from dataclasses import dataclass
@@ -49,13 +49,15 @@ def counted_ablation(**kwargs) -> dict:
 
 @dataclass(frozen=True)
 class PlaneCase:
-    #: Requested planes, in table order.
+    #: Requested planes, in attach order.
     planes: tuple
     #: ``chaos.scenario_plan`` arguments, used when ``"faults"`` is on.
     scenario: str
     seed: int
     horizon_us: float
     sample_interval_us: float
+    #: ``"auto"`` is a spelling of ``"replay"``.
+    mode: str
     snapshot: str
     #: ``None``: serial, in-process.
     jobs: Optional[int]
@@ -93,9 +95,10 @@ class PlaneCase:
                 for plane in (self.planes if planes is None else planes)}
 
     def how_kwargs(self) -> dict:
-        """``execute`` keywords for this case's build and fan-out."""
-        return dict(snapshot=self.snapshot, serial=self.jobs is None,
-                    jobs=self.jobs)
+        """``execute`` keywords for this case's engine, build and
+        fan-out."""
+        return dict(mode=self.mode, snapshot=self.snapshot,
+                    serial=self.jobs is None, jobs=self.jobs)
 
 
 def plane_cases() -> st.SearchStrategy:
@@ -108,6 +111,7 @@ def plane_cases() -> st.SearchStrategy:
         seed=st.integers(0, 2 ** 16),
         horizon_us=st.sampled_from(HORIZONS_US),
         sample_interval_us=st.sampled_from(SAMPLE_INTERVALS_US),
+        mode=st.sampled_from(("full", "replay", "auto")),
         snapshot=st.sampled_from(("off", "on", "auto")),
         jobs=st.sampled_from((None, 2, 3)),
         policies=st.lists(st.sampled_from(("default", "mglru", "mru",

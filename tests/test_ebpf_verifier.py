@@ -121,6 +121,53 @@ class TestRejections:
 
         assert any("division" in f for f in self._findings(bad))
 
+    def test_power_with_negated_exponent(self):
+        @bpf_program
+        def bad(x):
+            return 2 ** -x
+
+        assert any("power" in f for f in self._findings(bad))
+
+    def test_power_with_variable_or_negative_exponent(self):
+        @bpf_program
+        def bad(a, b):
+            a **= -1
+            return a ** b
+
+        assert sum("power" in f for f in self._findings(bad)) == 2
+
+    def test_power_with_natural_constant_allowed(self):
+        @bpf_program
+        def ok(a):
+            a **= 3
+            return a ** 2
+
+        assert verify_program(ok) == []
+
+    def test_dunder_method_load(self):
+        @bpf_program
+        def bad(x):
+            return x.__truediv__(3)
+
+        assert any("'__truediv__'" in f for f in self._findings(bad))
+
+    def test_dunder_attribute_chain_to_globals(self):
+        @bpf_program
+        def bad(ctx):
+            return ctx.__class__.__init__.__globals__
+
+        findings = self._findings(bad)
+        for name in ("__class__", "__init__", "__globals__"):
+            assert any(f"'{name}'" in f for f in findings)
+
+    def test_dunder_attribute_store(self):
+        @bpf_program
+        def bad(ctx):
+            ctx.__dict__ = {}
+            return 0
+
+        assert any("'__dict__'" in f for f in self._findings(bad))
+
     def test_floor_division_allowed(self):
         @bpf_program
         def ok(a, b):

@@ -1,20 +1,23 @@
 """Planes compose: one observer chain, one artifact channel.
 
 Any subset of the instrumentation planes (faults, trace, breakdown,
-timeseries) rides the same cells, cold or snapshot-restored, in-process
-or in forked workers.  The contract is equality, against the same
-request with the observing planes removed and run cold and serial:
+timeseries) rides the same cells, on either engine, cold or
+snapshot-restored, in-process or in forked workers.  The contract is
+equality, against the same request with the observing planes removed
+and run on the full engine, cold and serial:
 
-* the merged table is equal — planes never perturb, restores and
-  workers never perturb;
-* every artifact is byte-equal cold vs restored and serial vs ``jobs``;
+* the merged table is equal — planes never perturb, the replay engine,
+  restores and workers never perturb;
+* every artifact is byte-equal full vs replay, cold vs restored and
+  serial vs ``jobs``;
 * with a fault plan armed, the sampler's and the span recorder's own
   contracts still hold: integer frame column sums equal the machine's
   end-of-run counters, span components sum to durations.
 
 Held over generated requests (``tests/strategies/planes.py``) and, on a
 multi-cell fig6 grid, for each chaos scenario with the plan shown to
-fire.  Which combinations refuse is ``tests/test_refusals.py``'s.
+fire.  The spellings of mode and snapshot are
+``tests/test_refusals.py``'s.
 """
 
 import io
@@ -83,6 +86,8 @@ class TestGeneratedRequests:
         asked = execute(case.spec(), **case.how_kwargs(),
                         **case.plane_kwargs())
         assert not asked.fallbacks and not asked.worker_errors
+        assert asked.mode == ("full" if case.mode == "full"
+                              else "replay")
         table = plain.result.format_table()
         assert cold.result.format_table() == table
         assert asked.result.format_table() == table
@@ -117,7 +122,9 @@ def clean_table():
     "scenario", [s for s in chaos.SCENARIOS if s != "baseline"])
 def test_every_plane_rides_a_chaos_scenario(scenario, clean_table):
     """The run the paper's safety argument asks to watch: fault plan
-    armed, lookups counted, latency attributed, frames sampled."""
+    armed, lookups counted, latency attributed, frames sampled — on the
+    replay engine, restored and forked, against the cold serial full
+    run."""
     plan = chaos.scenario_plan(scenario, 60_000.0, seed=7)
     observing = dict(trace=True, breakdown=True, timeseries=2_000.0)
     alone = api.run(grid(), faults=plan)
@@ -128,6 +135,6 @@ def test_every_plane_rides_a_chaos_scenario(scenario, clean_table):
     assert table != clean_table  # the plan fired
     assert cold.result.format_table() == table
     assert restored.result.format_table() == table
-    assert (restored.mode, restored.snapshot) == ("full", "on")
+    assert (restored.mode, restored.snapshot) == ("replay", "on")
     assert artifacts(restored) == artifacts(cold)
     assert all(artifacts(cold))

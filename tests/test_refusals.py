@@ -1,15 +1,17 @@
-"""Mode / snapshot / plane rules, enumerated from the table itself.
+"""Mode / snapshot / plane rules: no plane refuses an engine.
 
-:data:`repro.experiments.parallel.PLANES` is the one declaration of
-what each instrumentation plane needs — whether it needs the full
-engine, the one column left now that planes share an observer chain
-and attach to restored machines.  Every case below is generated from
-its rows: all modes x snapshot settings x subsets of planes, with the
-expected outcome worked out here from the column alone and compared
-with what :func:`resolve_execution` — and the three entry points that
-call it — actually do.  Adding a plane or flipping its entry
-re-generates the matrix; nothing in this file names a plane by hand
-except the values needed to switch it on.
+:data:`repro.experiments.parallel.PLANES` lists the instrumentation
+planes in attach order, and every one of them runs on either engine
+(the replay engine runs the full engine's own unbounded loop), cold or
+restored.  :func:`resolve_execution` only settles spellings: ``"auto"``
+is ``"replay"`` for the mode and ``"on"`` for the snapshot.  Every case
+below is generated over all modes x snapshot settings x subsets of
+planes, with the expected outcome worked out here from the mode and
+snapshot alone, and compared with what the resolver — and the three
+entry points that call it — actually do.  The requests the old "needs
+the full engine" column refused (an explicit ``mode="replay"`` with
+``breakdown`` or ``timeseries``) are enumerated on their own and held
+byte-equal to the full engine's run.
 """
 
 import itertools
@@ -19,13 +21,16 @@ import pytest
 from repro import api
 from repro.experiments import fig6
 from repro.experiments import parallel
-from repro.experiments.parallel import (PLANES, apply_mode, execute,
-                                        resolve_execution)
+from repro.experiments.parallel import (PLANES, apply_mode,
+                                        breakdown_collapsed,
+                                        breakdown_json, execute,
+                                        resolve_execution,
+                                        timeseries_jsonl)
 from repro.faults.plan import FaultPlan
 
 #: What switches each plane on, at every door that takes keywords.
-#: Case ids list planes in this order (the table's own order changed
-#: with ISSUE 19; the ids did not, so runs stay comparable across PRs).
+#: Case ids list planes in this order, which is older than the attach
+#: order; the ids keep it, so runs stay comparable across changes.
 VALUES = {"faults": FaultPlan(seed=1), "breakdown": True,
           "timeseries": 2_000.0, "trace": True}
 assert set(VALUES) == set(PLANES)
@@ -36,6 +41,12 @@ SUBSETS = [subset for n in range(len(VALUES) + 1)
            for subset in itertools.combinations(VALUES, n)]
 MATRIX = list(itertools.product(MODES, SNAPSHOTS, SUBSETS))
 
+#: The requests the removed column refused: an explicit replay with a
+#: plane it said needed the full engine.  Each now runs, byte-equal to
+#: the full engine.
+ONCE_REFUSED = [c for c in MATRIX if c[0] == "replay"
+                and {"breakdown", "timeseries"} & set(c[2])]
+
 SCALE = dict(nkeys=1000, cgroup_pages=64, nops=300, warmup_ops=100,
              nthreads=2, zipf_theta=1.1)
 
@@ -45,17 +56,10 @@ def one_cell():
                      scale=dict(fig6.QUICK_SCALE, **SCALE))
 
 
-def expected(mode, snapshot, planes):
-    """``("conflict", planes named, alternative)`` or ``("ok", mode,
-    snapshot, planes a fallback reason must name)`` from the column."""
-    full = [p for p in PLANES if p in planes and PLANES[p]]
-    if full and mode == "replay":
-        return "conflict", full[:1], "mode='full'"
-    fell_back = []
-    if mode == "auto":
-        mode = "full" if full else "replay"
-        fell_back = full
-    return "ok", mode, "off" if snapshot == "off" else "on", fell_back
+def expected(mode, snapshot):
+    """The settled ``(mode, snapshot)``: the planes have no say."""
+    return ("full" if mode == "full" else "replay",
+            "off" if snapshot == "off" else "on")
 
 
 def plane_kwargs(planes):
@@ -69,41 +73,28 @@ def case_id(case):
     return f"{mode}-{snapshot}-{'+'.join(planes) or 'none'}"
 
 
-CONFLICTS = [c for c in MATRIX if expected(*c)[0] == "conflict"]
-
-
-def assert_names(message, planes, alternative):
-    for plane in planes:
-        assert plane in message
-    assert alternative in message
+def artifacts(report) -> tuple:
+    """The table plus everything the observing planes filed, as the
+    bytes the CLI writes."""
+    return (report.result.format_table(), report.trace,
+            breakdown_json(report), breakdown_collapsed(report),
+            timeseries_jsonl(report) if report.timeseries else "")
 
 
 class TestResolver:
     @pytest.mark.parametrize("case", MATRIX, ids=case_id)
     def test_matches_the_table(self, case):
         mode, snapshot, planes = case
-        want = expected(*case)
-        if want[0] == "conflict":
-            with pytest.raises(ValueError) as err:
-                resolve_execution(mode, snapshot, planes)
-            assert_names(str(err.value), want[1], want[2])
-            return
-        got_mode, got_snapshot, reason = resolve_execution(
-            mode, snapshot, planes)
-        assert (got_mode, got_snapshot) == want[1:3]
-        if want[3]:
-            assert reason.startswith("auto: ")
-            for plane in want[3]:
-                assert plane in reason
-        else:
-            assert reason is None
+        assert resolve_execution(mode, snapshot) == expected(mode,
+                                                             snapshot)
+        # No plane is in the resolver's sight.
+        with pytest.raises(TypeError):
+            resolve_execution(mode, snapshot, planes)
 
     def test_settled_answers_are_fixed_points(self):
-        for case in MATRIX:
-            if expected(*case)[0] == "ok":
-                mode, snapshot, _ = resolve_execution(*case)
-                assert resolve_execution(mode, snapshot, case[2]) \
-                    == (mode, snapshot, None)
+        for mode, snapshot in itertools.product(MODES, SNAPSHOTS):
+            settled = resolve_execution(mode, snapshot)
+            assert resolve_execution(*settled) == settled
 
     def test_bool_snapshot_spellings(self):
         assert resolve_execution("full", True)[1] == "on"
@@ -128,89 +119,78 @@ CLI_FLAGS = {"trace": ["--trace"],
 
 
 class TestEntryPoints:
-    """Every door refuses exactly the table's conflicts, with the
-    resolver's message; everything else runs."""
+    """No door refuses a plane: every request runs on the engine its
+    mode names and delivers what it asked for; the once-refused
+    requests deliver what the full engine does, byte for byte."""
 
     @pytest.mark.parametrize("case", MATRIX, ids=case_id)
     def test_api_run_refuses(self, case):
+        # Refuses nothing: every combination runs.
         mode, snapshot, planes = case
-        want = expected(*case)
-        run = lambda: api.run(one_cell(), mode=mode, snapshot=snapshot,
-                              **plane_kwargs(planes))
-        if want[0] == "conflict":
-            with pytest.raises(ValueError) as err:
-                run()
-            assert_names(str(err.value), want[1], want[2])
-            return
-        report = run()
+        report = api.run(one_cell(), mode=mode, snapshot=snapshot,
+                         **plane_kwargs(planes))
         assert report.result.rows
-        assert (report.mode, report.snapshot) == want[1:3]
+        assert (report.mode, report.snapshot) == expected(mode, snapshot)
         assert_delivered(report, planes)
 
-    @pytest.mark.parametrize("case", CONFLICTS, ids=case_id)
+    @pytest.mark.parametrize("case", ONCE_REFUSED, ids=case_id)
     def test_execute_and_apply_mode_refuse(self, case):
         mode, snapshot, planes = case
-        _, named, alternative = expected(*case)
         kwargs = plane_kwargs(planes)
-        with pytest.raises(ValueError) as err:
-            execute(one_cell(), serial=True, mode=mode,
-                    snapshot=snapshot, **kwargs)
-        assert_names(str(err.value), named, alternative)
-        # apply_mode is no second door to the same question: it takes
-        # no planes at all.
+        replay = execute(one_cell(), serial=True, mode=mode,
+                         snapshot=snapshot, **kwargs)
+        full = execute(one_cell(), serial=True, **kwargs)
+        assert replay.mode == "replay"
+        assert artifacts(replay) == artifacts(full)
+        # apply_mode is no second door to a plane question: it takes
+        # no planes at all, and refuses them.
         with pytest.raises(TypeError):
             apply_mode(one_cell(), mode, **kwargs)
 
     @pytest.mark.parametrize(
-        "case", [c for c in CONFLICTS if set(c[2]) <= set(CLI_FLAGS)],
+        "case", [c for c in ONCE_REFUSED if set(c[2]) <= set(CLI_FLAGS)],
         ids=case_id)
     def test_cli_refuses(self, case, tmp_path, monkeypatch, capsys):
+        # Refuses nothing: the CLI writes the full engine's bytes.
         mode, snapshot, planes = case
-        _, named, alternative = expected(*case)
-        monkeypatch.chdir(tmp_path)
-        argv = ["fig6", "--quick", "--serial", "--cells", "C/mru",
-                "--mode", mode, "--snapshot", snapshot]
-        for plane in planes:
-            argv += CLI_FLAGS[plane]
-        with pytest.raises(SystemExit) as err:
-            parallel.main(argv)
-        assert err.value.code == 2
-        assert_names(capsys.readouterr().err, named, alternative)
-        assert not list(tmp_path.iterdir())
+        written = {}
+        for run_mode in ("full", mode):
+            out = tmp_path / run_mode
+            out.mkdir()
+            monkeypatch.chdir(out)
+            argv = ["fig6", "--quick", "--serial", "--cells", "C/mru",
+                    "--mode", run_mode, "--snapshot", snapshot]
+            for plane in planes:
+                argv += CLI_FLAGS[plane]
+            assert parallel.main(argv) == 0
+            captured = capsys.readouterr()
+            assert f"mode={run_mode}, snapshot=" in captured.err
+            written[run_mode] = (captured.out, {
+                path.name: path.read_bytes()
+                for path in sorted(out.iterdir())})
+        assert written[mode] == written["full"]
+        assert len(written[mode][1]) == sum(
+            {"breakdown": 2, "timeseries": 1}.get(p, 0) for p in planes)
 
 
 AUTO = [c for c in MATRIX if c[:2] == ("auto", "auto")]
 
 
 class TestAutoRuns:
-    """``auto`` never refuses: it runs every subset of planes, restored
-    from the snapshot, on the tier the table says, and says why when
-    that was a fallback."""
+    """``auto`` is replay, restored from the snapshot, for every subset
+    of planes, and the timing header says so."""
 
     @pytest.mark.parametrize("case", AUTO, ids=case_id)
     def test_runs_and_reports_the_choice(self, case):
         mode, snapshot, planes = case
-        _, want_mode, want_snapshot, fell_back = expected(*case)
-        assert want_snapshot == "on"
         report = api.run(one_cell(), mode=mode, snapshot=snapshot,
                          **plane_kwargs(planes))
         assert report.result.rows
-        assert (report.mode, report.snapshot) == (want_mode,
-                                                  want_snapshot)
-        assert (report.fallback_reason is None) == (not fell_back)
-        for plane in fell_back:
-            assert plane in report.fallback_reason
+        assert (report.mode, report.snapshot) == ("replay", "on")
         header = report.format_timings().splitlines()[0]
-        assert f"mode={want_mode}, snapshot={want_snapshot}" in header
-        if fell_back:
-            assert f"({report.fallback_reason})" in header
+        assert header.startswith(
+            "[1 cells, jobs=1, mode=replay, snapshot=on, wall ")
         assert_delivered(report, planes)
-
-    def test_header_names_the_fallback(self):
-        report = api.run(one_cell(), mode="auto", timeseries=2_000.0)
-        assert report.format_timings().startswith(
-            "[1 cells, jobs=1, mode=full, snapshot=off "
-            "(auto: timeseries needs the full engine), wall ")
 
 
 class TestRemovedTier:

@@ -242,8 +242,7 @@ class TestDeterminism:
         restored = api.run(plan(), snapshot=setting, faults=faults)
         assert cold.result.rows == restored.result.rows
         assert cold.result.rows != clean.result.rows
-        assert (restored.snapshot, restored.fallback_reason) == ("on",
-                                                                 None)
+        assert restored.snapshot == "on"
 
 
 class TestObserverChain:

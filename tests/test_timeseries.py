@@ -11,9 +11,10 @@ The virtual-time sampler (:mod:`repro.obs.timeseries`) promises:
   bit-identical to an unsampled run's (the sampler only waits and
   reads);
 * **byte-identical artifacts** — the JSONL export is the same bytes
-  serial vs ``--jobs`` and cold vs snapshot-restored;
-* **refusals** — a replay machine refuses the sampler (the
-  request-level mode rules live in ``tests/test_refusals.py``);
+  serial vs ``--jobs``, cold vs snapshot-restored and full vs replay
+  engine;
+* **refusals** — a non-positive sample interval is refused at every
+  door;
 * **fault localization** — the analyzer (:mod:`repro.obs.analyze`)
   localizes an injected device brownout to within one sample
   interval, via the frames alone.
@@ -38,7 +39,6 @@ from repro.obs.collectors import CgroupViews
 from repro.obs.timeseries import (STAT_COLUMNS, TimeseriesSampler,
                                   frame_totals, read_frames_jsonl)
 from repro.obs.trace import TraceEvent
-from repro.replay import enable_replay
 from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
 
 # Small-but-busy YCSB scale: enough traffic to cross many frame
@@ -47,11 +47,13 @@ SCALE = dict(nkeys=2000, cgroup_pages=96, nops=2000, warmup_ops=1000,
              nthreads=2, zipf_theta=1.1)
 
 
-def sampled_cell(interval_us=2_000.0, policy="mru", workload="C"):
+def sampled_cell(interval_us=2_000.0, policy="mru", workload="C",
+                 mode="full"):
     """One fig6-style cell with a sampler attached; returns
     ``(machine_metrics, app_cgroup_name, sampler)``."""
     env = make_db_env(policy, cgroup_pages=SCALE["cgroup_pages"],
-                      nkeys=SCALE["nkeys"], compaction_thread=True)
+                      nkeys=SCALE["nkeys"], compaction_thread=True,
+                      mode=mode)
     sampler = TimeseriesSampler(interval_us).attach(env.machine)
     YcsbRunner(env.db, YCSB_WORKLOADS[workload], nkeys=SCALE["nkeys"],
                nops=SCALE["nops"], nthreads=SCALE["nthreads"],
@@ -206,21 +208,26 @@ class TestArtifactDeterminism:
         assert timeseries_jsonl(cold) == timeseries_jsonl(restored)
 
 
-class TestRefusals:
-    def test_auto_mode_falls_back_to_full(self):
-        spec = fig6.plan(quick=True, policies=("mru",), workloads=("C",),
-                         scale=dict(fig6.QUICK_SCALE, **SCALE))
-        report = api.run(spec, mode="auto", timeseries=2_000.0)
-        assert report.timeseries
-        doc = next(iter(report.timeseries.values()))
+    def test_replay_machine_frames_equal_full(self):
+        full = sampled_cell()
+        replay = sampled_cell(mode="replay")
+        assert replay[2].streams[0].machine.replay_mode
+        assert sampler_rows(replay[2]) == sampler_rows(full[2])
+        assert replay[2].frames_recorded > 5
+
+    def test_auto_mode_frames_equal_full(self):
+        spec = lambda: fig6.plan(quick=True, policies=("mru",),
+                                 workloads=("C",),
+                                 scale=dict(fig6.QUICK_SCALE, **SCALE))
+        full = api.run(spec(), timeseries=2_000.0)
+        auto = api.run(spec(), mode="auto", timeseries=2_000.0)
+        assert (full.mode, auto.mode) == ("full", "replay")
+        doc = next(iter(auto.timeseries.values()))
         assert doc["machines"][0]["n_frames"] > 0
+        assert timeseries_jsonl(auto) == timeseries_jsonl(full)
 
-    def test_attach_on_replay_machine_refused(self):
-        machine = Machine()
-        enable_replay(machine)
-        with pytest.raises(ValueError, match="replay"):
-            TimeseriesSampler().attach(machine)
 
+class TestRefusals:
     def test_nonpositive_interval_refused(self):
         with pytest.raises(ValueError):
             TimeseriesSampler(0.0)

@@ -59,6 +59,20 @@ class TestDistributions:
         gen = ZipfianGenerator(50, seed=4)
         assert all(0 <= gen.next() < 50 for _ in range(2000))
 
+    @pytest.mark.parametrize("n", [3, 10000])
+    def test_zipfian_top_ulp_stays_in_keyspace(self, n):
+        # The largest u random() can return rounds YCSB's base to 1.0.
+        class TopUlp:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        gen = ZipfianGenerator(n, 0.99)
+        gen._rng = TopUlp()
+        assert gen.next() == n - 1
+        scrambled = ScrambledZipfianGenerator(n, 0.99)
+        scrambled._zipf._rng = TopUlp()
+        assert scrambled.next() == scramble_table(n)[n - 1]
+
     def test_zipfian_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             ZipfianGenerator(10, theta=1.5)
