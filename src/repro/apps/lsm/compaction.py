@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.apps.lsm.format import RecordFormat
 from repro.apps.lsm.sstable import SSTable, SSTableWriter
@@ -27,16 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class _Stream:
-    """Lazy entry stream over one input table's data pages."""
+    """Lazy ``(key, value)`` stream over one input table: its data
+    pages are read in order, each as the merge reaches it."""
 
     def __init__(self, table: SSTable) -> None:
         self.table = table
-        self._iter = self._entries()
-
-    def _entries(self) -> Iterator[tuple]:
-        for page in self.table.iter_pages():
-            for entry in page:
-                yield entry
+        self._iter = table.iter_from(table.min_key)
 
     def next_entry(self) -> Optional[tuple]:
         return next(self._iter, None)

@@ -4,14 +4,20 @@ File layout (page-granular)::
 
     [ data pages | bloom pages | index pages | footer page ]
 
-Data pages hold sorted ``(key, value)`` runs and are always read
-through the page cache — they are the folios the eviction policies
-fight over.  Bloom, index and footer pages are read through the cache
-once at ``open()`` and then held parsed in the table object, matching
+Data pages hold sorted runs as flat tuples ``(k0, v0, k1, v1, ...)``
+and are always read through the page cache — they are the folios the
+eviction policies fight over.  This module is the only one that knows
+the layout: readers get values from :meth:`SSTable.get` and
+``(key, value)`` pairs from :meth:`SSTable.iter_from`.  A page holds
+only strings, ints, ``None`` and (for updated values) tuples of them,
+so the cyclic collector untracks it and a snapshot shares it whole.
+
+Bloom, index and footer pages are read through the cache once at
+``open()`` and then held parsed in the table object, matching
 LevelDB's table cache (index/filter blocks pinned per open table).
 
-Tombstones are ``(key, None)`` records; they survive until compaction
-merges them away at the bottom level.
+Tombstones are records whose value is ``None``; they survive until
+compaction merges them away at the bottom level.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.vfs import Filesystem, SimFile
 
 _table_seq = itertools.count(1)
+
+#: The keys of a flat data page: ``page[_KEYS] == (k0, k1, ...)``.
+_KEYS = slice(None, None, 2)
 
 
 class SSTable(SnapshotFriendly):
@@ -95,9 +104,10 @@ class SSTable(SnapshotFriendly):
         pages = [] if file.deleted else list(
             map(file.store.__getitem__, range(self.n_data_pages)))
         # Every page but the last is full.
-        self._epp = len(pages[0]) if pages else 1
+        self._epp = len(pages[0]) // 2 if pages else 1
         slots = self._slots = dict(zip(
-            map(operator.itemgetter(0), itertools.chain.from_iterable(pages)),
+            itertools.chain.from_iterable(
+                map(operator.itemgetter(_KEYS), pages)),
             itertools.count()))
         return slots
 
@@ -132,7 +142,7 @@ class SSTable(SnapshotFriendly):
         entries = self.fs.read_page(file, page)
         if pos is None:
             return (False, None)
-        return (True, entries[pos % self._epp][1])
+        return (True, entries[2 * (pos % self._epp) + 1])
 
     def iter_from(self, start_key: str, noreuse: bool = False,
                   touched: Optional[list] = None) -> Iterator[tuple]:
@@ -152,18 +162,11 @@ class SSTable(SnapshotFriendly):
                 touched.append((file, idx))
             if idx == page:
                 # Only the first page can straddle start_key; later
-                # pages hold strictly greater keys (sorted runs), so
-                # the per-entry comparison is skipped for them.
-                for entry in entries:
-                    if entry[0] >= start_key:
-                        yield entry
-            else:
-                yield from entries
-
-    def iter_pages(self) -> Iterator[list]:
-        """Yield whole data pages in order (the compaction read path)."""
-        for idx in range(self.n_data_pages):
-            yield self.fs.read_page(self.file, idx)
+                # pages hold strictly greater keys (sorted runs).
+                entries = entries[2 * bisect.bisect_left(entries[_KEYS],
+                                                         start_key):]
+            it = iter(entries)
+            yield from zip(it, it)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SSTable({self.file.name!r}, seq={self.seq}, "
@@ -200,6 +203,7 @@ class SSTableWriter:
         self._entries_per_page = fmt.entries_per_page
         #: Every key added so far, in (strictly increasing) order.
         self._keys: list = []
+        #: The open data page, flat: ``[k0, v0, k1, v1, ...]``.
         self._page: list = []
 
     # ------------------------------------------------------------------
@@ -224,16 +228,16 @@ class SSTableWriter:
                 f"keys out of order: {key!r} after {keys[-1]!r}")
         keys.append(key)
         page = self._page
-        page.append((key, value))
-        if len(page) >= self._entries_per_page:
-            self._emit_page(page)
+        page += (key, value)
+        if len(page) >= 2 * self._entries_per_page:
+            self._emit_page(tuple(page))
             self._page = []
 
     def extend(self, run: list) -> None:
-        """Append a run of ``(key, value)`` tuples, strictly sorted by
-        key and after every key already added.  The run is sliced into
-        pages in one pass (its tuples become the page entries); a run
-        that is out of order is refused whole."""
+        """Append a run of ``(key, value)`` pairs, strictly sorted by
+        key and after every key already added.  The run is flattened
+        once and sliced into pages; a run that is out of order is
+        refused whole."""
         keys = self._keys
         new = list(map(operator.itemgetter(0), run))
         # One C-level order check, over the seam with earlier calls too.
@@ -244,12 +248,14 @@ class SSTableWriter:
             raise ValueError(f"keys out of order: {chain[bad]!r} "
                              f"after {chain[bad - 1]!r}")
         keys += new
-        epp = self._entries_per_page
-        records = self._page + run  # the open page's records go first
-        full = len(records) - len(records) % epp
-        for start in range(0, full, epp):
-            self._emit_page(records[start:start + epp])
-        self._page = records[full:]
+        step = 2 * self._entries_per_page
+        # The open page's records go first.
+        flat = tuple(itertools.chain(self._page,
+                                     itertools.chain.from_iterable(run)))
+        full = len(flat) - len(flat) % step
+        for start in range(0, full, step):
+            self._emit_page(flat[start:start + step])
+        self._page = list(flat[full:])
 
     def finish(self) -> SSTable:
         """Flush metadata pages and return the readable table."""
@@ -257,7 +263,7 @@ class SSTableWriter:
         if not keys:
             raise ValueError("cannot finish an empty SSTable")
         if self._page:
-            self._emit_page(self._page)
+            self._emit_page(tuple(self._page))
         n_data_pages = self._n_data_pages
         bloom = BloomFilter(self._expected_entries)
         bloom.add_all(keys)
@@ -265,7 +271,8 @@ class SSTableWriter:
             self._emit_page(chunk)
         index = keys[::self._entries_per_page]
         for start in range(0, len(index), INDEX_ENTRIES_PER_PAGE):
-            self._emit_page(index[start:start + INDEX_ENTRIES_PER_PAGE])
+            self._emit_page(
+                tuple(index[start:start + INDEX_ENTRIES_PER_PAGE]))
         footer = {
             "n_data_pages": n_data_pages,
             "n_bloom_pages": bloom.npages,

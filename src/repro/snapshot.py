@@ -116,16 +116,16 @@ def _shareable(obj, memo: dict) -> bool:
 class _SharingPickler(pickle.Pickler):
     """Pickler that keeps big immutable leaves *by reference*.
 
-    The LSM store's data pages are lists (``SSTableWriter`` emits list
-    slices) of ``(key, value)`` entry tuples, and their key strings
-    are (by construction, via the pre-generated stream caches) the
-    **same objects** the workload streams carry.  A plain pickle round-trip
+    The LSM store's data pages are flat tuples ``(k0, v0, k1, v1,
+    ...)`` of strings and ints (``SSTableWriter``), and their key
+    strings are (by construction, via the stream caches) the **same
+    objects** the workload streams carry.  A plain pickle round-trip
     would copy them, and every key comparison on a restored machine
     would lose CPython's pointer-equality fast path — measured as a
     uniform ~4-15% drag on the whole run phase, wiping out the build
     savings.  Capturing immutable leaves (str/bytes/large int, and
-    tuples thereof — sstable entries and records; the page lists
-    around them are pickled by value) in a side table and
+    tuples thereof — each data page is one such leaf, shared whole
+    with one ``persistent_id`` hit) in a side table and
     restoring them by identity keeps restored machines bit-for-bit
     *and* pointer-compatible with cold builds, preserves the cold
     build's allocation locality for the bulk of the image, shrinks

@@ -24,7 +24,6 @@ reports throughput in operations per simulated second.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -84,9 +83,11 @@ def key_of(index: int) -> str:
 
 
 def load_items(nkeys: int) -> list[tuple]:
-    """The YCSB load phase's records, for :meth:`LsmDb.bulk_load`."""
-    keys = streams.key_strings(nkeys)
-    return list(zip(keys, zip(itertools.repeat("v0"), range(nkeys))))
+    """The YCSB load phase's records, for :meth:`LsmDb.bulk_load`:
+    ``(key_of(i), i)``.  A loaded value is its key index; nothing reads
+    value content (readers test ``value is None``) and value sizes come
+    from :class:`~repro.apps.lsm.format.RecordFormat`."""
+    return list(zip(streams.key_strings(nkeys), range(nkeys)))
 
 
 @dataclass

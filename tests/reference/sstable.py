@@ -14,7 +14,10 @@ def reference_get(table, key, reads=None):
     page = table._page_for_key(key)
     if reads is not None:
         reads.append((table.file, page))
-    entries = table.fs.read_page(table.file, page)
+    data = table.fs.read_page(table.file, page)
+    # A data page is flat, ``(k0, v0, k1, v1, ...)``: decode it to
+    # ``(key, value)`` records.
+    entries = list(zip(data[::2], data[1::2]))
     pos = bisect.bisect_left(entries, (key,))
     if pos < len(entries) and entries[pos][0] == key:
         return (True, entries[pos][1])

@@ -1,7 +1,9 @@
 """LSM store tests: SSTables, bloom filters, compaction, DB semantics."""
 
+import gc
 import operator
 import random
+import tracemalloc
 import zlib
 
 import pytest
@@ -13,7 +15,9 @@ from repro.apps.lsm.compaction import CompactionJob
 from repro.apps.lsm import format as lsm_format
 from repro.apps.lsm.format import BloomFilter, RecordFormat, fnv1a
 from repro.apps.lsm.sstable import SSTableWriter, open_sstable
+from repro.experiments.harness import make_db_env
 from repro.kernel import Machine
+from repro.workloads import streams
 from tests.reference.bloom import reference_add, reference_test
 from tests.strategies import STANDARD_SETTINGS
 
@@ -216,6 +220,41 @@ class TestSSTable:
         assert not table.overlaps("z", "zz")
 
 
+class TestRecordFootprint:
+    """A loaded record is its key, an int and two slots of a flat page
+    tuple, and pages hold no container the cyclic collector must
+    track.  Per-record containers (a pair, a value tuple, a page
+    list) cost about 206 bytes a record and fail the bound."""
+
+    N = 4000
+
+    def test_data_pages_are_untracked_tuples(self):
+        env = make_db_env("default", cgroup_pages=64, nkeys=self.N)
+        gc.collect()
+        pages = [table.file.store[index]
+                 for table in env.db._all_tables()
+                 for index in range(table.n_data_pages)]
+        assert sum(len(page) for page in pages) == 2 * self.N
+        assert all(type(page) is tuple for page in pages)
+        assert not any(map(gc.is_tracked, pages))
+
+    def test_bytes_per_loaded_record(self):
+        n = self.N
+        streams.key_strings(n)  # the key strings are the streams' own
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            env = make_db_env("default", cgroup_pages=64, nkeys=n)
+            gc.collect()
+            cost = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert env.db.levels[-1]
+        # About 97 bytes a record, the machine's fixed cost included.
+        assert cost <= 128 * n + 16384, cost / n
+
+
 class TestDbBasics:
     def test_put_get(self):
         machine, cg, db = make_db()
@@ -395,9 +434,9 @@ class TestCompaction:
             return job.run_to_completion()
 
         outputs = in_thread(machine, cg, ops)
-        merged = []
-        for page in outputs[0].iter_pages():
-            merged.extend(page)
+        out = outputs[0]
+        merged = in_thread(machine, cg,
+                           lambda: list(out.iter_from(out.min_key)))
         assert dict(merged) == {"k1": "old", "k2": "new", "k3": "new"}
 
     def test_background_thread_drains_work(self):

@@ -28,10 +28,16 @@ FORMATS = (RecordFormat(value_size=1000),    # 3 records per page
            RecordFormat(value_size=220))     # 16
 
 
+def encode(records: list) -> tuple:
+    """A data page as stored: the records' keys and values, flat."""
+    return tuple(item for record in records for item in record)
+
+
 class ReferenceWriter:
     """Per-record SSTable writer: every ``add`` appends the index key,
     tracks min/max, counts the entry and sets the key's bloom bits from
-    :meth:`BloomFilter._positions`."""
+    :meth:`BloomFilter._positions`.  A data page collects ``(key,
+    value)`` records and is encoded only when emitted."""
 
     def __init__(self, fs, name, fmt, expected_entries,
                  through_cache=True) -> None:
@@ -70,7 +76,7 @@ class ReferenceWriter:
         reference_add(self.bloom, key)
         self._n_entries += 1
         if len(self._page) >= self.fmt.entries_per_page:
-            self._emit_page(self._page)
+            self._emit_page(encode(self._page))
             self._page = []
             self._n_data_pages += 1
 
@@ -82,13 +88,13 @@ class ReferenceWriter:
         if self._n_entries == 0:
             raise ValueError("cannot finish an empty SSTable")
         if self._page:
-            self._emit_page(self._page)
+            self._emit_page(encode(self._page))
             self._n_data_pages += 1
         for chunk in self.bloom.chunks:
             self._emit_page(chunk)
         for start in range(0, len(self._index), INDEX_ENTRIES_PER_PAGE):
-            self._emit_page(self._index[start:start +
-                                        INDEX_ENTRIES_PER_PAGE])
+            self._emit_page(tuple(self._index[start:start +
+                                              INDEX_ENTRIES_PER_PAGE]))
         self._emit_page({
             "n_data_pages": self._n_data_pages,
             "n_bloom_pages": self.bloom.npages,

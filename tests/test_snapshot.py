@@ -120,6 +120,21 @@ class GetKeys:
         return False
 
 
+class ScanKeys:
+    """Step function of one thread that lists every table's keys
+    through :meth:`SSTable.iter_from` (a class, like :class:`GetKeys`)."""
+
+    def __init__(self, db) -> None:
+        self.db = db
+        self.keys: list = []
+
+    def __call__(self, thread) -> bool:
+        for table in self.db._all_tables():
+            self.keys.extend(key for key, _ in
+                             table.iter_from(table.min_key))
+        return False
+
+
 class TestServedTablesEquality:
     def test_image_of_tables_that_served_gets(self):
         """Every sweep captures before the first lookup; here the image
@@ -128,9 +143,11 @@ class TestServedTablesEquality:
         image, and the restored graph carries on exactly as the
         captured one does."""
         env = make_db_env("default", cgroup_pages=64, nkeys=1000)
-        keys = [key for table in env.db._all_tables()
-                for index in range(table.n_data_pages)
-                for key, _ in table.file.store[index]]
+        scan = ScanKeys(env.db)
+        env.machine.spawn("scanner", scan, cgroup=env.cgroup)
+        env.machine.run()
+        keys = scan.keys
+        assert len(keys) == 1000
 
         def payload(machine, cgroup, db, keys):
             step = GetKeys(db, keys)

@@ -203,8 +203,10 @@ class TestYcsbSpecs:
         items = load_items(10)
         assert len(items) == 10
         assert items[0][0] == key_of(0)
-        assert items == [(key_of(i), ("v0", i)) for i in range(10)]
-        assert all(type(item) is type(item[1]) is tuple for item in items)
+        # A loaded value is its key index.
+        assert items == [(key_of(i), i) for i in range(10)]
+        assert all(type(item) is tuple and type(item[1]) is int
+                   for item in items)
 
 
 def small_db_env(nkeys=2000, limit=128):
