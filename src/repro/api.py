@@ -133,8 +133,9 @@ def run(spec: Union[str, object], *, mode: str = "full",
     timeseries:
         ``False`` (no sampling, the zero-cost default), ``True``
         (continuous telemetry frames at the default 10 ms virtual
-        cadence), or a sample interval in virtual µs.  Frames land in
-        ``report.timeseries`` (export with
+        cadence), or a positive, finite sample interval in virtual µs
+        (anything else is a ``ValueError`` before any cell runs).
+        Frames land in ``report.timeseries`` (export with
         :func:`repro.experiments.parallel.timeseries_jsonl`, analyze
         with :mod:`repro.obs.analyze`).
     """

@@ -151,29 +151,13 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
 
 @bpf_kfunc
 def list_del(folio) -> int:
-    """Remove ``folio`` from whatever eviction list holds it.
-
-    Hot path: inlined like :func:`list_add`.
-    """
-    if folio.__class__ is Folio or isinstance(folio, Folio):
-        memcg = folio.memcg
-        policy = getattr(memcg, "ext_policy", None)
-        if policy is None:
-            policy = getattr(memcg, "_cache_ext_loading", None)
-    else:
-        policy = None
+    """Remove ``folio`` from whatever eviction list holds it."""
+    if not isinstance(folio, Folio):
+        return EINVAL
+    policy = _policy_of_memcg(folio.memcg)
     if policy is None:
         return EINVAL
-    us = policy.machine.costs.kfunc_op_us
-    thread = _engine._current
-    if thread is not None:
-        # Inlined Thread.advance; us is a configured cost, >= 0.
-        thread.clock_us += us
-        thread.cpu_us += us
-        span = thread.span
-        if span is not None:
-            span.add("kfunc", us)
-    policy._memcg_stats.hook_cpu_us += us
+    policy.charge(policy.machine.costs.kfunc_op_us)
     node = policy.registry.get_node(folio)
     if node is None or node.owner is None:
         return _fail(policy, ENOENT, "list_del")

@@ -414,8 +414,8 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
     reference behaviour the parallel path must reproduce byte for
     byte.  ``breakdown=True`` records a per-cell latency-attribution
     summary in :attr:`ExecutionReport.breakdown`.  ``timeseries``
-    (``True`` for the default cadence, or a sample interval in virtual
-    µs) records per-cell telemetry frames in
+    (``True`` for the default cadence, or a positive, finite sample
+    interval in virtual µs) records per-cell telemetry frames in
     :attr:`ExecutionReport.timeseries` — export with
     :func:`timeseries_jsonl`; byte-identical serial vs ``--jobs`` and
     cold vs snapshot-restored.  ``faults`` (a
@@ -436,10 +436,8 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
         from repro.obs.timeseries import DEFAULT_SAMPLE_INTERVAL_US
         timeseries = DEFAULT_SAMPLE_INTERVAL_US
     else:
-        timeseries = float(timeseries)
-        if timeseries <= 0:
-            raise ValueError(
-                f"sample interval must be positive: {timeseries}")
+        from repro.obs.timeseries import sample_interval
+        timeseries = sample_interval(timeseries)
     planes = requested_planes(faults=faults, trace=trace,
                               breakdown=breakdown, timeseries=timeseries)
     mode, snapshot = resolve_execution(mode, snapshot)
@@ -631,9 +629,12 @@ def main(argv: Optional[list] = None) -> int:
             parser.error(str(exc))
     if args.sample_interval_us is not None and args.timeseries is None:
         parser.error("--sample-interval-us needs --timeseries PATH")
-    if args.sample_interval_us is not None and args.sample_interval_us <= 0:
-        parser.error("--sample-interval-us must be positive: "
-                     f"{args.sample_interval_us}")
+    if args.sample_interval_us is not None:
+        from repro.obs.timeseries import sample_interval
+        try:
+            sample_interval(args.sample_interval_us, "--sample-interval-us")
+        except ValueError as exc:
+            parser.error(str(exc))
     timeseries = None
     if args.timeseries is not None:
         timeseries = (args.sample_interval_us

@@ -100,22 +100,17 @@ class Filesystem(SnapshotFriendly):
         self._tp_span = trace.tracepoint("span:close")
         self._spans = machine.spans
 
-    def _account_misses(self, memcg, f: SimFile, indices) -> None:
+    def _account_misses(self, memcg, f: SimFile, index: int) -> None:
         """Miss accounting — the single source of truth shared by
-        :meth:`read_page`, :meth:`write_page` and the batched range
-        path: bump the accessing cgroup's lookup/miss counters once for
-        the whole batch, then trace each miss."""
-        n = len(indices)
+        :meth:`read_page` and :meth:`write_page`: bump the accessing
+        cgroup's lookup/miss counters and trace the miss."""
         mstats = memcg.stats
-        mstats.misses += n
-        mstats.lookups += n
+        mstats.misses += 1
+        mstats.lookups += 1
         tp = self._tp_lookup
         if tp.enabled:
             ts, tid = trace_stamp(self.machine.engine)
-            name = memcg.name
-            fid = f.file_id
-            for index in indices:
-                tp.emit(ts, name, tid, hit=0, file=fid, index=index)
+            tp.emit(ts, memcg.name, tid, hit=0, file=f.file_id, index=index)
 
     def _retry(self, error: Exception, op: str, thread, npages: int,
                contiguous: bool = False):
@@ -230,7 +225,7 @@ class Filesystem(SnapshotFriendly):
             # Miss: bring the page (plus any readahead) in from the
             # device.
             memcg = cache._current_cgroup()
-            self._account_misses(memcg, f, (index,))
+            self._account_misses(memcg, f, index)
 
             # Readahead probe: with no ext policy attached the
             # heuristic's cheap rejection (random access, readahead
@@ -293,31 +288,22 @@ class Filesystem(SnapshotFriendly):
     def read_range(self, f: SimFile, start: int, npages: int) -> list:
         """Sequential multi-page read; returns stored objects in order.
 
-        Fast path (the default): the whole range is classified against
-        the mapping in one pass, statistics are charged and trace
-        events emitted in bulk, missing folios (plus one trailing
-        readahead window) are inserted without re-entering
-        :meth:`read_page` per index, and all missing pages go to the
-        device as a single batched request.
-
-        Opt-out: when the accessing cgroup has a cache_ext policy
-        attached, the read falls back to the per-page loop, so policies
-        hooking per-access callbacks (admission, readahead hints,
-        per-folio ``folio_accessed``) see every event exactly as
-        ``read_page`` dispatches it.
+        :meth:`read_page` for each index in order, as ``filemap_read``
+        looks up each folio of the range and fills the misses through
+        readahead: every page is classified, counted, traced and
+        dispatched to the hooks exactly as a single-page read would be.
         """
-        if npages <= 0:
+        if npages < 0:
+            raise EINVAL(f"{f.name}: negative page count: {npages}")
+        if npages == 0:
             return []
         if f.deleted:
             raise EBADF(f"read of deleted file: {f.name}")
         if start < 0 or start + npages > f.npages:
             raise EINVAL(f"{f.name}: range [{start}, {start + npages}) "
                          f"past EOF ({f.npages} pages)")
-        cache = self.machine.page_cache
-        memcg = cache._current_cgroup()
-        # One span covers the whole range on both paths: per-page
-        # read_page calls inside it are absorbed (non-reentrancy), and
-        # the bulk path charges its batched costs against it directly.
+        # One span covers the whole range: the read_page spans inside
+        # it are absorbed (spans are non-reentrant).
         span = None
         tp = self._tp_span
         if tp.enabled:
@@ -325,110 +311,11 @@ class Filesystem(SnapshotFriendly):
             if _thread is not None and _thread.span is None:
                 span = self._spans.open(_thread, "vfs.read_range")
         try:
-            if memcg.ext_policy is not None:
-                return [self.read_page(f, idx)
-                        for idx in range(start, start + npages)]
-            return self._read_range_bulk(f, start, npages, cache, memcg)
+            return [self.read_page(f, index)
+                    for index in range(start, start + npages)]
         finally:
             if span is not None:
                 self._spans.close(_thread, span)
-
-    def _read_range_bulk(self, f: SimFile, start: int, npages: int,
-                         cache, memcg) -> list:
-        """One-pass batched range read (no cache_ext policy attached).
-
-        Trace events carry one timestamp for the whole batch — a
-        single batched syscall charges no CPU between pages — but the
-        per-page event *sequence* (one ``cache:lookup`` per page in
-        index order, one ``cache:insert`` per missing page) matches
-        the per-page path.
-        """
-        end = start + npages
-        lookup = f.mapping.lookup
-        page_states = []
-        missing = []
-        nhits = 0
-        for index in range(start, end):
-            folio = lookup(index)
-            page_states.append(folio)
-            if folio is None:
-                missing.append(index)
-            else:
-                nhits += 1
-
-        # Sequential-detection state, exactly as npages consecutive
-        # read_page calls would leave it (feeds trailing readahead).
-        if start == f.last_read_index + 1:
-            f.seq_streak += npages
-        else:
-            f.seq_streak = npages - 1
-        f.last_read_index = end - 1
-
-        nmiss = len(missing)
-        mstats = memcg.stats
-        mstats.lookups += npages
-        mstats.hits += nhits
-        mstats.misses += nmiss
-        tp = cache._tp_lookup
-        if tp.enabled:
-            ts, tid = trace_stamp(self.machine.engine)
-            name = memcg.name
-            fid = f.file_id
-            for offset, folio in enumerate(page_states):
-                tp.emit(ts, name, tid, hit=0 if folio is None else 1,
-                        file=fid, index=start + offset)
-
-        thread = current_thread()
-        if nhits:
-            if thread is not None:
-                us = self.machine.costs.cache_hit_us * nhits
-                thread.advance(us)
-                # Batched span charge: one add for the whole batch's
-                # hit servicing (the per-page path charges per hit).
-                span = thread.span
-                if span is not None:
-                    span.add("cache_hit", us)
-            if not f.noreuse:
-                for folio in page_states:
-                    if folio is None:
-                        continue
-                    owner = folio.memcg
-                    owner.kernel_policy.folio_accessed(folio)
-                    # Hit folios may be owned by *other* cgroups whose
-                    # policies still get their per-folio callback.
-                    ext = owner.ext_policy
-                    if ext is not None:
-                        ext.folio_accessed(folio)
-        if nmiss == 0:
-            store_get = f.store.get
-            return [store_get(index) for index in range(start, end)]
-
-        # Insert every missing folio directly (full add_folio
-        # semantics: refault detection, charging, reclaim) — no
-        # admission filter can reject here, the bulk path requires no
-        # ext policy on the accessing cgroup.  The explicit range
-        # subsumes readahead: pages after the first miss are exactly
-        # the readahead folios, inserted without re-entering
-        # read_page per index.
-        add_folio = cache.add_folio
-        mapping = f.mapping
-        inserted = []
-        for index in missing:
-            folio = add_folio(mapping, index, memcg)
-            if folio is not None:
-                inserted.append(folio)
-        try:
-            try:
-                self.machine.disk.read(thread, nmiss)
-            except (EIO, ETIMEDOUT) as error:
-                self._retry(error, "read", thread, nmiss)
-        except (EIO, ETIMEDOUT):
-            # Exhausted retries: the batch never arrived; drop the
-            # folios inserted for it (see read_page).
-            cache.remove_folios_no_shadow(inserted)
-            raise
-        store_get = f.store.get
-        return [store_get(index) for index in range(start, end)]
 
     def _readahead_indices(self, f: SimFile, index: int,
                            memcg) -> list[int]:
@@ -486,7 +373,7 @@ class Filesystem(SnapshotFriendly):
                 return
 
             memcg = cache._current_cgroup()
-            self._account_misses(memcg, f, (index,))
+            self._account_misses(memcg, f, index)
             folio = cache.add_folio(f.mapping, index, memcg)
             if folio is None:
                 # Admission filter rejected the write: go straight to

@@ -58,6 +58,7 @@ span columns are the breakdown plane's (``--breakdown``), not frames'.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from repro.kernel.stats import CacheStats, left_sum
@@ -66,6 +67,22 @@ from repro.obs.trace import TraceEvent
 
 #: Default frame width: 10 virtual milliseconds.
 DEFAULT_SAMPLE_INTERVAL_US = 10_000.0
+
+
+def sample_interval(value, name: str = "sample interval") -> float:
+    """``value`` as a frame width in virtual µs, or ``ValueError``.
+
+    Only a positive, finite width is a cadence: at NaN the sampler's
+    clock never reaches a frame boundary, and at infinity the frames
+    artifact would carry a non-JSON ``Infinity``.
+    """
+    interval = float(value)
+    if not interval > 0:
+        raise ValueError(f"{name} must be positive: {value}")
+    if interval == math.inf:
+        raise ValueError(f"{name} must be finite: {value}")
+    return interval
+
 
 #: Reserved tid for sampler threads.  The engine hands workload
 #: threads tids from ``itertools.count(1000)``; taking one of those for
@@ -336,10 +353,7 @@ class TimeseriesSampler:
 
     def __init__(self,
                  interval_us: float = DEFAULT_SAMPLE_INTERVAL_US) -> None:
-        if interval_us <= 0:
-            raise ValueError(
-                f"sample interval must be positive: {interval_us}")
-        self.interval_us = float(interval_us)
+        self.interval_us = sample_interval(interval_us)
         self.streams: list[_MachineStream] = []
 
     def attach(self, machine) -> "TimeseriesSampler":

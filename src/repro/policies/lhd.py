@@ -79,26 +79,6 @@ def make_lhd_policy(map_entries: int = 65536,
     reconfig_rb = RingBuffer(capacity=64, name="lhd_reconfig")
 
     @bpf_program
-    def lhd_age_bucket(delta_us):
-        # ilog2(delta/quantum + 1), loop-free via a shift cascade.
-        value = delta_us // AGE_QUANTUM_US + 1
-        bucket = 0
-        if value >= 256:
-            bucket += 8
-            value >>= 8
-        if value >= 16:
-            bucket += 4
-            value >>= 4
-        if value >= 4:
-            bucket += 2
-            value >>= 2
-        if value >= 2:
-            bucket += 1
-        if bucket > AGE_BUCKETS - 1:
-            bucket = AGE_BUCKETS - 1
-        return bucket
-
-    @bpf_program
     def lhd_count_event():
         events = bss.atomic_add(_EVENTS, 1)
         if events % RECONFIG_EVERY == 0:
@@ -120,11 +100,12 @@ def make_lhd_policy(map_entries: int = 65536,
         meta.update(folio.id, (ktime_us(), CLASSES - 1))
         lhd_count_event()
 
-    # The three hottest programs below (accessed on every cache hit,
-    # score at nr_scan per reclaim pass, removed on every eviction)
-    # inline lhd_age_bucket's shift cascade instead of calling the
-    # program: identical arithmetic, two Python frames cheaper per
-    # invocation — a real cost at millions of score calls per cell.
+    # The three programs below (accessed on every cache hit, score at
+    # nr_scan per reclaim pass, removed on every eviction) each write
+    # out the age bucket, ilog2(age/quantum + 1), as a loop-free shift
+    # cascade rather than calling a shared program: two Python frames
+    # cheaper per invocation — a real cost at millions of score calls
+    # per cell.
 
     @bpf_program
     def lhd_folio_accessed(folio):

@@ -18,6 +18,7 @@ from tests.strategies.scoring import (ScoringCase, SimpleCase,
 from tests.strategies.settings import (COMPOSITION_SETTINGS,
                                        DETERMINISM_SETTINGS,
                                        STANDARD_SETTINGS)
+from tests.strategies.vfs import RangeCase, range_cases
 from tests.strategies.ycsb import YcsbCase, ycsb_cases
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "FaultedSchedule",
     "LsmOp",
     "PlaneCase",
+    "RangeCase",
     "RegistryCase",
     "ScoringCase",
     "SimpleCase",
@@ -41,6 +43,7 @@ __all__ = [
     "faulted_schedules",
     "lsm_op_sequences",
     "plane_cases",
+    "range_cases",
     "registry_cases",
     "scoring_cases",
     "simple_cases",

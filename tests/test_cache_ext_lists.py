@@ -16,6 +16,7 @@ from repro.cache_ext.kfuncs import (DEFAULT_MAX_SCAN, EINVAL, ENOENT, EPERM,
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
+from repro.obs.spans import Span
 from tests.reference.kfuncs import (reference_iterate_simple,
                                     reference_scoring)
 from tests.strategies import STANDARD_SETTINGS, scoring_cases, simple_cases
@@ -99,6 +100,48 @@ class TestListManagement:
         assert list_del(folio) == 0
         assert list_size(list_id) == 0
         assert list_del(folio) == ENOENT
+
+    def test_del_charges_one_kfunc_op(self):
+        """list_del bills exactly what list_add bills: kfunc_op_us on
+        the thread's clock and CPU, the cgroup's hook CPU and the
+        running span's ``kfunc`` component; a non-folio is EINVAL and
+        charges nothing; an unlisted folio is ENOENT and counted."""
+        machine, cg, policy, f = setup()
+        list_id = list_create(cg)
+        folio, other = fault_in(machine, f, cg, 2)
+        us = machine.costs.kfunc_op_us
+        out = {}
+
+        def step(thread):
+            def charged(call):
+                before = (thread.clock_us, thread.cpu_us,
+                          cg.stats.hook_cpu_us, span.comps.get("kfunc", 0.0))
+                rc = call()
+                return rc, before, (thread.clock_us, thread.cpu_us,
+                                    cg.stats.hook_cpu_us, span.comps["kfunc"])
+
+            span = thread.span = Span("test", thread.clock_us)
+            assert list_add(list_id, folio, True) == 0
+            out["del"] = charged(lambda: list_del(folio))
+            out["add"] = charged(lambda: list_add(list_id, folio, True))
+            out["einval"] = charged(lambda: list_del("not a folio"))
+            out["enoent"] = charged(lambda: list_del(other))
+            thread.span = None
+            return False
+
+        machine.spawn("p", step, cgroup=cg)
+        machine.run()
+        for call in ("del", "add"):
+            rc, before, after = out[call]
+            assert rc == 0
+            assert after == tuple(value + us for value in before), call
+        rc, before, after = out["einval"]
+        assert rc == EINVAL and after == before
+        rc, before, after = out["enoent"]
+        assert rc == ENOENT
+        assert after == tuple(value + us for value in before)
+        assert policy.kfunc_errors == cg.stats.kfunc_errors == 1
+        assert list_size(list_id) == 1
 
     def test_move_rotates(self):
         machine, cg, policy, f = setup()

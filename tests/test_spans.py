@@ -5,7 +5,7 @@ The contract under test (see :mod:`repro.obs.spans` /
 
 * every request span's components sum to its duration **bitwise** —
   fold ``COMPONENTS`` left-to-right and you reproduce ``dur_us``
-  exactly, on the per-page path and the batched bulk-I/O path alike;
+  exactly, for single-page and range reads alike;
 * spans are purely observational (enabling them never perturbs
   virtual time) and gated by the ``span:close`` tracepoint;
 * aggregation output is deterministic: identical runs produce
@@ -123,14 +123,15 @@ class TestComponentSumInvariant:
             ["vfs.read_range", "vfs.read_range"]
         cold, warm = events
         assert cold.data.get("device_service", 0.0) > 0
-        # The warm pass charges one batched cache_hit for all 64 pages.
+        # The warm pass is 64 hits: cache_hit time, no device time.
         assert warm.data.get("cache_hit", 0.0) > 0
         assert warm.data.get("device_service", 0.0) == 0.0
 
     def test_range_with_policy_absorbs_nested_reads(self):
-        # A cache_ext policy forces read_range onto the per-page
-        # fallback; the inner read_page calls must be absorbed by the
-        # enclosing vfs.read_range span (spans are non-reentrant).
+        # read_range is read_page page by page; with a cache_ext
+        # policy attached the inner reads dispatch hooks, and all of it
+        # is absorbed by the enclosing vfs.read_range span (spans are
+        # non-reentrant).
         machine, cg, f = make_env(limit=128, npages=96,
                                   policy=make_mru_policy())
         events = record_spans(

@@ -13,8 +13,8 @@ The virtual-time sampler (:mod:`repro.obs.timeseries`) promises:
 * **byte-identical artifacts** — the JSONL export is the same bytes
   serial vs ``--jobs``, cold vs snapshot-restored and full vs replay
   engine;
-* **refusals** — a non-positive sample interval is refused at every
-  door;
+* **refusals** — a sample interval that is not positive and finite
+  is refused at every door, before any cell runs;
 * **fault localization** — the analyzer (:mod:`repro.obs.analyze`)
   localizes an injected device brownout to within one sample
   interval, via the frames alone.
@@ -22,12 +22,14 @@ The virtual-time sampler (:mod:`repro.obs.timeseries`) promises:
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro import api
 from repro.experiments import fig6
-from repro.experiments.harness import make_db_env
+from repro.experiments.harness import (CellSpec, ExperimentSpec,
+                                       make_db_env)
 from repro.experiments.parallel import execute
 from repro.experiments.parallel import main as parallel_main
 from repro.experiments.parallel import timeseries_jsonl
@@ -249,6 +251,59 @@ class TestRefusals:
         assert excinfo.value.code == 2
         assert "--sample-interval-us must be positive: 0.0" \
             in capsys.readouterr().err
+        assert not frames.exists()
+
+
+def _cell_must_not_run():
+    raise AssertionError("a refused interval ran a cell")
+
+
+def _unrunnable_plan(quick=False):
+    """A one-cell plan whose cell fails if called: a refusal must come
+    before any cell runs (a cell under a NaN cadence would never end)."""
+    return ExperimentSpec(
+        "fig6", [CellSpec("fig6", "C/mru", _cell_must_not_run)],
+        merge=lambda meta, payloads: None)
+
+
+NOT_A_CADENCE = [(float("nan"), "must be positive: nan"),
+                 (float("inf"), "must be finite: inf"),
+                 (0.0, "must be positive: 0.0")]
+
+
+class TestNonFiniteRefusals:
+    """Only a positive, finite interval is a cadence, at every door."""
+
+    @pytest.mark.parametrize("interval,message", NOT_A_CADENCE)
+    def test_sampler(self, interval, message):
+        with pytest.raises(ValueError, match=message):
+            TimeseriesSampler(interval)
+
+    @pytest.mark.parametrize("interval,message", NOT_A_CADENCE)
+    def test_execute(self, interval, message):
+        with pytest.raises(ValueError, match=message):
+            execute(_unrunnable_plan(), serial=True, timeseries=interval)
+
+    @pytest.mark.parametrize("interval,message", NOT_A_CADENCE)
+    def test_api_run(self, interval, message):
+        with pytest.raises(ValueError, match=message):
+            api.run(_unrunnable_plan(), timeseries=interval)
+
+    @pytest.mark.parametrize("text,message",
+                             [("nan", "must be positive: nan"),
+                              ("inf", "must be finite: inf")])
+    def test_cli_exits_2(self, text, message, tmp_path, capsys,
+                         monkeypatch):
+        monkeypatch.setattr(
+            "repro.experiments.parallel._load_experiment",
+            lambda name: SimpleNamespace(plan=_unrunnable_plan))
+        frames = tmp_path / "f.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            parallel_main(["fig6", "--quick", "--serial", "--cells",
+                           "C/mru", "--timeseries", str(frames),
+                           "--sample-interval-us", text])
+        assert excinfo.value.code == 2
+        assert f"--sample-interval-us {message}" in capsys.readouterr().err
         assert not frames.exists()
 
 
