@@ -8,8 +8,9 @@ depend on:
 
 * an in-memory **memtable** in front of a write-ahead log;
 * immutable **SSTables** whose data pages live in the simulated page
-  cache (index and bloom pages are read once at open and cached in the
-  table object, like LevelDB's table cache);
+  cache (index pages are read once at open and cached in the table
+  object, like LevelDB's table cache; the bloom filter is derived from
+  the table's keys on its first probe);
 * **leveled compaction** running on a background thread, reading whole
   input tables through the page cache — the pollution source the
   admission filter exists to fix (§5.6).

@@ -433,10 +433,23 @@ class LsmDb(SnapshotFriendly):
         bottom-level tables, bypassing the page cache — the equivalent
         of loading the database before the experiment and dropping
         caches, which is the paper's methodology.
+
+        The bottom level stays sorted and non-overlapping: the new
+        tables go in ``min_key`` order, and a run whose key range
+        overlaps a bottom-level table is refused with ``ValueError``
+        before anything is written.
         """
         items = sorted(items)
+        bottom = self.levels[self.opts.max_levels]
+        if items:
+            lo, hi = items[0][0], items[-1][0]
+            clash = next((t for t in bottom if t.overlaps(lo, hi)), None)
+            if clash is not None:
+                raise ValueError(
+                    f"bulk load [{lo!r}..{hi!r}] overlaps bottom-level "
+                    f"table [{clash.min_key!r}..{clash.max_key!r}]")
         per_table = self.opts.table_pages * self.opts.fmt.entries_per_page
-        bottom = self.opts.max_levels
+        tables = []
         for start in range(0, len(items), per_table):
             chunk = items[start:start + per_table]
             writer = SSTableWriter(self.machine.fs, self._next_sst_name(),
@@ -444,7 +457,10 @@ class LsmDb(SnapshotFriendly):
                                    expected_entries=len(chunk),
                                    through_cache=False)
             writer.extend(chunk)
-            self.levels[bottom].append(writer.finish())
+            tables.append(writer.finish())
+        if tables:
+            at = bisect.bisect_left([t.min_key for t in bottom], lo)
+            bottom[at:at] = tables
         self._bump_version()
 
     # ------------------------------------------------------------------

@@ -90,34 +90,37 @@ class RecordFormat(SnapshotFriendly):
                            max(1, PAGE_SIZE // record_bytes))
 
 
+def filter_bits(nkeys: int) -> int:
+    """Size of the filter for ``nkeys`` keys: ``BLOOM_BITS_PER_KEY``
+    bits each, rounded up to whole pages, one page at least."""
+    return max(1, -(-nkeys * BLOOM_BITS_PER_KEY // BLOOM_PAGE_BITS)) \
+        * BLOOM_PAGE_BITS
+
+
 class BloomFilter:
-    """Paged bloom filter.
+    """Paged bloom filter of ``nbits`` bits (see :func:`filter_bits`).
 
     Bits are split into page-sized chunks; the reader learns which
-    pages a probe touches without materializing the whole filter.
-    Built in memory by the writer, stored one chunk per bloom page.
+    pages a probe touches without materializing the whole filter.  A
+    table derives its filter from its own keys on its first probe
+    (:meth:`repro.apps.lsm.sstable.SSTable.may_contain`).
     """
 
-    def __init__(self, nkeys: int) -> None:
-        nbits = max(BLOOM_PAGE_BITS, nkeys * BLOOM_BITS_PER_KEY)
-        self.npages = (nbits + BLOOM_PAGE_BITS - 1) // BLOOM_PAGE_BITS
-        self.nbits = self.npages * BLOOM_PAGE_BITS
+    def __init__(self, nbits: int) -> None:
+        self.npages = nbits // BLOOM_PAGE_BITS
+        self.nbits = nbits
         self.chunks = [bytearray(PAGE_SIZE) for _ in range(self.npages)]
 
-    def _positions(self, key: str):
-        for probe in range(BLOOM_HASHES):
-            yield fnv1a(key, probe) % self.nbits
-
     # add_all/test_chunks CRC the key once and XOR the probe salts in
-    # (:class:`_ProbeSalts`); bit positions equal :meth:`_positions`,
-    # which is kept as the readable reference.  Where ``h % nbits`` is a
-    # mask of the low word (to build: a power-of-two filter, true up to
-    # 2**32 bits, 400 M keys; to probe: one page) the 64-bit hash is
-    # never formed.
+    # (:class:`_ProbeSalts`); bit positions equal ``fnv1a(key, probe) %
+    # nbits`` for each probe (``tests/reference/bloom.py`` sets them one
+    # at a time).  Where ``h % nbits`` is a mask of the low word (to
+    # build: a power-of-two filter, true up to 2**32 bits, 400 M keys;
+    # to probe: one page) the 64-bit hash is never formed.
 
     def add_all(self, keys) -> None:
-        """Set every key's bits in one pass: a table's filter is built
-        whole, from its key list, when the writer finishes."""
+        """Set every key's bits in one pass: a table's filter is derived
+        whole, from its keys, on its first probe."""
         nbits = self.nbits
         # One ASCII digit per bit, highest position first: int(flags, 2)
         # packs the filter in one call.
@@ -140,7 +143,7 @@ class BloomFilter:
         chunks = self.chunks
         bits = (int(flags, 2) | int.from_bytes(b"".join(chunks), "little")
                 ).to_bytes(nbits >> 3, "little")
-        # In place: whoever holds a chunk (file.store) keeps seeing it.
+        # In place: whoever holds a chunk keeps seeing it.
         for page, chunk in enumerate(chunks):
             chunk[:] = bits[page * PAGE_SIZE:(page + 1) * PAGE_SIZE]
 

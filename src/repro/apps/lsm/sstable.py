@@ -12,9 +12,12 @@ the layout: readers get values from :meth:`SSTable.get` and
 only strings, ints, ``None`` and (for updated values) tuples of them,
 so the cyclic collector untracks it and a snapshot shares it whole.
 
-Bloom, index and footer pages are read through the cache once at
-``open()`` and then held parsed in the table object, matching
-LevelDB's table cache (index/filter blocks pinned per open table).
+Index and footer pages are read through the cache once at ``open()``
+and then held parsed in the table object, matching LevelDB's table
+cache (index/filter blocks pinned per open table).  The filter pages
+are read there too, but hold a stand-in: the bits are derived state,
+set from the table's own keys on its first probe
+(:meth:`SSTable.may_contain`), like the slot map on its first lookup.
 
 Tombstones are records whose value is ``None``; they survive until
 compaction merges them away at the bottom level.
@@ -29,7 +32,7 @@ import operator
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.apps.lsm.format import (BLOOM_PAGE_BITS, INDEX_ENTRIES_PER_PAGE,
-                                   BloomFilter, RecordFormat)
+                                   BloomFilter, RecordFormat, filter_bits)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.vfs import Filesystem, SimFile
@@ -44,9 +47,8 @@ class SSTable(SnapshotFriendly):
     """One immutable sorted table."""
 
     def __init__(self, fs: "Filesystem", file: "SimFile", seq: int,
-                 n_data_pages: int, index: list, bloom_chunks: list,
-                 bloom_nbits: int, min_key: str, max_key: str,
-                 n_entries: int) -> None:
+                 n_data_pages: int, index: list, bloom_nbits: int,
+                 min_key: str, max_key: str, n_entries: int) -> None:
         self.fs = fs
         self.file = file
         #: Creation sequence; higher seq shadows lower on key collisions.
@@ -54,26 +56,31 @@ class SSTable(SnapshotFriendly):
         self.n_data_pages = n_data_pages
         #: ``index[i]`` = first key of data page ``i``.
         self.index = index
-        self.bloom_chunks = bloom_chunks
         self.bloom_nbits = bloom_nbits
         self.min_key = min_key
         self.max_key = max_key
         self.n_entries = n_entries
+        #: The pages the table was built with: its file's store.  An
+        #: unlink gives the file a new, empty store and leaves this one.
+        self._pages = file.store
         #: Slot map ``key -> record position`` and records per full data
         #: page, derived from the data pages on the first :meth:`get`.
         self._slots: Optional[dict] = None
         self._epp = 1
+        #: Bloom filter chunks, derived from the data pages on the first
+        #: :meth:`may_contain`.
+        self._bloom: Optional[list] = None
 
     # Derived state never enters a machine image: a restored table
-    # starts as __init__ leaves one and rebuilds its slot map on demand.
+    # starts as __init__ leaves one and rebuilds it on demand.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_slots"], state["_epp"]
+        del state["_slots"], state["_epp"], state["_bloom"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         super().__setstate__(state)
-        self._slots, self._epp = None, 1
+        self._slots, self._epp, self._bloom = None, 1, None
 
     # ------------------------------------------------------------------
     @property
@@ -87,29 +94,37 @@ class SSTable(SnapshotFriendly):
         """Bloom + key-range check, no data I/O."""
         if key < self.min_key or key > self.max_key:
             return False
-        return BloomFilter.test_chunks(self.bloom_chunks,
-                                       self.bloom_nbits, key)
+        bloom = self._bloom
+        if bloom is None:
+            bloom = self._build_bloom()
+        return BloomFilter.test_chunks(bloom, self.bloom_nbits, key)
 
     def _page_for_key(self, key: str) -> int:
         """Index binary search: the data page whose run may hold key."""
         pos = bisect.bisect_right(self.index, key) - 1
         return max(pos, 0)
 
+    def _keys(self) -> Iterator[str]:
+        """The table's keys in order, off its own data pages: host-side
+        reads like ``index``, no ``fs`` call, no virtual time."""
+        return itertools.chain.from_iterable(map(
+            operator.itemgetter(_KEYS),
+            map(self._pages.__getitem__, range(self.n_data_pages))))
+
     def _build_slots(self) -> dict:
-        """Derive the slot map in one pass over the table's own data
-        pages: host-side state like ``index``, no ``fs`` call, no virtual
-        time.  An unlinked file's store is gone; its empty map sends every
-        key down the absent-key path, whose read raises the typed EBADF."""
-        file = self.file
-        pages = [] if file.deleted else list(
-            map(file.store.__getitem__, range(self.n_data_pages)))
+        """Derive the slot map in one pass over the table's keys."""
         # Every page but the last is full.
-        self._epp = len(pages[0]) // 2 if pages else 1
-        slots = self._slots = dict(zip(
-            itertools.chain.from_iterable(
-                map(operator.itemgetter(_KEYS), pages)),
-            itertools.count()))
+        self._epp = len(self._pages[0]) // 2
+        slots = self._slots = dict(zip(self._keys(), itertools.count()))
         return slots
+
+    def _build_bloom(self) -> list:
+        """Derive the filter in one ``add_all`` pass over the table's
+        keys: the bits a writer building it would have stored."""
+        bloom = BloomFilter(self.bloom_nbits)
+        bloom.add_all(self._keys())
+        self._bloom = bloom.chunks
+        return bloom.chunks
 
     def get(self, key: str,
             reads: Optional[list] = None) -> tuple[bool, Optional[object]]:
@@ -187,10 +202,13 @@ class SSTableWriter:
       databases before an experiment, mirroring the paper's
       "drop the page cache before each test" methodology.
 
-    Records only fill data pages; the index, key range and bloom filter
-    are derived from the key list in :meth:`finish`.  Deferring them is
+    Records only fill data pages; the index and key range are derived
+    from the key list in :meth:`finish`.  Deferring them is
     unobservable: their pages follow the last data page either way, and
-    building them is pure CPU that charges no virtual time.
+    building them is pure CPU that charges no virtual time.  The filter
+    is not built at all: :meth:`finish` emits its pages, sized from
+    ``expected_entries``, holding a stand-in, and the table derives its
+    bits from its own keys on its first probe.
     """
 
     def __init__(self, fs: "Filesystem", name: str, fmt: RecordFormat,
@@ -265,18 +283,19 @@ class SSTableWriter:
         if self._page:
             self._emit_page(tuple(self._page))
         n_data_pages = self._n_data_pages
-        bloom = BloomFilter(self._expected_entries)
-        bloom.add_all(keys)
-        for chunk in bloom.chunks:
-            self._emit_page(chunk)
+        bloom_nbits = filter_bits(self._expected_entries)
+        n_bloom_pages = bloom_nbits // BLOOM_PAGE_BITS
+        # Nothing reads a filter page's content: it is a stand-in.
+        for _ in range(n_bloom_pages):
+            self._emit_page(None)
         index = keys[::self._entries_per_page]
         for start in range(0, len(index), INDEX_ENTRIES_PER_PAGE):
             self._emit_page(
                 tuple(index[start:start + INDEX_ENTRIES_PER_PAGE]))
         footer = {
             "n_data_pages": n_data_pages,
-            "n_bloom_pages": bloom.npages,
-            "bloom_nbits": bloom.nbits,
+            "n_bloom_pages": n_bloom_pages,
+            "bloom_nbits": bloom_nbits,
             "n_entries": len(keys),
             "min_key": keys[0],
             "max_key": keys[-1],
@@ -288,8 +307,7 @@ class SSTableWriter:
             self.fs, self.file, next(_table_seq),
             n_data_pages=n_data_pages,
             index=index,
-            bloom_chunks=list(bloom.chunks),
-            bloom_nbits=bloom.nbits,
+            bloom_nbits=bloom_nbits,
             min_key=keys[0], max_key=keys[-1],
             n_entries=len(keys))
 
@@ -297,19 +315,21 @@ class SSTableWriter:
 def open_sstable(fs: "Filesystem", name: str) -> SSTable:
     """Open a table by reading its metadata pages through the cache.
 
-    Data pages are *not* touched; they fault in on demand.
+    Data pages are *not* touched; they fault in on demand.  The filter
+    pages are read as a table cache reads them, and their stand-ins
+    dropped: the table derives its bits on its first probe.
     """
     file = fs.open(name)
     footer = fs.read_page(file, file.npages - 1)
     n_data = footer["n_data_pages"]
     n_bloom = footer["n_bloom_pages"]
-    bloom_chunks = [fs.read_page(file, n_data + i) for i in range(n_bloom)]
+    for i in range(n_bloom):
+        fs.read_page(file, n_data + i)
     index: list = []
     for idx in range(n_data + n_bloom, file.npages - 1):
         index.extend(fs.read_page(file, idx))
     return SSTable(fs, file, next(_table_seq),
                    n_data_pages=n_data, index=index,
-                   bloom_chunks=bloom_chunks,
                    bloom_nbits=footer["bloom_nbits"],
                    min_key=footer["min_key"], max_key=footer["max_key"],
                    n_entries=footer["n_entries"])

@@ -176,7 +176,11 @@ class Filesystem(SnapshotFriendly):
             raise EBADF(f"no such file: {name}")
         cache = self.machine.page_cache
         cache.remove_folios_no_shadow(f.mapping.folios())
-        f.store.clear()
+        # A new, empty store: whoever holds the old one keeps its pages,
+        # as an open descriptor keeps an unlinked inode's (an SSTable
+        # derives its slot map and filter from the pages it was built
+        # with).  Reads still fail: the file is deleted.
+        f.store = {}
         f.deleted = True
 
     def files(self) -> list[SimFile]:

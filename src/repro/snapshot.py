@@ -157,8 +157,7 @@ class _SharingPickler(pickle.Pickler):
             if len(obj) >= _SHARE_MIN_LEN:
                 return self._share(obj)
         elif cls is int:
-            # Bloom-filter bitmasks and similar big ints; small ints
-            # are interned by the runtime anyway.
+            # Big ints; small ints are interned by the runtime anyway.
             if obj.bit_length() > 64:
                 return self._share(obj)
         elif cls is tuple:

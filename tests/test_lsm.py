@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm.compaction import CompactionJob
 from repro.apps.lsm import format as lsm_format
-from repro.apps.lsm.format import BloomFilter, RecordFormat, fnv1a
+from repro.apps.lsm.format import (BloomFilter, RecordFormat, filter_bits,
+                                   fnv1a)
 from repro.apps.lsm.sstable import SSTableWriter, open_sstable
 from repro.experiments.harness import make_db_env
 from repro.kernel import Machine
-from repro.workloads import streams
+from repro.workloads import streams, ycsb
 from tests.reference.bloom import reference_add, reference_test
 from tests.strategies import STANDARD_SETTINGS
 
@@ -55,7 +56,7 @@ class TestFormat:
 
 class TestBloom:
     def test_no_false_negatives(self):
-        bloom = BloomFilter(100)
+        bloom = BloomFilter(filter_bits(100))
         keys = [f"k{i}" for i in range(100)]
         bloom.add_all(keys)
         for key in keys:
@@ -63,7 +64,7 @@ class TestBloom:
                                            key)
 
     def test_some_true_negatives(self):
-        bloom = BloomFilter(50)
+        bloom = BloomFilter(filter_bits(50))
         bloom.add_all(f"k{i}" for i in range(50))
         negatives = sum(
             1 for i in range(1000)
@@ -74,7 +75,7 @@ class TestBloom:
     @given(st.sets(st.text(min_size=1, max_size=12), max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_membership_property(self, keys):
-        bloom = BloomFilter(max(len(keys), 1))
+        bloom = BloomFilter(filter_bits(len(keys)))
         bloom.add_all(keys)
         assert all(BloomFilter.test_chunks(bloom.chunks, bloom.nbits, k)
                    for k in keys)
@@ -82,7 +83,8 @@ class TestBloom:
 
 class TestBloomOneCrc:
     """``add_all``/``test_chunks`` derive all four probe hashes from one
-    CRC of the key; ``_positions`` (eight salted passes) is the oracle."""
+    CRC of the key; ``tests/reference/bloom.py``'s ``positions`` (eight
+    salted passes) is the oracle."""
 
     @given(st.binary(max_size=64), st.integers(0, 0xFFFFFFFF))
     @STANDARD_SETTINGS
@@ -100,10 +102,10 @@ class TestBloomOneCrc:
         expected_entries, npages = sizing
         cut = data.draw(st.integers(0, len(keys)))
         held, absent = keys[:cut], keys[cut:]
-        want = BloomFilter(expected_entries)
+        want = BloomFilter(filter_bits(expected_entries))
         for key in held:
             reference_add(want, key)
-        bloom = BloomFilter(expected_entries)
+        bloom = BloomFilter(filter_bits(expected_entries))
         chunks = list(bloom.chunks)
         assert len(chunks) == npages
         # Twice on one filter ORs, into the same chunk objects.
@@ -318,6 +320,34 @@ class TestDbBasics:
         machine, cg, db = make_db()
         db.bulk_load([(f"k{i:05d}", i) for i in range(100)])
         assert machine.disk.stats.write_pages == 0
+
+    def test_bulk_load_below_a_loaded_db(self):
+        # The second, lower run's tables go in front: the bottom level
+        # stays sorted, and the bisect over its min keys finds them all.
+        machine, cg, db = make_db()
+        db.bulk_load(ycsb.load_items(2000)[1000:])
+        db.bulk_load(ycsb.load_items(1000))
+        bottom = db.levels[-1]
+        assert len(bottom) > 2
+        assert all(a.max_key < b.min_key for a, b in zip(bottom, bottom[1:]))
+        keys = [ycsb.key_of(i) for i in (0, 999, 1000, 1500, 1999)]
+        assert in_thread(machine, cg, lambda: [db.get(key) for key in keys]) \
+            == [0, 999, 1000, 1500, 1999]
+
+    @pytest.mark.parametrize("run", ((995, 1005), (1100, 1200), (0, 3000),
+                                     (1999, 2100)))
+    def test_overlapping_bulk_load_is_refused(self, run):
+        machine, cg, db = make_db()
+        db.bulk_load(ycsb.load_items(2000)[1000:])
+        before = ([list(level) for level in db.levels], db._struct_version,
+                  [f.name for f in machine.fs.files()])
+        lo, hi = run
+        with pytest.raises(ValueError, match="overlaps bottom-level table"):
+            db.bulk_load([(ycsb.key_of(i), i) for i in range(lo, hi)])
+        assert ([list(level) for level in db.levels], db._struct_version,
+                [f.name for f in machine.fs.files()]) == before
+        assert in_thread(machine, cg, lambda: db.get(ycsb.key_of(1500))) \
+            == 1500
 
     def test_scan_merges_sources(self):
         machine, cg, db = make_db(memtable=8)

@@ -11,10 +11,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.apps.lsm import DbOptions, LsmDb
+from repro.apps.lsm.format import BLOOM_PAGE_BITS
 from repro.apps.lsm.sstable import SSTable, SSTableWriter, open_sstable
 from repro.faults import DeviceFault, FaultPlan
 from repro.kernel import Machine
 from repro.kernel.errors import EBADF
+from repro.kernel.folio import PAGE_SIZE
 from repro.obs.trace import TraceSession
 from tests.reference.sstable import reference_get
 from tests.strategies import (DETERMINISM_SETTINGS, STANDARD_SETTINGS,
@@ -41,9 +43,10 @@ def make_table(fs, fmt, run, through_cache=False, built="extend",
 
 
 def saturate_bloom(table) -> None:
-    """Every in-range absent key becomes a bloom false positive."""
-    table.bloom_chunks = [bytearray(b"\xff" * len(chunk))
-                          for chunk in table.bloom_chunks]
+    """Every in-range absent key becomes a bloom false positive: the
+    table's filter, set before its first probe would derive it."""
+    table._bloom = [bytearray(b"\xff" * PAGE_SIZE)
+                    for _ in range(table.bloom_nbits // BLOOM_PAGE_BITS)]
 
 
 def lookups(get, fmt, run, probes, through_cache, built, saturated):

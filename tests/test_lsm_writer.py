@@ -1,6 +1,8 @@
-"""SSTableWriter builds a table from its key list at ``finish()``; the
-per-record writer below maintains everything as each record arrives and
-is the reference the built tables must equal."""
+"""SSTableWriter builds a table from its key list at ``finish()``, and
+the table derives its bloom filter from its keys on its first probe;
+the per-record writer below maintains everything, filter bits included,
+as each record arrives and is the reference the built tables must
+equal."""
 
 import contextlib
 import dataclasses
@@ -16,7 +18,7 @@ from repro.apps.lsm import compaction as lsm_compaction
 from repro.apps.lsm import db as lsm_db
 from repro.apps.lsm import sstable as lsm_sstable
 from repro.apps.lsm.format import (INDEX_ENTRIES_PER_PAGE, BloomFilter,
-                                   RecordFormat)
+                                   RecordFormat, filter_bits)
 from repro.apps.lsm.sstable import SSTable, SSTableWriter
 from repro.kernel import Machine
 from tests.reference.bloom import reference_add
@@ -35,9 +37,12 @@ def encode(records: list) -> tuple:
 
 class ReferenceWriter:
     """Per-record SSTable writer: every ``add`` appends the index key,
-    tracks min/max, counts the entry and sets the key's bloom bits from
-    :meth:`BloomFilter._positions`.  A data page collects ``(key,
-    value)`` records and is encoded only when emitted."""
+    tracks min/max, counts the entry and sets the key's bloom bits one
+    position at a time (``tests/reference/bloom.py``).  A data page
+    collects ``(key, value)`` records and is encoded only when emitted.
+    Its filter pages hold the same stand-in as the writer's; the table
+    it returns carries this filter, where a built table derives its own
+    on its first probe, so :func:`table_image` compares every bit."""
 
     def __init__(self, fs, name, fmt, expected_entries,
                  through_cache=True) -> None:
@@ -45,7 +50,7 @@ class ReferenceWriter:
         self.file = fs.create(name)
         self.fmt = fmt
         self.through_cache = through_cache
-        self.bloom = BloomFilter(max(expected_entries, 1))
+        self.bloom = BloomFilter(filter_bits(expected_entries))
         self._page: list = []
         self._index: list = []
         self._n_entries = 0
@@ -90,8 +95,8 @@ class ReferenceWriter:
         if self._page:
             self._emit_page(encode(self._page))
             self._n_data_pages += 1
-        for chunk in self.bloom.chunks:
-            self._emit_page(chunk)
+        for _ in self.bloom.chunks:
+            self._emit_page(None)
         for start in range(0, len(self._index), INDEX_ENTRIES_PER_PAGE):
             self._emit_page(tuple(self._index[start:start +
                                               INDEX_ENTRIES_PER_PAGE]))
@@ -105,28 +110,35 @@ class ReferenceWriter:
         })
         if self.through_cache:
             self.fs.fsync(self.file)
-        return SSTable(
+        table = SSTable(
             self.fs, self.file, next(lsm_sstable._table_seq),
             n_data_pages=self._n_data_pages,
             index=list(self._index),
-            bloom_chunks=list(self.bloom.chunks),
             bloom_nbits=self.bloom.nbits,
             min_key=self._min_key, max_key=self._max_key,
             n_entries=self._n_entries)
+        table._bloom = self.bloom.chunks
+        return table
+
+
+def table_filter(table: SSTable) -> list:
+    """The table's filter chunks, derived now if nothing probed it."""
+    return table._bloom if table._bloom is not None \
+        else table._build_bloom()
 
 
 def table_image(table: SSTable) -> dict:
     """Everything a table is, by value (``seq`` is process-global);
-    ``store`` holds every page, footer included."""
+    ``store`` holds every page, footer included, and ``bloom`` every
+    bit of the table's filter."""
     file = table.file
     return {
         "name": file.name,
         "npages": file.npages,
-        "store": {index: bytes(page) if isinstance(page, bytearray)
-                  else page for index, page in file.store.items()},
+        "store": dict(file.store),
         "n_data_pages": table.n_data_pages,
         "index": table.index,
-        "bloom": [bytes(chunk) for chunk in table.bloom_chunks],
+        "bloom": [bytes(chunk) for chunk in table_filter(table)],
         "bloom_nbits": table.bloom_nbits,
         "min_key": table.min_key,
         "max_key": table.max_key,

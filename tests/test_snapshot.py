@@ -14,15 +14,19 @@ paths, and CI's ``snapshot-smoke`` job diffs the whole quick fig6 table,
 cold against restored.
 """
 
+import pickletools
+
 import pytest
 
 from repro import api, snapshot
+from repro.apps.lsm.format import BLOOM_PAGE_BITS
 from repro.experiments import (ablations, admission, chaos, fig6, fig8,
                                fig10)
 from repro.experiments.harness import (GENERIC_POLICY_NAMES,
                                        build_machine, make_db_env,
                                        observing, warm_db_env_snapshot)
 from repro.faults.plan import FaultPlan
+from repro.kernel.folio import PAGE_SIZE
 from repro.kernel.machine import Machine
 from repro.obs.collectors import EventCounter
 from repro.obs.spans import Span
@@ -139,9 +143,9 @@ class TestServedTablesEquality:
     def test_image_of_tables_that_served_gets(self):
         """Every sweep captures before the first lookup; here the image
         is of a quiescent machine whose tables have already answered
-        gets.  What they derived to answer (slot maps) stays out of the
-        image, and the restored graph carries on exactly as the
-        captured one does."""
+        gets.  What they derived to answer (slot maps, and the filter
+        an absent key probed) stays out of the image, and the restored
+        graph carries on exactly as the captured one does."""
         env = make_db_env("default", cgroup_pages=64, nkeys=1000)
         scan = ScanKeys(env.db)
         env.machine.spawn("scanner", scan, cgroup=env.cgroup)
@@ -155,15 +159,45 @@ class TestServedTablesEquality:
             machine.run()
             return step.values, thread.clock_us, machine.metrics()
 
-        payload(env.machine, env.cgroup, env.db, keys[::3])
+        payload(env.machine, env.cgroup, env.db, keys[::3] + [keys[0] + "0"])
         assert all(table._slots for table in env.db._all_tables())
+        assert any(table._bloom for table in env.db._all_tables())
         image = snapshot.capture(env.machine, (env.cgroup, env.db))
         restored = snapshot.restore(image)
-        assert all(table._slots is None
+        assert all(table._slots is None and table._bloom is None
                    for table in restored[2]._all_tables())
         again = keys[::2] + ["absent"]
         assert payload(*restored, again) == \
             payload(env.machine, env.cgroup, env.db, again)
+
+
+class TestImageHoldsNoFilter:
+    def test_full_scale_fig6_image(self):
+        """A table's filter is derived on its first probe, so the
+        pre-attach image carries none: no filter chunk, no filter bits,
+        only one stand-in per filter page."""
+        scale = fig6.FULL_SCALE
+        snapshot.clear_cache()
+        warm_db_env_snapshot("lfu", cgroup_pages=scale["cgroup_pages"],
+                             nkeys=scale["nkeys"])
+        (image,) = snapshot._images.values()
+        snapshot.clear_cache()
+        _, _, db = snapshot.restore(image)
+        tables = list(db._all_tables())
+        filter_pages = [table.file.store[table.n_data_pages + i]
+                        for table in tables
+                        for i in range(table.bloom_nbits // BLOOM_PAGE_BITS)]
+        assert len(filter_pages) >= len(tables) > 1
+        assert set(filter_pages) == {None}
+        assert all(table._bloom is None for table in tables)
+        # Nothing byte-like in the payload or among the shared leaves,
+        # and the payload is smaller than the filters it used to carry.
+        ops = {op.name for op, _, _ in pickletools.genops(image.payload)}
+        assert not ops & {"BYTEARRAY8", "SHORT_BINBYTES", "BINBYTES",
+                          "BINBYTES8"}
+        assert not [leaf for leaf in image.shared
+                    if isinstance(leaf, (bytes, bytearray))]
+        assert image.nbytes < len(filter_pages) * PAGE_SIZE
 
 
 class TestImageCache:

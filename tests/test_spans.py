@@ -4,8 +4,9 @@ The contract under test (see :mod:`repro.obs.spans` /
 :mod:`repro.obs.attr`):
 
 * every request span's components sum to its duration **bitwise** —
-  fold ``COMPONENTS`` left-to-right and you reproduce ``dur_us``
-  exactly, for single-page and range reads alike;
+  fold the other ``COMPONENTS`` left-to-right, then ``cpu``, and you
+  reproduce ``dur_us`` exactly, for single-page and range reads alike
+  (and on generated charge sequences, whenever any float ``cpu`` can);
 * spans are purely observational (enabling them never perturbs
   virtual time) and gated by the ``span:close`` tracepoint;
 * aggregation output is deterministic: identical runs produce
@@ -19,11 +20,15 @@ The contract under test (see :mod:`repro.obs.spans` /
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.kernel import Machine
 from repro.obs import COMPONENTS, SpanAggregator, TraceSession, \
@@ -32,6 +37,9 @@ from repro.obs.attr import SpanStats
 from repro.obs.collectors import EventCounter
 from repro.obs.trace import TraceEvent
 from repro.policies.mru import make_mru_policy
+from repro.sim.engine import SimThread
+from repro.sim.resources import CpuCosts
+from tests.strategies import STANDARD_SETTINGS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -77,11 +85,12 @@ def record_spans(machine, cg, ops):
 
 
 def components_sum(data):
-    """Fold the components in canonical order, as a consumer would."""
+    """Fold the components in canonical order, as a consumer would:
+    the others in ``COMPONENTS`` order, then ``cpu``."""
     acc = 0.0
-    for comp in COMPONENTS:
+    for comp in COMPONENTS[1:]:
         acc += data.get(comp, 0.0)
-    return acc
+    return acc + data.get("cpu", 0.0)
 
 
 def assert_invariant(events):
@@ -195,6 +204,103 @@ class TestComponentSumInvariant:
         gets = [e.data["dur_us"] for e in session.events
                 if e.data["span"] == "lsm.get"]
         assert sorted(gets) == sorted(result.read_latency.samples_us)
+
+
+_COSTS = CpuCosts()
+#: Every configured CPU cost, and the default device's service times.
+CPU_COSTS = dataclasses.astuple(_COSTS)
+SERVICE_US = (100.0, 30.0)
+
+#: One charge as the kernel layers make it: ``("cpu", cost)`` advances
+#: the clock unattributed, ``(comp, cost)`` also adds it to ``comp``,
+#: ``("device", service, queued)`` waits behind ``queued`` and adds
+#: wait and service, ``("reclaim", evictions)`` is a reclaim section of
+#: evictions, each dispatching a hook.
+charges = st.lists(st.one_of(
+    st.tuples(st.just("cpu"), st.sampled_from(CPU_COSTS)),
+    st.tuples(st.sampled_from(("cache_hit", "kfunc", "fsync")),
+              st.sampled_from(CPU_COSTS)),
+    st.tuples(st.just("device"), st.sampled_from(SERVICE_US),
+              st.lists(st.sampled_from(SERVICE_US), max_size=3)),
+    st.tuples(st.just("reclaim"), st.integers(1, 4))), max_size=30)
+
+
+def close_charged(open_us: float, plan) -> dict:
+    """Open a span at ``open_us``, charge ``plan`` as the kernel
+    layers do, close it; returns the ``span:close`` event's data."""
+    machine = Machine()
+    thread = SimThread(1, "charger", lambda t: False)
+    thread.clock_us = free_at = open_us
+    with TraceSession(machine, "span:close") as session:
+        span = machine.spans.open(thread, "charged")
+        for charge in plan:
+            kind = charge[0]
+            if kind == "cpu":
+                thread.advance(charge[1])
+            elif kind == "device":
+                free_at = sum(charge[2], free_at)
+                issue = thread.clock_us
+                start = max(issue, free_at)
+                thread.clock_us = free_at = start + charge[1]
+                if start > issue:
+                    span.add("device_wait", start - issue)
+                span.add("device_service", charge[1])
+            elif kind == "reclaim":
+                state = span.begin_section("reclaim_stall",
+                                           thread.clock_us)
+                for _ in range(charge[1]):
+                    thread.advance(_COSTS.evict_us)
+                    thread.advance(_COSTS.bpf_hook_us)
+                    span.add("kfunc", _COSTS.bpf_hook_us)
+                span.end_section(thread.clock_us, state)
+            else:
+                thread.advance(charge[1])
+                span.add(kind, charge[1])
+        machine.spans.close(thread, span)
+    event, = session.events
+    return event.data
+
+
+def folds_with(data, cpu) -> bool:
+    return components_sum({**data, "cpu": cpu}) == data["dur_us"]
+
+
+class TestCanonicalFold:
+    """``SpanRecorder.close`` sets ``cpu = dur - acc``, ``acc`` the
+    others' fold: the float nearest the exact residual.  The fold is
+    bitwise whenever any float ``cpu`` makes it so."""
+
+    @given(open_us=st.one_of(st.just(0.0), st.floats(0.0, 1e7),
+                             st.integers(0, 10 ** 7).map(float)),
+           plan=charges)
+    @STANDARD_SETTINGS
+    def test_charged_span_folds_whenever_a_cpu_can(self, open_us, plan):
+        data = close_charged(open_us, plan)
+        cpu = data.get("cpu", 0.0)
+        if components_sum(data) != data["dur_us"]:
+            # The documented limit: neither neighbour folds either.
+            assert not folds_with(data, math.nextafter(cpu, -math.inf))
+            assert not folds_with(data, math.nextafter(cpu, math.inf))
+        for comp in COMPONENTS[1:]:
+            assert data.get(comp, 0.0) >= 0.0
+
+    def test_the_documented_limit(self):
+        # The others fold to 3660.447816470148 over a 7991.704504922217
+        # span: acc + cpu is a tie for cpu and both its neighbours, and
+        # round-half-even steps over dur.
+        machine = Machine()
+        thread = SimThread(1, "charger", lambda t: False)
+        with TraceSession(machine, "span:close") as session:
+            span = machine.spans.open(thread, "limit")
+            span.add("device_service", 3660.447816470148)
+            thread.clock_us = 7991.704504922217
+            machine.spans.close(thread, span)
+        data = session.events[0].data
+        cpu = data["cpu"]
+        assert cpu == 7991.704504922217 - 3660.447816470148
+        assert components_sum(data) != data["dur_us"]
+        assert not any(folds_with(data, c) for c in (
+            math.nextafter(cpu, -math.inf), math.nextafter(cpu, math.inf)))
 
 
 # ----------------------------------------------------------------------
