@@ -26,18 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.vfs import Filesystem
 
 
-class _Stream:
-    """Lazy ``(key, value)`` stream over one input table: its data
-    pages are read in order, each as the merge reaches it."""
-
-    def __init__(self, table: SSTable) -> None:
-        self.table = table
-        self._iter = table.iter_from(table.min_key)
-
-    def next_entry(self) -> Optional[tuple]:
-        return next(self._iter, None)
-
-
 class CompactionJob:
     """One in-flight merge of ``inputs`` into new tables."""
 
@@ -59,26 +47,26 @@ class CompactionJob:
         self.drop_tombstones = drop_tombstones
         self.outputs: list[SSTable] = []
         self.done = False
-        self.records_in = 0
-        self.records_out = 0
 
         self._tiebreak = itertools.count()
         self._heap: list[tuple] = []
-        self._streams = [_Stream(t) for t in self.inputs]
+        #: One lazy ``(key, value)`` stream per input, reading the
+        #: input's data pages in order, each as the merge reaches it.
+        self._streams = [t.iter_from(t.min_key) for t in self.inputs]
         self._writer: Optional[SSTableWriter] = None
         self._expected = sum(t.n_entries for t in self.inputs)
         self._last_key: Optional[str] = None
-        for idx, stream in enumerate(self._streams):
-            self._push_head(idx, stream)
+        for idx in range(len(self.inputs)):
+            self._push_head(idx)
 
     # ------------------------------------------------------------------
-    def _push_head(self, idx: int, stream: _Stream) -> None:
-        entry = stream.next_entry()
+    def _push_head(self, idx: int) -> None:
+        entry = next(self._streams[idx], None)
         if entry is not None:
             key, value = entry
             # Higher table seq shadows lower; negate for min-heap order.
             heapq.heappush(self._heap,
-                           (key, -stream.table.seq, next(self._tiebreak),
+                           (key, -self.inputs[idx].seq, next(self._tiebreak),
                             value, idx))
 
     def _emit(self, key: str, value) -> None:
@@ -89,7 +77,6 @@ class CompactionJob:
                 self.fs, self.name_fn(), self.fmt,
                 expected_entries=self._expected, through_cache=True)
         self._writer.add(key, value)
-        self.records_out += 1
         if self._writer._n_data_pages >= self.max_table_pages:
             self.outputs.append(self._writer.finish())
             self._writer = None
@@ -102,8 +89,7 @@ class CompactionJob:
         budget = max_records or self.RECORDS_PER_STEP
         while budget > 0 and self._heap:
             key, _negseq, _tie, value, idx = heapq.heappop(self._heap)
-            self._push_head(idx, self._streams[idx])
-            self.records_in += 1
+            self._push_head(idx)
             budget -= 1
             if key == self._last_key:
                 continue  # shadowed by a newer version already emitted

@@ -14,12 +14,13 @@ import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.apps.lsm.compaction import CompactionJob
 from repro.apps.lsm.format import RecordFormat
 from repro.apps.lsm.memtable import MemTable, WriteAheadLog
-from repro.apps.lsm.sstable import SSTable, SSTableWriter
+from repro.apps.lsm.sstable import (SSTable, SSTableWriter,
+                                    strictly_increasing)
 from repro.kernel.errors import EIO, ETIMEDOUT
 from repro.sim.engine import current_thread
 
@@ -219,7 +220,7 @@ class LsmDb(SnapshotFriendly):
                                self.opts.fmt,
                                expected_entries=len(self.mem),
                                through_cache=True)
-        writer.extend(self.mem.sorted_items())
+        writer.extend(*zip(*self.mem.sorted_items()))
         table = writer.finish()
         self.levels[0].insert(0, table)  # newest first
         self._bump_version()
@@ -320,7 +321,7 @@ class LsmDb(SnapshotFriendly):
             for table in level[max(start, 0):]:
                 if table.max_key >= start_key:
                     sources.append(
-                        t_iter(table, start_key, noreuse, touched))
+                        table.iter_from(start_key, noreuse, touched))
         # Priority: memtable (0) newest, then L0 newest-first, then
         # deeper levels; lower priority index wins on key ties.  The
         # merge is hand-rolled instead of layering heapq.merge over
@@ -426,23 +427,30 @@ class LsmDb(SnapshotFriendly):
     # ------------------------------------------------------------------
     # bulk load
     # ------------------------------------------------------------------
-    def bulk_load(self, items: list[tuple]) -> None:
+    def bulk_load(self, keys: Sequence[str], values: Sequence) -> None:
         """Pre-create the database without simulated I/O.
 
-        Writes sorted ``(key, value)`` records directly into
-        bottom-level tables, bypassing the page cache — the equivalent
-        of loading the database before the experiment and dropping
-        caches, which is the paper's methodology.
+        Writes the records ``(keys[i], values[i])``, sorted by key,
+        directly into bottom-level tables, bypassing the page cache —
+        the equivalent of loading the database before the experiment
+        and dropping caches, which is the paper's methodology.
 
         The bottom level stays sorted and non-overlapping: the new
-        tables go in ``min_key`` order, and a run whose key range
-        overlaps a bottom-level table is refused with ``ValueError``
-        before anything is written.
+        tables go in ``min_key`` order.  Columns of unequal length, a
+        repeated key, or a key range that overlaps a bottom-level table
+        are refused with ``ValueError`` before anything is written.
         """
-        items = sorted(items)
+        n = len(keys)
+        if len(values) != n:
+            raise ValueError(f"bulk load of {n} keys but {len(values)} values")
+        if not strictly_increasing(keys):
+            order = sorted(range(n), key=keys.__getitem__)
+            keys, values = [keys[i] for i in order], [values[i] for i in order]
+            if not strictly_increasing(keys):
+                raise ValueError("bulk load repeats a key")
         bottom = self.levels[self.opts.max_levels]
-        if items:
-            lo, hi = items[0][0], items[-1][0]
+        if n:
+            lo, hi = keys[0], keys[-1]
             clash = next((t for t in bottom if t.overlaps(lo, hi)), None)
             if clash is not None:
                 raise ValueError(
@@ -450,13 +458,13 @@ class LsmDb(SnapshotFriendly):
                     f"table [{clash.min_key!r}..{clash.max_key!r}]")
         per_table = self.opts.table_pages * self.opts.fmt.entries_per_page
         tables = []
-        for start in range(0, len(items), per_table):
-            chunk = items[start:start + per_table]
+        for start in range(0, n, per_table):
+            chunk = keys[start:start + per_table]
             writer = SSTableWriter(self.machine.fs, self._next_sst_name(),
                                    self.opts.fmt,
                                    expected_entries=len(chunk),
                                    through_cache=False)
-            writer.extend(chunk)
+            writer.extend(chunk, values[start:start + per_table])
             tables.append(writer.finish())
         if tables:
             at = bisect.bisect_left([t.min_key for t in bottom], lo)
@@ -563,11 +571,5 @@ class LsmDb(SnapshotFriendly):
 
     def close(self) -> None:
         self.closed = True
-
-
-def t_iter(table: SSTable, start_key: str, noreuse: bool = False,
-           touched=None):
-    """Module-level iterator shim (keeps scan() free of closures)."""
-    return table.iter_from(start_key, noreuse, touched)
 
 

@@ -29,7 +29,7 @@ from repro.snapshot import SnapshotFriendly
 import bisect
 import itertools
 import operator
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.apps.lsm.format import (BLOOM_PAGE_BITS, INDEX_ENTRIES_PER_PAGE,
                                    BloomFilter, RecordFormat, filter_bits)
@@ -41,6 +41,11 @@ _table_seq = itertools.count(1)
 
 #: The keys of a flat data page: ``page[_KEYS] == (k0, k1, ...)``.
 _KEYS = slice(None, None, 2)
+
+
+def strictly_increasing(keys: Sequence[str]) -> bool:
+    """Whether ``keys`` is strictly increasing, in one C-level pass."""
+    return all(map(operator.lt, keys, itertools.islice(keys, 1, None)))
 
 
 class SSTable(SnapshotFriendly):
@@ -225,13 +230,17 @@ class SSTableWriter:
         self._page: list = []
 
     # ------------------------------------------------------------------
-    def _emit_page(self, obj) -> None:
+    def _emit(self, pages: list) -> None:
+        """Append ``pages`` to the file, in order."""
+        file = self.file
         if self.through_cache:
-            self.fs.append_page(self.file, obj)
+            append_page = self.fs.append_page
+            for page in pages:
+                append_page(file, page)
         else:
-            index = self.file.npages
-            self.file.store[index] = obj
-            self.file.npages = index + 1
+            start = file.npages
+            file.store.update(zip(itertools.count(start), pages))
+            file.npages = start + len(pages)
 
     @property
     def _n_data_pages(self) -> int:
@@ -248,59 +257,59 @@ class SSTableWriter:
         page = self._page
         page += (key, value)
         if len(page) >= 2 * self._entries_per_page:
-            self._emit_page(tuple(page))
+            self._emit([tuple(page)])
             self._page = []
 
-    def extend(self, run: list) -> None:
-        """Append a run of ``(key, value)`` pairs, strictly sorted by
-        key and after every key already added.  The run is flattened
-        once and sliced into pages; a run that is out of order is
-        refused whole."""
-        keys = self._keys
-        new = list(map(operator.itemgetter(0), run))
+    def extend(self, keys: Sequence[str], values: Sequence) -> None:
+        """Append a run given as two columns: ``keys`` strictly
+        increasing and after every key already added, ``values[i]`` the
+        value of ``keys[i]``.  The open page and the run fill one flat
+        list by two extended-slice assignments, which one ``zip`` cuts
+        into pages; a run that is out of order is refused whole."""
+        n = len(keys)
+        if len(values) != n:
+            raise ValueError(f"{n} keys but {len(values)} values")
         # One C-level order check, over the seam with earlier calls too.
-        chain = keys[-1:] + new
-        if not all(map(operator.lt, chain, chain[1:])):
+        chain = self._keys[-1:] + list(keys)
+        if not strictly_increasing(chain):
             bad = next(i for i in range(1, len(chain))
                        if chain[i] <= chain[i - 1])
             raise ValueError(f"keys out of order: {chain[bad]!r} "
                              f"after {chain[bad - 1]!r}")
-        keys += new
+        self._keys += keys
+        flat = self._page
+        start = len(flat)
+        flat += itertools.repeat(None, 2 * n)
+        flat[start::2] = keys
+        flat[start + 1::2] = values
         step = 2 * self._entries_per_page
-        # The open page's records go first.
-        flat = tuple(itertools.chain(self._page,
-                                     itertools.chain.from_iterable(run)))
-        full = len(flat) - len(flat) % step
-        for start in range(0, full, step):
-            self._emit_page(flat[start:start + step])
-        self._page = list(flat[full:])
+        pages = list(zip(*[iter(flat)] * step))
+        self._page = flat[len(pages) * step:]
+        self._emit(pages)
 
     def finish(self) -> SSTable:
         """Flush metadata pages and return the readable table."""
         keys = self._keys
         if not keys:
             raise ValueError("cannot finish an empty SSTable")
-        if self._page:
-            self._emit_page(tuple(self._page))
-        n_data_pages = self._n_data_pages
+        pages = [tuple(self._page)] if self._page else []
+        n_data_pages = self._n_data_pages + len(pages)
         bloom_nbits = filter_bits(self._expected_entries)
         n_bloom_pages = bloom_nbits // BLOOM_PAGE_BITS
         # Nothing reads a filter page's content: it is a stand-in.
-        for _ in range(n_bloom_pages):
-            self._emit_page(None)
+        pages += [None] * n_bloom_pages
         index = keys[::self._entries_per_page]
-        for start in range(0, len(index), INDEX_ENTRIES_PER_PAGE):
-            self._emit_page(
-                tuple(index[start:start + INDEX_ENTRIES_PER_PAGE]))
-        footer = {
+        pages += [tuple(index[start:start + INDEX_ENTRIES_PER_PAGE])
+                  for start in range(0, len(index), INDEX_ENTRIES_PER_PAGE)]
+        pages.append({
             "n_data_pages": n_data_pages,
             "n_bloom_pages": n_bloom_pages,
             "bloom_nbits": bloom_nbits,
             "n_entries": len(keys),
             "min_key": keys[0],
             "max_key": keys[-1],
-        }
-        self._emit_page(footer)
+        })
+        self._emit(pages)
         if self.through_cache:
             self.fs.fsync(self.file)
         return SSTable(

@@ -25,7 +25,8 @@ from repro.apps.lsm import DbOptions, LsmDb
 from repro.experiments.harness import (CellSpec, ExperimentResult,
                                        ExperimentSpec, attach_policy,
                                        build_machine)
-from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner, load_items
+from repro.workloads import streams
+from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
 
 FULL_SCALE = {"nkeys": 40000, "ycsb_cgroup_pages": 1000,
               "search_files": 300, "search_cgroup_frac": 0.7,
@@ -51,7 +52,7 @@ def run_one(ycsb_policy: str, search_policy: str, nkeys: int,
     # cgroup A: YCSB C on the LSM store.
     ycsb_cg = machine.new_cgroup("ycsb", limit_pages=ycsb_cgroup_pages)
     db = LsmDb(machine, ycsb_cg, options=DbOptions(memtable_entries=512))
-    db.bulk_load(load_items(nkeys))
+    db.bulk_load(streams.key_strings(nkeys), range(nkeys))
     attach_policy(machine, ycsb_cg, ycsb_policy, ycsb_cgroup_pages)
     db.spawn_compaction_thread()
     # cgroup B: file search.

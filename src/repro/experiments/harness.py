@@ -32,7 +32,7 @@ from repro.policies import (make_arc_policy, make_fifo_policy,
 from repro.policies.lhd import init_lhd, make_lhd_policy
 from repro.policies.userspace import spawn_drainer
 from repro.sim.engine import collector_paused
-from repro.workloads.ycsb import load_items
+from repro.workloads import streams
 
 #: Policies applicable to the generic (application-agnostic) sweeps.
 GENERIC_POLICY_NAMES = ("default", "mglru", "fifo", "mru", "lfu",
@@ -160,7 +160,7 @@ def _preattach_env(kernel: str, cgroup_pages: int, nkeys: int,
     machine = build_machine(kernel, mode=mode)
     cgroup = machine.new_cgroup(cgroup_name, limit_pages=cgroup_pages)
     db = LsmDb(machine, cgroup, options=db_options)
-    db.bulk_load(load_items(nkeys))
+    db.bulk_load(streams.key_strings(nkeys), range(nkeys))
     return machine, cgroup, db
 
 

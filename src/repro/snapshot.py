@@ -123,7 +123,7 @@ class _SharingPickler(pickle.Pickler):
     would copy them, and every key comparison on a restored machine
     would lose CPython's pointer-equality fast path — measured as a
     uniform ~4-15% drag on the whole run phase, wiping out the build
-    savings.  Capturing immutable leaves (str/bytes/large int, and
+    savings.  Capturing immutable leaves (str/bytes, and
     tuples thereof — each data page is one such leaf, shared whole
     with one ``persistent_id`` hit) in a side table and
     restoring them by identity keeps restored machines bit-for-bit
@@ -155,10 +155,6 @@ class _SharingPickler(pickle.Pickler):
         cls = obj.__class__
         if cls is str or cls is bytes:
             if len(obj) >= _SHARE_MIN_LEN:
-                return self._share(obj)
-        elif cls is int:
-            # Big ints; small ints are interned by the runtime anyway.
-            if obj.bit_length() > 64:
                 return self._share(obj)
         elif cls is tuple:
             if len(obj) >= 2 and _shareable(obj, self._memo):

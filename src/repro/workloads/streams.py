@@ -330,12 +330,19 @@ def uniform_indices(nkeys: int, seed: int, count: int) -> array:
 def key_strings(nkeys: int) -> list:
     """``key_of(i)`` for the loaded keyspace, formatted once.
 
-    Shared by the bulk-load phase and every runner's hot path; insert
-    indices past ``nkeys`` still format on demand.
+    ``key_of(i)`` is ``key_of(i - i % 1000)[:-3]`` joined to ``i %
+    1000`` in three digits: one head per thousand keys, 1,000 shared
+    tails.  Shared by the bulk-load phase and every runner's hot path;
+    insert indices past ``nkeys`` still format on demand.
     """
     key = ("keys", nkeys)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
     from repro.workloads.ycsb import key_of
-    return _cache_put(key, list(map(key_of, range(nkeys))))
+    tails = [str(tail).zfill(3) for tail in range(1000)]
+    keys: list = []
+    for block in range(0, nkeys, 1000):
+        head = key_of(block)[:-3]
+        keys += [head + tail for tail in tails[:nkeys - block]]
+    return _cache_put(key, keys)

@@ -82,14 +82,6 @@ def key_of(index: int) -> str:
     return "user" + str(index).zfill(12)
 
 
-def load_items(nkeys: int) -> list[tuple]:
-    """The YCSB load phase's records, for :meth:`LsmDb.bulk_load`:
-    ``(key_of(i), i)``.  A loaded value is its key index; nothing reads
-    value content (readers test ``value is None``) and value sizes come
-    from :class:`~repro.apps.lsm.format.RecordFormat`."""
-    return list(zip(streams.key_strings(nkeys), range(nkeys)))
-
-
 @dataclass
 class YcsbResult:
     workload: str

@@ -46,9 +46,15 @@ def lsm_op_sequences(max_size: int = 120) -> st.SearchStrategy:
     return st.lists(lsm_ops(), min_size=1, max_size=max_size)
 
 
+#: A record's value: a tombstone (``None``), an int (as loaded) or a
+#: tuple (as updated).
+record_values = st.one_of(st.none(), st.integers(0, 999),
+                          st.tuples(st.just("new"), st.integers(0, 999)))
+
+
 def sorted_runs(epp: int, max_pages: int = 5) -> st.SearchStrategy:
     """Strictly increasing ``(key, value)`` runs for an SSTable whose
-    data pages hold ``epp`` records; ``None`` values are tombstones.
+    data pages hold ``epp`` records, valued from :data:`record_values`.
 
     Half the lengths sit on a page boundary (empty, one record, a page
     less/exactly/plus one), the rest range over several pages.
@@ -56,8 +62,7 @@ def sorted_runs(epp: int, max_pages: int = 5) -> st.SearchStrategy:
     lengths = st.one_of(
         st.sampled_from((0, 1, epp - 1, epp, epp + 1)),
         st.integers(0, max_pages * epp + 1))
-    records = st.tuples(st.integers(0, 9999),
-                        st.one_of(st.none(), st.integers(0, 999)))
+    records = st.tuples(st.integers(0, 9999), record_values)
     return lengths.flatmap(lambda n: st.lists(
         records, min_size=n, max_size=n, unique_by=lambda kv: kv[0])
     ).map(lambda kvs: [(f"key{k:04d}", v) for k, v in sorted(kvs)])

@@ -506,7 +506,7 @@ class TestLsmDegradation:
         machine = Machine()
         cg = machine.new_cgroup("db", limit_pages=64)
         db = LsmDb(machine, cg)
-        db.bulk_load([(f"key{i:04d}", i) for i in range(500)])
+        db.bulk_load([f"key{i:04d}" for i in range(500)], range(500))
         machine.arm_faults(FaultPlan(device=(
             DeviceFault(kind="eio", prob=1.0, ops=("read", "write")),)))
         out = {}
@@ -536,7 +536,7 @@ class TestLsmDegradation:
         cg = machine.new_cgroup("db", limit_pages=64)
         db = LsmDb(machine, cg, options=DbOptions(memtable_entries=16,
                                                   max_levels=1))
-        db.bulk_load([(f"key{i:04d}", i) for i in range(500)])
+        db.bulk_load([f"key{i:04d}" for i in range(500)], range(500))
         trigger = db.opts.l0_compaction_trigger
 
         def fill(thread):

@@ -128,8 +128,9 @@ class TestBloomOneCrc:
 
         def load(first):
             machine, cg, db = make_db()
-            db.bulk_load([(f"user{i:012d}", ("v0", i))
-                          for i in range(first, first + 20000, 2)])
+            indices = range(first, first + 20000, 2)
+            db.bulk_load([f"user{i:012d}" for i in indices],
+                         [("v0", i) for i in indices])
             return db
 
         before = sizes()
@@ -312,21 +313,22 @@ class TestDbBasics:
 
     def test_bulk_load_visible(self):
         machine, cg, db = make_db()
-        db.bulk_load([(f"k{i:05d}", i) for i in range(500)])
+        db.bulk_load([f"k{i:05d}" for i in range(500)], range(500))
         assert in_thread(machine, cg, lambda: db.get("k00400")) == 400
         assert machine.disk.stats.read_pages > 0  # cold cache: real I/O
 
     def test_bulk_load_no_write_io(self):
         machine, cg, db = make_db()
-        db.bulk_load([(f"k{i:05d}", i) for i in range(100)])
+        db.bulk_load([f"k{i:05d}" for i in range(100)], range(100))
         assert machine.disk.stats.write_pages == 0
 
     def test_bulk_load_below_a_loaded_db(self):
         # The second, lower run's tables go in front: the bottom level
         # stays sorted, and the bisect over its min keys finds them all.
         machine, cg, db = make_db()
-        db.bulk_load(ycsb.load_items(2000)[1000:])
-        db.bulk_load(ycsb.load_items(1000))
+        keys = streams.key_strings(2000)
+        db.bulk_load(keys[1000:], range(1000, 2000))
+        db.bulk_load(keys[:1000], range(1000))
         bottom = db.levels[-1]
         assert len(bottom) > 2
         assert all(a.max_key < b.min_key for a, b in zip(bottom, bottom[1:]))
@@ -338,12 +340,13 @@ class TestDbBasics:
                                      (1999, 2100)))
     def test_overlapping_bulk_load_is_refused(self, run):
         machine, cg, db = make_db()
-        db.bulk_load(ycsb.load_items(2000)[1000:])
+        db.bulk_load(streams.key_strings(2000)[1000:], range(1000, 2000))
         before = ([list(level) for level in db.levels], db._struct_version,
                   [f.name for f in machine.fs.files()])
         lo, hi = run
         with pytest.raises(ValueError, match="overlaps bottom-level table"):
-            db.bulk_load([(ycsb.key_of(i), i) for i in range(lo, hi)])
+            db.bulk_load(list(map(ycsb.key_of, range(lo, hi))),
+                         range(lo, hi))
         assert ([list(level) for level in db.levels], db._struct_version,
                 [f.name for f in machine.fs.files()]) == before
         assert in_thread(machine, cg, lambda: db.get(ycsb.key_of(1500))) \
@@ -351,7 +354,8 @@ class TestDbBasics:
 
     def test_scan_merges_sources(self):
         machine, cg, db = make_db(memtable=8)
-        db.bulk_load([(f"k{i:04d}", ("old", i)) for i in range(50)])
+        db.bulk_load([f"k{i:04d}" for i in range(50)],
+                     [("old", i) for i in range(50)])
 
         def ops():
             db.put("k0005", ("new", 5))  # shadow in memtable
@@ -364,7 +368,7 @@ class TestDbBasics:
 
     def test_scan_skips_tombstones(self):
         machine, cg, db = make_db()
-        db.bulk_load([(f"k{i:04d}", i) for i in range(10)])
+        db.bulk_load([f"k{i:04d}" for i in range(10)], range(10))
 
         def ops():
             db.delete("k0002")

@@ -17,17 +17,12 @@ from repro.apps.lsm.format import (BLOOM_PAGE_BITS, BloomFilter,
 from repro.apps.lsm.sstable import SSTableWriter, open_sstable
 from repro.kernel import Machine
 from tests.strategies import STANDARD_SETTINGS, sorted_runs, table_probes
-from tests.test_lsm_writer import FORMATS
+from tests.test_lsm_writer import FORMATS, SIZINGS, columns
 
 #: How a table comes to be: bulk load (``extend`` straight to the
 #: store), flush (``extend`` through the cache), compaction (``add``
 #: through the cache), or reopened from its pages.
 BUILDS = ("bulk", "flush", "compaction", "open_sstable")
-
-#: Expected entries -> filter pages: one page, and powers of two (the
-#: masked build) and others (the 64-bit remainder).
-SIZINGS = {0: 1, 1: 1, 3276: 1, 4000: 2, 9000: 3, 12000: 4, 19000: 6}
-
 
 class BuildTable:
     """Step function of the thread that builds one table as ``built``
@@ -47,7 +42,7 @@ class BuildTable:
             for key, value in run:
                 writer.add(key, value)
         else:
-            writer.extend(run)
+            writer.extend(*columns(run))
         table = writer.finish()
         self.table = open_sstable(fs, "t") if built == "open_sstable" \
             else table

@@ -186,16 +186,16 @@ class TestPlanMemo:
     def test_bulk_load_drops_plans(self):
         machine, cg, db = make_db()
         bumps = watch_bumps(db)
-        db.bulk_load([(key, 1) for key in KEYS[:6]])
+        db.bulk_load(KEYS[:6], [1] * 6)
         in_thread(machine, cg, lambda: db.get(KEYS[0]))
         assert KEYS[0] in db._plans
-        db.bulk_load([(key, 2) for key in KEYS[6:]])
+        db.bulk_load(KEYS[6:], [2] * len(KEYS[6:]))
         assert len(bumps) == 2
 
     def test_clear_on_full(self, monkeypatch):
         monkeypatch.setattr(lsm_db, "_PLAN_CACHE_MAX", 4)
         machine, cg, db = make_db()
-        db.bulk_load([(key, i) for i, key in enumerate(KEYS)])
+        db.bulk_load(KEYS, range(len(KEYS)))
         sizes = []
 
         def body():

@@ -24,7 +24,7 @@ from tests.strategies import (DETERMINISM_SETTINGS, STANDARD_SETTINGS,
                               table_probes)
 from tests.strategies.lsm import KEYS, apply_op
 from tests.test_lsm_plans import in_thread, record_reads
-from tests.test_lsm_writer import FORMATS, metrics_image
+from tests.test_lsm_writer import FORMATS, columns, metrics_image
 
 BUILDERS = ("extend", "add", "open_sstable")
 
@@ -37,7 +37,7 @@ def make_table(fs, fmt, run, through_cache=False, built="extend",
         for key, value in run:
             writer.add(key, value)
     else:
-        writer.extend(run)
+        writer.extend(*columns(run))
     table = writer.finish()
     return open_sstable(fs, name) if built == "open_sstable" else table
 
@@ -154,7 +154,7 @@ class TestDbThroughReferenceGet:
         db = LsmDb(machine, cg, options=DbOptions(
             fmt=FORMATS[0], memtable_entries=64))
         items = [(f"key{i:05d}", i) for i in range(700)]
-        db.bulk_load(items)
+        db.bulk_load(*columns(items))
         assert sum(len(level) for level in db.levels) > 1
         reads = record_reads(machine)
 

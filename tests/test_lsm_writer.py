@@ -1,12 +1,13 @@
-"""SSTableWriter builds a table from its key list at ``finish()``, and
-the table derives its bloom filter from its keys on its first probe;
-the per-record writer below maintains everything, filter bits included,
-as each record arrives and is the reference the built tables must
-equal."""
+"""SSTableWriter builds a table from key and value columns, its index
+and key range from its key list at ``finish()``, and the table derives
+its bloom filter from its keys on its first probe; ``LsmDb.bulk_load``
+sorts columns, not records.  The per-record writer and bulk load of
+``tests/reference/writer.py`` maintain everything, filter bits
+included, as each record arrives, and are the reference the built
+tables must equal."""
 
 import contextlib
 import dataclasses
-from typing import Optional
 from unittest import mock
 
 import pytest
@@ -16,109 +17,27 @@ from hypothesis import strategies as st
 from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm import compaction as lsm_compaction
 from repro.apps.lsm import db as lsm_db
-from repro.apps.lsm import sstable as lsm_sstable
-from repro.apps.lsm.format import (INDEX_ENTRIES_PER_PAGE, BloomFilter,
-                                   RecordFormat, filter_bits)
+from repro.apps.lsm.format import RecordFormat
 from repro.apps.lsm.sstable import SSTable, SSTableWriter
 from repro.kernel import Machine
-from tests.reference.bloom import reference_add
+from repro.workloads import streams
+from repro.workloads.ycsb import key_of
+from tests.reference.writer import ReferenceWriter, reference_bulk_load
 from tests.strategies import (DETERMINISM_SETTINGS, STANDARD_SETTINGS,
                               db_options, lsm_op_sequences, sorted_runs)
-from tests.strategies.lsm import apply_op
+from tests.strategies.lsm import apply_op, record_values
 
 FORMATS = (RecordFormat(value_size=1000),    # 3 records per page
            RecordFormat(value_size=220))     # 16
 
+#: Expected entries -> filter pages: one page, and powers of two (the
+#: masked build) and others (the 64-bit remainder).
+SIZINGS = {0: 1, 1: 1, 3276: 1, 4000: 2, 9000: 3, 12000: 4, 19000: 6}
 
-def encode(records: list) -> tuple:
-    """A data page as stored: the records' keys and values, flat."""
-    return tuple(item for record in records for item in record)
 
-
-class ReferenceWriter:
-    """Per-record SSTable writer: every ``add`` appends the index key,
-    tracks min/max, counts the entry and sets the key's bloom bits one
-    position at a time (``tests/reference/bloom.py``).  A data page
-    collects ``(key, value)`` records and is encoded only when emitted.
-    Its filter pages hold the same stand-in as the writer's; the table
-    it returns carries this filter, where a built table derives its own
-    on its first probe, so :func:`table_image` compares every bit."""
-
-    def __init__(self, fs, name, fmt, expected_entries,
-                 through_cache=True) -> None:
-        self.fs = fs
-        self.file = fs.create(name)
-        self.fmt = fmt
-        self.through_cache = through_cache
-        self.bloom = BloomFilter(filter_bits(expected_entries))
-        self._page: list = []
-        self._index: list = []
-        self._n_entries = 0
-        self._min_key: Optional[str] = None
-        self._max_key: Optional[str] = None
-        self._last_key: Optional[str] = None
-        self._n_data_pages = 0
-
-    def _emit_page(self, obj) -> None:
-        if self.through_cache:
-            self.fs.append_page(self.file, obj)
-        else:
-            index = self.file.npages
-            self.file.store[index] = obj
-            self.file.npages = index + 1
-
-    def add(self, key, value) -> None:
-        if self._last_key is not None and key <= self._last_key:
-            raise ValueError(
-                f"keys out of order: {key!r} after {self._last_key!r}")
-        self._last_key = key
-        if self._min_key is None:
-            self._min_key = key
-        self._max_key = key
-        if not self._page:
-            self._index.append(key)
-        self._page.append((key, value))
-        reference_add(self.bloom, key)
-        self._n_entries += 1
-        if len(self._page) >= self.fmt.entries_per_page:
-            self._emit_page(encode(self._page))
-            self._page = []
-            self._n_data_pages += 1
-
-    def extend(self, run) -> None:
-        for key, value in run:
-            self.add(key, value)
-
-    def finish(self) -> SSTable:
-        if self._n_entries == 0:
-            raise ValueError("cannot finish an empty SSTable")
-        if self._page:
-            self._emit_page(encode(self._page))
-            self._n_data_pages += 1
-        for _ in self.bloom.chunks:
-            self._emit_page(None)
-        for start in range(0, len(self._index), INDEX_ENTRIES_PER_PAGE):
-            self._emit_page(tuple(self._index[start:start +
-                                              INDEX_ENTRIES_PER_PAGE]))
-        self._emit_page({
-            "n_data_pages": self._n_data_pages,
-            "n_bloom_pages": self.bloom.npages,
-            "bloom_nbits": self.bloom.nbits,
-            "n_entries": self._n_entries,
-            "min_key": self._min_key,
-            "max_key": self._max_key,
-        })
-        if self.through_cache:
-            self.fs.fsync(self.file)
-        table = SSTable(
-            self.fs, self.file, next(lsm_sstable._table_seq),
-            n_data_pages=self._n_data_pages,
-            index=list(self._index),
-            bloom_nbits=self.bloom.nbits,
-            min_key=self._min_key, max_key=self._max_key,
-            n_entries=self._n_entries)
-        table._bloom = self.bloom.chunks
-        return table
+def columns(run: list) -> tuple:
+    """``(key, value)`` records as a key column and a value column."""
+    return [key for key, _ in run], [value for _, value in run]
 
 
 def table_filter(table: SSTable) -> list:
@@ -176,7 +95,7 @@ def feed(writer, pieces: list, bulk: list) -> None:
     ``add``, as ``bulk`` (cycled) says."""
     for i, piece in enumerate(pieces):
         if bulk[i % len(bulk)]:
-            writer.extend(piece)
+            writer.extend(*columns(piece))
         else:
             for key, value in piece:
                 writer.add(key, value)
@@ -210,7 +129,7 @@ splits = st.tuples(st.lists(st.integers(0, 80), max_size=5),
 class TestWriterDifferential:
     @given(fmt=st.sampled_from(FORMATS), data=st.data(), split=splits,
            through_cache=st.booleans(),
-           expected=st.sampled_from((0, 7, 4000)))
+           expected=st.sampled_from(sorted(SIZINGS)))
     @STANDARD_SETTINGS
     def test_any_split_of_a_run_equals_the_reference(
             self, fmt, data, split, through_cache, expected):
@@ -227,6 +146,7 @@ class TestWriterDifferential:
         assert image["n_entries"] == len(run)
         assert image["index"] == [
             key for key, _ in run[::fmt.entries_per_page]]
+        assert len(image["bloom"]) == SIZINGS[expected]
 
     @pytest.mark.parametrize("through_cache", (False, True))
     def test_many_index_and_bloom_pages(self, through_cache):
@@ -273,13 +193,32 @@ class TestWriterRefusals:
                                                  run[at][1])
         head = data.draw(st.integers(0, at))
         writer = self._writer()
-        writer.extend(run[:head])
+        writer.extend(*columns(run[:head]))
         with pytest.raises(ValueError, match="out of order"):
-            writer.extend(bad[head:])
+            writer.extend(*columns(bad[head:]))
         # Nothing of the refused run was taken.
-        writer.extend(run[head:])
+        writer.extend(*columns(run[head:]))
         reference = self._writer(ReferenceWriter)
-        reference.extend(run)
+        for key, value in run:
+            reference.add(key, value)
+        assert table_image(writer.finish()) == \
+            table_image(reference.finish())
+
+    @given(data=st.data(), extra=st.integers(-2, 2).filter(bool))
+    @STANDARD_SETTINGS
+    def test_unequal_columns_are_refused_whole(self, data, extra):
+        run = data.draw(sorted_runs(3).filter(lambda r: len(r) >= 2))
+        keys, values = columns(run)
+        writer = self._writer()
+        with pytest.raises(ValueError, match="keys but"):
+            if extra > 0:
+                writer.extend(keys, values + [0] * extra)
+            else:
+                writer.extend(keys[:extra], values)
+        writer.extend(keys, values)
+        reference = self._writer(ReferenceWriter)
+        for key, value in run:
+            reference.add(key, value)
         assert table_image(writer.finish()) == \
             table_image(reference.finish())
 
@@ -300,7 +239,7 @@ class TestWriterRefusals:
         with pytest.raises(ValueError, match="empty"):
             self._writer().finish()
         writer = self._writer()
-        writer.extend([])
+        writer.extend([], [])
         with pytest.raises(ValueError, match="empty"):
             writer.finish()
 
@@ -365,15 +304,120 @@ class TestDbThroughReferenceWriter:
 
     def test_bulk_load_equals_the_reference(self):
         items = [(f"key{i:05d}", ("v0", i)) for i in range(700)]
+        load_twins(DbOptions(fmt=FORMATS[0], memtable_entries=64), [items])
 
-        def load(reference):
-            machine = Machine()
-            cg = machine.new_cgroup("db", limit_pages=64)
-            db = LsmDb(machine, cg, name="db", options=DbOptions(
-                fmt=FORMATS[0], memtable_entries=64))
-            with tables_built_by(reference):
-                db.bulk_load(items)
-            return [[table_image(table) for table in level]
-                    for level in db.levels]
 
-        assert load(reference=True) == load(reference=False)
+def fresh_db(options) -> LsmDb:
+    machine = Machine()
+    cg = machine.new_cgroup("db", limit_pages=64)
+    return LsmDb(machine, cg, name="db", options=options)
+
+
+def db_image(db) -> tuple:
+    """Every table by value, every file's name, and the version of
+    the table set."""
+    levels = [[table_image(table) for table in level]
+              for level in db.levels]
+    files = [f.name for f in db.machine.fs.files()]
+    return levels, files, db._struct_version
+
+
+def load_twins(options, loads: list):
+    """Each record list in ``loads`` through ``bulk_load`` (as columns)
+    on one database and through :func:`reference_bulk_load` on its
+    twin; returns the image both equal."""
+    db, twin = fresh_db(options), fresh_db(options)
+    for records in loads:
+        db.bulk_load(*columns(records))
+        reference_bulk_load(twin, records)
+    got = db_image(db)
+    assert got == db_image(twin)
+    assert db._next_sst_name() == twin._next_sst_name()
+    return got
+
+
+class TestBulkLoadDifferential:
+    @given(fmt=st.sampled_from(FORMATS),
+           memtable=st.sampled_from((4, 16, 64)),
+           keys=st.lists(st.integers(0, 9999), unique=True, max_size=300),
+           data=st.data(), presort=st.booleans(), pivot=st.integers(0, 9999))
+    @STANDARD_SETTINGS
+    def test_columns_equal_the_reference(self, fmt, memtable, keys, data,
+                                         presort, pivot):
+        # Keys in drawn order (unsorted) or sorted; the keys at or above
+        # the pivot load first, then the rest go below them.
+        values = data.draw(st.lists(record_values, min_size=len(keys),
+                                    max_size=len(keys)))
+        records = [(f"key{k:04d}", v) for k, v in zip(keys, values)]
+        if presort:
+            records.sort()
+        loads = [[r for r in records if r[0] >= f"key{pivot:04d}"],
+                 [r for r in records if r[0] < f"key{pivot:04d}"]]
+        load_twins(DbOptions(fmt=fmt, memtable_entries=memtable), loads)
+
+    @pytest.mark.parametrize("nkeys", (1, 1001, 4000, 5000))
+    def test_key_list_and_index_values(self, nkeys):
+        # The harness's own load: the key list and a range of values.
+        keys = streams.key_strings(nkeys)
+        db, twin = fresh_db(DbOptions(memtable_entries=512)), \
+            fresh_db(DbOptions(memtable_entries=512))
+        db.bulk_load(keys, range(nkeys))
+        reference_bulk_load(twin, list(zip(keys, range(nkeys))))
+        assert db_image(db) == db_image(twin)
+
+    @pytest.mark.parametrize("nkeys,pages", ((4000, 2), (9000, 3),
+                                             (12000, 4), (19000, 6)))
+    def test_multi_page_filters(self, nkeys, pages):
+        # One table of nkeys records (tables hold whole pages): its
+        # filter has ``pages`` pages.
+        records = [(f"key{i:05d}", None if i % 7 == 0 else i)
+                   for i in range(nkeys)]
+        epp = FORMATS[1].entries_per_page
+        levels, _, _ = load_twins(
+            DbOptions(fmt=FORMATS[1], memtable_entries=-(-nkeys // epp) * epp),
+            [records])
+        assert [len(table["bloom"]) for table in levels[-1]] == [pages]
+
+
+class TestBulkLoadRefusals:
+    """A refused load writes nothing: no file, no table, no name."""
+
+    def refused(self, db, keys, values, match):
+        before = db_image(db)
+        with pytest.raises(ValueError, match=match):
+            db.bulk_load(keys, values)
+        assert db_image(db) == before
+
+    def test_duplicate_after_two_thousand_records(self):
+        db = fresh_db(DbOptions())
+        keys = streams.key_strings(2000) + [key_of(1500)]
+        self.refused(db, keys, range(2001), "repeats a key")
+        assert db._next_sst_name() == "db/sst-000001"
+
+    @given(keys=st.lists(st.integers(0, 999), min_size=2, max_size=60,
+                         unique=True),
+           data=st.data(), kind=st.sampled_from(("duplicate", "short",
+                                                 "long", "overlap")))
+    @STANDARD_SETTINGS
+    def test_refused_columns_leave_files_and_names(self, keys, data, kind):
+        db = fresh_db(DbOptions(fmt=FORMATS[0], memtable_entries=4))
+        db.bulk_load([f"key{k:04d}" for k in sorted(keys)],
+                     range(len(keys)))
+        n_tables = len(db.levels[-1])
+        new = [f"key{k:04d}" for k in range(1000, 1000 + len(keys))]
+        values = list(range(len(new)))
+        if kind == "duplicate":
+            at = data.draw(st.integers(1, len(new) - 1))
+            new[at] = new[data.draw(st.integers(0, at - 1))]
+            match = "repeats a key"
+        elif kind == "short":
+            values.pop()
+            match = "values"
+        elif kind == "long":
+            values.append(0)
+            match = "values"
+        else:
+            new[0] = f"key{keys[-1]:04d}"
+            match = "overlaps"
+        self.refused(db, new, values, match)
+        assert db._next_sst_name() == f"db/sst-{n_tables + 1:06d}"

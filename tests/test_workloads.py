@@ -28,7 +28,7 @@ from repro.workloads.getscan import GetScanWorkload
 from repro.workloads.twitter import (CLUSTERS, ClusterKeyStream,
                                      ClusterProfile, TwitterRunner)
 from repro.workloads.ycsb import (YCSB_WORKLOADS, YcsbResult, YcsbRunner,
-                                  YcsbSpec, key_of, load_items)
+                                  YcsbSpec, key_of)
 from tests.reference import distributions as reference_tables
 from tests.reference.getscan import ReferenceGetScanWorkload
 from tests.reference.twitter import ReferenceTwitterRunner
@@ -199,14 +199,6 @@ class TestYcsbSpecs:
     def test_key_format_sorts_numerically(self):
         assert key_of(5) < key_of(50) < key_of(500)
 
-    def test_load_items(self):
-        items = load_items(10)
-        assert len(items) == 10
-        assert items[0][0] == key_of(0)
-        # A loaded value is its key index.
-        assert items == [(key_of(i), i) for i in range(10)]
-        assert all(type(item) is tuple and type(item[1]) is int
-                   for item in items)
 
 
 def small_db_env(nkeys=2000, limit=128):
@@ -214,7 +206,7 @@ def small_db_env(nkeys=2000, limit=128):
     cg = machine.new_cgroup("db", limit_pages=limit)
     db = LsmDb(machine, cg, options=DbOptions(
         fmt=RecordFormat(value_size=1000), memtable_entries=128))
-    db.bulk_load(load_items(nkeys))
+    db.bulk_load(streams.key_strings(nkeys), range(nkeys))
     return machine, cg, db
 
 
@@ -371,6 +363,33 @@ def _ycsb_observation(cls, workload):
             result.missing_keys, result.read_latency.p99,
             runner._insert_counter[0], machine.now_us,
             cg.stats.snapshot())
+
+
+class TestKeyStrings:
+    """``key_strings(n)`` joins one ``key_of`` head per thousand keys to
+    shared three-digit tails; it must be ``key_of(i)`` for every ``i``."""
+
+    @given(n=st.integers(0, 4500))
+    @example(n=0)
+    @example(n=1)
+    @example(n=1000)
+    @example(n=1001)
+    @example(n=2999)
+    @STANDARD_SETTINGS
+    def test_key_list_equals_key_of(self, n):
+        streams.clear_cache()
+        assert streams.key_strings(n) == [key_of(i) for i in range(n)]
+
+    @given(i=st.integers(0, 10 ** 15))
+    @example(i=999)
+    @example(i=10 ** 12 - 1)
+    @example(i=10 ** 12)
+    @example(i=10 ** 12 + 999)
+    @STANDARD_SETTINGS
+    def test_head_and_tail_make_every_key(self, i):
+        # The identity the blocks are built on, past the zero padding.
+        block, tail = divmod(i, 1000)
+        assert key_of(block * 1000)[:-3] + str(tail).zfill(3) == key_of(i)
 
 
 class TestStreamPregen:
